@@ -449,26 +449,6 @@ class CanonicalForm:
             return _Const(QQi(0))
         return _Add(terms)
 
-    def eval_numeric(self, values: dict[str, complex]) -> complex:
-        """Float evaluation given values per atom string ("ell_x1", "dt", ...).
-
-        Conjugated atoms use the conjugate of the base atom's value.
-        """
-        total = 0j
-        for mono, coeff in self._terms.items():
-            prod = complex(coeff.re, coeff.im)
-            for key, e in mono:
-                if key[0] == "q":
-                    base = values[atom_str(key)]
-                else:
-                    _, name, mi, to, cj = key
-                    base = complex(values[atom_str(("f", name, mi, to, False))])
-                    if cj:
-                        base = base.conjugate()
-                prod *= base ** e
-            total += prod
-        return total
-
 
 def canonicalize(e: Expr, ctx: Context) -> CanonicalForm:
     """Canonicalize an expression over the given context.

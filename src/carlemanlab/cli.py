@@ -136,9 +136,11 @@ def run_carleman_heat(cfg) -> tuple[list, list]:
     w = wt.HeatWeight(psi=wt.psi_1d(cfg.G0), mu=cfg.mu, lam=cfg.lambdas[0],
                       T=cfg.T)
     checks, rows = [], []
+    streams = np.random.SeedSequence(cfg.seed).spawn(2 * cfg.pairs)
     for i in range(cfg.pairs):
-        paths = sim.brownian(cfg.paths, cfg.Nt, cfg.seed + 1000 + i, dt=grid.dt)
-        pair = sim.manufacture_heat_pair(grid, paths, cfg.modes, cfg.seed + i)
+        paths = sim.brownian(cfg.paths, cfg.Nt, streams[2 * i], dt=grid.dt)
+        pair = sim.manufacture_heat_pair(grid, paths, cfg.modes,
+                                         streams[2 * i + 1])
         if cfg.window is not None:
             pair = sim.windowed_pair(pair, cfg.window[0], cfg.window[1])
         rep = sim.carleman_heat_check(pair, w, cfg.lambdas)
@@ -155,13 +157,15 @@ def run_carleman_heat(cfg) -> tuple[list, list]:
 def run_carleman_gl(cfg) -> tuple[list, list]:
     grid = sim.Grid1D(Nx=cfg.Nx, Nt=cfg.Nt, T=cfg.T)
     checks, rows = [], []
+    *streams, zero_stream = np.random.SeedSequence(cfg.seed).spawn(
+        2 * cfg.ensembles + 1)
     last_sol = None
     for mu in cfg.mus:
         gw = wt.GLWeight(mu=mu, T=cfg.T)
         fitted, zero_members = [], 0
         for i in range(cfg.ensembles):
-            problem = sim.make_random_gl_problem(cfg.seed + i)
-            paths = sim.brownian(cfg.paths, cfg.Nt, cfg.seed + 5000 + i,
+            problem = sim.make_random_gl_problem(streams[2 * i])
+            paths = sim.brownian(cfg.paths, cfg.Nt, streams[2 * i + 1],
                                  dt=grid.dt)
             sol = sim.solve_gl_forward(problem, grid, paths)
             last_sol = sol
@@ -179,7 +183,7 @@ def run_carleman_gl(cfg) -> tuple[list, list]:
     gw = wt.GLWeight(mu=cfg.mus[-1], T=cfg.T)
     zero_sol = sim.solve_gl_forward(
         sim.SPDEProblem(), grid,
-        sim.brownian(cfg.paths, cfg.Nt, cfg.seed + 9000, dt=grid.dt))
+        sim.brownian(cfg.paths, cfg.Nt, zero_stream, dt=grid.dt))
     zrep = sim.carleman_gl_check(zero_sol, gw, cfg.delta)
     checks.append(_check(
         "zero_solution", zrep["lhs"] == 0.0 and zrep["rhs"] == 0.0,
@@ -196,12 +200,14 @@ def run_carleman_gl(cfg) -> tuple[list, list]:
 def run_inverse_gl(cfg) -> tuple[list, list]:
     grid = sim.Grid1D(Nx=cfg.Nx, Nt=cfg.Nt, T=cfg.T)
     cut = inv.CutoffSpec(t1=cfg.t1, t2=cfg.t2, t0=cfg.t0, T=cfg.T)
+    *streams, optimizer_stream = np.random.SeedSequence(cfg.seed).spawn(
+        2 * cfg.ensembles + 1)
     sols = []
     for i in range(cfg.ensembles):
-        problem = sim.make_random_gl_problem(cfg.seed + i,
+        problem = sim.make_random_gl_problem(streams[2 * i],
                                              with_coefficients=True,
                                              with_sources=False)
-        paths = sim.brownian(cfg.paths, cfg.Nt, cfg.seed + 7000 + i,
+        paths = sim.brownian(cfg.paths, cfg.Nt, streams[2 * i + 1],
                              dt=grid.dt)
         sols.append(sim.solve_gl_forward(problem, grid, paths))
     rep = inv.stability_experiment(sols, cut, cfg.mu1, cfg.C_ref)
@@ -226,7 +232,7 @@ def run_inverse_gl(cfg) -> tuple[list, list]:
                          tampered["flagged_non_adapted"],
                          slope=tampered["slope"]))
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(optimizer_stream)
     points = 10000
     cell = (10.0 - 1.0) / points
     worst = 0.0
@@ -242,12 +248,6 @@ def run_inverse_gl(cfg) -> tuple[list, list]:
     checks.append(_check("optimizer_grid_match", worst <= cell,
                          worst_gap=worst, cell=cell,
                          draws=cfg.optimizer_draws))
-
-    gw = wt.GLWeight(mu=cfg.mu1, T=cfg.T)
-    ts = grid.t
-    monotone = all(gw.theta_ratio(ts[i], ts[i + 1]) < 1.0
-                   for i in range(len(ts) - 1))
-    checks.append(_check("theta_monotone", monotone, nodes=len(ts)))
     rows = [(m, q) for m, q in enumerate(rep.quotients)]
     return [checks], rows
 

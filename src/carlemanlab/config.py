@@ -5,6 +5,14 @@ default, so an empty object (or no file at all) runs the documented
 desk-scale setup; unknown keys are rejected rather than ignored.  The
 only override outside the file is the process-level seed flag.
 
+This module checks the file as input: JSON syntax, a top-level object,
+known keys, each value's type (taken from the field's default), list
+shapes and per-field lower bounds, plus increasing ``lambdas``.  Rules
+that tie fields together (cutoff ordering, ``mu1 > 2``, ``mus >= 2``,
+``delta < T``, the ``modes`` budget, the demo ``case``) belong to the
+domain objects that use them; the driver maps their errors to the same
+exit code.
+
 CSV series column order, per verb:
 
     carleman-heat        pair, lambda, lhs, rhs, ratio
@@ -17,7 +25,7 @@ CSV series column order, per verb:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -35,206 +43,73 @@ CSV_HEADERS = {
 }
 
 
-def _fail(where: str, msg: str):
-    raise ConfigError(f"{where}: {msg}")
-
-
-def _number(where: str, key: str, v, lo=None, hi=None) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(where, f"'{key}' must be a number, got {v!r}")
-    v = float(v)
-    if lo is not None and v < lo:
-        _fail(where, f"'{key}' must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        _fail(where, f"'{key}' must be <= {hi}, got {v}")
-    return v
-
-
-def _integer(where: str, key: str, v, lo=1) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(where, f"'{key}' must be an integer, got {v!r}")
-    if v < lo:
-        _fail(where, f"'{key}' must be >= {lo}, got {v}")
-    return v
-
-
-def _number_list(where: str, key: str, v, lo=None) -> tuple:
-    if not isinstance(v, list) or not v:
-        _fail(where, f"'{key}' must be a non-empty list of numbers")
-    return tuple(_number(where, key, e, lo=lo) for e in v)
-
-
-def _pair(where: str, key: str, v) -> tuple:
-    if not isinstance(v, list) or len(v) != 2:
-        _fail(where, f"'{key}' must be a two-element list")
-    return tuple(_number(where, key, e) for e in v)
-
-
-def _build(cls, where: str, data: dict, coerce: dict):
-    """Fill a config dataclass from a JSON object, rejecting unknown keys."""
-    names = {f.name for f in fields(cls)}
-    for key in data:
-        if key not in names:
-            _fail(where, f"unknown key '{key}' (allowed: {', '.join(sorted(names))})")
-    kwargs = {}
-    for key, value in data.items():
-        kwargs[key] = coerce[key](value)
-    obj = cls(**kwargs)
-    obj.validate()
-    return obj
+def _field(default, lo=None, shape=None, increasing=False):
+    """A config field.  Its default fixes the value type; ``lo`` is an
+    inclusive lower bound on the value (or on each element); ``shape`` is
+    "list" (non-empty) or "pair" (two elements) for a list of numbers,
+    which ``increasing`` requires to be sorted."""
+    return field(default=default, metadata={
+        "lo": lo, "shape": shape, "increasing": increasing})
 
 
 @dataclass(frozen=True)
 class HeatCarlemanConfig:
     """Manufactured-pair test of the parabolic weighted inequality."""
 
-    pairs: int = 10
-    paths: int = 50
-    modes: int = 6
-    Nx: int = 60
-    Nt: int = 400
-    T: float = 1.0
-    mu: float = 4.0
-    lambdas: tuple = (20.0, 40.0, 80.0, 160.0)
-    G0: tuple = (0.3, 0.8)
-    window: Optional[tuple] = None
-    seed: int = 11
-
-    WHERE = "carleman-heat config"
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HeatCarlemanConfig":
-        w = cls.WHERE
-        return _build(cls, w, data, {
-            "pairs": lambda v: _integer(w, "pairs", v),
-            "paths": lambda v: _integer(w, "paths", v, lo=2),
-            "modes": lambda v: _integer(w, "modes", v),
-            "Nx": lambda v: _integer(w, "Nx", v, lo=8),
-            "Nt": lambda v: _integer(w, "Nt", v, lo=8),
-            "T": lambda v: _number(w, "T", v, lo=1e-6),
-            "mu": lambda v: _number(w, "mu", v, lo=1e-6),
-            "lambdas": lambda v: _number_list(w, "lambdas", v, lo=1e-9),
-            "G0": lambda v: _pair(w, "G0", v),
-            "window": lambda v: None if v is None else _pair(w, "window", v),
-            "seed": lambda v: _integer(w, "seed", v, lo=0),
-        })
-
-    def validate(self):
-        if self.modes * 4 > self.Nx:
-            _fail(self.WHERE, f"modes = {self.modes} too high for Nx = {self.Nx}")
-        if list(self.lambdas) != sorted(self.lambdas):
-            _fail(self.WHERE, "lambdas must be increasing")
+    pairs: int = _field(10, lo=1)
+    paths: int = _field(50, lo=2)
+    modes: int = _field(6, lo=1)
+    Nx: int = _field(60, lo=8)
+    Nt: int = _field(400, lo=8)
+    T: float = _field(1.0, lo=1e-6)
+    mu: float = _field(4.0, lo=1e-6)
+    lambdas: tuple = _field((20.0, 40.0, 80.0, 160.0), lo=1e-9, shape="list",
+                           increasing=True)
+    G0: tuple = _field((0.3, 0.8), shape="pair")
+    window: Optional[tuple] = _field(None, shape="pair")
+    seed: int = _field(11, lo=0)
 
 
 @dataclass(frozen=True)
 class GLCarlemanConfig:
     """Forward-solved ensembles against the time-global inequality."""
 
-    ensembles: int = 10
-    paths: int = 20
-    Nx: int = 50
-    Nt: int = 300
-    T: float = 0.3
-    mus: tuple = (2.0, 3.0, 4.0)
-    delta: float = 0.05
-    seed: int = 21
-
-    WHERE = "carleman-gl config"
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GLCarlemanConfig":
-        w = cls.WHERE
-        return _build(cls, w, data, {
-            "ensembles": lambda v: _integer(w, "ensembles", v),
-            "paths": lambda v: _integer(w, "paths", v, lo=2),
-            "Nx": lambda v: _integer(w, "Nx", v, lo=8),
-            "Nt": lambda v: _integer(w, "Nt", v, lo=8),
-            "T": lambda v: _number(w, "T", v, lo=1e-6),
-            "mus": lambda v: _number_list(w, "mus", v, lo=2.0),
-            "delta": lambda v: _number(w, "delta", v, lo=0.0),
-            "seed": lambda v: _integer(w, "seed", v, lo=0),
-        })
-
-    def validate(self):
-        if self.delta >= self.T:
-            _fail(self.WHERE, f"delta = {self.delta} must be below T = {self.T}")
+    ensembles: int = _field(10, lo=1)
+    paths: int = _field(20, lo=2)
+    Nx: int = _field(50, lo=8)
+    Nt: int = _field(300, lo=8)
+    T: float = _field(0.3, lo=1e-6)
+    mus: tuple = _field((2.0, 3.0, 4.0), shape="list")
+    delta: float = _field(0.05)
+    seed: int = _field(21, lo=0)
 
 
 @dataclass(frozen=True)
 class InverseConfig:
     """Interior-from-terminal stability experiment."""
 
-    ensembles: int = 20
-    paths: int = 16
-    Nx: int = 50
-    Nt: int = 300
-    T: float = 0.3
-    t1: float = 0.06
-    t2: float = 0.12
-    t0: float = 0.15
-    mu1: float = 3.0
-    epsilons: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
-    C_ref: float = 10.0
-    optimizer_draws: int = 100
-    seed: int = 31
-
-    WHERE = "inverse-gl config"
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InverseConfig":
-        w = cls.WHERE
-        return _build(cls, w, data, {
-            "ensembles": lambda v: _integer(w, "ensembles", v, lo=2),
-            "paths": lambda v: _integer(w, "paths", v, lo=2),
-            "Nx": lambda v: _integer(w, "Nx", v, lo=8),
-            "Nt": lambda v: _integer(w, "Nt", v, lo=8),
-            "T": lambda v: _number(w, "T", v, lo=1e-6),
-            "t1": lambda v: _number(w, "t1", v, lo=0.0),
-            "t2": lambda v: _number(w, "t2", v, lo=0.0),
-            "t0": lambda v: _number(w, "t0", v, lo=0.0),
-            "mu1": lambda v: _number(w, "mu1", v),
-            "epsilons": lambda v: _number_list(w, "epsilons", v, lo=0.0),
-            "C_ref": lambda v: _number(w, "C_ref", v, lo=1e-9),
-            "optimizer_draws": lambda v: _integer(w, "optimizer_draws", v),
-            "seed": lambda v: _integer(w, "seed", v, lo=0),
-        })
-
-    def validate(self):
-        if not (0.0 < self.t1 < self.t2 < self.t0 < self.T):
-            _fail(self.WHERE,
-                  f"cutoff times must satisfy 0 < t1 < t2 < t0 < T, got "
-                  f"({self.t1}, {self.t2}, {self.t0}, {self.T})")
-        if self.mu1 <= 2.0:
-            _fail(self.WHERE, f"mu1 must exceed 2, got {self.mu1}")
+    ensembles: int = _field(20, lo=2)
+    paths: int = _field(16, lo=2)
+    Nx: int = _field(50, lo=8)
+    Nt: int = _field(300, lo=8)
+    T: float = _field(0.3, lo=1e-6)
+    t1: float = _field(0.06)
+    t2: float = _field(0.12)
+    t0: float = _field(0.15)
+    mu1: float = _field(3.0)
+    epsilons: tuple = _field((1e-1, 1e-2, 1e-3, 1e-4), lo=0.0, shape="list")
+    C_ref: float = _field(10.0, lo=1e-9)
+    optimizer_draws: int = _field(100, lo=1)
+    seed: int = _field(31, lo=0)
 
 
 @dataclass(frozen=True)
 class DemoConfig:
     """Warm-up estimates: growth bound and inward-transport inequality."""
 
-    case: str = "ode"
-    draws: int = 10
-    seed: int = 0
-
-    WHERE = "demo config"
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DemoConfig":
-        w = cls.WHERE
-
-        def _case(v):
-            if v not in ("ode", "first_order"):
-                _fail(w, f"'case' must be 'ode' or 'first_order', got {v!r}")
-            return v
-
-        return _build(cls, w, data, {
-            "case": _case,
-            "draws": lambda v: _integer(w, "draws", v),
-            "seed": lambda v: _integer(w, "seed", v, lo=0),
-        })
-
-    def validate(self):
-        pass
+    case: str = _field("ode")
+    draws: int = _field(10, lo=1)
+    seed: int = _field(0, lo=0)
 
 
 _SCHEMAS = {
@@ -245,19 +120,49 @@ _SCHEMAS = {
 }
 
 
+def _scalar(key: str, v, kind: type, lo):
+    """Check one JSON scalar against the field type and lower bound."""
+    if kind is str:
+        if not isinstance(v, str):
+            raise ConfigError(f"'{key}' must be a string, got {v!r}")
+        return v
+    allowed = int if kind is int else (int, float)
+    if isinstance(v, bool) or not isinstance(v, allowed):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"'{key}' must be {noun}, got {v!r}")
+    v = kind(v)
+    if lo is not None and v < lo:
+        raise ConfigError(f"'{key}' must be >= {lo}, got {v}")
+    return v
+
+
+def _coerce(f, v):
+    lo, shape = f.metadata["lo"], f.metadata["shape"]
+    if shape is None:
+        return _scalar(f.name, v, type(f.default), lo)
+    if v is None and f.default is None:
+        return None
+    if shape == "pair" and not (isinstance(v, list) and len(v) == 2):
+        raise ConfigError(f"'{f.name}' must be a two-element list")
+    if shape == "list" and not (isinstance(v, list) and v):
+        raise ConfigError(f"'{f.name}' must be a non-empty list of numbers")
+    out = tuple(_scalar(f.name, e, float, lo) for e in v)
+    if f.metadata["increasing"] and list(out) != sorted(out):
+        raise ConfigError(f"'{f.name}' must be increasing")
+    return out
+
+
 def load_config(verb: str, path: Optional[str]):
-    """Parse and validate the config for one experiment verb.
+    """Parse and check the config for one experiment verb.
 
     No path means all defaults.  The file must hold a single JSON object.
     """
     if verb not in _SCHEMAS:
         raise ConfigError(f"verb '{verb}' does not take a config file")
-    if path is None:
-        data = {}
-    else:
-        p = Path(path)
+    data = {}
+    if path is not None:
         try:
-            text = p.read_text()
+            text = Path(path).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
@@ -266,4 +171,15 @@ def load_config(verb: str, path: Optional[str]):
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
-    return _SCHEMAS[verb].from_dict(data)
+    cls = _SCHEMAS[verb]
+    known = {f.name: f for f in fields(cls)}
+    kwargs = {}
+    try:
+        for key, value in data.items():
+            if key not in known:
+                raise ConfigError(f"unknown key '{key}' "
+                                  f"(allowed: {', '.join(sorted(known))})")
+            kwargs[key] = _coerce(known[key], value)
+    except ConfigError as exc:
+        raise ConfigError(f"{verb} config: {exc}") from None
+    return cls(**kwargs)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -33,6 +33,8 @@ class SimError(ValueError):
 
 
 Coefficient = Optional[Callable[[np.ndarray, float], np.ndarray]]
+# anything np.random.default_rng accepts: an integer or a spawned child
+Seed = Union[int, np.random.SeedSequence]
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ class PathEnsemble:
     M: int
     Nt: int
     dt: float
-    seed: int
+    seed: Seed
     increments: np.ndarray  # (M, Nt)
 
     def cumulative(self) -> np.ndarray:
@@ -81,7 +83,7 @@ class PathEnsemble:
         return out
 
 
-def brownian(M: int, Nt: int, seed: int, *, dt: float) -> PathEnsemble:
+def brownian(M: int, Nt: int, seed: Seed, *, dt: float) -> PathEnsemble:
     if M < 1 or Nt < 1:
         raise SimError("need at least one path and one step")
     if dt <= 0:
@@ -274,7 +276,7 @@ class ManufacturedPair:
     grid: Grid1D
     paths: PathEnsemble
     K: int
-    seed: int
+    seed: Seed
     y: np.ndarray  # (M, Nt+1, Nx)
     Y: np.ndarray
     f: np.ndarray
@@ -291,7 +293,7 @@ class ManufacturedPair:
         return (coef * rates[None, None, :]) @ sines.T
 
 
-def manufacture_heat_pair(grid: Grid1D, paths: PathEnsemble, K: int, seed: int) -> ManufacturedPair:
+def manufacture_heat_pair(grid: Grid1D, paths: PathEnsemble, K: int, seed: Seed) -> ManufacturedPair:
     if K > grid.Nx // 4:
         raise SimError(f"K = {K} exceeds the resolvable budget Nx/4 = {grid.Nx // 4}")
     if paths.Nt != grid.Nt:
@@ -560,7 +562,7 @@ def scaled_solution(sol: Solution, s: float) -> Solution:
     return replace(sol, problem=sp, w=s * sol.w)
 
 
-def make_random_gl_problem(seed: int, *, with_coefficients: bool = False,
+def make_random_gl_problem(seed: Seed, *, with_coefficients: bool = False,
                            with_sources: bool = True) -> SPDEProblem:
     """Random bounded smooth data: Fourier fields with seeded draws."""
     rng = np.random.default_rng(seed)

@@ -1,13 +1,14 @@
 """Batch driver: determinism contract, exit codes, report and CSV shapes."""
 
 import json
+import sys
 
+import numpy as np
 import pytest
 
 from carlemanlab import cli
 from carlemanlab.config import (
     CSV_HEADERS,
-    ConfigError,
     DemoConfig,
     GLCarlemanConfig,
     HeatCarlemanConfig,
@@ -34,6 +35,17 @@ def run_to_file(tmp_path, argv, name="out.json"):
     out = tmp_path / name
     code = cli.main(argv + ["--out", str(out)])
     return code, out
+
+
+def assert_config_rejected(tmp_path, verb, payload):
+    """The verb exits 2 on this config text and writes no report or CSV."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(payload)
+    out, series = tmp_path / "never.json", tmp_path / "never.csv"
+    code = cli.main([verb, "--config", str(cfg), "--out", str(out),
+                     "--csv", str(series)])
+    assert code == 2, payload
+    assert not out.exists() and not series.exists()
 
 
 # -- golden reports (symbolic content: integers only) ------------------
@@ -154,14 +166,11 @@ def test_usage_errors_exit_two_without_report(tmp_path, argv):
     (json.dumps({"pairs": 0}), "positive"),
     (json.dumps({"modes": 40}), "budget"),
     (json.dumps({"lambdas": [40, 20]}), "increasing"),
+    (json.dumps({"window": [0.2]}), "pair shape"),
+    (json.dumps({"lambdas": [20, True]}), "element type"),
 ])
 def test_config_errors_exit_two_without_report(tmp_path, payload, detail):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(payload)
-    out = tmp_path / "never.json"
-    code = cli.main(["carleman-heat", "--config", str(cfg), "--out", str(out)])
-    assert code == 2, detail
-    assert not out.exists()
+    assert_config_rejected(tmp_path, "carleman-heat", payload)
 
 
 def test_missing_config_file_exits_two(tmp_path):
@@ -223,21 +232,58 @@ def test_partial_config_overrides_only_named_fields(tmp_path):
 
 
 @pytest.mark.parametrize("payload", [
-    {"t1": 0.12, "t2": 0.06},                  # ordering
-    {"t0": 0.4},                               # t0 past T
-    {"mu1": 2.0},                              # needs mu1 > 2
-    {"epsilons": []},                          # empty sweep
+    {"t1": 0.12, "t2": 0.06},                  # ordering: CutoffSpec
+    {"t0": 0.4},                               # t0 past T: CutoffSpec
+    {"mu1": 2.0},                              # needs mu1 > 2: compute_tau
+    {"epsilons": []},                          # empty sweep: config shape
 ])
-def test_inverse_config_validation(payload):
-    with pytest.raises(ConfigError):
-        InverseConfig.from_dict(payload).validate()
+def test_inverse_config_validation(tmp_path, payload):
+    assert_config_rejected(tmp_path, "inverse-gl",
+                           json.dumps({**FAST_INV, **payload}))
 
 
-def test_gl_config_validation():
-    with pytest.raises(ConfigError):
-        GLCarlemanConfig.from_dict({"delta": 0.3}).validate()
-    with pytest.raises(ConfigError):
-        DemoConfig.from_dict({"case": "spde"}).validate()
+def test_gl_config_validation(tmp_path):
+    # delta past T: carleman_gl_check; mu below 2: GLWeight
+    for payload in ({"delta": 0.3}, {"mus": [1.5, 3]}):
+        assert_config_rejected(tmp_path, "carleman-gl",
+                               json.dumps({**FAST_GL, **payload}))
+    # unknown case: classic_demos; wrong type: config
+    for payload in ({"case": "spde"}, {"case": 3}):
+        assert_config_rejected(tmp_path, "demo", json.dumps(payload))
+
+
+def test_every_random_stream_is_distinct(tmp_path, monkeypatch):
+    """Every problem, path ensemble, manufactured pair, zero solution and
+    the optimizer draws from a stream of its own.  Streams are told apart
+    by the function that opens them and the seed it passes; a stream may
+    be reopened (each mu re-solves the same ensembles) but no two may
+    start alike."""
+    real = np.random.default_rng
+    first = {}
+
+    def recording(seed):
+        caller = sys._getframe(1).f_code.co_name
+        key = ((seed.entropy, seed.spawn_key)
+               if isinstance(seed, np.random.SeedSequence) else seed)
+        first[caller, key] = real(seed).random()
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    for verb, payload, callers, streams in (
+        ("carleman-heat", FAST_HEAT, {"brownian", "manufacture_heat_pair"},
+         2 * FAST_HEAT["pairs"]),
+        ("carleman-gl", FAST_GL, {"brownian", "make_random_gl_problem"},
+         2 * FAST_GL["ensembles"] + 1),
+        ("inverse-gl", FAST_INV,
+         {"brownian", "make_random_gl_problem", "run_inverse_gl"},
+         2 * FAST_INV["ensembles"] + 1),
+    ):
+        first.clear()
+        cfg = write_config(tmp_path, f"{verb}.json", payload)
+        code, _ = run_to_file(tmp_path, [verb, "--config", cfg])
+        assert code == 0, verb
+        assert {caller for caller, _ in first} == callers, verb
+        assert len(first) == len(set(first.values())) == streams, verb
 
 
 def test_csv_header_table_is_complete():
