@@ -156,22 +156,23 @@ def run_carleman_heat(cfg) -> tuple[list, list]:
 
 def run_carleman_gl(cfg) -> tuple[list, list]:
     grid = sim.Grid1D(Nx=cfg.Nx, Nt=cfg.Nt, T=cfg.T)
-    checks, rows = [], []
+    gws = [wt.GLWeight(mu=mu, T=cfg.T) for mu in cfg.mus]
     *streams, zero_stream = np.random.SeedSequence(cfg.seed).spawn(
         2 * cfg.ensembles + 1)
-    last_sol = None
-    for mu in cfg.mus:
-        gw = wt.GLWeight(mu=mu, T=cfg.T)
-        fitted, zero_members = [], 0
-        for i in range(cfg.ensembles):
-            problem = sim.make_random_gl_problem(streams[2 * i])
-            paths = sim.brownian(cfg.paths, cfg.Nt, streams[2 * i + 1],
-                                 dt=grid.dt)
-            sol = sim.solve_gl_forward(problem, grid, paths)
-            last_sol = sol
-            rep = sim.carleman_gl_check(sol, gw, cfg.delta)
-            fitted.append(rep["fitted_C"])
-            zero_members += rep["zero_members"]
+    # one solve per ensemble serves every mu; reports stay mu-major
+    reps = [[] for _ in gws]
+    for i in range(cfg.ensembles):
+        problem = sim.make_random_gl_problem(streams[2 * i])
+        paths = sim.brownian(cfg.paths, cfg.Nt, streams[2 * i + 1],
+                             dt=grid.dt)
+        sol = sim.solve_gl_forward(problem, grid, paths)
+        for per_mu, gw in zip(reps, gws):
+            per_mu.append(sim.carleman_gl_check(sol, gw, cfg.delta))
+    checks, rows = [], []
+    for mu, per_mu in zip(cfg.mus, reps):
+        fitted = [rep["fitted_C"] for rep in per_mu]
+        zero_members = sum(rep["zero_members"] for rep in per_mu)
+        for i, rep in enumerate(per_mu):
             for m, q in enumerate(rep["member_quotients"]):
                 rows.append((mu, i, m, q))
         finite = all(np.isfinite(c) and c > 0.0 for c in fitted)
@@ -180,7 +181,7 @@ def run_carleman_gl(cfg) -> tuple[list, list]:
             fitted_C=max(fitted), zero_members=zero_members))
 
     # exact structural checks on the last (mu, ensemble) pair
-    gw = wt.GLWeight(mu=cfg.mus[-1], T=cfg.T)
+    gw, base = gws[-1], reps[-1][-1]
     zero_sol = sim.solve_gl_forward(
         sim.SPDEProblem(), grid,
         sim.brownian(cfg.paths, cfg.Nt, zero_stream, dt=grid.dt))
@@ -188,8 +189,7 @@ def run_carleman_gl(cfg) -> tuple[list, list]:
     checks.append(_check(
         "zero_solution", zrep["lhs"] == 0.0 and zrep["rhs"] == 0.0,
         lhs=zrep["lhs"], rhs=zrep["rhs"]))
-    base = sim.carleman_gl_check(last_sol, gw, cfg.delta)
-    doubled = sim.carleman_gl_check(sim.scaled_solution(last_sol, 2.0),
+    doubled = sim.carleman_gl_check(sim.scaled_solution(sol, 2.0),
                                     gw, cfg.delta)
     bitwise = all(a == b for a, b in zip(base["member_quotients"],
                                          doubled["member_quotients"]))

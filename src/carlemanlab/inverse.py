@@ -60,6 +60,11 @@ def compute_tau(t0: float, t1: float, mu1: float, C: float) -> float:
         raise InverseError("mu1 must exceed 2")
     if C <= 0:
         raise InverseError("C must be positive")
+    # largest exponent is 3 mu1 t0; keep e^{3 mu1 t0} and 2 kappa in range
+    if 3.0 * mu1 * t0 > 709.0:
+        raise InverseError(
+            f"e^(3 mu1 t0) overflows double precision for "
+            f"(mu1, t0) = ({mu1:g}, {t0:g}); reduce mu1 or t0")
     kappa = math.exp(3.0 * mu1 * t0) - math.exp(3.0 * mu1 * t1)
     return 2.0 * kappa / (C + 2.0 * kappa)
 

@@ -123,10 +123,12 @@ def grad_free(u: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _sample(fn: Coefficient, x: np.ndarray, t: float, dtype=complex) -> np.ndarray:
+def sample_field(fn: Coefficient, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """fn on every time node of t: a (len(t), len(x)) complex array, zero
+    for an absent field."""
     if fn is None:
-        return np.zeros(len(x), dtype=dtype)
-    return np.asarray(fn(x, t), dtype=dtype)
+        return np.zeros((len(t), len(x)), dtype=complex)
+    return np.array([fn(x, tm) for tm in t], dtype=complex)
 
 
 @dataclass
@@ -149,14 +151,12 @@ class SPDEProblem:
     def r_bound(self, grid: Grid1D) -> float:
         """1 + |a1|^2 + |a2|^2 + |a3|^2 with sup norms sampled on the grid;
         the a3 norm also carries its spatial derivative."""
-        x = grid.x
-        sup1 = sup2 = sup3 = 0.0
-        for t in grid.t:
-            sup1 = max(sup1, float(np.max(np.abs(_sample(self.a1, x, t)))))
-            sup2 = max(sup2, float(np.max(np.abs(_sample(self.a2, x, t)))))
-            v3 = _sample(self.a3, x, t)
-            d3 = grad_free(v3, grid.dx)
-            sup3 = max(sup3, float(np.max(np.abs(v3))), float(np.max(np.abs(d3))))
+        x, t = grid.x, grid.t
+        sup1 = float(np.max(np.abs(sample_field(self.a1, x, t))))
+        sup2 = float(np.max(np.abs(sample_field(self.a2, x, t))))
+        v3 = sample_field(self.a3, x, t)
+        sup3 = max(float(np.max(np.abs(v3))),
+                   float(np.max(np.abs(grad_free(v3, grid.dx)))))
         return 1.0 + sup1 ** 2 + sup2 ** 2 + sup3 ** 2
 
 
@@ -188,25 +188,24 @@ def solve_gl_forward(p: SPDEProblem, grid: Grid1D, paths: PathEnsemble) -> Solut
     band[0, 1:] = -rho
     band[1, :] = 1.0 + 2.0 * rho
     band[2, :-1] = -rho
+    a1, a2, a3, f, g = (sample_field(fn, x, grid.t[:-1])
+                        for fn in (p.a1, p.a2, p.a3, p.f, p.g))
     w = np.empty((M, Nt + 1, Nx), dtype=complex)
     w[:, 0, :] = p.initial(x)[None, :]
     for m in range(Nt):
-        t = m * dt
         wm = w[:, m, :]
         drift = wm.copy()
-        a1 = _sample(p.a1, x, t)
-        a2 = _sample(p.a2, x, t)
         if p.a1 is not None:
-            drift += dt * a1[None, :] * grad_dirichlet(wm, dx)
+            drift += dt * a1[m] * grad_dirichlet(wm, dx)
         if p.a2 is not None:
-            drift += dt * a2[None, :] * wm
+            drift += dt * a2[m] * wm
         if p.f is not None:
-            drift += dt * _sample(p.f, x, t)[None, :]
+            drift += dt * f[m]
         noise = np.zeros_like(wm)
         if p.a3 is not None:
-            noise += _sample(p.a3, x, t)[None, :] * wm
+            noise += a3[m] * wm
         if p.g is not None:
-            noise += _sample(p.g, x, t)[None, :]
+            noise += g[m]
         rhs = drift + noise * paths.increments[:, m][:, None]
         w[:, m + 1, :] = solve_banded((1, 1), band, rhs.T).T
     return Solution(grid=grid, paths=paths, problem=p, w=w)
@@ -515,18 +514,11 @@ def carleman_gl_check(sol: Solution, gw: GLWeight, delta: float) -> dict:
     wt = theta2 * tw
     lhs_i = (mu * np.einsum("mti,t->m", awx2, wt)
              + mu ** 3 * np.einsum("mti,t->m", aw2, phi * wt)) * dx
-    fx = np.zeros_like(w)
-    gx_arr = np.zeros_like(w)
-    g_arr = np.zeros_like(w)
-    if p.f is not None:
-        for i, tv in enumerate(t):
-            fx[:, i, :] = _sample(p.f, grid.x, tv)[None, :]
-    if p.g is not None:
-        for i, tv in enumerate(t):
-            g_arr[:, i, :] = _sample(p.g, grid.x, tv)[None, :]
-        gx_arr = grad_free(g_arr, dx)
-    src = np.abs(fx) ** 2 + mu ** 2 * np.abs(g_arr) ** 2 + np.abs(gx_arr) ** 2
-    src_i = np.einsum("mti,t->m", src, (1.0 + phi) * wt) * dx
+    # the sources do not depend on the path: one reduction serves every member
+    f = sample_field(p.f, grid.x, t)
+    g = sample_field(p.g, grid.x, t)
+    src = np.abs(f) ** 2 + mu ** 2 * np.abs(g) ** 2 + np.abs(grad_free(g, dx)) ** 2
+    src_i = np.einsum("ti,t->", src, (1.0 + phi) * wt) * dx
     th_d2 = math.exp(2.0 * mu * phi[0])
     th_d1 = math.exp(mu * phi[0])
     th_T2 = math.exp(2.0 * mu * phi[-1])

@@ -294,10 +294,6 @@ class GLWeight:
     def theta(self, t: float) -> float:
         return math.exp(self.log_theta(t))
 
-    def theta_ratio(self, t_num: float, t_den: float) -> float:
-        """theta(t_num) / theta(t_den), computed in the exponent."""
-        return math.exp(self.mu * (self.phi(t_num) - self.phi(t_den)))
-
 
 def trace(w: HeatWeight, xs: Iterable[float], ts: Iterable[float]):
     """CSV-ready evaluation trace over a grid of points."""

@@ -121,16 +121,13 @@ def test_criterion_6_gl_carleman_single_constant_per_mu():
         solutions.append(solve_gl_forward(problem, grid, paths))
     for mu in (2.0, 3.0, 4.0):
         gw = GLWeight(mu=mu, T=0.3)
-        fitted = []
-        for sol in solutions:
-            rep = carleman_gl_check(sol, gw, 0.05)
+        reports = [carleman_gl_check(sol, gw, 0.05) for sol in solutions]
+        for rep in reports:
             assert rep["zero_members"] == 0
             assert all(math.isfinite(q) for q in rep["member_quotients"])
-            fitted.append(rep["fitted_C"])
-        C_mu = max(fitted)
+        C_mu = max(rep["fitted_C"] for rep in reports)
         assert math.isfinite(C_mu) and C_mu > 0.0
-        for sol in solutions:
-            rep = carleman_gl_check(sol, gw, 0.05)
+        for rep in reports:
             assert all(q <= C_mu for q in rep["member_quotients"]), mu
     # exact structural checks
     gw = GLWeight(mu=4.0, T=0.3)

@@ -236,6 +236,7 @@ def test_partial_config_overrides_only_named_fields(tmp_path):
     {"t0": 0.4},                               # t0 past T: CutoffSpec
     {"mu1": 2.0},                              # needs mu1 > 2: compute_tau
     {"epsilons": []},                          # empty sweep: config shape
+    {"mu1": 2000, "ensembles": 2, "optimizer_draws": 2},  # e^{3 mu1 t0}: compute_tau
 ])
 def test_inverse_config_validation(tmp_path, payload):
     assert_config_rejected(tmp_path, "inverse-gl",
@@ -255,8 +256,7 @@ def test_gl_config_validation(tmp_path):
 def test_every_random_stream_is_distinct(tmp_path, monkeypatch):
     """Every problem, path ensemble, manufactured pair, zero solution and
     the optimizer draws from a stream of its own.  Streams are told apart
-    by the function that opens them and the seed it passes; a stream may
-    be reopened (each mu re-solves the same ensembles) but no two may
+    by the function that opens them and the seed it passes; no two may
     start alike."""
     real = np.random.default_rng
     first = {}
@@ -284,6 +284,23 @@ def test_every_random_stream_is_distinct(tmp_path, monkeypatch):
         assert code == 0, verb
         assert {caller for caller, _ in first} == callers, verb
         assert len(first) == len(set(first.values())) == streams, verb
+
+
+def test_carleman_gl_solves_each_ensemble_once(tmp_path, monkeypatch):
+    """Every mu is checked on the same solution: one forward solve per
+    ensemble member plus the zero solution."""
+    real = cli.sim.solve_gl_forward
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli.sim, "solve_gl_forward", counting)
+    cfg = write_config(tmp_path, "gl.json", FAST_GL)
+    code, _ = run_to_file(tmp_path, ["carleman-gl", "--config", cfg])
+    assert code == 0
+    assert len(calls) == FAST_GL["ensembles"] + 1
 
 
 def test_csv_header_table_is_complete():

@@ -76,6 +76,8 @@ def test_tau_preconditions():
         compute_tau(0.5, 0.2, 2.0, 10.0)
     with pytest.raises(InverseError):
         compute_tau(0.5, 0.2, 3.0, 0.0)
+    with pytest.raises(InverseError):
+        compute_tau(0.5, 0.2, 1000.0, 10.0)  # e^{3 mu1 t0} overflows
 
 
 # -- mu optimization --------------------------------------------------

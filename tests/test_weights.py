@@ -187,13 +187,6 @@ def test_gl_weight_basics():
     assert w.theta(0.0) == pytest.approx(math.exp(3.0), rel=1e-15)
 
 
-def test_gl_weight_decreasing_ratio():
-    w = GLWeight(mu=2.0, T=0.3)
-    assert w.theta_ratio(0.1, 0.25) < 1.0
-    assert w.theta_ratio(0.25, 0.1) > 1.0
-    assert w.theta_ratio(0.2, 0.2) == 1.0
-
-
 def test_gl_weight_parameter_guards():
     with pytest.raises(WeightError):
         GLWeight(mu=1.5, T=0.3)
