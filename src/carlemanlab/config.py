@@ -9,9 +9,9 @@ This module checks the file as input: JSON syntax, a top-level object,
 known keys, each value's type (taken from the field's default), list
 shapes and per-field lower bounds, plus increasing ``lambdas``.  Rules
 that tie fields together (cutoff ordering, ``mu1 > 2``, ``mus >= 2``,
-``delta < T``, the ``modes`` budget, the demo ``case``) belong to the
-domain objects that use them; the driver maps their errors to the same
-exit code.
+``delta < T``, the ``modes`` budget, the demo ``case``, two distinct
+positive ``epsilons``) belong to the domain objects that use them; the
+driver maps their errors to the same exit code.
 
 CSV series column order, per verb:
 
@@ -97,7 +97,7 @@ class InverseConfig:
     t2: float = _field(0.12)
     t0: float = _field(0.15)
     mu1: float = _field(3.0)
-    epsilons: tuple = _field((1e-1, 1e-2, 1e-3, 1e-4), lo=0.0, shape="list")
+    epsilons: tuple = _field((1e-1, 1e-2, 1e-3, 1e-4), shape="list")
     C_ref: float = _field(10.0, lo=1e-9)
     optimizer_draws: int = _field(100, lo=1)
     seed: int = _field(31, lo=0)

@@ -9,15 +9,15 @@ state at t0 obeys a conditional Hoelder estimate
 with tau in (0,1) built from the time-global weight.  This module
 computes the three norms over solved ensembles, the exponent tau in its
 two printed variants, the mu that balances the two exponential terms of
-the underlying bound, and a backward-uniqueness probe with a
-non-adapted negative control.
+the underlying bound, and a backward-uniqueness probe that must flag a
+non-adapted family.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,15 +76,27 @@ class MuOptimum:
     d2_zero: bool
 
 
-def _log_objective(mu: float, D1: float, D2: float, kappa: float,
-                   C: float, T: float) -> float:
+def _log_objective(mu, D1: float, D2: float, kappa: float, C: float,
+                   T: float):
     # F(mu) = C e^{-2 mu kappa} D1 + C e^{2 mu e^{C mu T}} D2, kept in logs:
     # the second exponent alone overflows any float for moderate mu.
-    a = math.log(C) - 2.0 * mu * kappa + math.log(D1)
+    # mu may be a float or an array of them.
+    a = np.log(C) - 2.0 * mu * kappa + np.log(D1)
     if D2 == 0.0:
         return a
-    b = math.log(C) + 2.0 * mu * math.exp(C * mu * T) + math.log(D2)
-    return float(np.logaddexp(a, b))
+    b = np.log(C) + 2.0 * mu * np.exp(C * mu * T) + np.log(D2)
+    return np.logaddexp(a, b)
+
+
+def _check_objective(D1: float, D2: float, kappa: float, C: float, T: float,
+                     mu_max: float) -> None:
+    if D1 <= 0 or kappa <= 0 or C <= 0 or T <= 0 or D2 < 0:
+        raise InverseError("the mu objective needs D1, kappa, C, T > 0 and D2 >= 0")
+    # largest exponent is 2 mu_max e^{C mu_max T}; keep it in range
+    if C * mu_max * T + math.log(2.0 * mu_max) > 709.0:
+        raise InverseError(
+            f"e^(2 mu e^(C mu T)) overflows double precision at mu = {mu_max:g} "
+            f"for (C, T) = ({C:g}, {T:g}); reduce C or T")
 
 
 def optimize_mu(D1: float, D2: float, kappa: float, C: float, T: float,
@@ -97,11 +109,10 @@ def optimize_mu(D1: float, D2: float, kappa: float, C: float, T: float,
     objective whose infimum sits at the bracket end; that case is
     flagged rather than searched.
     """
-    if D1 <= 0 or kappa <= 0 or C <= 0 or T <= 0 or D2 < 0:
-        raise InverseError("optimize_mu needs D1, kappa, C, T > 0 and D2 >= 0")
+    _check_objective(D1, D2, kappa, C, T, mu_max)
     if D2 == 0.0:
         return MuOptimum(mu_star=mu_max,
-                         log_objective=_log_objective(mu_max, D1, D2, kappa, C, T),
+                         log_objective=float(_log_objective(mu_max, D1, D2, kappa, C, T)),
                          d2_zero=True)
     lo, hi = 1.0 + 1e-9, mu_max
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -120,16 +131,17 @@ def optimize_mu(D1: float, D2: float, kappa: float, C: float, T: float,
             d = a + inv_phi * (b - a)
             fd = _log_objective(d, D1, D2, kappa, C, T)
     mu = 0.5 * (a + b)
-    return MuOptimum(mu_star=mu, log_objective=_log_objective(mu, D1, D2, kappa, C, T),
+    return MuOptimum(mu_star=mu,
+                     log_objective=float(_log_objective(mu, D1, D2, kappa, C, T)),
                      d2_zero=False)
 
 
 def brute_force_mu(D1: float, D2: float, kappa: float, C: float, T: float,
                    mu_max: float = 10.0, points: int = 10000) -> float:
     """Grid argmin oracle for optimize_mu."""
+    _check_objective(D1, D2, kappa, C, T, mu_max)
     grid = np.linspace(1.0 + 1e-9, mu_max, points)
-    vals = [_log_objective(float(m), D1, D2, kappa, C, T) for m in grid]
-    return float(grid[int(np.argmin(vals))])
+    return float(grid[np.argmin(_log_objective(grid, D1, D2, kappa, C, T))])
 
 
 def solution_norms(sol: Solution, t0: float) -> tuple[float, float, float]:
@@ -168,20 +180,13 @@ class StabilityReport:
     spread: float
     falsifications: list
 
-    def to_dict(self) -> dict:
-        return {
-            "N1": self.N1, "N2": self.N2, "N3": self.N3,
-            "tau": self.tau, "tau_alt": self.tau_alt,
-            "C_fit": self.C_fit, "quotients": self.quotients,
-            "mu_star": self.mu_star, "mu1": self.mu1, "kappa": self.kappa,
-            "spread": self.spread, "falsifications": self.falsifications,
-        }
 
-
-def stability_experiment(solutions: Sequence[Solution], cut: CutoffSpec,
-                         mu1: float, C_ref: float = 10.0) -> StabilityReport:
+def stability_experiment(norms: Sequence[tuple[float, float, float]],
+                         cut: CutoffSpec, mu1: float,
+                         C_ref: float = 10.0) -> StabilityReport:
     """Fit the smallest uniform constant over an ensemble of solved problems.
 
+    Each member enters through its solution_norms (N1, N2, N3) at cut.t0.
     tau comes from the cutoff times: the printed exponent uses t1, the
     variant from the derivation uses t2; both are reported (they differ,
     and which one was intended is left open).  The quotient of each
@@ -190,14 +195,13 @@ def stability_experiment(solutions: Sequence[Solution], cut: CutoffSpec,
     N1 > 0 contradict the estimate outright and are reported as
     falsification candidates, never dropped.
     """
-    if not solutions:
+    if not norms:
         raise InverseError("empty ensemble")
     tau = compute_tau(cut.t0, cut.t1, mu1, C_ref)
     tau_alt = compute_tau(cut.t0, cut.t2, mu1, C_ref)
     quotients, falsifications = [], []
     agg = np.zeros(3)
-    for i, sol in enumerate(solutions):
-        N1, N2, N3 = solution_norms(sol, cut.t0)
+    for i, (N1, N2, N3) in enumerate(norms):
         agg += np.array([N1 * N1, N2 * N2, N3 * N3])
         if N3 == 0.0 and N1 > 0.0:
             falsifications.append({"member": i, "N1": N1, "N2": N2, "N3": N3})
@@ -208,7 +212,7 @@ def stability_experiment(solutions: Sequence[Solution], cut: CutoffSpec,
         quotients.append(N1 / (N2 ** (1.0 - tau) * N3 ** tau))
     if not quotients:
         raise InverseError("no nondegenerate ensemble members")
-    agg = np.sqrt(agg / len(solutions))
+    agg = np.sqrt(agg / len(norms))
     kappa = math.exp(3.0 * mu1 * cut.t0) - math.exp(3.0 * mu1 * cut.t2)
     opt = optimize_mu(float(agg[1]) ** 2, float(agg[2]) ** 2, kappa, C_ref, cut.T)
     pos = [q for q in quotients if q > 0]
@@ -221,47 +225,38 @@ def stability_experiment(solutions: Sequence[Solution], cut: CutoffSpec,
 
 
 def backward_uniqueness_probe(sol: Solution, cut: CutoffSpec, mu1: float,
-                              eps_list: Sequence[float], C_ref: float = 10.0,
-                              tampered: bool = False,
-                              tamper_scale: float = 0.5) -> dict:
-    """Terminal smallness forces interior smallness, at the Hoelder rate.
+                              eps_list: Sequence[float],
+                              C_ref: float = 10.0) -> dict:
+    """Flag a non-adapted family by its interior-from-terminal rate.
 
-    By linearity, scaling one solved ensemble to terminal H1 size eps
-    produces a solution family; log N1(eps) against log eps then has
-    slope 1, comfortably above tau_fit - 0.1, and N1 extrapolates to 0
-    with eps.  With tampered=True a non-adapted field is probed instead:
-    future increments B(T) - B(t) are injected, which leaves the
-    terminal data untouched but pins the interior norm, so the fitted
-    slope collapses toward 0 and the probe flags the family.
+    The solved ensemble is scaled to terminal H1 size eps and future
+    increments (B(T) - B(t)) / 2 times sin(pi x) are added.  The added
+    field vanishes at T, so the terminal data stay those of an adapted
+    solution, but it pins the interior norm at t0: log N1(eps) against
+    log eps then has a slope near 0, below tau_fit - 0.1, and the family
+    is flagged as non-adapted.
     """
+    eps = np.asarray(eps_list, dtype=float)
+    if not (np.all(np.isfinite(eps) & (eps > 0.0)) and len(np.unique(eps)) >= 2):
+        raise InverseError(
+            f"probe needs at least two distinct positive epsilons, got {list(eps_list)}")
     grid = sol.grid
     tau_fit = compute_tau(cut.t0, cut.t1, mu1, C_ref)
-    N1, N2, N3 = solution_norms(sol, cut.t0)
+    _, _, N3 = solution_norms(sol, cut.t0)
     if N3 == 0.0:
         raise InverseError("probe needs a nonzero terminal norm")
-    interior = []
-    for eps in eps_list:
-        scale = eps / N3
-        if not tampered:
-            interior.append(scale * N1)
-            continue
-        B = sol.paths.cumulative()
-        future = (B[:, -1][:, None] - B) * tamper_scale
-        bump = np.sin(np.pi * grid.x)
-        wt = scale * sol.w + future[:, :, None] * bump[None, None, :]
-        m0 = int(round(cut.t0 / grid.dt))
-        interior.append(math.sqrt(float(np.mean(l2_norm(wt[:, m0, :], grid.dx) ** 2))))
-    logs_eps = np.log(np.asarray(eps_list, dtype=float))
-    logs_n = np.log(np.asarray(interior))
-    slope = float(np.polyfit(logs_eps, logs_n, 1)[0])
-    passes = bool(slope >= tau_fit - 0.1)
+    m0 = int(round(cut.t0 / grid.dt))
+    B = sol.paths.cumulative()
+    future = (B[:, -1] - B[:, m0]) * 0.5
+    bump = np.sin(np.pi * grid.x)
+    w0, lift = sol.w[:, m0, :], future[:, None] * bump[None, :]
+    interior = [math.sqrt(float(np.mean(l2_norm(e / N3 * w0 + lift, grid.dx) ** 2)))
+                for e in eps]
+    slope = float(np.polyfit(np.log(eps), np.log(np.asarray(interior)), 1)[0])
     return {
-        "epsilons": [float(e) for e in eps_list],
+        "epsilons": eps.tolist(),
         "interior_norms": interior,
         "slope": slope,
         "tau_fit": tau_fit,
-        "passes": passes,
-        "mode": "tampered" if tampered else "clean",
-        "flagged_non_adapted": bool(tampered and not passes),
-        "smallest_interior_norm": min(interior),
+        "flagged_non_adapted": bool(slope < tau_fit - 0.1),
     }

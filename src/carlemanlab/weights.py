@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class WeightError(ValueError):
@@ -293,14 +293,3 @@ class GLWeight:
 
     def theta(self, t: float) -> float:
         return math.exp(self.log_theta(t))
-
-
-def trace(w: HeatWeight, xs: Iterable[float], ts: Iterable[float]):
-    """CSV-ready evaluation trace over a grid of points."""
-    header = ["x", "t", "gamma", "phi", "alpha", "theta", "A", "B"]
-    rows = []
-    for t in ts:
-        for x in xs:
-            v = heat_weight_eval(w, x, t)
-            rows.append([x, t, v.gamma, v.phi, v.alpha, v.theta, v.A, zero_order_energy(v)])
-    return header, rows

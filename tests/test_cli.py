@@ -2,6 +2,7 @@
 
 import json
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -237,6 +238,10 @@ def test_partial_config_overrides_only_named_fields(tmp_path):
     {"mu1": 2.0},                              # needs mu1 > 2: compute_tau
     {"epsilons": []},                          # empty sweep: config shape
     {"mu1": 2000, "ensembles": 2, "optimizer_draws": 2},  # e^{3 mu1 t0}: compute_tau
+    {"C_ref": 1000, "ensembles": 2, "optimizer_draws": 2},  # e^{C mu T}: optimize_mu
+    {"epsilons": [0.0, 0.1]},                  # log 0: the probe
+    {"epsilons": [0.1]},                       # one point fits no slope: the probe
+    {"epsilons": [0.1, 0.1]},                  # nor do repeated ones: the probe
 ])
 def test_inverse_config_validation(tmp_path, payload):
     assert_config_rejected(tmp_path, "inverse-gl",
@@ -301,6 +306,37 @@ def test_carleman_gl_solves_each_ensemble_once(tmp_path, monkeypatch):
     code, _ = run_to_file(tmp_path, ["carleman-gl", "--config", cfg])
     assert code == 0
     assert len(calls) == FAST_GL["ensembles"] + 1
+
+
+def test_inverse_gl_streams_its_ensemble(tmp_path, monkeypatch):
+    """inverse-gl keeps each member's norms, not its solution: when a member
+    is solved and when the probe starts, at most two solutions are alive
+    (member 0, which the probe reads, and the member read last)."""
+    real_solve = cli.sim.solve_gl_forward
+    real_probe = cli.inv.backward_uniqueness_probe
+    refs, alive = [], []
+
+    def count_alive():
+        alive.append(sum(ref() is not None for ref in refs))
+
+    def solving(*args, **kwargs):
+        count_alive()
+        sol = real_solve(*args, **kwargs)
+        refs.append(weakref.ref(sol))
+        return sol
+
+    def probing(*args, **kwargs):
+        count_alive()
+        return real_probe(*args, **kwargs)
+
+    monkeypatch.setattr(cli.sim, "solve_gl_forward", solving)
+    monkeypatch.setattr(cli.inv, "backward_uniqueness_probe", probing)
+    cfg = write_config(tmp_path, "inv.json", FAST_INV)
+    code, _ = run_to_file(tmp_path, ["inverse-gl", "--config", cfg])
+    assert code == 0
+    assert max(alive) <= 2, alive
+    assert len(refs) == FAST_INV["ensembles"]
+    assert len(alive) == FAST_INV["ensembles"] + 1
 
 
 def test_csv_header_table_is_complete():

@@ -15,11 +15,9 @@ from carlemanlab.simulate import (
     carleman_heat_check,
     classic_demos,
     coarsen,
-    energy_quotient,
     euler_residual,
     grad_dirichlet,
     heat_decay_report,
-    heat_integral_stability,
     l2_norm,
     make_random_gl_problem,
     manufacture_heat_pair,
@@ -116,30 +114,6 @@ def test_path_grid_mismatch_rejected():
         solve_gl_forward(SPDEProblem(), grid, brownian(4, 50, 9, dt=0.9 * grid.dt))
 
 
-def test_energy_quotient_stable_across_path_seeds():
-    grid = Grid1D(Nx=50, Nt=300, T=0.3)
-    p = make_random_gl_problem(5, with_coefficients=True, with_sources=False)
-    assert p.r_bound(grid) >= 1.0
-    qs = [
-        energy_quotient(solve_gl_forward(p, grid, brownian(16, 300, s, dt=grid.dt)))
-        for s in (101, 202, 303)
-    ]
-    assert max(qs) / min(qs) < 1.05
-    assert max(qs) < 1.0  # fitted constant 1 already covers desk scale
-
-
-def test_energy_quotient_rejects_zero_datum():
-    grid = Grid1D(Nx=20, Nt=30, T=0.2)
-    sol = solve_gl_forward(SPDEProblem(), grid, zero_paths(2, 30, grid.dt))
-    with pytest.raises(SimError):
-        energy_quotient(sol)
-
-
-def test_r_bound_for_source_free_problem():
-    grid = Grid1D(Nx=20, Nt=30, T=0.2)
-    assert SPDEProblem().r_bound(grid) == 1.0
-
-
 # -- manufactured pairs -----------------------------------------------
 
 
@@ -229,12 +203,6 @@ def test_heat_weight_horizon_mismatch_rejected():
     pair = make_pair(seed=1, M=2, T=0.5)
     with pytest.raises(SimError):
         carleman_heat_check(pair, heat_weight(T=1.0), [20])
-
-
-def test_singular_integrals_stable_under_refinement():
-    rep = heat_integral_stability(heat_weight(), K=6, seed=3, M=16,
-                                  grid=Grid1D(Nx=60, Nt=400, T=1.0), lam=40.0)
-    assert rep["max_relative_change"] < 0.05
 
 
 # -- time-global Carleman inequality ----------------------------------

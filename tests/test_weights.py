@@ -11,8 +11,6 @@ from carlemanlab.weights import (
     heat_weight_eval,
     leading_order_B_check,
     psi_1d,
-    trace,
-    zero_order_energy,
 )
 
 G0 = (0.3, 0.8)
@@ -195,17 +193,3 @@ def test_gl_weight_parameter_guards():
     with pytest.raises(WeightError):
         GLWeight(mu=6.0, T=0.3)  # theta^2 would overflow doubles
     GLWeight(mu=4.0, T=0.3)  # in range
-
-
-# -- trace -----------------------------------------------------------
-
-
-def test_trace_layout_and_values():
-    w = default_weight(mu=2.0, lam=3.0)
-    header, rows = trace(w, xs=[0.25, 0.75], ts=[0.4, 0.6])
-    assert header == ["x", "t", "gamma", "phi", "alpha", "theta", "A", "B"]
-    assert len(rows) == 4
-    x, t = rows[0][0], rows[0][1]
-    v = heat_weight_eval(w, x, t)
-    assert rows[0][2:] == [v.gamma, v.phi, v.alpha, v.theta, v.A,
-                           zero_order_energy(v)]
