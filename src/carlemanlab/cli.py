@@ -240,7 +240,7 @@ def run_inverse_gl(cfg) -> tuple[list, list]:
         kappa = 10.0 ** rng.uniform(-2.0, 1.0)
         C = 10.0 ** rng.uniform(-1.0, 1.5)
         T = rng.uniform(0.05, 0.5)
-        mu_opt = inv.optimize_mu(D1, D2, kappa, C, T).mu_star
+        mu_opt = inv.optimize_mu(D1, D2, kappa, C, T)
         mu_grid = inv.brute_force_mu(D1, D2, kappa, C, T, points=points)
         worst = max(worst, abs(mu_opt - mu_grid))
     checks.append(_check("optimizer_grid_match", worst <= cell,

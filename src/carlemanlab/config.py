@@ -25,6 +25,7 @@ CSV series column order, per verb:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -131,6 +132,8 @@ def _scalar(key: str, v, kind: type, lo):
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"'{key}' must be {noun}, got {v!r}")
     v = kind(v)
+    if not math.isfinite(v):
+        raise ConfigError(f"'{key}' must be finite, got {v}")
     if lo is not None and v < lo:
         raise ConfigError(f"'{key}' must be >= {lo}, got {v}")
     return v

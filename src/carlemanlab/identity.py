@@ -30,14 +30,13 @@ Verification regimes
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 from .canonical import CanonicalForm, canonicalize
 from .exprs import C, Context, DT, Expr, I, conj, d_t, d_x, esum, im, ito_d, re
-from . import jetoracle as jo
 from .jetoracle import JetAssignment, JetValue, eval_jet_many
 
 REGIMES = ("R1", "R2", "R3", "raw")
@@ -664,7 +663,8 @@ def verify_reconstruction(n: int = 2) -> IdentityResidual:
 @dataclass
 class VerificationCase:
     """One catalog entry: both sides, a detectable corruption, and a
-    factory for oracle assignments consistent with the case's rewrites."""
+    factory for its oracle assignments (the jets of rewrite-bearing
+    fields follow from their rules)."""
 
     case_id: str
     ctx: Context
@@ -672,29 +672,7 @@ class VerificationCase:
     rhs: Expr
     mutated_rhs: Expr
     mutation_note: str
-    make_assignment: Callable[[int], tuple[JetAssignment, tuple]]
-
-
-def _plain_oracle(ctx: Context, degree: int = 2, filter_t: bool = False,
-                  filter_x: bool = False, fixed_fn=None, exp_rates=()):
-    def factory(seed: int):
-        fixed = fixed_fn(seed) if fixed_fn else None
-        a = jo.random_assignment(ctx, seed, degree=degree, exp_rates=exp_rates, fixed=fixed)
-        if filter_t or filter_x:
-            tix = ctx.n
-            keep_fixed = set(fixed or ())
-            for name, poly in list(a.polys.items()):
-                if name in keep_fixed:
-                    continue
-                if filter_t:
-                    poly = {e: c for e, c in poly.items() if e[tix] == 0}
-                if filter_x:
-                    poly = {e: c for e, c in poly.items() if all(e[j] == 0 for j in range(tix))}
-                a.polys[name] = poly
-        rng = random.Random(seed ^ 0x5EED)
-        pt = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(a.nvars))
-        return a, pt
-    return factory
+    make_assignment: Callable[[int], JetAssignment]
 
 
 def _theorem_case(case_id: str, spec: OperatorSpec, drop_group: str) -> VerificationCase:
@@ -710,7 +688,7 @@ def _theorem_case(case_id: str, spec: OperatorSpec, drop_group: str) -> Verifica
         rhs=rhs,
         mutated_rhs=mutated,
         mutation_note=f"dropped the {drop_group} term",
-        make_assignment=_plain_oracle(ws.ctx),
+        make_assignment=partial(JetAssignment, ws.ctx),
     )
 
 
@@ -740,7 +718,7 @@ def _case_transport(n: int = 2) -> VerificationCase:
         rhs=esum(groups),
         mutated_rhs=esum(groups[:2] + groups[3:]),
         mutation_note="dropped the energy term",
-        make_assignment=_plain_oracle(ctx),
+        make_assignment=partial(JetAssignment, ctx),
     )
 
 
@@ -778,23 +756,6 @@ def _case_ginzburg_landau(n: int = 2) -> VerificationCase:
         C(3) * mu * mu * phi_w * ws.dz * ws.dzc,
     ]
 
-    def fixed_fn(seed: int):
-        nv = ctx.n + 1 + 1
-        rng = random.Random(seed * 31 + 5)
-        mu_val = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-        fixed_fn.rate = 3 * mu_val
-        return {
-            "phi": jo.p_var(nv - 1, nv),
-            "mu": jo.p_const(jo.QQi(mu_val), nv),
-        }
-
-    def factory(seed: int):
-        fixed = fixed_fn(seed)
-        a = jo.random_assignment(ctx, seed, degree=2, exp_rates=(fixed_fn.rate,), fixed=fixed)
-        rng = random.Random(seed ^ 0x5EED)
-        pt = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(a.nvars))
-        return a, pt
-
     return VerificationCase(
         case_id="ginzburg_landau",
         ctx=ctx,
@@ -802,7 +763,7 @@ def _case_ginzburg_landau(n: int = 2) -> VerificationCase:
         rhs=esum(groups),
         mutated_rhs=esum(groups[:3] + groups[4:]),
         mutation_note="dropped the mass energy term",
-        make_assignment=factory,
+        make_assignment=partial(JetAssignment, ctx),
     )
 
 
@@ -877,7 +838,7 @@ def _case_heat_identity(n: int = 2) -> VerificationCase:
         rhs=esum(groups),
         mutated_rhs=mutated,
         mutation_note="flipped the sign of the first-order coupling",
-        make_assignment=_plain_oracle(ws.ctx),
+        make_assignment=partial(JetAssignment, ws.ctx),
     )
 
 
@@ -962,7 +923,7 @@ def _case_elliptic(n: int = 2) -> tuple[VerificationCase, Expr, Expr]:
         rhs=esum(groups),
         mutated_rhs=esum(groups[:2] + groups[3:]),
         mutation_note="dropped the energy term",
-        make_assignment=_plain_oracle(ctx, filter_t=True),
+        make_assignment=partial(JetAssignment, ctx),
     )
     return case, div_printed, div_derived
 
@@ -1005,7 +966,7 @@ def _case_schrodinger(n: int = 2) -> VerificationCase:
         rhs=rhs_main,
         mutated_rhs=mutated,
         mutation_note="dropped the energy term",
-        make_assignment=_plain_oracle(ctx),
+        make_assignment=partial(JetAssignment, ctx),
     )
 
 
@@ -1038,15 +999,6 @@ def _case_fst(n: int = 2) -> VerificationCase:
         C(2) * lam * esum(g[j - 1] * xi[j - 1] for j in range(1, n + 1)) * u * u
     )
 
-    def fixed_fn(seed: int):
-        rng = random.Random(seed * 17 + 3)
-        nv = ctx.n + 1
-        out = {}
-        for j in range(1, n + 1):
-            x0j = Fraction(rng.randint(1, 6), rng.randint(1, 3))
-            out[f"xi{j}"] = jo.p_add(jo.p_var(j - 1, nv), jo.p_const(jo.QQi(-x0j), nv))
-        return out
-
     return VerificationCase(
         case_id="fst",
         ctx=ctx,
@@ -1054,7 +1006,7 @@ def _case_fst(n: int = 2) -> VerificationCase:
         rhs=rhs,
         mutated_rhs=mutated,
         mutation_note="dropped the divergence absorption term",
-        make_assignment=_plain_oracle(ctx, filter_t=True, fixed_fn=fixed_fn),
+        make_assignment=partial(JetAssignment, ctx),
     )
 
 
@@ -1078,7 +1030,7 @@ def _case_ode(components: int = 3) -> VerificationCase:
         rhs=rhs,
         mutated_rhs=mutated,
         mutation_note="dropped the energy term",
-        make_assignment=_plain_oracle(ctx, filter_x=True),
+        make_assignment=partial(JetAssignment, ctx),
     )
 
 
@@ -1109,7 +1061,7 @@ def _case_c02(n: int = 2) -> VerificationCase:
         rhs=esum(rhs_terms),
         mutated_rhs=esum(mut_terms),
         mutation_note="flipped the antisymmetry sign",
-        make_assignment=_plain_oracle(ctx),
+        make_assignment=partial(JetAssignment, ctx),
     )
 
 
@@ -1187,55 +1139,42 @@ def printed_form_deltas() -> dict[str, CanonicalForm]:
 
 def numeric_residual(target, seed: int, assignments: int = 4, points: int = 5,
                      mutated: bool = False) -> list[JetValue]:
-    """Exact polynomial evaluations of an identity residual.
+    """Exact jet evaluations of an identity residual.
 
     target is either an OperatorSpec (general identity) or a case id.
-    Returns one JetValue per (assignment, point); for an intact identity
-    every component of every value is exactly zero.
+    Each assignment is evaluated at points + 1 implicit base points, and
+    every base point draws all jets afresh, so the assignments * (points
+    + 1) values are independent draws.  For an intact identity every
+    component of every value is exactly zero; a wrong one is missed by a
+    draw with probability at most D/p, where D is the residual's degree
+    in the jet coefficients and p = 2^61 - 1 (Schwartz-Zippel).
     """
     if isinstance(target, OperatorSpec):
         ws = make_theorem_workspace(target)
         lhs = C(2) * re(conj(ws.I1) * ws.theta_L)
         groups = rhs_groups(ws)
         rhs = esum(e for name, e in groups if not (mutated and name == "zero_order"))
-        ctx = ws.ctx
-        factory = _plain_oracle(ctx)
-        if target.regime == "raw":
-            factory = _raw_oracle(ws)
+        factory = _raw_oracle(ws) if target.regime == "raw" else partial(JetAssignment, ws.ctx)
     else:
         case = build_case(target)
-        ctx = case.ctx
         lhs = case.lhs
         rhs = case.mutated_rhs if mutated else case.rhs
         factory = case.make_assignment
     residual = lhs - rhs
     out = []
     for i in range(assignments):
-        assignment, base_pt = factory(seed + 101 * i)
-        rng = random.Random(seed + 7919 * i)
-        pts = [
-            tuple(
-                Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                for _ in range(assignment.nvars)
-            )
-            for _ in range(points)
-        ]
-        pts.append(base_pt)
-        out.extend(eval_jet_many(residual, assignment, pts))
+        out.extend(eval_jet_many(residual, factory(seed + 101 * i), range(points + 1)))
     return out
 
 
-def _raw_oracle(ws: Workspace):
-    base = _plain_oracle(ws.ctx)
-
+def _raw_oracle(ws: Workspace) -> Callable[[int], JetAssignment]:
+    """Assignments with one side of each null pair zero: every b0^j for an
+    even seed, a and b for an odd one."""
     def factory(seed: int):
-        a, pt = base(seed)
         if seed % 2 == 0:
-            for j in range(1, ws.n + 1):
-                a.polys[f"b0{j}"] = {}
+            zero = frozenset(f"b0{j}" for j in range(1, ws.n + 1))
         else:
-            a.polys["a"] = {}
-            a.polys["b"] = {}
-        return a, pt
+            zero = frozenset(("a", "b"))
+        return JetAssignment(ws.ctx, seed, zero)
 
     return factory

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .simulate import Solution, grad_dirichlet, l2_norm, smoothstep
+from .simulate import Solution, grad_dirichlet, l2_norm
 
 
 class InverseError(ValueError):
@@ -30,7 +30,7 @@ class InverseError(ValueError):
 
 @dataclass(frozen=True)
 class CutoffSpec:
-    """Times 0 < t1 < t2 < t0 < T and the quintic ramp between t1, t2."""
+    """Cutoff times 0 < t1 < t2 < t0 < T."""
 
     t1: float
     t2: float
@@ -42,14 +42,6 @@ class CutoffSpec:
             raise InverseError(
                 f"cutoff times must satisfy 0 < t1 < t2 < t0 < T, got "
                 f"({self.t1}, {self.t2}, {self.t0}, {self.T})")
-
-    def rho(self, t: np.ndarray) -> np.ndarray:
-        s, _, _ = smoothstep((np.asarray(t, dtype=float) - self.t1) / (self.t2 - self.t1))
-        return s
-
-    def rho_dt(self, t: np.ndarray) -> np.ndarray:
-        _, ds, _ = smoothstep((np.asarray(t, dtype=float) - self.t1) / (self.t2 - self.t1))
-        return ds / (self.t2 - self.t1)
 
 
 def compute_tau(t0: float, t1: float, mu1: float, C: float) -> float:
@@ -67,13 +59,6 @@ def compute_tau(t0: float, t1: float, mu1: float, C: float) -> float:
             f"(mu1, t0) = ({mu1:g}, {t0:g}); reduce mu1 or t0")
     kappa = math.exp(3.0 * mu1 * t0) - math.exp(3.0 * mu1 * t1)
     return 2.0 * kappa / (C + 2.0 * kappa)
-
-
-@dataclass(frozen=True)
-class MuOptimum:
-    mu_star: float
-    log_objective: float
-    d2_zero: bool
 
 
 def _log_objective(mu, D1: float, D2: float, kappa: float, C: float,
@@ -100,20 +85,18 @@ def _check_objective(D1: float, D2: float, kappa: float, C: float, T: float,
 
 
 def optimize_mu(D1: float, D2: float, kappa: float, C: float, T: float,
-                mu_max: float = 10.0) -> MuOptimum:
+                mu_max: float = 10.0) -> float:
     """Minimize the two-exponential bound over mu in (1, mu_max].
 
     The log objective is convex (a decreasing linear term log-summed
     with a convex double exponential), so golden-section search is
     exact up to bracketing tolerance.  D2 = 0 degenerates to a monotone
-    objective whose infimum sits at the bracket end; that case is
-    flagged rather than searched.
+    objective whose infimum sits at the bracket end, which is returned
+    without a search.
     """
     _check_objective(D1, D2, kappa, C, T, mu_max)
     if D2 == 0.0:
-        return MuOptimum(mu_star=mu_max,
-                         log_objective=float(_log_objective(mu_max, D1, D2, kappa, C, T)),
-                         d2_zero=True)
+        return mu_max
     lo, hi = 1.0 + 1e-9, mu_max
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -130,10 +113,7 @@ def optimize_mu(D1: float, D2: float, kappa: float, C: float, T: float,
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = _log_objective(d, D1, D2, kappa, C, T)
-    mu = 0.5 * (a + b)
-    return MuOptimum(mu_star=mu,
-                     log_objective=float(_log_objective(mu, D1, D2, kappa, C, T)),
-                     d2_zero=False)
+    return 0.5 * (a + b)
 
 
 def brute_force_mu(D1: float, D2: float, kappa: float, C: float, T: float,
@@ -214,13 +194,13 @@ def stability_experiment(norms: Sequence[tuple[float, float, float]],
         raise InverseError("no nondegenerate ensemble members")
     agg = np.sqrt(agg / len(norms))
     kappa = math.exp(3.0 * mu1 * cut.t0) - math.exp(3.0 * mu1 * cut.t2)
-    opt = optimize_mu(float(agg[1]) ** 2, float(agg[2]) ** 2, kappa, C_ref, cut.T)
+    mu_star = optimize_mu(float(agg[1]) ** 2, float(agg[2]) ** 2, kappa, C_ref, cut.T)
     pos = [q for q in quotients if q > 0]
     spread = (max(pos) / min(pos)) if pos else float("inf")
     return StabilityReport(
         N1=float(agg[0]), N2=float(agg[1]), N3=float(agg[2]),
         tau=tau, tau_alt=tau_alt, C_fit=max(quotients),
-        quotients=quotients, mu_star=opt.mu_star, mu1=mu1, kappa=kappa,
+        quotients=quotients, mu_star=mu_star, mu1=mu1, kappa=kappa,
         spread=spread, falsifications=falsifications)
 
 

@@ -1,25 +1,33 @@
-"""Independent numeric oracle: exact polynomial evaluation of expressions.
+"""Independent numeric oracle: expressions evaluated on random dense jets.
 
-Every declared symbol is assigned a polynomial over the coordinates
-(x1..xn, t) and optionally over auxiliary exponential generators E_i
-satisfying d/dt E_i = c_i E_i with rational c_i (these model weights like
-e^{3 mu t} without leaving the polynomial ring).  An expression then
-evaluates to three exact rational-complex numbers: the differential-free
-part and the dt and dB coefficients.
+Every declared symbol is given a random truncated jet at an implicit base
+point: all Taylor coefficients of its expansion in (x1..xn, t) up to the
+order the expression needs.  The coefficients live in F_p[i] with
+p = 2^61 - 1; since p = 3 mod 4, -1 is not a square mod p and F_p[i] is a
+field.  An expression evaluates to three elements of F_p[i] at the base
+point: the differential-free part and the dt and dB coefficients.
 
-This module never builds canonical forms and never touches the
-canonicalizer's Ito-table code; it re-derives the product rules directly
-on polynomials, so it is an independent check of the symbolic pipeline.
+A residual that is not identically zero is a nonzero polynomial of some
+degree D in the drawn coefficients, so by the Schwartz-Zippel lemma one
+draw misses it with probability at most D/p.
+
+A field with derivative rewrites gets the coefficients of its ruled
+directions from the rules themselves, order by order, so no assignment
+is built by hand for a case.  This module never builds canonical forms
+and imports nothing from the canonicalizer or its exact arithmetic; it
+re-derives the product rules directly on jets, so it is an independent
+check of the symbolic pipeline.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from itertools import product
+from typing import NamedTuple, Optional
 
-from .exact import QQi
 from .exprs import (
     Add,
     Conj,
@@ -32,6 +40,7 @@ from .exprs import (
     Dx,
     Expr,
     ExprError,
+    FieldSymbol,
     ImPart,
     Mul,
     Pow,
@@ -39,243 +48,295 @@ from .exprs import (
     Sym,
 )
 
-# A polynomial is a dict: exponent tuple -> QQi.  The exponent tuple has
-# length n + 1 + n_exp: spatial coordinates, then t, then the exponential
-# generators.
+P = (1 << 61) - 1
 
-Poly = dict
-
-
-def p_zero() -> Poly:
-    return {}
+# A jet is a pair (re, im) of coefficient lists in the graded monomial
+# order of a _Layout, or None for the zero jet.  A jet computed to order
+# k serves every order below k, since that order's coefficients are a
+# prefix of the lists.  An Ito triple is (plain, dt, dB) jets.
 
 
-def p_const(c: QQi, nvars: int) -> Poly:
-    if c.is_zero():
-        return {}
-    return {(0,) * nvars: c}
+class _Layout:
+    """Graded enumeration of the monomials in m variables up to an order.
+
+    Monomials of degree d precede those of degree d + 1, so the first
+    size[k] monomials are those of degree <= k at every order; tables
+    built for a higher order extend those for a lower one.
+    """
+
+    def __init__(self, m: int, order: int):
+        self.order = order
+        monos, size = [], []
+        for d in range(order + 1):
+            monos += sorted((a for a in product(range(d + 1), repeat=m) if sum(a) == d),
+                            reverse=True)
+            size.append(len(monos))
+        self.monos, self.size = monos, size
+        self.index = {a: i for i, a in enumerate(monos)}
+        self.deg = [sum(a) for a in monos]
+        # rows[i][j]: index of monos[i] * monos[j], for deg i + deg j <= order
+        self.rows = [
+            [self.index[tuple(x + y for x, y in zip(a, b))]
+             for b in monos[:size[order - self.deg[i]]]]
+            for i, a in enumerate(monos)
+        ]
+        # d/dx_v: the coefficient at a comes from a + e_v, times a_v + 1
+        top = size[order - 1] if order else 0
+        self.dsrc = [[self.index[a[:v] + (a[v] + 1,) + a[v + 1:]] for a in monos[:top]]
+                     for v in range(m)]
+        self.dfac = [[a[v] + 1 for a in monos[:top]] for v in range(m)]
 
 
-def p_var(idx: int, nvars: int) -> Poly:
-    exps = [0] * nvars
-    exps[idx] = 1
-    return {tuple(exps): QQi(1)}
+@functools.cache
+def _layout(m: int, order: int) -> _Layout:
+    return _Layout(m, order)
 
 
-def p_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for e, c in b.items():
-        cur = out.get(e)
-        new = c if cur is None else cur + c
-        if new.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = new
-    return out
+def _fp(q) -> int:
+    """A rational (numerator / denominator) as an element of F_p."""
+    return q.numerator * pow(q.denominator, -1, P) % P
 
 
-def p_scale(a: Poly, c: QQi) -> Poly:
-    if c.is_zero():
-        return {}
-    return {e: k * c for e, k in a.items()}
+def _add(n: int, jets) -> Optional[tuple]:
+    re, im, seen = [0] * n, [0] * n, False
+    for jet in jets:
+        if jet is not None:
+            seen = True
+            jr, ji = jet
+            for i in range(n):
+                re[i] += jr[i]
+                im[i] += ji[i]
+    if not seen:
+        return None
+    return [x % P for x in re], [x % P for x in im]
 
 
-def p_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = ca * cb
-            cur = out.get(e)
-            new = c if cur is None else cur + c
-            if new.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = new
-    return out
+def _mul(lay: _Layout, k: int, a, b) -> Optional[tuple]:
+    """Product of two jets, truncated at order k."""
+    if a is None or b is None:
+        return None
+    (ar, ai), (br, bi) = a, b
+    if k == 0:
+        return ([(ar[0] * br[0] - ai[0] * bi[0]) % P],
+                [(ar[0] * bi[0] + ai[0] * br[0]) % P])
+    n = lay.size[k]
+    re, im = [0] * n, [0] * n
+    size, deg, rows = lay.size, lay.deg, lay.rows
+    for i in range(n):
+        xr, xi = ar[i], ai[i]
+        if not (xr or xi):
+            continue
+        row = rows[i]
+        for j in range(size[k - deg[i]]):
+            yr, yi = br[j], bi[j]
+            if yr or yi:
+                t = row[j]
+                re[t] += xr * yr - xi * yi
+                im[t] += xr * yi + xi * yr
+    return [x % P for x in re], [x % P for x in im]
 
 
-def p_conj(a: Poly) -> Poly:
-    # All generators are real-valued, so conjugation only touches coefficients.
-    return {e: c.conj() for e, c in a.items()}
+def _diff(lay: _Layout, k: int, a, v: int) -> Optional[tuple]:
+    """d/dx_v of a jet of order k + 1, as a jet of order k."""
+    if a is None:
+        return None
+    src, fac = lay.dsrc[v], lay.dfac[v]
+    ar, ai = a
+    n = lay.size[k]
+    return ([ar[src[i]] * fac[i] % P for i in range(n)],
+            [ai[src[i]] * fac[i] % P for i in range(n)])
 
 
-@dataclass
+def _conj(a):
+    return None if a is None else (a[0], [-x % P for x in a[1]])
+
+
+def _re(a):
+    return None if a is None else (a[0], [0] * len(a[0]))
+
+
+def _im(a):
+    return None if a is None else (a[1], [0] * len(a[1]))
+
+
+def _ito_mul(lay: _Layout, k: int, u, v):
+    """(p + qt dt + qb dB)(fp + ft dt + fb dB) with dB dB = dt."""
+    p, qt, qb = u
+    fp, ft, fb = v
+    if qt is None and qb is None and ft is None and fb is None:
+        return (_mul(lay, k, p, fp), None, None)
+    return (
+        _mul(lay, k, p, fp),
+        _add(lay.size[k], (_mul(lay, k, p, ft), _mul(lay, k, qt, fp), _mul(lay, k, qb, fb))),
+        _add(lay.size[k], (_mul(lay, k, p, fb), _mul(lay, k, qb, fp))),
+    )
+
+
+class Gauss(NamedTuple):
+    """An element re + im*i of F_p[i], each part an int in [0, p)."""
+
+    re: int
+    im: int
+
+
+@dataclass(frozen=True)
 class JetAssignment:
-    """Polynomial values for every symbol plus the exponential generators.
+    """Where the jets of one assignment come from.
 
-    exp_rates[i] is c_i in d/dt E_i = c_i E_i.  polys maps symbol name to
-    its polynomial.  Consistency with any derivative rewrites declared on
-    the context is the caller's responsibility (the builders in
-    `identity` construct consistent assignments).
+    Every symbol of ctx draws its jet from a stream keyed by seed, the
+    base point and its name, so fresh interpreters agree.  The symbols
+    named in zero get the zero jet (used to honour null pairs).
     """
 
     ctx: Context
-    polys: dict[str, Poly]
-    exp_rates: tuple[Fraction, ...] = ()
-
-    @property
-    def nvars(self) -> int:
-        return self.ctx.n + 1 + len(self.exp_rates)
-
-    def t_index(self) -> int:
-        return self.ctx.n
-
-    def diff(self, p: Poly, var_idx: int) -> Poly:
-        """d/dvar of a polynomial; for t also applies the E_i growth rules."""
-        out: Poly = {}
-        tix = self.t_index()
-        for exps, c in p.items():
-            k = exps[var_idx]
-            if k:
-                e2 = list(exps)
-                e2[var_idx] = k - 1
-                e2 = tuple(e2)
-                add = c * QQi(k)
-                cur = out.get(e2)
-                new = add if cur is None else cur + add
-                if new.is_zero():
-                    out.pop(e2, None)
-                else:
-                    out[e2] = new
-            if var_idx == tix and self.exp_rates:
-                rate = Fraction(0)
-                for i, ci in enumerate(self.exp_rates):
-                    rate += exps[tix + 1 + i] * ci
-                if rate:
-                    add = c * QQi(rate)
-                    cur = out.get(exps)
-                    new = add if cur is None else cur + add
-                    if new.is_zero():
-                        out.pop(exps, None)
-                    else:
-                        out[exps] = new
-        return out
+    seed: int
+    zero: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
 class JetValue:
     """Exact evaluation result: plain part plus dt and dB coefficients."""
 
-    value: QQi
-    dt: QQi
-    dB: QQi
+    value: Gauss
+    dt: Gauss
+    dB: Gauss
 
     @property
     def is_zero(self) -> bool:
-        return self.value.is_zero() and self.dt.is_zero() and self.dB.is_zero()
-
-    def differential_pair(self) -> tuple[QQi, QQi]:
-        return (self.dt, self.dB)
+        return not any(self.value + self.dt + self.dB)
 
 
 class _Eval:
-    def __init__(self, assignment: JetAssignment):
+    """One draw: the jets of every symbol at one base point, drawn lazily
+    to the order the expression asks for."""
+
+    def __init__(self, assignment: JetAssignment, point):
         self.a = assignment
-        self.nv = assignment.nvars
-        self.zero = p_zero()
-        self.memo: dict[int, tuple[Poly, Poly, Poly]] = {}
-        self.dmemo: dict[int, tuple[Poly, Poly]] = {}
+        self.key = f"{assignment.seed}/{point}/"
+        self.n = assignment.ctx.n
+        self.lay = _layout(self.n + 1, 4)
+        self.jets: dict[str, list] = {}  # name -> [order, re, im, rng]
+        self.memo: dict[int, tuple] = {}  # id -> (order, Ito triple)
+        self.dmemo: dict[int, tuple] = {}  # id -> (order, (dt, dB))
+
+    def _at(self, k: int) -> _Layout:
+        if k > self.lay.order:
+            self.lay = _layout(self.n + 1, k + 2)
+        return self.lay
+
+    def _const(self, k: int, c: tuple):
+        if not (c[0] or c[1]):
+            return None
+        pad = [0] * (self._at(k).size[k] - 1)
+        return [c[0]] + pad, [c[1]] + pad
+
+    # -- symbol jets ----------------------------------------------------
+
+    def symbol(self, sym: FieldSymbol, k: int):
+        """The jet of sym to order k.  A ruled direction v fixes the
+        coefficient at every a with a_v > 0 as [rule_v]_(a - e_v) / a_v;
+        the others are drawn, real for real symbols and constant for real
+        scalars."""
+        if sym.name in self.a.zero:
+            return None
+        st = self.jets.get(sym.name)
+        if st is None:
+            digest = hashlib.sha256((self.key + sym.name).encode()).digest()
+            st = self.jets[sym.name] = [-1, [], [], random.Random(int.from_bytes(digest, "big"))]
+        done, re, im, rng = st
+        if done >= k:
+            return re, im
+        lay = self._at(k)
+        rules = sorted((self.n if key == ("t",) else key[1] - 1, rw)
+                       for key, rw in sym.rewrites.items())
+        constant = sym.kind == "real-scalar"
+        for d in range(done + 1, k + 1):
+            ruled = [(v, self.run(rw, d - 1)[0]) for v, rw in rules] if d else []
+            for a in lay.monos[len(re):lay.size[d]]:
+                for v, rj in ruled:
+                    if a[v]:
+                        if rj is None:
+                            re.append(0)
+                            im.append(0)
+                        else:
+                            src = lay.index[a[:v] + (a[v] - 1,) + a[v + 1:]]
+                            inv = pow(a[v], -1, P)
+                            re.append(rj[0][src] * inv % P)
+                            im.append(rj[1][src] * inv % P)
+                        break
+                else:
+                    if constant and d:
+                        re.append(0)
+                        im.append(0)
+                    else:
+                        re.append(rng.randrange(P))
+                        im.append(0 if sym.real else rng.randrange(P))
+            st[0] = d
+        return re, im
 
     # -- plain/differential triple ------------------------------------
 
-    def run(self, e: Expr) -> tuple[Poly, Poly, Poly]:
-        key = id(e)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._run(e)
-        self.memo[key] = out
+    def run(self, e: Expr, k: int):
+        hit = self.memo.get(id(e))
+        if hit is not None and hit[0] >= k:
+            return hit[1]
+        out = self._run(e, k)
+        self.memo[id(e)] = (k, out)
         return out
 
-    def _sym_poly(self, e: Sym) -> Poly:
-        name = e.sym.name
-        try:
-            return self.a.polys[name]
-        except KeyError:
-            raise ExprError(f"no polynomial assigned to symbol {name!r}") from None
-
-    def _run(self, e: Expr) -> tuple[Poly, Poly, Poly]:
-        z = self.zero
-        if isinstance(e, Const):
-            return (p_const(e.value, self.nv), z, z)
-        if isinstance(e, Sym):
-            return (self._sym_poly(e), z, z)
-        if isinstance(e, DtAtom):
-            return (z, p_const(QQi(1), self.nv), z)
-        if isinstance(e, DBAtom):
-            return (z, z, p_const(QQi(1), self.nv))
-        if isinstance(e, Add):
-            p, qt, qb = z, z, z
-            for t in e.terms:
-                tp, tt, tb = self.run(t)
-                p, qt, qb = p_add(p, tp), p_add(qt, tt), p_add(qb, tb)
-            return (p, qt, qb)
+    def _run(self, e: Expr, k: int):
+        lay = self._at(k + 1)
         if isinstance(e, Mul):
-            p, qt, qb = p_const(QQi(1), self.nv), z, z
-            for f in e.factors:
-                fp, ft, fb = self.run(f)
-                # (p + qt dt + qb dB)(fp + ft dt + fb dB) with the Ito table
-                ndt = p_add(
-                    p_add(p_mul(p, ft), p_mul(qt, fp)), p_mul(qb, fb)
-                )
-                ndb = p_add(p_mul(p, fb), p_mul(qb, fp))
-                p, qt, qb = p_mul(p, fp), ndt, ndb
-            return (p, qt, qb)
-        if isinstance(e, Pow):
-            p, qt, qb = p_const(QQi(1), self.nv), z, z
-            for _ in range(e.exp):
-                fp, ft, fb = self.run(e.base)
-                ndt = p_add(p_add(p_mul(p, ft), p_mul(qt, fp)), p_mul(qb, fb))
-                ndb = p_add(p_mul(p, fb), p_mul(qb, fp))
-                p, qt, qb = p_mul(p, fp), ndt, ndb
-            return (p, qt, qb)
+            out = self.run(e.factors[0], k)
+            for f in e.factors[1:]:
+                out = _ito_mul(lay, k, out, self.run(f, k))
+            return out
         if isinstance(e, Dx):
-            p, qt, qb = self.run(e.arg)
-            j = e.j - 1
-            return (self.a.diff(p, j), self.a.diff(qt, j), self.a.diff(qb, j))
+            return tuple(_diff(lay, k, c, e.j - 1) for c in self.run(e.arg, k + 1))
+        if isinstance(e, Add):
+            parts = [self.run(t, k) for t in e.terms]
+            return tuple(_add(lay.size[k], [p[c] for p in parts]) for c in range(3))
+        if isinstance(e, Sym):
+            return (self.symbol(e.sym, k), None, None)
+        if isinstance(e, Const):
+            return (self._const(k, (_fp(e.value.re), _fp(e.value.im))), None, None)
         if isinstance(e, Dt):
-            if _contains_semimartingale(e.arg, self.a.ctx):
+            if _contains_semimartingale(e.arg):
                 raise ExprError("time derivative applied over a semimartingale")
-            p, qt, qb = self.run(e.arg)
-            tix = self.a.t_index()
-            return (self.a.diff(p, tix), self.a.diff(qt, tix), self.a.diff(qb, tix))
+            return tuple(_diff(lay, k, c, self.n) for c in self.run(e.arg, k + 1))
+        if isinstance(e, Pow):
+            out = (self._const(k, (1, 0)), None, None)
+            for _ in range(e.exp):
+                out = _ito_mul(lay, k, out, self.run(e.base, k))
+            return out
+        if isinstance(e, DtAtom):
+            return (None, self._const(k, (1, 0)), None)
+        if isinstance(e, DBAtom):
+            return (None, None, self._const(k, (1, 0)))
         if isinstance(e, DIto):
-            ddt, ddb = self.dval(e.arg)
-            return (z, ddt, ddb)
+            return (None,) + self.dval(e.arg, k)
         if isinstance(e, Conj):
-            p, qt, qb = self.run(e.arg)
-            return (p_conj(p), p_conj(qt), p_conj(qb))
+            return tuple(_conj(c) for c in self.run(e.arg, k))
         if isinstance(e, RePart):
-            p, qt, qb = self.run(e.arg)
-            half = QQi(Fraction(1, 2))
-            return tuple(
-                p_scale(p_add(c, p_conj(c)), half) for c in (p, qt, qb)
-            )  # type: ignore[return-value]
+            return tuple(_re(c) for c in self.run(e.arg, k))
         if isinstance(e, ImPart):
-            p, qt, qb = self.run(e.arg)
-            mih = QQi(0, Fraction(-1, 2))
-            return tuple(
-                p_scale(p_add(c, p_scale(p_conj(c), QQi(-1))), mih)
-                for c in (p, qt, qb)
-            )  # type: ignore[return-value]
+            return tuple(_im(c) for c in self.run(e.arg, k))
         raise ExprError(f"cannot evaluate node {type(e).__name__}")
 
     # -- Ito differential of a differential-free expression -------------
 
-    def dval(self, e: Expr) -> tuple[Poly, Poly]:
-        key = id(e)
-        hit = self.dmemo.get(key)
-        if hit is not None:
-            return hit
-        out = self._dval(e)
-        self.dmemo[key] = out
+    def dval(self, e: Expr, k: int):
+        hit = self.dmemo.get(id(e))
+        if hit is not None and hit[0] >= k:
+            return hit[1]
+        out = self._dval(e, k)
+        self.dmemo[id(e)] = (k, out)
         return out
 
-    def _dval(self, e: Expr) -> tuple[Poly, Poly]:
-        z = self.zero
+    def _dval(self, e: Expr, k: int):
+        lay = self._at(k + 1)
         if isinstance(e, Const):
-            return (z, z)
+            return (None, None)
         if isinstance(e, (DtAtom, DBAtom, DIto)):
             raise ExprError("d() applied to an expression already containing dt or dB")
         if isinstance(e, Sym):
@@ -284,198 +345,75 @@ class _Eval:
                 if sym.jets is None:
                     raise ExprError(f"semimartingale {sym.name!r} has no registered jets")
                 p, q = sym.jets
-                return (self.a.polys[p.name], self.a.polys[q.name])
+                return (self.symbol(p, k), self.symbol(q, k))
             if sym.kind == "real-scalar":
-                return (z, z)
-            return (self.a.diff(self._sym_poly(e), self.a.t_index()), z)
+                return (None, None)
+            # d f = f_t dt for a plain field
+            return (_diff(lay, k, self.symbol(sym, k + 1), self.n), None)
         if isinstance(e, Add):
-            dt_, db_ = z, z
-            for t in e.terms:
-                tdt, tdb = self.dval(t)
-                dt_, db_ = p_add(dt_, tdt), p_add(db_, tdb)
-            return (dt_, db_)
+            parts = [self.dval(t, k) for t in e.terms]
+            return tuple(_add(lay.size[k], [p[c] for p in parts]) for c in range(2))
         if isinstance(e, Mul):
-            return self._dval_product(list(e.factors))
+            return self._dval_product(list(e.factors), k)
         if isinstance(e, Pow):
-            return self._dval_product([e.base] * e.exp)
+            return self._dval_product([e.base] * e.exp, k)
         if isinstance(e, Dx):
-            ddt, ddb = self.dval(e.arg)
-            j = e.j - 1
-            return (self.a.diff(ddt, j), self.a.diff(ddb, j))
+            return tuple(_diff(lay, k, c, e.j - 1) for c in self.dval(e.arg, k + 1))
         if isinstance(e, Dt):
-            ddt, ddb = self.dval(e.arg)
-            tix = self.a.t_index()
-            return (self.a.diff(ddt, tix), self.a.diff(ddb, tix))
+            return tuple(_diff(lay, k, c, self.n) for c in self.dval(e.arg, k + 1))
         if isinstance(e, Conj):
-            ddt, ddb = self.dval(e.arg)
-            return (p_conj(ddt), p_conj(ddb))
+            return tuple(_conj(c) for c in self.dval(e.arg, k))
         if isinstance(e, RePart):
-            ddt, ddb = self.dval(e.arg)
-            half = QQi(Fraction(1, 2))
-            return (
-                p_scale(p_add(ddt, p_conj(ddt)), half),
-                p_scale(p_add(ddb, p_conj(ddb)), half),
-            )
+            return tuple(_re(c) for c in self.dval(e.arg, k))
         if isinstance(e, ImPart):
-            ddt, ddb = self.dval(e.arg)
-            mih = QQi(0, Fraction(-1, 2))
-            return (
-                p_scale(p_add(ddt, p_scale(p_conj(ddt), QQi(-1))), mih),
-                p_scale(p_add(ddb, p_scale(p_conj(ddb), QQi(-1))), mih),
-            )
+            return tuple(_im(c) for c in self.dval(e.arg, k))
         raise ExprError(f"cannot apply d() over node {type(e).__name__}")
 
-    def _dval_product(self, factors: list[Expr]) -> tuple[Poly, Poly]:
-        z = self.zero
+    def _dval_product(self, factors: list[Expr], k: int):
         if not factors:
-            return (z, z)
+            return (None, None)
         head, rest = factors[0], factors[1:]
-        hdt, hdb = self.dval(head)
+        hdt, hdb = self.dval(head, k)
         if not rest:
             return (hdt, hdb)
-        rdt, rdb = self._dval_product(rest)
-        hp = self.run(head)[0]
-        rp = p_const(QQi(1), self.nv)
-        for f in rest:
-            rp = p_mul(rp, self.run(f)[0])
+        lay = self._at(k)
+        rdt, rdb = self._dval_product(rest, k)
+        hp = self.run(head, k)[0]
+        rp = self.run(rest[0], k)[0]
+        for f in rest[1:]:
+            rp = _mul(lay, k, rp, self.run(f, k)[0])
         # d(uv) = u dv + v du + du dv, with du dv = (dB parts) dt
-        out_dt = p_add(p_add(p_mul(hp, rdt), p_mul(rp, hdt)), p_mul(hdb, rdb))
-        out_db = p_add(p_mul(hp, rdb), p_mul(rp, hdb))
+        n = lay.size[k]
+        out_dt = _add(n, (_mul(lay, k, hp, rdt), _mul(lay, k, rp, hdt), _mul(lay, k, hdb, rdb)))
+        out_db = _add(n, (_mul(lay, k, hp, rdb), _mul(lay, k, rp, hdb)))
         return (out_dt, out_db)
 
 
-def _contains_semimartingale(e: Expr, ctx: Context) -> bool:
+def _contains_semimartingale(e: Expr) -> bool:
     if isinstance(e, Sym):
         return e.sym.semimartingale
     if isinstance(e, (Add, Mul)):
         kids = e.terms if isinstance(e, Add) else e.factors
-        return any(_contains_semimartingale(k, ctx) for k in kids)
-    if isinstance(e, (Pow,)):
-        return _contains_semimartingale(e.base, ctx)
-    if isinstance(e, (Dx, Dt)):
-        return _contains_semimartingale(e.arg, ctx)
-    if isinstance(e, (DIto, Conj, RePart, ImPart)):
-        return _contains_semimartingale(e.arg, ctx)
+        return any(_contains_semimartingale(k) for k in kids)
+    if isinstance(e, Pow):
+        return _contains_semimartingale(e.base)
+    if isinstance(e, (Dx, Dt, DIto, Conj, RePart, ImPart)):
+        return _contains_semimartingale(e.arg)
     return False
 
 
-def p_eval(p: Poly, point: tuple) -> QQi:
-    total = QQi(0)
-    for exps, c in p.items():
-        term = c
-        for x, k in zip(point, exps):
-            if k:
-                term = term * (QQi(x) ** k)
-        total = total + term
-    return total
-
-
 def eval_jet_many(expr: Expr, assignment: JetAssignment, points) -> list[JetValue]:
-    """Evaluate expr at several points, sharing one tree traversal."""
-    ev = _Eval(assignment)
-    p, qt, qb = ev.run(expr)
+    """Evaluate expr once per base point in points.
+
+    Each base point draws every symbol's jet afresh (its stream is keyed
+    by the assignment's seed, the point and the symbol's name), so the
+    values are independent draws.  Returns the plain value and the dt and
+    dB coefficients at each base point; for a verified identity residual
+    all three are exactly zero.
+    """
     out = []
     for point in points:
-        if len(point) != assignment.nvars:
-            raise ExprError(
-                f"point has {len(point)} coordinates, assignment needs {assignment.nvars}"
-            )
-        out.append(JetValue(p_eval(p, point), p_eval(qt, point), p_eval(qb, point)))
+        triple = _Eval(assignment, point).run(expr, 0)
+        out.append(JetValue(*(Gauss(0, 0) if c is None else Gauss(c[0][0], c[1][0])
+                              for c in triple)))
     return out
-
-
-def eval_jet(expr: Expr, assignment: JetAssignment, point: tuple) -> JetValue:
-    """Evaluate expr exactly at a rational point.
-
-    point supplies values for (x1..xn, t, E1..Em) in order.  Returns the
-    plain value and the dt and dB coefficients; for a verified identity
-    residual all three are exactly zero.
-    """
-    if len(point) != assignment.nvars:
-        raise ExprError(
-            f"point has {len(point)} coordinates, assignment needs {assignment.nvars}"
-        )
-    ev = _Eval(assignment)
-    p, qt, qb = ev.run(expr)
-    return JetValue(p_eval(p, point), p_eval(qt, point), p_eval(qb, point))
-
-
-# ---------------------------------------------------------------------------
-# Random assignments and points
-# ---------------------------------------------------------------------------
-
-
-def random_polynomial(
-    rng: random.Random,
-    nvars: int,
-    degree: int = 3,
-    terms: int = 5,
-    real: bool = False,
-    constant: bool = False,
-) -> Poly:
-    """Sparse random polynomial with small rational coefficients."""
-
-    def coeff() -> QQi:
-        num = rng.randint(-6, 6) or 1
-        den = rng.randint(1, 4)
-        if real:
-            return QQi(Fraction(num, den))
-        return QQi(Fraction(num, den), Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-
-    out: Poly = {}
-    if constant:
-        return {(0,) * nvars: coeff()}
-    for _ in range(terms):
-        exps = [0] * nvars
-        budget = rng.randint(0, degree)
-        for _ in range(budget):
-            exps[rng.randrange(nvars)] += 1
-        e = tuple(exps)
-        cur = out.get(e)
-        c = coeff()
-        new = c if cur is None else cur + c
-        if new.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = new
-    return out
-
-
-def random_assignment(
-    ctx: Context,
-    seed: int,
-    degree: int = 3,
-    exp_rates: tuple[Fraction, ...] = (),
-    fixed: Optional[dict[str, Poly]] = None,
-    constant_names: tuple[str, ...] = (),
-) -> JetAssignment:
-    """Random polynomial assignment for every declared symbol.
-
-    fixed overrides specific symbols (used for rewrite-bearing fields,
-    whose polynomials must satisfy their registered derivative rules).
-    Real symbols get real polynomials; real scalars get constants.
-    """
-    rng = random.Random(seed)
-    nvars = ctx.n + 1 + len(exp_rates)
-    polys: dict[str, Poly] = {}
-    fixed = fixed or {}
-    for name, sym in sorted(ctx.symbols.items()):
-        if name in fixed:
-            polys[name] = fixed[name]
-            continue
-        polys[name] = random_polynomial(
-            rng,
-            nvars,
-            degree=degree,
-            real=sym.real,
-            constant=(sym.kind == "real-scalar" or name in constant_names),
-        )
-    return JetAssignment(ctx=ctx, polys=polys, exp_rates=exp_rates)
-
-
-def random_point(ctx: Context, seed: int, n_exp: int = 0) -> tuple:
-    rng = random.Random(seed)
-    nvars = ctx.n + 1 + n_exp
-    return tuple(
-        Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(nvars)
-    )

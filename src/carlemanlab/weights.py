@@ -280,16 +280,3 @@ class GLWeight:
             raise WeightError(
                 f"theta^2 overflows double precision at t = T for "
                 f"(mu, T) = ({self.mu:g}, {self.T:g}); reduce mu or T")
-
-    def phi(self, t: float) -> float:
-        return math.exp(3.0 * self.mu * t)
-
-    def ell(self, t: float) -> float:
-        return self.mu * self.phi(t)
-
-    def log_theta(self, t: float) -> float:
-        # theta = e^{mu phi}; the exponent alone stays in float range.
-        return self.mu * self.phi(t)
-
-    def theta(self, t: float) -> float:
-        return math.exp(self.log_theta(t))

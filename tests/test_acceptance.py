@@ -155,7 +155,7 @@ def test_criterion_7_inverse_problem_exponent_optimizer_spread_probe():
         kappa = 10.0 ** rng.uniform(-2.0, 1.0)
         C = 10.0 ** rng.uniform(-1.0, 1.5)
         T = float(rng.uniform(0.05, 0.5))
-        gap = abs(optimize_mu(D1, D2, kappa, C, T).mu_star
+        gap = abs(optimize_mu(D1, D2, kappa, C, T)
                   - brute_force_mu(D1, D2, kappa, C, T, points=10000))
         worst = max(worst, gap)
     assert worst <= cell, worst

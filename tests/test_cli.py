@@ -1,6 +1,7 @@
 """Batch driver: determinism contract, exit codes, report and CSV shapes."""
 
 import json
+import math
 import sys
 import weakref
 
@@ -169,6 +170,8 @@ def test_usage_errors_exit_two_without_report(tmp_path, argv):
     (json.dumps({"lambdas": [40, 20]}), "increasing"),
     (json.dumps({"window": [0.2]}), "pair shape"),
     (json.dumps({"lambdas": [20, True]}), "element type"),
+    (json.dumps({"mu": math.inf, "pairs": 1}), "not finite"),
+    (json.dumps({"lambdas": [20, math.inf]}), "element not finite"),
 ])
 def test_config_errors_exit_two_without_report(tmp_path, payload, detail):
     assert_config_rejected(tmp_path, "carleman-heat", payload)
@@ -242,6 +245,7 @@ def test_partial_config_overrides_only_named_fields(tmp_path):
     {"epsilons": [0.0, 0.1]},                  # log 0: the probe
     {"epsilons": [0.1]},                       # one point fits no slope: the probe
     {"epsilons": [0.1, 0.1]},                  # nor do repeated ones: the probe
+    {"C_ref": math.nan},                       # not finite: config
 ])
 def test_inverse_config_validation(tmp_path, payload):
     assert_config_rejected(tmp_path, "inverse-gl",
@@ -249,8 +253,9 @@ def test_inverse_config_validation(tmp_path, payload):
 
 
 def test_gl_config_validation(tmp_path):
-    # delta past T: carleman_gl_check; mu below 2: GLWeight
-    for payload in ({"delta": 0.3}, {"mus": [1.5, 3]}):
+    # delta past T: carleman_gl_check; mu below 2: GLWeight; T not
+    # finite: config
+    for payload in ({"delta": 0.3}, {"mus": [1.5, 3]}, {"T": math.nan}):
         assert_config_rejected(tmp_path, "carleman-gl",
                                json.dumps({**FAST_GL, **payload}))
     # unknown case: classic_demos; wrong type: config

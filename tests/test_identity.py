@@ -137,3 +137,16 @@ def test_numeric_residual_vanishes(target):
 def test_numeric_residual_detects_mutation(target):
     values = numeric_residual(target, seed=5, mutated=True)
     assert any(not v.is_zero for v in values)
+
+
+@pytest.mark.parametrize("target", [OperatorSpec(n=n, regime=r) for n, r in THEOREM_MATRIX]
+                         + list(CASE_IDS),
+                         ids=[f"n{n}-{r}" for n, r in THEOREM_MATRIX] + list(CASE_IDS))
+def test_one_draw_catches_every_mutation(target):
+    # a wrong identity survives one draw with probability at most D/p,
+    # so every seed must catch every mutation with a single jet draw
+    for seed in range(50):
+        values = numeric_residual(target, seed=seed, assignments=1, points=0,
+                                  mutated=True)
+        assert len(values) == 1
+        assert not values[0].is_zero, seed
