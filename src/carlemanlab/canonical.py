@@ -40,7 +40,6 @@ from .exprs import (
 DT_KEY = ("q", 0)
 DB_KEY = ("q", 1)
 
-_ZERO = QQi(0)
 _ONE = QQi(1)
 _HALF = QQi(0) + QQi(1) / QQi(2)
 _MINUS_I_HALF = QQi(0, -1) / QQi(2)
@@ -389,9 +388,6 @@ class CanonicalForm:
     def terms(self):
         return sorted(self._terms.items(), key=lambda p: p[0])
 
-    def coeff(self, mono) -> QQi:
-        return self._terms.get(mono, _ZERO)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CanonicalForm):
             return NotImplemented
@@ -417,9 +413,6 @@ class CanonicalForm:
         """Sorted, deterministic text rendering, one monomial per line."""
         lines = [f"{format_qqi(coeff)} * {mono_str(mono)}" for mono, coeff in self.terms()]
         return "\n".join(lines)
-
-    def monomial_strs(self) -> list[str]:
-        return [mono_str(mono) for mono, _ in self.terms()]
 
     def to_expr(self) -> Expr:
         """Rebuild an expression tree; canonicalizing it reproduces self."""

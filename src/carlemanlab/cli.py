@@ -44,18 +44,12 @@ def _residual_check(r: identity.IdentityResidual) -> dict:
     return _check(d.pop("case"), d.pop("zero"), **d)
 
 
-def merge_checks(parts) -> list:
-    """Pure reduction over independently produced check lists, keyed and
-    ordered by case id."""
-    merged = [c for part in parts for c in part]
-    cases = [c["case"] for c in merged]
+def build_report(verb: str, command: str, seed: Optional[int], checks) -> dict:
+    """The report of one run, its checks ordered by case id."""
+    cases = [c["case"] for c in checks]
     if len(set(cases)) != len(cases):
-        raise ValueError("duplicate case ids in merged report")
-    return sorted(merged, key=lambda c: c["case"])
-
-
-def build_report(verb: str, command: str, seed: Optional[int], parts) -> dict:
-    checks = merge_checks(parts)
+        raise ValueError("duplicate case ids in report")
+    checks = sorted(checks, key=lambda c: c["case"])
     return {
         "verb": verb,
         "command": command,
@@ -91,7 +85,7 @@ def _oracle_check(target, label: str, seed: int, assignments: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Verb runners: each returns (check lists, csv rows)
+# Verb runners: each returns (checks, csv rows)
 # ---------------------------------------------------------------------------
 
 
@@ -101,11 +95,11 @@ def run_identity_verify(args) -> tuple[list, list]:
         if args.case not in identity.CASE_IDS:
             raise ConfigError(
                 f"unknown case '{args.case}' (known: {', '.join(identity.CASE_IDS)})")
-        checks.append(_residual_check(identity.verify_special(args.case)))
+        checks.append(_residual_check(identity.verify(identity.build_case(args.case))))
         if args.oracle:
             checks.append(_oracle_check(args.case, args.case, args.seed or 0,
                                         args.oracle))
-        return [checks], []
+        return checks, []
     ns = [args.n] if args.n else [1, 2, 3]
     regimes = [args.regime] if args.regime else list(identity.REGIMES)
     for n in ns:
@@ -120,15 +114,15 @@ def run_identity_verify(args) -> tuple[list, list]:
             if args.oracle:
                 checks.append(_oracle_check(
                     spec, f"n={n},regime={regime}", args.seed or 0, args.oracle))
-    return [checks], []
+    return checks, []
 
 
 def run_identity_steps(args) -> tuple[list, list]:
     n = args.n or 2
-    checks = [_residual_check(identity.verify_proof_step(key, n))
+    checks = [_residual_check(identity.verify(identity.proof_step_case(key, n)))
               for key in identity.PROOF_STEPS]
     checks.append(_residual_check(identity.verify_reconstruction(n)))
-    return [checks], []
+    return checks, []
 
 
 def run_carleman_heat(cfg) -> tuple[list, list]:
@@ -151,7 +145,7 @@ def run_carleman_heat(cfg) -> tuple[list, list]:
         for lam, lhs, rhs, ratio in zip(rep["lambdas"], rep["lhs"],
                                         rep["rhs"], rep["ratio"]):
             rows.append((i, lam, lhs, rhs, ratio))
-    return [checks], rows
+    return checks, rows
 
 
 def run_carleman_gl(cfg) -> tuple[list, list]:
@@ -194,7 +188,7 @@ def run_carleman_gl(cfg) -> tuple[list, list]:
     bitwise = all(a == b for a, b in zip(base["member_quotients"],
                                          doubled["member_quotients"]))
     checks.append(_check("scaling_invariance", bitwise, scale=2.0))
-    return [checks], rows
+    return checks, rows
 
 
 def run_inverse_gl(cfg) -> tuple[list, list]:
@@ -247,7 +241,7 @@ def run_inverse_gl(cfg) -> tuple[list, list]:
                          worst_gap=worst, cell=cell,
                          draws=cfg.optimizer_draws))
     rows = [(m, q) for m, q in enumerate(rep.quotients)]
-    return [checks], rows
+    return checks, rows
 
 
 def run_demo(cfg) -> tuple[list, list]:
@@ -270,7 +264,7 @@ def run_demo(cfg) -> tuple[list, list]:
         checks.append(_check("fitted_C_max",
                              np.isfinite(rep["fitted_C_max"]),
                              fitted_C_max=rep["fitted_C_max"]))
-    return [checks], rows
+    return checks, rows
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +356,7 @@ def run(args) -> dict:
     if args.verb in ("identity-verify", "identity-steps"):
         runner = (run_identity_verify if args.verb == "identity-verify"
                   else run_identity_steps)
-        parts, rows = runner(args)
+        checks, rows = runner(args)
         seed = args.seed
     else:
         cfg = load_config(args.verb, args.config)
@@ -370,12 +364,12 @@ def run(args) -> dict:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.verb == "demo" and args.case is not None:
             cfg = dataclasses.replace(cfg, case=args.case)
-        parts, rows = _RUNNERS[args.verb](cfg)
+        checks, rows = _RUNNERS[args.verb](cfg)
         seed = cfg.seed
         if getattr(args, "csv", None):
             key = f"demo:{cfg.case}" if args.verb == "demo" else args.verb
             write_csv(args.csv, CSV_HEADERS[key], rows)
-    return build_report(args.verb, command, seed, parts)
+    return build_report(args.verb, command, seed, checks)
 
 
 def main(argv=None) -> int:

@@ -52,9 +52,10 @@ class FieldSymbol:
 class Context:
     """Symbol table for one verification problem.
 
-    n is the spatial dimension (1..3).  null_pairs holds unordered pairs
-    of real-scalar symbol names whose product is rewritten to zero during
-    canonicalization.
+    n is the spatial dimension (1..3).  null_pairs lists, in declaration
+    order, the pairs of real-scalar symbol names whose product vanishes:
+    the canonicalizer rewrites such products to zero, and the jet oracle
+    gives one name of each pair the zero jet.
     """
 
     def __init__(self, n: int):
@@ -62,7 +63,7 @@ class Context:
             raise ExprError(f"spatial dimension must be 1, 2 or 3, got {n}")
         self.n = n
         self.symbols: dict[str, FieldSymbol] = {}
-        self._null_map: dict[str, set[str]] = {}
+        self.null_pairs: list[tuple[str, str]] = []
 
     # -- declarations ------------------------------------------------
 
@@ -166,27 +167,19 @@ class Context:
                 raise ExprError(f"unknown symbol {nm!r}")
             if sym.kind != "real-scalar":
                 raise ExprError("null pairs are only supported for real scalars")
-        self._null_map.setdefault(name_a, set()).add(name_b)
-        self._null_map.setdefault(name_b, set()).add(name_a)
+        self.null_pairs.append((name_a, name_b))
 
     def annihilates(self, names: Iterable[str]) -> bool:
-        if not self._null_map:
+        if not self.null_pairs:
             return False
         names = set(names)
-        for nm in names:
-            partners = self._null_map.get(nm)
-            if partners and not partners.isdisjoint(names):
-                return True
-        return False
+        return any(a in names and b in names for a, b in self.null_pairs)
 
     def sym(self, name: str) -> "Expr":
         try:
             return Sym(self.symbols[name])
         except KeyError:
             raise ExprError(f"unknown symbol {name!r}") from None
-
-    def var_keys(self) -> list[VarKey]:
-        return [("x", j) for j in range(1, self.n + 1)] + [("t",)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ into an exact sum of recognizable pieces: a magnitude term, a martingale
 term, spatial divergences, energy densities, first-order couplings and
 quadratic-variation corrections.  This module builds both sides of that
 identity, of each intermediate identity used to derive it, and of its
-classical specializations, and checks that the canonical residual is the
-zero form.
+classical specializations, each as one VerificationCase, and checks that
+the canonical residual is the zero form.
 
 theta itself is never represented: every build works in the weighted
 variable z = theta w, where conjugating by theta only inserts multiples
@@ -30,10 +30,10 @@ Verification regimes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 from .canonical import CanonicalForm, canonicalize
 from .exprs import C, Context, DT, Expr, I, conj, d_t, d_x, esum, im, ito_d, re
@@ -42,17 +42,6 @@ from .jetoracle import JetAssignment, JetValue, eval_jet_many
 REGIMES = ("R1", "R2", "R3", "raw")
 
 PROOF_STEPS = ("2", "03", "3", "5", "6", "10", "02", "zr2", "zr0")
-
-CASE_IDS = (
-    "elliptic",
-    "transport",
-    "ginzburg_landau",
-    "schrodinger",
-    "heat_identity",
-    "fst",
-    "ode",
-    "c02",
-) + tuple(f"proof_step({k})" for k in PROOF_STEPS)
 
 
 class SpecError(ValueError):
@@ -83,6 +72,8 @@ class OperatorSpec:
             raise SpecError(f"dimension must be 1, 2 or 3, got {self.n}")
         if self.regime not in REGIMES:
             raise SpecError(f"unknown regime {self.regime!r}")
+        if self.b0 is not None and len(self.b0) != self.n:
+            raise SpecError(f"b0 needs {self.n} entries, got {len(self.b0)}")
         def given(v):
             return v is not None
         if self.regime in ("R1", "R2") and given(self.b0) and any(self.b0):
@@ -124,12 +115,26 @@ class IdentityResidual:
         }
 
 
-def _residual(case: str, lhs: Expr, rhs: Expr, ctx: Context) -> IdentityResidual:
-    lhs_cf = canonicalize(lhs, ctx)
-    rhs_cf = canonicalize(rhs, ctx)
+@dataclass(frozen=True)
+class VerificationCase:
+    """One identity the package checks: both sides over one context, and a
+    corrupted right side that both the canonicalizer and the oracle must
+    tell apart from the intact one."""
+
+    case_id: str
+    ctx: Context
+    lhs: Expr
+    rhs: Expr
+    mutated_rhs: Expr
+
+
+def verify(case: VerificationCase) -> IdentityResidual:
+    """Canonical residual of the intact identity of case."""
+    lhs_cf = canonicalize(case.lhs, case.ctx)
+    rhs_cf = canonicalize(case.rhs, case.ctx)
     res = lhs_cf - rhs_cf
     return IdentityResidual(
-        case=case,
+        case=case.case_id,
         lhs=lhs_cf,
         rhs=rhs_cf,
         residual=res,
@@ -180,6 +185,10 @@ class Workspace:
 
     def am(self, j: int, k: int) -> Expr:
         return self._ajk[(j, k) if j <= k else (k, j)]
+
+    def weighted_product(self) -> Expr:
+        """2 Re(conj(I1) theta L w), the left side of the general identity."""
+        return C(2) * re(conj(self.I1) * self.theta_L)
 
     def b0_dot_grad(self, e: Expr) -> Expr:
         return esum(self.b0[j - 1] * d_x(e, j) for j in range(1, self.n + 1))
@@ -339,6 +348,10 @@ class Workspace:
         return esum(terms)
 
 
+def _unit_metric(n: int) -> dict:
+    return {(j, k): (C(1) if j == k else C(0)) for j in range(1, n + 1) for k in range(j, n + 1)}
+
+
 def _make_symbol_or_const(ctx: Context, name: str, value) -> Expr:
     if value is None:
         return ctx.real_scalar(name)
@@ -371,13 +384,11 @@ def make_theorem_workspace(spec: OperatorSpec) -> Workspace:
                 ctx.declare_null_pair("a", f"b0{j}")
             if spec.b is None and spec.b0 is None:
                 ctx.declare_null_pair("b", f"b0{j}")
-    ajk = {}
-    for j in range(1, spec.n + 1):
-        for k in range(j, spec.n + 1):
-            if spec.identity_metric:
-                ajk[(j, k)] = C(1) if j == k else C(0)
-            else:
-                ajk[(j, k)] = ctx.real_field(f"a{j}{k}")
+    if spec.identity_metric:
+        ajk = _unit_metric(spec.n)
+    else:
+        ajk = {(j, k): ctx.real_field(f"a{j}{k}")
+               for j in range(1, spec.n + 1) for k in range(j, spec.n + 1)}
     ell = ctx.real_field("ell")
     if spec.phi_zero:
         phi = C(0)
@@ -444,18 +455,30 @@ def rhs_groups(ws: Workspace) -> list[tuple[str, Expr]]:
     ]
 
 
+def _theorem_case(case_id: str, ws: Workspace) -> VerificationCase:
+    """The general identity on ws; the corruption drops its zero-order term."""
+    groups = rhs_groups(ws)
+    return VerificationCase(
+        case_id=case_id,
+        ctx=ws.ctx,
+        lhs=ws.weighted_product(),
+        rhs=esum(e for _, e in groups),
+        mutated_rhs=esum(e for name, e in groups if name != "zero_order"),
+    )
+
+
+def _spec_case(spec: OperatorSpec) -> VerificationCase:
+    return _theorem_case(f"theorem(n={spec.n},{spec.regime})", make_theorem_workspace(spec))
+
+
 def build_identity(spec: OperatorSpec) -> tuple[Expr, Expr, Workspace]:
     """Both sides of the general identity for the given spec."""
     ws = make_theorem_workspace(spec)
-    lhs = C(2) * re(conj(ws.I1) * ws.theta_L)
-    rhs = esum(e for _, e in rhs_groups(ws))
-    return lhs, rhs, ws
+    return ws.weighted_product(), esum(e for _, e in rhs_groups(ws)), ws
 
 
 def verify_identity(spec: OperatorSpec) -> IdentityResidual:
-    lhs, rhs, ws = build_identity(spec)
-    case = f"theorem(n={spec.n},{spec.regime})"
-    return _residual(case, lhs, rhs, ws.ctx)
+    return verify(_spec_case(spec))
 
 
 def constraint_monomials(spec: OperatorSpec) -> tuple[IdentityResidual, bool]:
@@ -464,7 +487,7 @@ def constraint_monomials(spec: OperatorSpec) -> tuple[IdentityResidual, bool]:
     a*b0^j or b*b0^j."""
     if spec.regime != "raw":
         raise SpecError("constraint inspection applies to the raw regime")
-    lhs, rhs, ws = build_identity(
+    ws = make_theorem_workspace(
         OperatorSpec(
             n=spec.n,
             regime="raw",
@@ -473,7 +496,7 @@ def constraint_monomials(spec: OperatorSpec) -> tuple[IdentityResidual, bool]:
             constraint_rewriting=False,
         )
     )
-    res = _residual(f"raw-unconstrained(n={spec.n})", lhs, rhs, ws.ctx)
+    res = verify(_theorem_case(f"raw-unconstrained(n={spec.n})", ws))
     b0names = {f"b0{j}" for j in range(1, spec.n + 1)}
     ok = not res.zero
     for mono, _ in res.residual.terms():
@@ -486,10 +509,6 @@ def constraint_monomials(spec: OperatorSpec) -> tuple[IdentityResidual, bool]:
 # ---------------------------------------------------------------------------
 # Proof steps
 # ---------------------------------------------------------------------------
-
-
-def make_step_workspace(n: int = 2) -> Workspace:
-    return make_theorem_workspace(OperatorSpec(n=n, regime="raw"))
 
 
 def _groups_03(ws: Workspace) -> list[Expr]:
@@ -528,7 +547,7 @@ def _step_sides(ws: Workspace, key: str) -> tuple[Expr, Expr]:
     g = _groups_03(ws)
     pc = conj(ws.phi)
     if key == "2":
-        lhs = C(2) * re(conj(ws.I1) * ws.theta_L)
+        lhs = ws.weighted_product()
         rhs = C(2) * ws.I1 * conj(ws.I1) * DT + C(2) * re(conj(ws.I1) * ws.I2)
         return lhs, rhs
     if key == "03":
@@ -631,16 +650,26 @@ def _zr0_lhs(ws: Workspace) -> Expr:
     )
 
 
-def verify_proof_step(key: str, n: int = 2) -> IdentityResidual:
-    ws = make_step_workspace(n)
+def proof_step_case(key: str, n: int = 2) -> VerificationCase:
+    ws = make_theorem_workspace(OperatorSpec(n=n, regime="raw"))
     lhs, rhs = _step_sides(ws, key)
-    return _residual(f"proof_step({key})", lhs, rhs, ws.ctx)
+    # The steps have heterogeneous structure, so the corruption is a
+    # uniform spurious term rather than a per-step dropped piece.  The
+    # oracle honours the null products a*b0^j and b*b0^j, which the
+    # cross-product expansion relies on.
+    return VerificationCase(
+        case_id=f"proof_step({key})",
+        ctx=ws.ctx,
+        lhs=lhs,
+        rhs=rhs,
+        mutated_rhs=rhs + ws.z * ws.zc * DT,
+    )
 
 
 def verify_reconstruction(n: int = 2) -> IdentityResidual:
     """Replay the derivation: substitute every proof step's expansion into
     the cross-product split and compare with the grouped right-hand side."""
-    ws = make_step_workspace(n)
+    ws = make_theorem_workspace(OperatorSpec(n=n, regime="raw"))
     g = _groups_03(ws)
     pieces = [C(2) * ws.I1 * conj(ws.I1) * DT]
     for key in ("3", "5", "6", "10", "02"):
@@ -650,9 +679,8 @@ def verify_reconstruction(n: int = 2) -> IdentityResidual:
         C(2) * re(conj(ws.phi) * ws.zc * (ws.a0 * ws.dz + ws.b0_dot_grad(ws.z) * DT))
     )
     pieces.append(_step_sides(ws, "zr0")[1])
-    assembled = esum(pieces)
-    rhs = esum(e for _, e in rhs_groups(ws))
-    return _residual(f"reconstruction(n={n})", assembled, rhs, ws.ctx)
+    case = _theorem_case(f"reconstruction(n={n})", ws)
+    return verify(replace(case, lhs=esum(pieces)))
 
 
 # ---------------------------------------------------------------------------
@@ -660,48 +688,12 @@ def verify_reconstruction(n: int = 2) -> IdentityResidual:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class VerificationCase:
-    """One catalog entry: both sides, a detectable corruption, and a
-    factory for its oracle assignments (the jets of rewrite-bearing
-    fields follow from their rules)."""
-
-    case_id: str
-    ctx: Context
-    lhs: Expr
-    rhs: Expr
-    mutated_rhs: Expr
-    mutation_note: str
-    make_assignment: Callable[[int], JetAssignment]
-
-
-def _theorem_case(case_id: str, spec: OperatorSpec, drop_group: str) -> VerificationCase:
-    ws = make_theorem_workspace(spec)
-    lhs = C(2) * re(conj(ws.I1) * ws.theta_L)
-    groups = rhs_groups(ws)
-    rhs = esum(e for _, e in groups)
-    mutated = esum(e for name, e in groups if name != drop_group)
-    return VerificationCase(
-        case_id=case_id,
-        ctx=ws.ctx,
-        lhs=lhs,
-        rhs=rhs,
-        mutated_rhs=mutated,
-        mutation_note=f"dropped the {drop_group} term",
-        make_assignment=partial(JetAssignment, ws.ctx),
-    )
-
-
 def _case_transport(n: int = 2) -> VerificationCase:
     ctx = Context(n=n)
     ell = ctx.real_field("ell")
     b0 = [ctx.real_scalar(f"b0{j}") for j in range(1, n + 1)]
     z, _, _ = ctx.semimartingale("z", real=True)
-    ws = Workspace(
-        ctx, z, C(1), C(0), C(0), b0,
-        {(j, k): (C(1) if j == k else C(0)) for j in range(1, n + 1) for k in range(j, n + 1)},
-        ell, C(0),
-    )
+    ws = Workspace(ctx, z, C(1), C(0), C(0), b0, _unit_metric(n), ell, C(0))
     wt = ws.ellt + ws.b0_grad_ell
     lhs = C(2) * ws.I1 * ws.theta_L
     groups = [
@@ -716,9 +708,7 @@ def _case_transport(n: int = 2) -> VerificationCase:
         ctx=ctx,
         lhs=lhs,
         rhs=esum(groups),
-        mutated_rhs=esum(groups[:2] + groups[3:]),
-        mutation_note="dropped the energy term",
-        make_assignment=partial(JetAssignment, ctx),
+        mutated_rhs=esum(groups[:2] + groups[3:]),  # drops the energy term
     )
 
 
@@ -729,13 +719,7 @@ def _case_ginzburg_landau(n: int = 2) -> VerificationCase:
     phi_w = ctx.rewrite_field("phi", real=True, dx=[C(0)] * n)
     ctx.set_rewrite("phi", "t", C(3) * mu * phi_w)
     z, _, _ = ctx.semimartingale("z")
-    ws = Workspace(
-        ctx, z, C(1), C(1), b,
-        [C(0)] * n,
-        {(j, k): (C(1) if j == k else C(0)) for j in range(1, n + 1) for k in range(j, n + 1)},
-        mu * phi_w, -mu,
-    )
-    lhs = C(2) * re(conj(ws.I1) * ws.theta_L)
+    ws = Workspace(ctx, z, C(1), C(1), b, [C(0)] * n, _unit_metric(n), mu * phi_w, -mu)
     grad_sq = esum(ws.zx[j] * ws.zcx[j] for j in range(1, n + 1))
     coef = mu + C(3) * mu * mu * phi_w
     Vk = {
@@ -759,11 +743,9 @@ def _case_ginzburg_landau(n: int = 2) -> VerificationCase:
     return VerificationCase(
         case_id="ginzburg_landau",
         ctx=ctx,
-        lhs=lhs,
+        lhs=ws.weighted_product(),
         rhs=esum(groups),
-        mutated_rhs=esum(groups[:3] + groups[4:]),
-        mutation_note="dropped the mass energy term",
-        make_assignment=partial(JetAssignment, ctx),
+        mutated_rhs=esum(groups[:3] + groups[4:]),  # drops the mass energy term
     )
 
 
@@ -779,11 +761,7 @@ def _heat_sides(n: int = 2) -> tuple[Workspace, Expr, list[Expr], Expr]:
     z, _, _ = ctx.semimartingale("z", real=True)
     lap_ell = esum(d_x(d_x(ell, j), j) for j in range(1, n + 1))
     phi = C(2) * lap_ell
-    ws = Workspace(
-        ctx, z, C(1), C(-1), C(0), [C(0)] * n,
-        {(j, k): (C(1) if j == k else C(0)) for j in range(1, n + 1) for k in range(j, n + 1)},
-        ell, phi,
-    )
+    ws = Workspace(ctx, z, C(1), C(-1), C(0), [C(0)] * n, _unit_metric(n), ell, phi)
     A = esum(ws.ellx[j] * ws.ellx[j] for j in range(1, n + 1)) - lap_ell
     I1 = esum(d_x(ws.zx[j], j) for j in range(1, n + 1)) + A * ws.z + (phi - ws.ellt) * ws.z
     lhs = C(2) * I1 * ws.theta_L
@@ -837,8 +815,6 @@ def _case_heat_identity(n: int = 2) -> VerificationCase:
         lhs=lhs,
         rhs=esum(groups),
         mutated_rhs=mutated,
-        mutation_note="flipped the sign of the first-order coupling",
-        make_assignment=partial(JetAssignment, ws.ctx),
     )
 
 
@@ -921,9 +897,7 @@ def _case_elliptic(n: int = 2) -> tuple[VerificationCase, Expr, Expr]:
         ctx=ctx,
         lhs=lhs,
         rhs=esum(groups),
-        mutated_rhs=esum(groups[:2] + groups[3:]),
-        mutation_note="dropped the energy term",
-        make_assignment=partial(JetAssignment, ctx),
+        mutated_rhs=esum(groups[:2] + groups[3:]),  # drops the energy term
     )
     return case, div_printed, div_derived
 
@@ -937,13 +911,8 @@ def _case_schrodinger(n: int = 2) -> VerificationCase:
     tag2 = ctx.real_scalar("tag2")
     z = I * u
     phi = -(I * psi)
-    ws = Workspace(
-        ctx, z, C(1), C(0), C(1), [C(0)] * n,
-        {(j, k): (C(1) if j == k else C(0)) for j in range(1, n + 1) for k in range(j, n + 1)},
-        ell, phi,
-    )
-    lhs = C(2) * re(conj(ws.I1) * ws.theta_L)
-    rhs_main = esum(e for _, e in rhs_groups(ws))
+    ws = Workspace(ctx, z, C(1), C(0), C(1), [C(0)] * n, _unit_metric(n), ell, phi)
+    case = _theorem_case("schrodinger", ws)
     # The same operator written for v = -i w and u = theta v: the weighted
     # actions must agree, and I1 must collapse to the first-order form
     # -i ell_t u - 2 grad ell . grad u + Psi u.
@@ -956,18 +925,7 @@ def _case_schrodinger(n: int = 2) -> VerificationCase:
     theta_P = I * (ito_d(u) - d_t(ell) * u * DT) + esum(
         d_x(Wu[j], j) - d_x(ell, j) * Wu[j] for j in range(1, n + 1)
     ) * DT
-    lhs_total = lhs + tag1 * (ws.I1 - I1_target) + tag2 * (ws.theta_L - theta_P)
-    groups = rhs_groups(ws)
-    mutated = esum(e for name, e in groups if name != "zero_order")
-    return VerificationCase(
-        case_id="schrodinger",
-        ctx=ctx,
-        lhs=lhs_total,
-        rhs=rhs_main,
-        mutated_rhs=mutated,
-        mutation_note="dropped the energy term",
-        make_assignment=partial(JetAssignment, ctx),
-    )
+    return replace(case, lhs=case.lhs + tag1 * (ws.I1 - I1_target) + tag2 * (ws.theta_L - theta_P))
 
 
 def _case_fst(n: int = 2) -> VerificationCase:
@@ -995,7 +953,7 @@ def _case_fst(n: int = 2) -> VerificationCase:
     ) * u * u
     lhs = lhs_main + tag1 * (lhs_main - lhs_mid)
     rhs = div_term - absorb
-    mutated = div_term - (
+    mutated = div_term - (  # drops the divergence absorption term
         C(2) * lam * esum(g[j - 1] * xi[j - 1] for j in range(1, n + 1)) * u * u
     )
 
@@ -1005,8 +963,6 @@ def _case_fst(n: int = 2) -> VerificationCase:
         lhs=lhs,
         rhs=rhs,
         mutated_rhs=mutated,
-        mutation_note="dropped the divergence absorption term",
-        make_assignment=partial(JetAssignment, ctx),
     )
 
 
@@ -1022,15 +978,13 @@ def _case_ode(components: int = 3) -> VerificationCase:
     lhs = C(2) * esum(y * d_t(y) for y in ys)
     decay = -(lam * sq) + d_t(sq)
     rhs = decay + lam * sq
-    mutated = decay
+    mutated = decay  # drops the energy term
     return VerificationCase(
         case_id="ode",
         ctx=ctx,
         lhs=lhs,
         rhs=rhs,
         mutated_rhs=mutated,
-        mutation_note="dropped the energy term",
-        make_assignment=partial(JetAssignment, ctx),
     )
 
 
@@ -1059,58 +1013,30 @@ def _case_c02(n: int = 2) -> VerificationCase:
         ctx=ctx,
         lhs=esum(lhs_terms),
         rhs=esum(rhs_terms),
-        mutated_rhs=esum(mut_terms),
-        mutation_note="flipped the antisymmetry sign",
-        make_assignment=partial(JetAssignment, ctx),
+        mutated_rhs=esum(mut_terms),  # flips the antisymmetry sign
     )
 
 
-def _case_proof_step(key: str, n: int = 2) -> VerificationCase:
-    ws = make_step_workspace(n)
-    lhs, rhs = _step_sides(ws, key)
-    # The steps have heterogeneous structure, so the corruption is a
-    # uniform spurious term rather than a per-step dropped piece.  The
-    # oracle must respect the null products a*b0^j and b*b0^j, which the
-    # cross-product expansion relies on.
-    mutated = rhs + ws.z * ws.zc * DT
-    return VerificationCase(
-        case_id=f"proof_step({key})",
-        ctx=ws.ctx,
-        lhs=lhs,
-        rhs=rhs,
-        mutated_rhs=mutated,
-        mutation_note="added a spurious mass term",
-        make_assignment=_raw_oracle(ws),
-    )
+_CASES = {
+    "elliptic": lambda: _case_elliptic()[0],
+    "transport": _case_transport,
+    "ginzburg_landau": _case_ginzburg_landau,
+    "schrodinger": _case_schrodinger,
+    "heat_identity": _case_heat_identity,
+    "fst": _case_fst,
+    "ode": _case_ode,
+    "c02": _case_c02,
+    **{f"proof_step({k})": partial(proof_step_case, k) for k in PROOF_STEPS},
+}
+
+CASE_IDS = tuple(_CASES)
 
 
 def build_case(case_id: str) -> VerificationCase:
-    if case_id == "elliptic":
-        return _case_elliptic()[0]
-    if case_id == "transport":
-        return _case_transport()
-    if case_id == "ginzburg_landau":
-        return _case_ginzburg_landau()
-    if case_id == "schrodinger":
-        return _case_schrodinger()
-    if case_id == "heat_identity":
-        return _case_heat_identity()
-    if case_id == "fst":
-        return _case_fst()
-    if case_id == "ode":
-        return _case_ode()
-    if case_id == "c02":
-        return _case_c02()
-    if case_id.startswith("proof_step(") and case_id.endswith(")"):
-        key = case_id[len("proof_step("):-1]
-        if key in PROOF_STEPS:
-            return _case_proof_step(key)
-    raise SpecError(f"unknown case id {case_id!r}")
-
-
-def verify_special(case_id: str) -> IdentityResidual:
-    case = build_case(case_id)
-    return _residual(case.case_id, case.lhs, case.rhs, case.ctx)
+    builder = _CASES.get(case_id)
+    if builder is None:
+        raise SpecError(f"unknown case id {case_id!r}")
+    return builder()
 
 
 def printed_form_deltas() -> dict[str, CanonicalForm]:
@@ -1149,32 +1075,10 @@ def numeric_residual(target, seed: int, assignments: int = 4, points: int = 5,
     draw with probability at most D/p, where D is the residual's degree
     in the jet coefficients and p = 2^61 - 1 (Schwartz-Zippel).
     """
-    if isinstance(target, OperatorSpec):
-        ws = make_theorem_workspace(target)
-        lhs = C(2) * re(conj(ws.I1) * ws.theta_L)
-        groups = rhs_groups(ws)
-        rhs = esum(e for name, e in groups if not (mutated and name == "zero_order"))
-        factory = _raw_oracle(ws) if target.regime == "raw" else partial(JetAssignment, ws.ctx)
-    else:
-        case = build_case(target)
-        lhs = case.lhs
-        rhs = case.mutated_rhs if mutated else case.rhs
-        factory = case.make_assignment
-    residual = lhs - rhs
+    case = _spec_case(target) if isinstance(target, OperatorSpec) else build_case(target)
+    residual = case.lhs - (case.mutated_rhs if mutated else case.rhs)
     out = []
     for i in range(assignments):
-        out.extend(eval_jet_many(residual, factory(seed + 101 * i), range(points + 1)))
+        out.extend(eval_jet_many(residual, JetAssignment(case.ctx, seed + 101 * i),
+                                 range(points + 1)))
     return out
-
-
-def _raw_oracle(ws: Workspace) -> Callable[[int], JetAssignment]:
-    """Assignments with one side of each null pair zero: every b0^j for an
-    even seed, a and b for an odd one."""
-    def factory(seed: int):
-        if seed % 2 == 0:
-            zero = frozenset(f"b0{j}" for j in range(1, ws.n + 1))
-        else:
-            zero = frozenset(("a", "b"))
-        return JetAssignment(ws.ctx, seed, zero)
-
-    return factory

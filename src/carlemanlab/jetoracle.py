@@ -184,13 +184,13 @@ class JetAssignment:
     """Where the jets of one assignment come from.
 
     Every symbol of ctx draws its jet from a stream keyed by seed, the
-    base point and its name, so fresh interpreters agree.  The symbols
-    named in zero get the zero jet (used to honour null pairs).
+    base point and its name, so fresh interpreters agree.  Each null pair
+    of ctx is honoured by giving one of its names the zero jet: the
+    second name for an even seed, the first for an odd one.
     """
 
     ctx: Context
     seed: int
-    zero: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -214,6 +214,7 @@ class _Eval:
         self.a = assignment
         self.key = f"{assignment.seed}/{point}/"
         self.n = assignment.ctx.n
+        self.zero = {pair[1 - assignment.seed % 2] for pair in assignment.ctx.null_pairs}
         self.lay = _layout(self.n + 1, 4)
         self.jets: dict[str, list] = {}  # name -> [order, re, im, rng]
         self.memo: dict[int, tuple] = {}  # id -> (order, Ito triple)
@@ -237,7 +238,7 @@ class _Eval:
         coefficient at every a with a_v > 0 as [rule_v]_(a - e_v) / a_v;
         the others are drawn, real for real symbols and constant for real
         scalars."""
-        if sym.name in self.a.zero:
+        if sym.name in self.zero:
             return None
         st = self.jets.get(sym.name)
         if st is None:

@@ -60,7 +60,7 @@ def test_criterion_1_general_identity_exact_within_budget():
 
 def test_criterion_2_every_specialization_and_proof_step_exact():
     for case_id in CASE_IDS:
-        res = idn.verify_special(case_id)
+        res = idn.verify(idn.build_case(case_id))
         assert res.zero, (case_id, res.surviving_monomials[:5])
     for n in (1, 2):
         assert idn.verify_reconstruction(n).zero

@@ -194,13 +194,14 @@ def test_unknown_verb_is_a_usage_error():
 # -- helpers -----------------------------------------------------------
 
 
-def test_merge_checks_rejects_duplicate_case_ids():
+def test_build_report_rejects_duplicate_case_ids():
     with pytest.raises(ValueError):
-        cli.merge_checks([[{"case": "a", "pass": True}],
-                          [{"case": "a", "pass": True}]])
-    merged = cli.merge_checks([[{"case": "b", "pass": True}],
-                               [{"case": "a", "pass": True}]])
-    assert [c["case"] for c in merged] == ["a", "b"]
+        cli.build_report("v", "v", None, [{"case": "a", "pass": True},
+                                          {"case": "a", "pass": True}])
+    report = cli.build_report("v", "v", None, [{"case": "b", "pass": True},
+                                               {"case": "a", "pass": False}])
+    assert [c["case"] for c in report["checks"]] == ["a", "b"]
+    assert report["pass"] is False
 
 
 def test_echo_strips_output_plumbing():

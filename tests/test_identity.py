@@ -15,10 +15,10 @@ from carlemanlab.identity import (
     constraint_monomials,
     numeric_residual,
     printed_form_deltas,
+    proof_step_case,
+    verify,
     verify_identity,
-    verify_proof_step,
     verify_reconstruction,
-    verify_special,
 )
 
 THEOREM_MATRIX = [(n, r) for n in (1, 2, 3) for r in REGIMES]
@@ -59,6 +59,8 @@ def test_identity_holds_for_pinned_scalars(spec):
     dict(regime="R3", b=Fraction(1)),
     dict(regime="R3", b0=(Fraction(0), Fraction(0))),
     dict(regime="R1", b0=(Fraction(1), Fraction(0))),
+    dict(regime="R3", b0=(Fraction(1),)),
+    dict(regime="R3", b0=(Fraction(1), Fraction(2), Fraction(3))),
 ])
 def test_inconsistent_specs_rejected(bad):
     with pytest.raises(SpecError):
@@ -76,7 +78,7 @@ def test_raw_regime_keeps_constraint_monomials(n):
 @pytest.mark.parametrize("key", PROOF_STEPS)
 @pytest.mark.parametrize("n", [1, 2])
 def test_proof_step(key, n):
-    res = verify_proof_step(key, n=n)
+    res = verify(proof_step_case(key, n=n))
     assert res.zero, (key, res.surviving_monomials[:5])
 
 
@@ -87,7 +89,7 @@ def test_reconstruction_from_steps(n):
 
 @pytest.mark.parametrize("case_id", CASE_IDS)
 def test_specialization(case_id):
-    res = verify_special(case_id)
+    res = verify(build_case(case_id))
     assert res.zero, (case_id, res.surviving_monomials[:5])
     assert len(res.lhs.terms()) > 0
 

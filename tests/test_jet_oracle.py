@@ -159,6 +159,18 @@ def test_rules_are_what_make_the_ginzburg_landau_residual_vanish():
     assert not any(v.is_zero for v in eval_jet_many(residual, a, range(2)))
 
 
+def test_null_pairs_are_honoured_by_every_assignment():
+    # one name of each declared null pair gets the zero jet, so their
+    # product vanishes at every draw while their sum does not
+    ctx = Context(1)
+    p, q = ctx.real_scalar("p"), ctx.real_scalar("q")
+    ctx.declare_null_pair("p", "q")
+    for seed in range(20):
+        a = JetAssignment(ctx, seed)
+        assert all(v.is_zero for v in eval_jet_many(p * q, a, range(2))), seed
+        assert not any(v.is_zero for v in eval_jet_many(p + q, a, range(2))), seed
+
+
 def test_oracle_imports_nothing_from_the_canonicalizer():
     tree = ast.parse(Path(jetoracle.__file__).read_text())
     imported = set()
