@@ -1075,6 +1075,9 @@ def numeric_residual(target, seed: int, assignments: int = 4, points: int = 5,
     draw with probability at most D/p, where D is the residual's degree
     in the jet coefficients and p = 2^61 - 1 (Schwartz-Zippel).
     """
+    if assignments < 1 or points < 0:
+        raise SpecError(f"need assignments >= 1 and points >= 0, "
+                        f"got {assignments} and {points}")
     case = _spec_case(target) if isinstance(target, OperatorSpec) else build_case(target)
     residual = case.lhs - (case.mutated_rhs if mutated else case.rhs)
     out = []

@@ -4,7 +4,7 @@ Two weight families are used by the numeric checks.  The parabolic
 bundle on the unit interval combines a spatial profile psi with a time
 singularity gamma:
 
-    gamma(t) = 1 / (t (T - t))^k
+    gamma(t) = 1 / (t (T - t))
     phi      = e^{mu psi} gamma
     alpha    = (e^{mu psi} - e^{2 mu max psi}) gamma      (alpha <= 0)
     theta    = e^{lam alpha}                              (theta <= 1)
@@ -14,17 +14,20 @@ for the complex-coefficient second-order operator is
 
     phi(t) = e^{3 mu t},  ell = mu phi,  theta = e^{mu phi}.
 
-Everything here is plain float evaluation with closed-form derivatives;
-the symbolic modules provide the cross-check that the derivative
-formulas match the canonical quantities (for example A = ell_x^2 -
-ell_xx in one dimension).
+heat_alpha is the one place gamma and alpha are written; it takes
+floats or broadcasting numpy arrays, so the pointwise derivatives below
+and the Monte-Carlo heat check share it.  The derivatives are closed
+form; the symbolic modules provide the cross-check that they match the
+canonical quantities (for example A = ell_x^2 - ell_xx in one dimension).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
+
+import numpy as np
 
 
 class WeightError(ValueError):
@@ -36,7 +39,6 @@ class PsiProfile:
     """The 1-d spatial profile psi(x) = x(1-x) and its derivatives."""
 
     G0: tuple[float, float]
-    G1: tuple[float, float]
 
     def value(self, x: float) -> float:
         return x * (1.0 - x)
@@ -47,9 +49,6 @@ class PsiProfile:
     def d2(self, x: float) -> float:
         return -2.0
 
-    def d3(self, x: float) -> float:
-        return 0.0
-
     @property
     def max_value(self) -> float:
         return 0.25
@@ -59,8 +58,7 @@ def psi_1d(G0: tuple[float, float]) -> PsiProfile:
     """Spatial profile for the parabolic weight on G = (0, 1).
 
     The critical point of psi sits at 1/2, so the gradient condition
-    |psi'| > 0 off the observation region forces G0 to contain 1/2.  G1
-    is chosen as a strict interior neighborhood of the critical point.
+    |psi'| > 0 off the observation region forces G0 to contain 1/2.
     """
     lo, hi = float(G0[0]), float(G0[1])
     if not (0.0 <= lo < hi <= 1.0):
@@ -69,8 +67,7 @@ def psi_1d(G0: tuple[float, float]) -> PsiProfile:
         raise WeightError(
             f"G0 = {G0} must contain the critical point 1/2 of psi(x) = x(1-x)"
         )
-    margin = 0.25 * min(0.5 - lo, hi - 0.5)
-    return PsiProfile(G0=(lo, hi), G1=(0.5 - margin, 0.5 + margin))
+    return PsiProfile(G0=(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -80,16 +77,18 @@ class HeatWeight:
     psi: PsiProfile
     mu: float
     lam: float
-    k: int = 1
     T: float = 1.0
 
     def __post_init__(self):
         if self.mu <= 0 or self.lam <= 0:
             raise WeightError("mu and lambda must be positive")
-        if self.k < 1:
-            raise WeightError("k must be a positive integer")
         if self.T <= 0:
             raise WeightError("T must be positive")
+        # alpha needs e^{2 mu max psi}; keep it in range
+        if 2.0 * self.mu * self.psi.max_value > 709.0:
+            raise WeightError(
+                f"e^(2 mu max psi) overflows double precision for "
+                f"mu = {self.mu:g}; reduce mu")
 
 
 @dataclass(frozen=True)
@@ -113,6 +112,15 @@ class WeightValues:
     A_t: float
 
 
+def heat_alpha(w: HeatWeight, x, t):
+    """gamma = 1/(t(T-t)), e^{mu psi} and alpha = (e^{mu psi} - e^{2 mu
+    max psi}) gamma, for floats or broadcasting numpy arrays x and t."""
+    gamma = 1.0 / (t * (w.T - t))
+    emp = np.exp(w.mu * w.psi.value(x))
+    alpha = (emp - math.exp(2.0 * w.mu * w.psi.max_value)) * gamma
+    return gamma, emp, alpha
+
+
 def heat_weight_eval(w: HeatWeight, x: float, t: float) -> WeightValues:
     """Evaluate the parabolic bundle and the derivatives of ell = lam alpha.
 
@@ -122,29 +130,25 @@ def heat_weight_eval(w: HeatWeight, x: float, t: float) -> WeightValues:
     """
     if not (0.0 < t < w.T):
         raise WeightError(f"t = {t} outside (0, {w.T}); clamp before evaluating")
-    mu, lam, k, T = w.mu, w.lam, w.k, w.T
-    p = w.psi.value(x)
+    mu, lam = w.mu, w.lam
     p1 = w.psi.d1(x)
     p2 = w.psi.d2(x)
-    p3 = w.psi.d3(x)
-    u = t * (T - t)
-    u1 = T - 2.0 * t
-    gamma = u ** (-k)
-    gamma1 = -k * u ** (-k - 1) * u1
-    gamma2 = k * (k + 1) * u ** (-k - 2) * u1 * u1 + 2.0 * k * u ** (-k - 1)
-    emp = math.exp(mu * p)
-    estar = math.exp(2.0 * mu * w.psi.max_value)
+    gamma, emp, alpha = heat_alpha(w, x, t)
     phi = emp * gamma
-    alpha = (emp - estar) * gamma
     theta = math.exp(lam * alpha)
-    # Spatial derivatives of alpha ride on e^{mu psi}; time derivatives on gamma.
-    ax = mu * p1 * emp * gamma
-    axx = mu * (p2 + mu * p1 * p1) * emp * gamma
-    axxx = mu * (p3 + 3.0 * mu * p1 * p2 + mu * mu * p1 ** 3) * emp * gamma
-    at = (emp - estar) * gamma1
-    att = (emp - estar) * gamma2
-    axt = mu * p1 * emp * gamma1
-    axxt = mu * (p2 + mu * p1 * p1) * emp * gamma1
+    # alpha is e^{mu psi} - e^{2 mu max psi} times gamma: spatial derivatives
+    # ride on e^{mu psi}, and a time derivative multiplies by gamma'/gamma
+    # = -gamma (T - 2t) or gamma''/gamma = 2 gamma (1 + gamma (T - 2t)^2).
+    u1 = w.T - 2.0 * t
+    r1 = -gamma * u1
+    r2 = 2.0 * gamma * (1.0 + gamma * u1 * u1)
+    ax = mu * p1 * phi
+    axx = mu * (p2 + mu * p1 * p1) * phi
+    axxx = mu * mu * p1 * (3.0 * p2 + mu * p1 * p1) * phi
+    at = alpha * r1
+    att = alpha * r2
+    axt = ax * r1
+    axxt = axx * r1
     ell_x = lam * ax
     ell_xx = lam * axx
     ell_xxx = lam * axxx
@@ -223,7 +227,7 @@ def leading_order_B_check(
     grad_ratios: dict[float, list[float]] = {}
     cubic_ratios: dict[float, list[float]] = {}
     for lam in lam_sweep:
-        wl = HeatWeight(psi=w.psi, mu=w.mu, lam=float(lam), k=w.k, T=w.T)
+        wl = replace(w, lam=float(lam))
         grad_row, cubic_row = [], []
         for x, t in points:
             v = heat_weight_eval(wl, x, t)

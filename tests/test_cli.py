@@ -153,6 +153,7 @@ def test_falsified_run_exits_one_and_still_reports(tmp_path, monkeypatch):
     ["identity-verify", "--case", "bogus"],
     ["demo", "--seed", "-1"],
     ["demo", "--seed", str(2 ** 64)],
+    ["identity-verify", "--case", "ode", "--oracle", "-3"],
 ])
 def test_usage_errors_exit_two_without_report(tmp_path, argv):
     out = tmp_path / "never.json"
@@ -172,6 +173,13 @@ def test_usage_errors_exit_two_without_report(tmp_path, argv):
     (json.dumps({"lambdas": [20, True]}), "element type"),
     (json.dumps({"mu": math.inf, "pairs": 1}), "not finite"),
     (json.dumps({"lambdas": [20, math.inf]}), "element not finite"),
+    (json.dumps({"window": [0.9, 0.1]}), "window reversed"),
+    (json.dumps({"window": [0.5, 0.5]}), "window empty"),
+    (json.dumps({"window": [-0.2, 0.6]}), "window below 0"),
+    (json.dumps({"window": [0.2, 1.5]}), "window above 1"),
+    (json.dumps({"mu": 1418}), "alpha overflows at t = dt"),
+    (json.dumps({"mu": 1500}), "e^(2 mu max psi) overflows"),
+    (json.dumps({"mu": 4000}), "e^(mu psi) overflows"),
 ])
 def test_config_errors_exit_two_without_report(tmp_path, payload, detail):
     assert_config_rejected(tmp_path, "carleman-heat", payload)

@@ -141,6 +141,14 @@ def test_numeric_residual_detects_mutation(target):
     assert any(not v.is_zero for v in values)
 
 
+@pytest.mark.parametrize("kwargs", [dict(assignments=0), dict(assignments=-3),
+                                    dict(points=-1)])
+def test_numeric_residual_rejects_empty_samples(kwargs):
+    # a sample of no draws would report a check that cannot fail
+    with pytest.raises(SpecError):
+        numeric_residual("ode", seed=0, **kwargs)
+
+
 @pytest.mark.parametrize("target", [OperatorSpec(n=n, regime=r) for n, r in THEOREM_MATRIX]
                          + list(CASE_IDS),
                          ids=[f"n{n}-{r}" for n, r in THEOREM_MATRIX] + list(CASE_IDS))

@@ -16,8 +16,8 @@ from carlemanlab.weights import (
 G0 = (0.3, 0.8)
 
 
-def default_weight(mu=1.0, lam=1.0, k=1, T=1.0):
-    return HeatWeight(psi=psi_1d(G0), mu=mu, lam=lam, k=k, T=T)
+def default_weight(mu=1.0, lam=1.0, T=1.0):
+    return HeatWeight(psi=psi_1d(G0), mu=mu, lam=lam, T=T)
 
 
 # -- spatial profile -------------------------------------------------
@@ -29,7 +29,7 @@ def test_psi_boundary_and_maximum():
     assert psi.value(1.0) == 0.0
     assert psi.value(0.5) == psi.max_value == 0.25
     assert psi.d1(0.5) == 0.0
-    assert psi.d2(0.3) == -2.0 and psi.d3(0.9) == 0.0
+    assert psi.d2(0.3) == -2.0
 
 
 def test_psi_gradient_bounded_off_critical_region():
@@ -43,15 +43,13 @@ def test_observation_region_must_cover_critical_point():
         psi_1d((0.6, 0.9))
     with pytest.raises(WeightError):
         psi_1d((0.3, 1.2))
-    inner = psi_1d((0.3, 0.8)).G1
-    assert 0.3 < inner[0] < 0.5 < inner[1] < 0.8
 
 
 # -- parabolic bundle ------------------------------------------------
 
 
 def test_alpha_pinned_value():
-    # mu = k = T = 1 at x = t = 1/2: (e^{1/4} - e^{1/2}) / (1/4)
+    # mu = T = 1 at x = t = 1/2: (e^{1/4} - e^{1/2}) / (1/4)
     v = heat_weight_eval(default_weight(), 0.5, 0.5)
     closed = (math.exp(0.25) - math.exp(0.5)) / 0.25
     assert v.alpha == pytest.approx(closed, rel=1e-15)
@@ -67,15 +65,15 @@ def test_theta_never_exceeds_one():
             assert 0.0 < v.theta <= 1.0
 
 
-@pytest.mark.parametrize("mu,k,T", [(1.0, 1, 1.0), (4.0, 1, 1.0), (2.5, 2, 0.7)])
-def test_algebraic_relations_between_bundle_members(mu, k, T):
-    w = default_weight(mu=mu, k=k, T=T)
+@pytest.mark.parametrize("mu,T", [(1.0, 1.0), (4.0, 1.0), (2.5, 0.7)])
+def test_algebraic_relations_between_bundle_members(mu, T):
+    w = default_weight(mu=mu, T=T)
     estar = math.exp(2.0 * mu * w.psi.max_value)
     for x in (0.1, 0.45, 0.82):
         for frac in (0.2, 0.5, 0.9):
             t = frac * T
             v = heat_weight_eval(w, x, t)
-            u = (t * (T - t)) ** k
+            u = t * (T - t)
             target = math.exp(mu * w.psi.value(x))
             assert v.alpha * u + estar == pytest.approx(target, rel=1e-12)
             assert v.phi * u == pytest.approx(target, rel=1e-12)
@@ -111,11 +109,19 @@ def test_evaluation_outside_time_interval_rejected():
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(mu=0.0), dict(mu=-1.0), dict(lam=0.0), dict(k=0), dict(T=0.0),
+    dict(mu=0.0), dict(mu=-1.0), dict(lam=0.0), dict(mu=1500.0), dict(T=0.0),
 ])
 def test_bad_parabolic_parameters(kwargs):
     with pytest.raises(WeightError):
         default_weight(**kwargs)
+
+
+def test_mu_bound_keeps_the_alpha_offset_in_float_range():
+    # 2 mu max psi = mu / 2 may reach 709 and no further; gamma = 1 at t = T/2
+    w = default_weight(mu=1418.0, T=2.0)
+    assert math.isfinite(heat_weight_eval(w, 0.5, 1.0).alpha)
+    with pytest.raises(WeightError):
+        default_weight(mu=1419.0)
 
 
 # -- large-parameter behavior ----------------------------------------
