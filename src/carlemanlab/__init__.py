@@ -15,7 +15,6 @@ from .exprs import (
     conj,
     d_t,
     d_x,
-    deriv,
     esum,
     im,
     ito_d,
@@ -35,7 +34,6 @@ __all__ = [
     "conj",
     "d_t",
     "d_x",
-    "deriv",
     "esum",
     "im",
     "ito_d",

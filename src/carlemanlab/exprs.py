@@ -335,16 +335,6 @@ def C(p: Number, q: int = 1) -> Const:
 # -- public operation names ------------------------------------------------
 
 
-def deriv(e: Expr, var: str) -> Expr:
-    """Partial derivative; var is "x1".."x3" or "t"."""
-    e = as_expr(e)
-    if var == "t":
-        return Dt(e)
-    if len(var) == 2 and var[0] == "x" and var[1] in "123":
-        return Dx(int(var[1]), e)
-    raise ExprError(f"unknown derivative direction {var!r}")
-
-
 def d_x(e: Expr, j: int) -> Expr:
     return Dx(j, as_expr(e))
 

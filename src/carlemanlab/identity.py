@@ -31,9 +31,7 @@ Verification regimes
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import partial
-from typing import Optional
 
 from .canonical import CanonicalForm, canonicalize
 from .exprs import C, Context, DT, Expr, I, conj, d_t, d_x, esum, im, ito_d, re
@@ -45,53 +43,27 @@ PROOF_STEPS = ("2", "03", "3", "5", "6", "10", "02", "zr2", "zr0")
 
 
 class SpecError(ValueError):
-    """Raised for regime-inconsistent operator specifications."""
+    """Raised for an unknown cell, case, proof step or sample size."""
 
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Parameters selecting one instance of the operator and its regime.
+    """One (n, regime) cell of the general identity.
 
-    Scalars left as None stay fully symbolic.  b0 left as None takes the
-    regime default (zero for R1/R2, symbolic for R3/raw).
+    Every ingredient the regime does not fix to zero stays symbolic.  A
+    fixed coefficient or a real solution is a substitution instance of
+    its cell, and substitution commutes with d_x, d_t, the Ito d and
+    conj, so the cell's zero residual covers it.
     """
 
     n: int = 1
     regime: str = "R1"
-    a0: Optional[Fraction] = None
-    a: Optional[Fraction] = None
-    b: Optional[Fraction] = None
-    b0: Optional[tuple] = None
-    identity_metric: bool = False
-    real_solution: bool = False
-    phi_zero: bool = False
-    constraint_rewriting: bool = True
 
-    def validate(self) -> None:
-        if self.n not in (1, 2, 3):
+    def __post_init__(self):
+        if type(self.n) is not int or self.n not in (1, 2, 3):
             raise SpecError(f"dimension must be 1, 2 or 3, got {self.n}")
         if self.regime not in REGIMES:
             raise SpecError(f"unknown regime {self.regime!r}")
-        if self.b0 is not None and len(self.b0) != self.n:
-            raise SpecError(f"b0 needs {self.n} entries, got {len(self.b0)}")
-        def given(v):
-            return v is not None
-        if self.regime in ("R1", "R2") and given(self.b0) and any(self.b0):
-            raise SpecError(f"regime {self.regime} requires b0 = 0")
-        if self.regime == "R2":
-            if given(self.a) and self.a != 0:
-                raise SpecError("regime R2 requires a = 0")
-            if given(self.a0) and self.a0 == 0:
-                raise SpecError("regime R2 requires a0 nonzero")
-            if given(self.b) and self.b == 0:
-                raise SpecError("regime R2 requires b nonzero")
-        if self.regime == "R3":
-            if (given(self.a) and self.a != 0) or (given(self.b) and self.b != 0):
-                raise SpecError("regime R3 requires a = b = 0")
-            if given(self.a0) and self.a0 == 0:
-                raise SpecError("regime R3 requires a0 nonzero")
-            if given(self.b0) and not any(self.b0):
-                raise SpecError("regime R3 requires b0 nonzero")
 
 
 @dataclass(frozen=True)
@@ -352,51 +324,27 @@ def _unit_metric(n: int) -> dict:
     return {(j, k): (C(1) if j == k else C(0)) for j in range(1, n + 1) for k in range(j, n + 1)}
 
 
-def _make_symbol_or_const(ctx: Context, name: str, value) -> Expr:
-    if value is None:
-        return ctx.real_scalar(name)
-    return C(Fraction(value))
-
-
 def make_theorem_workspace(spec: OperatorSpec) -> Workspace:
-    """Declare symbols for the general identity under the given spec."""
-    spec.validate()
+    """Declare symbols for the general identity in the cell spec: a is zero
+    in R2 and R3, b in R3 and b0 in R1 and R2; the raw cell declares the
+    null pairs a*b0^j and b*b0^j."""
     ctx = Context(n=spec.n)
-    a0 = _make_symbol_or_const(ctx, "a0", spec.a0)
-    if spec.regime == "R2":
-        a = C(0) if spec.a is None else C(Fraction(spec.a))
-    else:
-        a = _make_symbol_or_const(ctx, "a", spec.a)
-    if spec.regime == "R3":
-        a = C(0) if spec.a is None else C(Fraction(spec.a))
-        b = C(0) if spec.b is None else C(Fraction(spec.b))
-    else:
-        b = _make_symbol_or_const(ctx, "b", spec.b)
+    rng = range(1, spec.n + 1)
+    a0 = ctx.real_scalar("a0")
+    a = C(0) if spec.regime in ("R2", "R3") else ctx.real_scalar("a")
+    b = C(0) if spec.regime == "R3" else ctx.real_scalar("b")
     if spec.regime in ("R1", "R2"):
         b0 = [C(0)] * spec.n
-    elif spec.b0 is not None:
-        b0 = [C(Fraction(v)) for v in spec.b0]
     else:
-        b0 = [ctx.real_scalar(f"b0{j}") for j in range(1, spec.n + 1)]
-    if spec.regime == "raw" and spec.constraint_rewriting:
-        for j in range(1, spec.n + 1):
-            if spec.a is None and spec.b0 is None:
-                ctx.declare_null_pair("a", f"b0{j}")
-            if spec.b is None and spec.b0 is None:
-                ctx.declare_null_pair("b", f"b0{j}")
-    if spec.identity_metric:
-        ajk = _unit_metric(spec.n)
-    else:
-        ajk = {(j, k): ctx.real_field(f"a{j}{k}")
-               for j in range(1, spec.n + 1) for k in range(j, spec.n + 1)}
+        b0 = [ctx.real_scalar(f"b0{j}") for j in rng]
+    if spec.regime == "raw":
+        for j in rng:
+            ctx.declare_null_pair("a", f"b0{j}")
+            ctx.declare_null_pair("b", f"b0{j}")
+    ajk = {(j, k): ctx.real_field(f"a{j}{k}") for j in rng for k in range(j, spec.n + 1)}
     ell = ctx.real_field("ell")
-    if spec.phi_zero:
-        phi = C(0)
-    elif spec.real_solution:
-        phi = ctx.real_field("Phi")
-    else:
-        phi = ctx.complex_field("Phi")
-    z, _, _ = ctx.semimartingale("z", real=spec.real_solution)
+    phi = ctx.complex_field("Phi")
+    z, _, _ = ctx.semimartingale("z")
     return Workspace(ctx, z, a0, a, b, b0, ajk, ell, phi)
 
 
@@ -482,20 +430,13 @@ def verify_identity(spec: OperatorSpec) -> IdentityResidual:
 
 
 def constraint_monomials(spec: OperatorSpec) -> tuple[IdentityResidual, bool]:
-    """Residual with constraint rewriting disabled, plus a flag telling
-    whether every surviving monomial contains one of the null products
-    a*b0^j or b*b0^j."""
+    """Residual of the raw cell with its null pairs cleared, plus a flag
+    telling whether every surviving monomial contains one of the null
+    products a*b0^j or b*b0^j."""
     if spec.regime != "raw":
         raise SpecError("constraint inspection applies to the raw regime")
-    ws = make_theorem_workspace(
-        OperatorSpec(
-            n=spec.n,
-            regime="raw",
-            identity_metric=spec.identity_metric,
-            real_solution=spec.real_solution,
-            constraint_rewriting=False,
-        )
-    )
+    ws = make_theorem_workspace(spec)
+    ws.ctx.null_pairs.clear()
     res = verify(_theorem_case(f"raw-unconstrained(n={spec.n})", ws))
     b0names = {f"b0{j}" for j in range(1, spec.n + 1)}
     ok = not res.zero

@@ -185,6 +185,17 @@ def test_config_errors_exit_two_without_report(tmp_path, payload, detail):
     assert_config_rejected(tmp_path, "carleman-heat", payload)
 
 
+def test_large_mu_underflows_the_weight_without_warning(tmp_path):
+    # at mu = 1407 the exponent 2 lam (alpha - max alpha) overflows to
+    # -inf; theta^2 must become its documented 0 without a numpy warning
+    cfg = write_config(tmp_path, "heat.json", {"mu": 1407, "pairs": 2})
+    code, out = run_to_file(tmp_path, ["carleman-heat", "--config", cfg])
+    assert code == 1
+    rep = json.loads(out.read_text())
+    assert [c["pass"] for c in rep["checks"]] == [True, False]
+    assert all(math.isfinite(c["min_ratio"]) for c in rep["checks"])
+
+
 def test_missing_config_file_exits_two(tmp_path):
     out = tmp_path / "never.json"
     code = cli.main(["carleman-heat", "--config", str(tmp_path / "nope.json"),

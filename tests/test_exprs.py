@@ -15,7 +15,6 @@ from carlemanlab.exprs import (
     conj,
     d_t,
     d_x,
-    deriv,
     esum,
     im,
     ito_d,
@@ -70,17 +69,9 @@ def test_derivative_direction_bounds(ctx):
         canonicalize(d_x(z, 3), ctx)  # n = 2 has no third direction
 
 
-def test_deriv_name_dispatch(ctx):
-    ell = ctx.sym("ell")
-    assert canonicalize(deriv(ell, "x1") - d_x(ell, 1), ctx).is_zero
-    assert canonicalize(deriv(ell, "t") - d_t(ell), ctx).is_zero
-    with pytest.raises(ExprError):
-        deriv(ell, "x9")
-
-
 def test_chain_rule_on_square(ctx):
     ell = ctx.sym("ell")
-    lhs = deriv(ell * ell, "x1")
+    lhs = d_x(ell * ell, 1)
     rhs = C(2) * ell * d_x(ell, 1)
     assert canonicalize(lhs - rhs, ctx).is_zero
 

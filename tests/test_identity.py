@@ -1,7 +1,5 @@
 """The weighted identity, its specializations, and the proof-step chain."""
 
-from fractions import Fraction
-
 import pytest
 
 from carlemanlab import identity
@@ -33,38 +31,23 @@ def test_identity_holds(n, regime):
     assert res.surviving_monomials == ()
 
 
-@pytest.mark.parametrize("spec", [
-    OperatorSpec(n=1, regime="R1", a=Fraction(1)),
-    OperatorSpec(n=2, regime="R3"),
-    OperatorSpec(n=1, regime="R2", a=Fraction(0), b=Fraction(1),
-                 a0=Fraction(1)),
-    OperatorSpec(n=3, regime="R1"),
-    OperatorSpec(n=1, regime="R3", phi_zero=True),
-    OperatorSpec(n=2, regime="R1", identity_metric=True),
-    OperatorSpec(n=2, regime="R2", real_solution=True),
-    OperatorSpec(n=1, regime="raw", a0=Fraction(2)),
-], ids=["pinned-a", "R3-n2", "R2-pinned", "R1-n3", "phi-zero",
-        "identity-metric", "real-solution", "raw-pinned-a0"])
-def test_identity_holds_for_pinned_scalars(spec):
-    assert verify_identity(spec).zero
-
-
 @pytest.mark.parametrize("bad", [
     dict(n=4),
     dict(n=0),
     dict(regime="R9"),
-    dict(regime="R2", a=Fraction(1)),
-    dict(regime="R2", a0=Fraction(0)),
-    dict(regime="R2", b=Fraction(0)),
-    dict(regime="R3", b=Fraction(1)),
-    dict(regime="R3", b0=(Fraction(0), Fraction(0))),
-    dict(regime="R1", b0=(Fraction(1), Fraction(0))),
-    dict(regime="R3", b0=(Fraction(1),)),
-    dict(regime="R3", b0=(Fraction(1), Fraction(2), Fraction(3))),
+    dict(n=-1),
+    dict(n=None),
+    dict(n="2"),
+    dict(n=2.0),
+    dict(n=True),
+    dict(regime="r1"),
+    dict(regime="RAW"),
+    dict(regime=""),
+    dict(regime=None),
 ])
 def test_inconsistent_specs_rejected(bad):
     with pytest.raises(SpecError):
-        verify_identity(OperatorSpec(n=bad.pop("n", 2), **bad))
+        OperatorSpec(n=bad.pop("n", 2), **bad)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
