@@ -14,7 +14,7 @@ forms are byte-identical, which is what the verifier relies on.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from fractions import Fraction
 
 from .exact import QQi, format_qqi
 from .exprs import (
@@ -41,8 +41,8 @@ DT_KEY = ("q", 0)
 DB_KEY = ("q", 1)
 
 _ONE = QQi(1)
-_HALF = QQi(0) + QQi(1) / QQi(2)
-_MINUS_I_HALF = QQi(0, -1) / QQi(2)
+_HALF = QQi(Fraction(1, 2))
+_MINUS_I_HALF = QQi(0, Fraction(-1, 2))
 
 EMPTY_MONO = ()
 
@@ -57,38 +57,53 @@ def _field_key(name: str, mi: tuple, to: int, cj: bool):
 # ---------------------------------------------------------------------------
 
 
-def _mono_from_items(items, ctx: Context):
-    """Sort, Ito-reduce and null-check a list of (key, exp) pairs.
+def _mono_mul(m1, m2, ctx: Context):
+    """Product of two monomials by a merge of their sorted atoms.
 
-    Returns the normalized monomial, or None when it reduces to zero.
+    Returns the normalized monomial, or None when it reduces to zero by
+    the Ito table or a null pair.
     """
-    counts: dict = {}
-    for key, e in items:
-        counts[key] = counts.get(key, 0) + e
-    ndt = counts.pop(DT_KEY, 0)
-    ndb = counts.pop(DB_KEY, 0)
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        k1, e1 = m1[i]
+        k2, e2 = m2[j]
+        if k1 == k2:
+            out.append((k1, e1 + e2))
+            i += 1
+            j += 1
+        elif k1 < k2:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    # The differentials sort last; reduce them by the Ito table.
+    ndt = ndb = 0
+    while out and out[-1][0][0] == "q":
+        key, e = out.pop()
+        if key == DB_KEY:
+            ndb = e
+        else:
+            ndt = e
     if ndb >= 3 or ndt >= 2 or (ndt == 1 and ndb >= 1):
         return None
     if ndb == 2:
         ndt, ndb = 1, 0
-    names = [k[1] for k in counts if counts[k]]
-    if ctx.annihilates(names):
+    if ctx.null_pairs and ctx.annihilates([k[1] for k, _ in out]):
         return None
-    out = [(k, e) for k, e in counts.items() if e]
     if ndt:
         out.append((DT_KEY, ndt))
     if ndb:
         out.append((DB_KEY, ndb))
-    out.sort(key=lambda p: p[0])
     return tuple(out)
-
-
-def _mono_mul(m1, m2, ctx: Context):
-    if not m1:
-        return m2 if m2 is not None else None
-    if not m2:
-        return m1
-    return _mono_from_items(list(m1) + list(m2), ctx)
 
 
 def _mono_without(mono, key, k=1):

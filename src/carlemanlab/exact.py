@@ -1,14 +1,22 @@
 """Exact rational-complex arithmetic used throughout the symbolic kernel.
 
-Every coefficient in the expression kernel is a :class:`QQi`, a complex
-number with `fractions.Fraction` real and imaginary parts.  No floats ever
-enter canonical forms, so identity residuals are exact: a verified identity
-cancels to the empty canonical form, not to something small.
+Every coefficient in the expression kernel is a :class:`QQi`, a Gaussian
+rational stored fraction-free: a Gaussian-integer numerator ``a + b*i``
+over one positive denominator ``d``, as Python ints ``(a, b, d)`` with
+``gcd(a, b, d) == 1``.  Nearly every coefficient the canonicalizer meets
+is a Gaussian integer (``d == 1``); their sums and products are plain int
+arithmetic with no gcd.  This is the layering of FLINT's ``fmpq`` over
+``fmpz`` (https://flintlib.org/doc/), without the dependency.
+
+No floats ever enter canonical forms, so identity residuals are exact: a
+verified identity cancels to the empty canonical form, not to something
+small.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 RatLike = Union[int, Fraction]
@@ -23,58 +31,83 @@ def _frac(x: RatLike) -> Fraction:
 
 
 class QQi:
-    """Gaussian rational: re + im*i with exact Fraction components."""
+    """Gaussian rational (a + b*i) / d, stored as the ints (a, b, d).
 
-    __slots__ = ("re", "im")
+    The state is normalised (d > 0, gcd(a, b, d) == 1), so equal values
+    have equal state, ``==`` and ``hash``.  ``re`` and ``im`` are the
+    parts as Fractions.
+    """
+
+    __slots__ = ("_v",)
 
     def __init__(self, re: RatLike = 0, im: RatLike = 0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        if type(re) is int and type(im) is int:
+            v = (re, im, 1)
+        else:
+            re, im = _frac(re), _frac(im)
+            d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+            # Both parts are reduced, so the common denominator leaves
+            # gcd(a, b, d) == 1.
+            v = (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d)
+        _set_v(self, v)
 
     def __setattr__(self, name, value):
         raise AttributeError("QQi is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self._v
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self._v
+        return Fraction(b, d)
+
     # -- algebra ---------------------------------------------------------
 
-    def __add__(self, other: "QQi") -> "QQi":
-        other = _coerce(other)
-        return QQi(self.re + other.re, self.im + other.im)
+    def __add__(self, other) -> "QQi":
+        a1, b1, d1 = self._v
+        a2, b2, d2 = (other if type(other) is QQi else _coerce(other))._v
+        if d1 == 1 and d2 == 1:
+            return _make((a1 + a2, b1 + b2, 1))
+        return _norm(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     __radd__ = __add__
 
-    def __sub__(self, other: "QQi") -> "QQi":
-        other = _coerce(other)
-        return QQi(self.re - other.re, self.im - other.im)
+    def __sub__(self, other) -> "QQi":
+        return self + -_coerce(other)
 
     def __rsub__(self, other) -> "QQi":
         return _coerce(other) - self
 
     def __neg__(self) -> "QQi":
-        return QQi(-self.re, -self.im)
+        a, b, d = self._v
+        return _make((-a, -b, d))
 
     def __mul__(self, other) -> "QQi":
-        other = _coerce(other)
-        return QQi(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, d1 = self._v
+        a2, b2, d2 = (other if type(other) is QQi else _coerce(other))._v
+        a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+        if d1 == 1 and d2 == 1:
+            return _make((a, b, 1))
+        return _norm(a, b, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "QQi":
-        other = _coerce(other)
-        den = other.re * other.re + other.im * other.im
+        a1, b1, d1 = self._v
+        a2, b2, d2 = _coerce(other)._v
+        den = a2 * a2 + b2 * b2
         if den == 0:
             raise ZeroDivisionError("division by zero QQi")
-        return QQi(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-        )
+        # (a1 + b1 i) / d1 * d2 / (a2 + b2 i) = (a1 + b1 i)(a2 - b2 i) d2 / (den d1)
+        return _norm((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, den * d1)
 
     def __pow__(self, k: int) -> "QQi":
         if not isinstance(k, int) or k < 0:
             raise ValueError("QQi power must be a nonnegative int")
-        out = QQi(1)
+        out = ONE
         base = self
         while k:
             if k & 1:
@@ -84,28 +117,27 @@ class QQi:
         return out
 
     def conj(self) -> "QQi":
-        return QQi(self.re, -self.im)
+        a, b, d = self._v
+        return _make((a, -b, d))
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def is_real(self) -> bool:
-        return self.im == 0
+        v = self._v
+        return v[0] == 0 and v[1] == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, QQi):
+            return self._v == other._v
         if isinstance(other, (int, Fraction)):
-            other = QQi(other)
-        if not isinstance(other, QQi):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return self._v == (other.numerator, 0, other.denominator)
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash(self._v)
 
     # -- formatting ------------------------------------------------------
 
@@ -115,8 +147,22 @@ class QQi:
     def __str__(self) -> str:
         return format_qqi(self)
 
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+
+_set_v = QQi._v.__set__
+_new = object.__new__
+
+
+def _make(v: tuple) -> QQi:
+    """A QQi with the already-normalised state v, skipping __init__."""
+    q = _new(QQi)
+    _set_v(q, v)
+    return q
+
+
+def _norm(a: int, b: int, d: int) -> QQi:
+    """The QQi (a + b i) / d for any d > 0."""
+    g = gcd(a, b, d)
+    return _make((a, b, d) if g == 1 else (a // g, b // g, d // g))
 
 
 def _coerce(x) -> QQi:
@@ -132,10 +178,6 @@ ONE = QQi(1)
 IMAG = QQi(0, 1)
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)  # "p" or "p/q", deterministic
-
-
 def format_qqi(c: QQi) -> str:
     """Deterministic text form, parseable by the expression grammar.
 
@@ -143,15 +185,16 @@ def format_qqi(c: QQi) -> str:
     the unit `i` with explicit `*`, mixed values are parenthesized so the
     result is always safe to embed as a factor.
     """
-    if c.im == 0:
-        return _frac_str(c.re)
-    if c.re == 0:
-        if c.im == 1:
+    re, im = c.re, c.im
+    if im == 0:
+        return str(re)
+    if re == 0:
+        if im == 1:
             return "i"
-        if c.im == -1:
+        if im == -1:
             return "-i"
-        return f"{_frac_str(c.im)}*i"
-    sign = "+" if c.im > 0 else "-"
-    mag = abs(c.im)
-    istr = "i" if mag == 1 else f"{_frac_str(mag)}*i"
-    return f"({_frac_str(c.re)}{sign}{istr})"
+        return f"{im}*i"
+    sign = "+" if im > 0 else "-"
+    mag = abs(im)
+    istr = "i" if mag == 1 else f"{mag}*i"
+    return f"({re}{sign}{istr})"

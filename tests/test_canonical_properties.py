@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carlemanlab.canonical import DB_KEY, DT_KEY, canonicalize
+from carlemanlab.canonical import DB_KEY, DT_KEY, _mono_mul, canonicalize
 from carlemanlab.exprs import (
     Add,
     C,
@@ -157,3 +157,55 @@ def test_products_reorder_freely():
         a = canonicalize(Mul(factors), ctx)
         b = canonicalize(Mul(factors[::-1]), ctx)
         assert a == b
+
+
+def dict_and_sort_mono_mul(m1, m2, ctx):
+    """Reference: count atoms in a dict, Ito-reduce, null-check, then sort."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    counts = {}
+    for key, e in m1 + m2:
+        counts[key] = counts.get(key, 0) + e
+    ndt = counts.pop(DT_KEY, 0)
+    ndb = counts.pop(DB_KEY, 0)
+    if ndb >= 3 or ndt >= 2 or (ndt == 1 and ndb >= 1):
+        return None
+    if ndb == 2:
+        ndt, ndb = 1, 0
+    if ctx.annihilates([k[1] for k in counts]):
+        return None
+    out = list(counts.items())
+    if ndt:
+        out.append((DT_KEY, ndt))
+    if ndb:
+        out.append((DB_KEY, ndb))
+    return tuple(sorted(out, key=lambda p: p[0]))
+
+
+FIELD_KEYS = [("f", name, mi, to, cj)
+              for name in ("Phi", "ell", "lam", "mu", "z")
+              for mi in ((0, 0), (1, 0), (0, 2))
+              for to in (0, 1)
+              for cj in (False, True)]
+
+
+@st.composite
+def monomials(draw):
+    keys = draw(st.lists(st.sampled_from(FIELD_KEYS), max_size=5, unique=True))
+    items = [(k, draw(st.integers(min_value=1, max_value=3))) for k in sorted(keys)]
+    for key in (DT_KEY, DB_KEY):
+        e = draw(st.integers(min_value=0, max_value=3))
+        if e:
+            items.append((key, e))
+    return tuple(items)
+
+
+@settings(max_examples=400, deadline=None)
+@given(monomials(), monomials())
+def test_mono_mul_matches_dict_and_sort(m1, m2):
+    ctx = make_context(2)
+    ctx.real_scalar("mu")
+    ctx.declare_null_pair("lam", "mu")
+    assert _mono_mul(m1, m2, ctx) == dict_and_sort_mono_mul(m1, m2, ctx)

@@ -1,6 +1,7 @@
 """Exact rational-complex coefficient arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,18 @@ from carlemanlab.exact import IMAG, ONE, ZERO, QQi, format_qqi
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 qqis = st.builds(QQi, fractions, fractions)
+
+
+@st.composite
+def unreduced(draw):
+    """A Fraction built from an unreduced, possibly negative-denominator pair."""
+    num = draw(st.integers(min_value=-60, max_value=60))
+    den = draw(st.integers(min_value=1, max_value=12)) * draw(st.sampled_from([1, -1]))
+    scale = draw(st.integers(min_value=1, max_value=6))
+    return Fraction(num * scale, den * scale)
+
+
+pairs = st.tuples(unreduced(), unreduced())
 
 
 def test_construction_and_constants():
@@ -58,7 +71,7 @@ def test_conjugation_automorphism(a, b):
     assert (a + b).conj() == a.conj() + b.conj()
     assert (a * b).conj() == a.conj() * b.conj()
     norm = a * a.conj()
-    assert norm.is_real() and norm.re >= 0
+    assert norm.im == 0 and norm.re >= 0
 
 
 @given(qqis, st.integers(min_value=0, max_value=6))
@@ -81,12 +94,67 @@ def test_coercion_with_ints_and_fractions():
     assert QQi(1, 1) == QQi(1, 1) and QQi(1) == 1
 
 
-def test_to_complex():
-    assert QQi(Fraction(1, 2), -3).to_complex() == 0.5 - 3j
-
-
 def test_format_examples():
     assert format_qqi(QQi(0)) == "0"
     assert str(QQi(Fraction(-1, 2))) == format_qqi(QQi(Fraction(-1, 2)))
     # i-carrying values render with an explicit i factor
     assert "i" in format_qqi(QQi(0, 1))
+
+
+# -- the fraction-free state against a reference of Fraction pairs -------
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_div(x, y):
+    den = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / den, (x[1] * y[0] - x[0] * y[1]) / den)
+
+
+def ref_pow(x, k):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = ref_mul(out, x)
+    return out
+
+
+def assert_matches(q, ref):
+    a, b, d = q._v
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (q.re, q.im) == ref
+    assert q == QQi(*ref) and hash(q) == hash(QQi(*ref))
+
+
+@given(pairs, pairs, st.integers(min_value=0, max_value=5))
+def test_arithmetic_matches_fraction_pairs(x, y, k):
+    p, q = QQi(*x), QQi(*y)
+    assert_matches(p, x)
+    assert_matches(p + q, (x[0] + y[0], x[1] + y[1]))
+    assert_matches(p - q, (x[0] - y[0], x[1] - y[1]))
+    assert_matches(-p, (-x[0], -x[1]))
+    assert_matches(p * q, ref_mul(x, y))
+    assert_matches(p ** k, ref_pow(x, k))
+    assert_matches(p.conj(), (x[0], -x[1]))
+    if y != (0, 0):
+        assert_matches(p / q, ref_div(x, y))
+
+
+@given(pairs, st.integers(min_value=-9, max_value=9), unreduced())
+def test_mixed_operands_match_fraction_pairs(x, n, f):
+    p = QQi(*x)
+    assert_matches(p + n, (x[0] + n, x[1]))
+    assert_matches(n - p, (n - x[0], -x[1]))
+    assert_matches(f * p, (f * x[0], f * x[1]))
+    assert (QQi(f) == f) and (QQi(n) == n) and (QQi(f, 1) != f)
+
+
+def test_equal_values_have_equal_state():
+    half = QQi(Fraction(2, 4))
+    assert half._v == QQi(Fraction(1, 2))._v == (1, 0, 2)
+    assert half == QQi(Fraction(1, 2)) and hash(half) == hash(QQi(Fraction(1, 2)))
+    assert QQi(Fraction(3, -6), Fraction(4, 8)) == QQi(Fraction(-1, 2), Fraction(1, 2))
+    assert QQi(Fraction(1, 6), Fraction(1, 4))._v == (2, 3, 12)
+    assert (QQi(Fraction(1, 2)) + QQi(Fraction(1, 2)))._v == (1, 0, 1)
+    assert QQi(Fraction(6, 4)) == Fraction(3, 2) and QQi(Fraction(4, 2)) == 2

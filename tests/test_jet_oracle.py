@@ -2,12 +2,14 @@
 
 import ast
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import carlemanlab.jetoracle as jetoracle
-from carlemanlab.exprs import C, Context, ExprError, Pow, conj, d_t, d_x, ito_d
+from carlemanlab.exact import QQi
+from carlemanlab.exprs import C, Const, Context, ExprError, Pow, conj, d_t, d_x, ito_d
 from carlemanlab.identity import build_case
 from carlemanlab.jetoracle import P, JetAssignment, _Eval, _layout, eval_jet_many
 
@@ -183,3 +185,14 @@ def test_oracle_imports_nothing_from_the_canonicalizer():
     for name in imported:
         parts = name.split(".")
         assert "exact" not in parts and "canonical" not in parts, name
+
+
+def test_constants_enter_the_oracle_through_their_parts():
+    # the oracle reads a constant only by its re / im Fractions; a
+    # denominator of 6 maps to the inverse of 6 in F_p (Fermat)
+    value = QQi(Fraction(5, 6), Fraction(-7, 6))
+    inv6 = pow(6, P - 2, P)
+    want = (5 * inv6 % P, -7 * inv6 % P)
+    assert (jetoracle._fp(value.re), jetoracle._fp(value.im)) == want
+    (v,) = eval_jet_many(Const(value), JetAssignment(Context(1), 0), [0])
+    assert v.value == want and v.dt == (0, 0) and v.dB == (0, 0)
