@@ -97,8 +97,11 @@ def _mono_mul(m1, m2, ctx: Context):
         return None
     if ndb == 2:
         ndt, ndb = 1, 0
-    if ctx.null_pairs and ctx.annihilates([k[1] for k, _ in out]):
-        return None
+    partners = ctx.null_partners
+    if partners:
+        names = [k[1] for k, _ in out if k[1] in partners]
+        if names and ctx.annihilates(names):
+            return None
     if ndt:
         out.append((DT_KEY, ndt))
     if ndb:

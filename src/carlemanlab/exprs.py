@@ -55,7 +55,8 @@ class Context:
     n is the spatial dimension (1..3).  null_pairs lists, in declaration
     order, the pairs of real-scalar symbol names whose product vanishes:
     the canonicalizer rewrites such products to zero, and the jet oracle
-    gives one name of each pair the zero jet.
+    gives one name of each pair the zero jet.  null_partners maps each
+    name of a null pair to the names it is paired with.
     """
 
     def __init__(self, n: int):
@@ -64,6 +65,7 @@ class Context:
         self.n = n
         self.symbols: dict[str, FieldSymbol] = {}
         self.null_pairs: list[tuple[str, str]] = []
+        self.null_partners: dict[str, set[str]] = {}
 
     # -- declarations ------------------------------------------------
 
@@ -168,12 +170,24 @@ class Context:
             if sym.kind != "real-scalar":
                 raise ExprError("null pairs are only supported for real scalars")
         self.null_pairs.append((name_a, name_b))
+        self.null_partners.setdefault(name_a, set()).add(name_b)
+        self.null_partners.setdefault(name_b, set()).add(name_a)
+
+    def clear_null_pairs(self) -> None:
+        self.null_pairs.clear()
+        self.null_partners.clear()
 
     def annihilates(self, names: Iterable[str]) -> bool:
-        if not self.null_pairs:
-            return False
-        names = set(names)
-        return any(a in names and b in names for a, b in self.null_pairs)
+        """Whether names include both names of some null pair."""
+        partners = self.null_partners
+        seen = []
+        for name in names:
+            mates = partners.get(name)
+            if mates is not None:
+                if name in mates or not mates.isdisjoint(seen):
+                    return True
+                seen.append(name)
+        return False
 
     def sym(self, name: str) -> "Expr":
         try:

@@ -35,7 +35,7 @@ from functools import partial
 
 from .canonical import CanonicalForm, canonicalize
 from .exprs import C, Context, DT, Expr, I, conj, d_t, d_x, esum, im, ito_d, re
-from .jetoracle import JetAssignment, JetValue, eval_jet_many
+from .jetoracle import JetValue, eval_jet_many
 
 REGIMES = ("R1", "R2", "R3", "raw")
 
@@ -436,7 +436,7 @@ def constraint_monomials(spec: OperatorSpec) -> tuple[IdentityResidual, bool]:
     if spec.regime != "raw":
         raise SpecError("constraint inspection applies to the raw regime")
     ws = make_theorem_workspace(spec)
-    ws.ctx.null_pairs.clear()
+    ws.ctx.clear_null_pairs()
     res = verify(_theorem_case(f"raw-unconstrained(n={spec.n})", ws))
     b0names = {f"b0{j}" for j in range(1, spec.n + 1)}
     ok = not res.zero
@@ -1009,9 +1009,11 @@ def numeric_residual(target, seed: int, assignments: int = 4, points: int = 5,
     """Exact jet evaluations of an identity residual.
 
     target is either an OperatorSpec (general identity) or a case id.
-    Each assignment is evaluated at points + 1 implicit base points, and
-    every base point draws all jets afresh, so the assignments * (points
-    + 1) values are independent draws.  For an intact identity every
+    Assignment i has seed seed + 101 i and is evaluated at points + 1
+    implicit base points; every (seed, base point) draw has all jets of
+    its own, so the assignments * (points + 1) values are independent
+    draws.  All of them are evaluated in one eval_jet_many call, which
+    walks the residual once.  For an intact identity every
     component of every value is exactly zero; a wrong one is missed by a
     draw with probability at most D/p, where D is the residual's degree
     in the jet coefficients and p = 2^61 - 1 (Schwartz-Zippel).
@@ -1021,8 +1023,6 @@ def numeric_residual(target, seed: int, assignments: int = 4, points: int = 5,
                         f"got {assignments} and {points}")
     case = _spec_case(target) if isinstance(target, OperatorSpec) else build_case(target)
     residual = case.lhs - (case.mutated_rhs if mutated else case.rhs)
-    out = []
-    for i in range(assignments):
-        out.extend(eval_jet_many(residual, JetAssignment(case.ctx, seed + 101 * i),
-                                 range(points + 1)))
-    return out
+    draws = [(seed + 101 * i, point)
+             for i in range(assignments) for point in range(points + 1)]
+    return eval_jet_many(residual, case.ctx, draws)

@@ -7,6 +7,12 @@ p = 2^61 - 1; since p = 3 mod 4, -1 is not a square mod p and F_p[i] is a
 field.  An expression evaluates to three elements of F_p[i] at the base
 point: the differential-free part and the dt and dB coefficients.
 
+One call evaluates B draws, each a (seed, base point) pair with jets of
+its own, in a single walk of the expression DAG: every jet coefficient
+is a list of B ints, one per draw.  The walk memoizes only the nodes it
+can reach more than once, so the jets of every other node are freed as
+soon as their parent has used them.
+
 A residual that is not identically zero is a nonzero polynomial of some
 degree D in the drawn coefficients, so by the Schwartz-Zippel lemma one
 draw misses it with probability at most D/p.
@@ -25,7 +31,7 @@ import functools
 import hashlib
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from typing import NamedTuple, Optional
 
 from .exprs import (
@@ -51,9 +57,14 @@ from .exprs import (
 P = (1 << 61) - 1
 
 # A jet is a pair (re, im) of coefficient lists in the graded monomial
-# order of a _Layout, or None for the zero jet.  A jet computed to order
-# k serves every order below k, since that order's coefficients are a
-# prefix of the lists.  An Ito triple is (plain, dt, dB) jets.
+# order of a _Layout, or None when it is zero in every draw.  A
+# coefficient is a list of B ints in [0, p), one per draw, or the int 0
+# when it is zero in every draw.  A jet computed to order k serves every
+# order below k, since that order's coefficients are a prefix of the
+# lists.  An Ito triple is (plain, dt, dB) jets.
+
+# Stands in for a coefficient that is zero in every draw inside zip().
+_ZERO = repeat(0)
 
 
 class _Layout:
@@ -97,18 +108,35 @@ def _fp(q) -> int:
     return q.numerator * pow(q.denominator, -1, P) % P
 
 
+def _lane_sum(cs):
+    """Sum of coefficients, draw by draw."""
+    cs = [c for c in cs if c]
+    if len(cs) < 2:
+        return cs[0] if cs else 0
+    if len(cs) == 2:
+        return [(x + y) % P for x, y in zip(*cs)]
+    return [sum(xs) % P for xs in zip(*cs)]
+
+
 def _add(n: int, jets) -> Optional[tuple]:
-    re, im, seen = [0] * n, [0] * n, False
-    for jet in jets:
-        if jet is not None:
-            seen = True
-            jr, ji = jet
-            for i in range(n):
-                re[i] += jr[i]
-                im[i] += ji[i]
-    if not seen:
-        return None
-    return [x % P for x in re], [x % P for x in im]
+    jets = [jet for jet in jets if jet is not None]
+    if len(jets) < 2:
+        return jets[0] if jets else None
+    return ([_lane_sum([jet[0][i] for jet in jets]) for i in range(n)],
+            [_lane_sum([jet[1][i] for jet in jets]) for i in range(n)])
+
+
+def _mac(ur, ui, xr, xi, yr, yi):
+    """(ur + i ui) + (xr + i xi)(yr + i yi), draw by draw, unreduced.
+
+    Any argument may be the zero coefficient 0, but not both parts of x
+    or both parts of y.
+    """
+    if not (xi or yi):
+        return [u + a * c for u, a, c in zip(ur or _ZERO, xr, yr)], ui
+    z = [v or _ZERO for v in (xr, xi, yr, yi)]
+    return ([u + a * c - b * d for u, a, b, c, d in zip(ur or _ZERO, *z)],
+            [u + a * d + b * c for u, a, b, c, d in zip(ui or _ZERO, *z)])
 
 
 def _mul(lay: _Layout, k: int, a, b) -> Optional[tuple]:
@@ -116,9 +144,6 @@ def _mul(lay: _Layout, k: int, a, b) -> Optional[tuple]:
     if a is None or b is None:
         return None
     (ar, ai), (br, bi) = a, b
-    if k == 0:
-        return ([(ar[0] * br[0] - ai[0] * bi[0]) % P],
-                [(ar[0] * bi[0] + ai[0] * br[0]) % P])
     n = lay.size[k]
     re, im = [0] * n, [0] * n
     size, deg, rows = lay.size, lay.deg, lay.rows
@@ -131,9 +156,9 @@ def _mul(lay: _Layout, k: int, a, b) -> Optional[tuple]:
             yr, yi = br[j], bi[j]
             if yr or yi:
                 t = row[j]
-                re[t] += xr * yr - xi * yi
-                im[t] += xr * yi + xi * yr
-    return [x % P for x in re], [x % P for x in im]
+                re[t], im[t] = _mac(re[t], im[t], xr, xi, yr, yi)
+    return ([c and [x % P for x in c] for c in re],
+            [c and [x % P for x in c] for c in im])
 
 
 def _diff(lay: _Layout, k: int, a, v: int) -> Optional[tuple]:
@@ -141,14 +166,18 @@ def _diff(lay: _Layout, k: int, a, v: int) -> Optional[tuple]:
     if a is None:
         return None
     src, fac = lay.dsrc[v], lay.dfac[v]
-    ar, ai = a
-    n = lay.size[k]
-    return ([ar[src[i]] * fac[i] % P for i in range(n)],
-            [ai[src[i]] * fac[i] % P for i in range(n)])
+    out = []
+    for part in a:
+        coeffs = []
+        for i in range(lay.size[k]):
+            c, f = part[src[i]], fac[i]
+            coeffs.append(c if f == 1 or not c else [x * f % P for x in c])
+        out.append(coeffs)
+    return tuple(out)
 
 
 def _conj(a):
-    return None if a is None else (a[0], [-x % P for x in a[1]])
+    return None if a is None else (a[0], [c and [-x % P for x in c] for c in a[1]])
 
 
 def _re(a):
@@ -180,20 +209,6 @@ class Gauss(NamedTuple):
 
 
 @dataclass(frozen=True)
-class JetAssignment:
-    """Where the jets of one assignment come from.
-
-    Every symbol of ctx draws its jet from a stream keyed by seed, the
-    base point and its name, so fresh interpreters agree.  Each null pair
-    of ctx is honoured by giving one of its names the zero jet: the
-    second name for an even seed, the first for an odd one.
-    """
-
-    ctx: Context
-    seed: int
-
-
-@dataclass(frozen=True)
 class JetValue:
     """Exact evaluation result: plain part plus dt and dB coefficients."""
 
@@ -206,17 +221,81 @@ class JetValue:
         return not any(self.value + self.dt + self.dB)
 
 
-class _Eval:
-    """One draw: the jets of every symbol at one base point, drawn lazily
-    to the order the expression asks for."""
+def _children(e: Expr) -> tuple:
+    if isinstance(e, Add):
+        return e.terms
+    if isinstance(e, Mul):
+        return e.factors
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, (Dx, Dt, DIto, Conj, RePart, ImPart)):
+        return (e.arg,)
+    return ()
 
-    def __init__(self, assignment: JetAssignment, point):
-        self.a = assignment
-        self.key = f"{assignment.seed}/{point}/"
-        self.n = assignment.ctx.n
-        self.zero = {pair[1 - assignment.seed % 2] for pair in assignment.ctx.null_pairs}
+
+def _shared_nodes(root: Expr) -> tuple[set, set]:
+    """The ids of the nodes that one walk from root can ask run for more
+    than once, and those it can ask dval for more than once: root, every
+    node asked for by two or more parents, every Pow base and every
+    rewrite expression of a symbol the walk meets."""
+    shared = ({id(root)}, set())
+    seen = ({id(root)}, set())
+    stack = [(root, False)]
+    while stack:
+        e, dval = stack.pop()
+        t = type(e)
+        if t is Sym:
+            kids, modes = e.sym.rewrites.values(), (False,)
+            shared[0].update(map(id, kids))
+        elif t is DIto:
+            kids, modes = (() if dval else (e.arg,)), (True,)
+        else:
+            kids, modes = _children(e), (dval,)
+            if t is Pow:
+                shared[0].add(id(e.base))
+                shared[1].add(id(e.base))
+            if dval and (t is Mul and len(kids) > 1 or t is Pow and e.exp > 1):
+                # d(uv) = u dv + v du + du dv reads both of every factor
+                modes = (False, True)
+        for c in kids:
+            for mode in modes:
+                if id(c) in seen[mode]:
+                    shared[mode].add(id(c))
+                else:
+                    seen[mode].add(id(c))
+                    stack.append((c, mode))
+    return shared
+
+
+def _contains_semimartingale(e: Expr) -> bool:
+    if isinstance(e, Sym):
+        return e.sym.semimartingale
+    return any(_contains_semimartingale(c) for c in _children(e))
+
+
+class _Eval:
+    """One walk of an expression DAG carrying B draws.
+
+    Draw b is a (seed, base point) pair.  Every symbol draws its jet in
+    draw b from a stream keyed by that seed and point and its name, so
+    fresh interpreters agree, lazily to the order the expression asks
+    for.  Each null pair of ctx is honoured draw by draw by giving one of
+    its names the zero jet: the second name for an even seed, the first
+    for an odd one.  run and dval memoize only the nodes that the walk
+    can ask them for more than once (see _shared_nodes).
+    """
+
+    def __init__(self, ctx: Context, draws, root: Expr):
+        self.n = ctx.n
+        self.keys = [f"{seed}/{point}/" for seed, point in draws]
+        # name -> per-draw flags, True where the draw zeroes the name
+        self.zero: dict[str, list] = {}
+        for b, (seed, _) in enumerate(draws):
+            for pair in ctx.null_pairs:
+                self.zero.setdefault(pair[1 - seed % 2], [False] * len(draws))[b] = True
         self.lay = _layout(self.n + 1, 4)
-        self.jets: dict[str, list] = {}  # name -> [order, re, im, rng]
+        self.jets: dict[str, list] = {}  # name -> [order, re, im, per-draw rng]
+        self.shared_run, self.shared_dval = _shared_nodes(root)
         self.memo: dict[int, tuple] = {}  # id -> (order, Ito triple)
         self.dmemo: dict[int, tuple] = {}  # id -> (order, (dt, dB))
 
@@ -229,7 +308,8 @@ class _Eval:
         if not (c[0] or c[1]):
             return None
         pad = [0] * (self._at(k).size[k] - 1)
-        return [c[0]] + pad, [c[1]] + pad
+        b = len(self.keys)
+        return [c[0] and [c[0]] * b] + pad, [c[1] and [c[1]] * b] + pad
 
     # -- symbol jets ----------------------------------------------------
 
@@ -237,20 +317,35 @@ class _Eval:
         """The jet of sym to order k.  A ruled direction v fixes the
         coefficient at every a with a_v > 0 as [rule_v]_(a - e_v) / a_v;
         the others are drawn, real for real symbols and constant for real
-        scalars."""
-        if sym.name in self.zero:
+        scalars.  A draw that zeroes sym has no stream and reads no rule:
+        every coefficient of sym is 0 there."""
+        mask = self.zero.get(sym.name)
+        if mask is not None and all(mask):
             return None
         st = self.jets.get(sym.name)
         if st is None:
-            digest = hashlib.sha256((self.key + sym.name).encode()).digest()
-            st = self.jets[sym.name] = [-1, [], [], random.Random(int.from_bytes(digest, "big"))]
-        done, re, im, rng = st
+            rngs = [None if mask and mask[b] else random.Random(int.from_bytes(
+                        hashlib.sha256((key + sym.name).encode()).digest(), "big"))
+                    for b, key in enumerate(self.keys)]
+            st = self.jets[sym.name] = [-1, [], [], rngs]
+        done, re, im, rngs = st
         if done >= k:
             return re, im
         lay = self._at(k)
         rules = sorted((self.n if key == ("t",) else key[1] - 1, rw)
                        for key, rw in sym.rewrites.items())
         constant = sym.kind == "real-scalar"
+
+        def draw():
+            return [0 if rng is None else rng.randrange(P) for rng in rngs]
+
+        def ruled_coeff(c, inv):
+            if not c:
+                return 0
+            if mask is None:
+                return c if inv == 1 else [x * inv % P for x in c]
+            return [0 if rng is None else x * inv % P for x, rng in zip(c, rngs)]
+
         for d in range(done + 1, k + 1):
             ruled = [(v, self.run(rw, d - 1)[0]) for v, rw in rules] if d else []
             for a in lay.monos[len(re):lay.size[d]]:
@@ -262,27 +357,30 @@ class _Eval:
                         else:
                             src = lay.index[a[:v] + (a[v] - 1,) + a[v + 1:]]
                             inv = pow(a[v], -1, P)
-                            re.append(rj[0][src] * inv % P)
-                            im.append(rj[1][src] * inv % P)
+                            re.append(ruled_coeff(rj[0][src], inv))
+                            im.append(ruled_coeff(rj[1][src], inv))
                         break
                 else:
                     if constant and d:
                         re.append(0)
                         im.append(0)
                     else:
-                        re.append(rng.randrange(P))
-                        im.append(0 if sym.real else rng.randrange(P))
+                        re.append(draw())
+                        im.append(0 if sym.real else draw())
             st[0] = d
         return re, im
 
     # -- plain/differential triple ------------------------------------
 
     def run(self, e: Expr, k: int):
-        hit = self.memo.get(id(e))
+        key = id(e)
+        if key not in self.shared_run:
+            return self._run(e, k)
+        hit = self.memo.get(key)
         if hit is not None and hit[0] >= k:
             return hit[1]
         out = self._run(e, k)
-        self.memo[id(e)] = (k, out)
+        self.memo[key] = (k, out)
         return out
 
     def _run(self, e: Expr, k: int):
@@ -306,9 +404,11 @@ class _Eval:
                 raise ExprError("time derivative applied over a semimartingale")
             return tuple(_diff(lay, k, c, self.n) for c in self.run(e.arg, k + 1))
         if isinstance(e, Pow):
-            out = (self._const(k, (1, 0)), None, None)
-            for _ in range(e.exp):
-                out = _ito_mul(lay, k, out, self.run(e.base, k))
+            if not e.exp:
+                return (self._const(k, (1, 0)), None, None)
+            base = out = self.run(e.base, k)
+            for _ in range(e.exp - 1):
+                out = _ito_mul(lay, k, out, base)
             return out
         if isinstance(e, DtAtom):
             return (None, self._const(k, (1, 0)), None)
@@ -327,11 +427,14 @@ class _Eval:
     # -- Ito differential of a differential-free expression -------------
 
     def dval(self, e: Expr, k: int):
-        hit = self.dmemo.get(id(e))
+        key = id(e)
+        if key not in self.shared_dval:
+            return self._dval(e, k)
+        hit = self.dmemo.get(key)
         if hit is not None and hit[0] >= k:
             return hit[1]
         out = self._dval(e, k)
-        self.dmemo[id(e)] = (k, out)
+        self.dmemo[key] = (k, out)
         return out
 
     def _dval(self, e: Expr, k: int):
@@ -355,7 +458,7 @@ class _Eval:
             parts = [self.dval(t, k) for t in e.terms]
             return tuple(_add(lay.size[k], [p[c] for p in parts]) for c in range(2))
         if isinstance(e, Mul):
-            return self._dval_product(list(e.factors), k)
+            return self._dval_product(e.factors, k)
         if isinstance(e, Pow):
             return self._dval_product([e.base] * e.exp, k)
         if isinstance(e, Dx):
@@ -370,51 +473,50 @@ class _Eval:
             return tuple(_im(c) for c in self.dval(e.arg, k))
         raise ExprError(f"cannot apply d() over node {type(e).__name__}")
 
-    def _dval_product(self, factors: list[Expr], k: int):
+    def _dval_product(self, factors, k: int):
+        """d of a product, folded from the left: d(uv) = u dv + v du + du dv,
+        with du dv = (dB parts) dt.  Each factor's run and dval is read
+        once."""
         if not factors:
             return (None, None)
-        head, rest = factors[0], factors[1:]
-        hdt, hdb = self.dval(head, k)
-        if not rest:
-            return (hdt, hdb)
+        udt, udb = self.dval(factors[0], k)
+        if len(factors) == 1:
+            return (udt, udb)
         lay = self._at(k)
-        rdt, rdb = self._dval_product(rest, k)
-        hp = self.run(head, k)[0]
-        rp = self.run(rest[0], k)[0]
-        for f in rest[1:]:
-            rp = _mul(lay, k, rp, self.run(f, k)[0])
-        # d(uv) = u dv + v du + du dv, with du dv = (dB parts) dt
         n = lay.size[k]
-        out_dt = _add(n, (_mul(lay, k, hp, rdt), _mul(lay, k, rp, hdt), _mul(lay, k, hdb, rdb)))
-        out_db = _add(n, (_mul(lay, k, hp, rdb), _mul(lay, k, rp, hdb)))
-        return (out_dt, out_db)
+        up = self.run(factors[0], k)[0]
+        for i, f in enumerate(factors[1:], start=2):
+            fp = self.run(f, k)[0]
+            fdt, fdb = self.dval(f, k)
+            udt, udb = (
+                _add(n, (_mul(lay, k, up, fdt), _mul(lay, k, fp, udt), _mul(lay, k, udb, fdb))),
+                _add(n, (_mul(lay, k, up, fdb), _mul(lay, k, fp, udb))),
+            )
+            if i < len(factors):
+                up = _mul(lay, k, up, fp)
+        return (udt, udb)
 
 
-def _contains_semimartingale(e: Expr) -> bool:
-    if isinstance(e, Sym):
-        return e.sym.semimartingale
-    if isinstance(e, (Add, Mul)):
-        kids = e.terms if isinstance(e, Add) else e.factors
-        return any(_contains_semimartingale(k) for k in kids)
-    if isinstance(e, Pow):
-        return _contains_semimartingale(e.base)
-    if isinstance(e, (Dx, Dt, DIto, Conj, RePart, ImPart)):
-        return _contains_semimartingale(e.arg)
-    return False
+def _values(triple, b: int) -> list[JetValue]:
+    """The order-0 coefficient of each part of a triple, one value per draw."""
+    parts = []
+    for c in triple:
+        re, im = (None, None) if c is None else (c[0][0], c[1][0])
+        parts.append([Gauss(*g) for g in zip(re or [0] * b, im or [0] * b)])
+    return [JetValue(*v) for v in zip(*parts)]
 
 
-def eval_jet_many(expr: Expr, assignment: JetAssignment, points) -> list[JetValue]:
-    """Evaluate expr once per base point in points.
+def eval_jet_many(expr: Expr, ctx: Context, draws) -> list[JetValue]:
+    """Evaluate expr at every (seed, base point) pair of draws.
 
-    Each base point draws every symbol's jet afresh (its stream is keyed
-    by the assignment's seed, the point and the symbol's name), so the
-    values are independent draws.  Returns the plain value and the dt and
-    dB coefficients at each base point; for a verified identity residual
-    all three are exactly zero.
+    Each draw has every symbol's jet of its own, from a stream keyed by
+    its seed, its point and the symbol's name, so the values are
+    independent draws; all of them are evaluated in one walk of expr.
+    Returns, per draw and in the order of draws, the plain value and the
+    dt and dB coefficients at the base point; for a verified identity
+    residual all three are exactly zero.
     """
-    out = []
-    for point in points:
-        triple = _Eval(assignment, point).run(expr, 0)
-        out.append(JetValue(*(Gauss(0, 0) if c is None else Gauss(c[0][0], c[1][0])
-                              for c in triple)))
-    return out
+    draws = list(draws)
+    if not draws:
+        return []
+    return _values(_Eval(ctx, draws, expr).run(expr, 0), len(draws))

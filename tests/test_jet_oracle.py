@@ -11,7 +11,7 @@ import carlemanlab.jetoracle as jetoracle
 from carlemanlab.exact import QQi
 from carlemanlab.exprs import C, Const, Context, ExprError, Pow, conj, d_t, d_x, ito_d
 from carlemanlab.identity import build_case
-from carlemanlab.jetoracle import P, JetAssignment, _Eval, _layout, eval_jet_many
+from carlemanlab.jetoracle import P, _Eval, _layout, eval_jet_many
 
 from strategies import make_context, random_plain_expr
 
@@ -23,18 +23,24 @@ def gmul(a, b):
 def pinned_value(expr, ctx, jets, order=4):
     """The value of expr when each named symbol has the given Taylor
     coefficients at the base point ({exponents: (re, im)}, zero elsewhere)."""
-    ev = _Eval(JetAssignment(ctx, 0), 0)
+    ev = _Eval(ctx, [(0, 0)], expr)
     lay = _layout(ctx.n + 1, order)
     for name, coeffs in jets.items():
         re, im = [0] * lay.size[order], [0] * lay.size[order]
         for exps, (r, i) in coeffs.items():
-            re[lay.index[exps]], im[lay.index[exps]] = r % P, i % P
+            re[lay.index[exps]], im[lay.index[exps]] = [r % P], [i % P]
         ev.jets[name] = [order, re, im, None]
     return ev.run(expr, 0)
 
 
 def value_of(triple):
-    return [(0, 0) if c is None else (c[0][0], c[1][0]) for c in triple]
+    # a coefficient is a list with one entry per draw, or 0 in every draw
+    return [(0, 0) if c is None else ((c[0][0] or [0])[0], (c[1][0] or [0])[0])
+            for c in triple]
+
+
+def draws(seed, points):
+    return [(seed, point) for point in points]
 
 
 def test_linear_semimartingale_value():
@@ -65,16 +71,15 @@ def test_ito_jets_of_product():
     drift = p * conj(z) + conj(p) * z + q * conj(q)
     noise = q * conj(z) + conj(q) * z
     for seed in (3, 17, 40):
-        a = JetAssignment(ctx, seed)
-        points = range(3)
-        for got, want_dt, want_db in zip(eval_jet_many(target, a, points),
-                                         eval_jet_many(drift, a, points),
-                                         eval_jet_many(noise, a, points)):
+        a = draws(seed, range(3))
+        for got, want_dt, want_db in zip(eval_jet_many(target, ctx, a),
+                                         eval_jet_many(drift, ctx, a),
+                                         eval_jet_many(noise, ctx, a)):
             assert got.value == (0, 0)
             assert (got.dt, got.dB) == (want_dt.value, want_db.value)
             assert got.dt != (0, 0)
     with pytest.raises(ExprError, match="over a semimartingale"):
-        eval_jet_many(d_t(z), JetAssignment(ctx, 3), [0])
+        eval_jet_many(d_t(z), ctx, draws(3, [0]))
 
 
 def test_multiplicativity_on_plain_expressions():
@@ -83,8 +88,8 @@ def test_multiplicativity_on_plain_expressions():
     for seed in range(12):
         u = random_plain_expr(ctx, rng, 3)
         v = random_plain_expr(ctx, rng, 3)
-        a = JetAssignment(ctx, 100 + seed)
-        (vu,), (vv,), (vp,) = (eval_jet_many(x, a, [seed]) for x in (u, v, u * v))
+        a = draws(100 + seed, [seed])
+        (vu,), (vv,), (vp,) = (eval_jet_many(x, ctx, a) for x in (u, v, u * v))
         assert vp.value == gmul(vu.value, vv.value)
 
 
@@ -92,9 +97,9 @@ def test_linearity():
     ctx = make_context(2)
     rng = random.Random(9)
     u = random_plain_expr(ctx, rng, 4)
-    a = JetAssignment(ctx, 5)
-    for single, double in zip(eval_jet_many(u, a, range(4)),
-                              eval_jet_many(u + u, a, range(4))):
+    a = draws(5, range(4))
+    for single, double in zip(eval_jet_many(u, ctx, a),
+                              eval_jet_many(u + u, ctx, a)):
         assert double.value == (2 * single.value.re % P, 2 * single.value.im % P)
 
 
@@ -102,8 +107,8 @@ def test_conjugation_consistency():
     ctx = make_context(2)
     rng = random.Random(23)
     u = random_plain_expr(ctx, rng, 4)
-    a = JetAssignment(ctx, 6)
-    (plain,), (conjugate,) = (eval_jet_many(x, a, [7]) for x in (u, conj(u)))
+    a = draws(6, [7])
+    (plain,), (conjugate,) = (eval_jet_many(x, ctx, a) for x in (u, conj(u)))
     assert conjugate.value == (plain.value.re, -plain.value.im % P)
 
 
@@ -111,9 +116,9 @@ def test_random_assignment_deterministic():
     # a draw depends only on the seed, the base point and the names
     ctx = make_context(2)
     e = d_x(ctx.sym("ell"), 1) * ctx.sym("Phi") + ctx.sym("z") * ctx.sym("lam")
-    a = eval_jet_many(e, JetAssignment(ctx, 42), range(3))
-    b = eval_jet_many(e, JetAssignment(make_context(2), 42), range(3))
-    c = eval_jet_many(e, JetAssignment(ctx, 43), range(3))
+    a = eval_jet_many(e, ctx, draws(42, range(3)))
+    b = eval_jet_many(e, make_context(2), draws(42, range(3)))
+    c = eval_jet_many(e, ctx, draws(43, range(3)))
     assert a == b
     assert a != c
     assert len({v.value for v in a}) == 3
@@ -121,16 +126,16 @@ def test_random_assignment_deterministic():
 
 def test_real_symbols_get_real_polynomials():
     ctx = make_context(2)
-    a = JetAssignment(ctx, 12)
     for name, sym in ctx.symbols.items():
         s = ctx.sym(name)
         for e in (s, d_x(s, 1), d_x(d_x(s, 2), 1)):
-            (v,) = eval_jet_many(e, a, [0])
+            (v,) = eval_jet_many(e, ctx, draws(12, [0]))
             assert (v.value.im == 0) == sym.real, name
     # scalars are constants
     lam = ctx.sym("lam")
-    assert all(v.is_zero for v in eval_jet_many(d_x(lam, 1) + d_t(lam), a, range(3)))
-    assert not any(v.is_zero for v in eval_jet_many(lam, a, range(3)))
+    a = draws(12, range(3))
+    assert all(v.is_zero for v in eval_jet_many(d_x(lam, 1) + d_t(lam), ctx, a))
+    assert not any(v.is_zero for v in eval_jet_many(lam, ctx, a))
 
 
 def test_rewrite_field_jet_satisfies_its_rules():
@@ -146,8 +151,8 @@ def test_rewrite_field_jet_satisfies_its_rules():
         d_t(d_t(d_t(phi))) - C(27) * mu * mu * mu * phi,
     ]
     for e in rules:
-        assert all(v.is_zero for v in eval_jet_many(e, JetAssignment(ctx, 8), range(5)))
-    assert not any(v.is_zero for v in eval_jet_many(phi, JetAssignment(ctx, 8), range(5)))
+        assert all(v.is_zero for v in eval_jet_many(e, ctx, draws(8, range(5))))
+    assert not any(v.is_zero for v in eval_jet_many(phi, ctx, draws(8, range(5))))
 
 
 def test_rules_are_what_make_the_ginzburg_landau_residual_vanish():
@@ -155,10 +160,10 @@ def test_rules_are_what_make_the_ginzburg_landau_residual_vanish():
     # the intact identity no longer holds at the draw
     case = build_case("ginzburg_landau")
     residual = case.lhs - case.rhs
-    a = JetAssignment(case.ctx, 3)
-    assert all(v.is_zero for v in eval_jet_many(residual, a, range(2)))
+    a = draws(3, range(2))
+    assert all(v.is_zero for v in eval_jet_many(residual, case.ctx, a))
     case.ctx.symbols["phi"].rewrites.clear()
-    assert not any(v.is_zero for v in eval_jet_many(residual, a, range(2)))
+    assert not any(v.is_zero for v in eval_jet_many(residual, case.ctx, a))
 
 
 def test_null_pairs_are_honoured_by_every_assignment():
@@ -168,9 +173,9 @@ def test_null_pairs_are_honoured_by_every_assignment():
     p, q = ctx.real_scalar("p"), ctx.real_scalar("q")
     ctx.declare_null_pair("p", "q")
     for seed in range(20):
-        a = JetAssignment(ctx, seed)
-        assert all(v.is_zero for v in eval_jet_many(p * q, a, range(2))), seed
-        assert not any(v.is_zero for v in eval_jet_many(p + q, a, range(2))), seed
+        a = draws(seed, range(2))
+        assert all(v.is_zero for v in eval_jet_many(p * q, ctx, a)), seed
+        assert not any(v.is_zero for v in eval_jet_many(p + q, ctx, a)), seed
 
 
 def test_oracle_imports_nothing_from_the_canonicalizer():
@@ -194,5 +199,48 @@ def test_constants_enter_the_oracle_through_their_parts():
     inv6 = pow(6, P - 2, P)
     want = (5 * inv6 % P, -7 * inv6 % P)
     assert (jetoracle._fp(value.re), jetoracle._fp(value.im)) == want
-    (v,) = eval_jet_many(Const(value), JetAssignment(Context(1), 0), [0])
+    (v,) = eval_jet_many(Const(value), Context(1), draws(0, [0]))
     assert v.value == want and v.dt == (0, 0) and v.dB == (0, 0)
+
+
+# Draws of both seed parities, so each null pair zeroes its first name in
+# some draws and its second in others.
+MIXED = [(seed, point) for seed in (2, 3, 10, 11) for point in (0, 1)]
+
+
+def one_at_a_time(expr, ctx, points):
+    return [v for point in points for v in eval_jet_many(expr, ctx, [point])]
+
+
+def test_batched_draws_match_draws_one_at_a_time():
+    # lam and s are zeroed in odd-seed draws and mu in even ones; s has a
+    # time rule that does not vanish with it, so its ruled coefficients
+    # must be masked draw by draw
+    ctx = make_context(2)
+    mu, s = ctx.real_scalar("mu"), ctx.real_scalar("s")
+    ctx.set_rewrite("s", "t", C(3) * ctx.sym("ell"))
+    ctx.declare_null_pair("lam", "mu")
+    ctx.declare_null_pair("s", "mu")
+    rng = random.Random(404)
+    for _ in range(12):
+        u, v, w = (random_plain_expr(ctx, rng, 3) for _ in range(3))
+        e = u * v + mu * w + d_t(s) * u + ito_d(u * s)
+        assert eval_jet_many(e, ctx, MIXED) == one_at_a_time(e, ctx, MIXED)
+    masked = eval_jet_many(d_t(s), ctx, MIXED)
+    assert [v.is_zero for v in masked] == [seed % 2 == 1 for seed, _ in MIXED]
+
+
+@pytest.mark.parametrize("mutated", [False, True])
+def test_batched_rule_derived_jets_match_draws_one_at_a_time(mutated):
+    # phi's jet comes from its rules, derived order by order for all
+    # draws at once
+    case = build_case("ginzburg_landau")
+    residual = case.lhs - (case.mutated_rhs if mutated else case.rhs)
+    batched = eval_jet_many(residual, case.ctx, MIXED)
+    assert batched == one_at_a_time(residual, case.ctx, MIXED)
+    assert all(v.is_zero for v in batched) != mutated
+
+
+def test_no_draws_give_no_values():
+    ctx = make_context(1)
+    assert eval_jet_many(ctx.sym("z") * ctx.sym("ell"), ctx, []) == []
