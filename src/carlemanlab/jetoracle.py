@@ -139,26 +139,53 @@ def _mac(ur, ui, xr, xi, yr, yi):
             [u + a * d + b * c for u, a, b, c, d in zip(ui or _ZERO, *z)])
 
 
-def _mul(lay: _Layout, k: int, a, b) -> Optional[tuple]:
-    """Product of two jets, truncated at order k."""
-    if a is None or b is None:
-        return None
-    (ar, ai), (br, bi) = a, b
+def _dot(terms):
+    """The sum of the products x y over terms (xr, xi, yr, yi), draw by
+    draw and reduced.  Most sums have one term, or two real ones, and
+    take one pass over the draws per part."""
+    if len(terms) == 1:
+        xr, xi, yr, yi = terms[0]
+        if not (xi or yi):
+            return [a * c % P for a, c in zip(xr, yr)], 0
+        z = [v or _ZERO for v in terms[0]]
+        return ([(a * c - b * d) % P for a, b, c, d in zip(*z)],
+                [(a * d + b * c) % P for a, b, c, d in zip(*z)])
+    if len(terms) == 2 and not (terms[0][1] or terms[0][3] or terms[1][1] or terms[1][3]):
+        (xr, _, yr, _), (ur, _, vr, _) = terms
+        return [(a * c + e * g) % P for a, c, e, g in zip(xr, yr, ur, vr)], 0
+    re = im = 0
+    for xr, xi, yr, yi in terms:
+        re, im = _mac(re, im, xr, xi, yr, yi)
+    return re and [x % P for x in re], im and [x % P for x in im]
+
+
+def _mul(lay: _Layout, k: int, *pairs) -> Optional[tuple]:
+    """The sum of the products a b of the jet pairs (a, b), truncated at
+    order k."""
     n = lay.size[k]
-    re, im = [0] * n, [0] * n
     size, deg, rows = lay.size, lay.deg, lay.rows
-    for i in range(n):
-        xr, xi = ar[i], ai[i]
-        if not (xr or xi):
+    # the nonzero coefficient products that land on each monomial
+    terms = [[] for _ in range(n)]
+    for a, b in pairs:
+        if a is None or b is None:
             continue
-        row = rows[i]
-        for j in range(size[k - deg[i]]):
-            yr, yi = br[j], bi[j]
-            if yr or yi:
-                t = row[j]
-                re[t], im[t] = _mac(re[t], im[t], xr, xi, yr, yi)
-    return ([c and [x % P for x in c] for c in re],
-            [c and [x % P for x in c] for c in im])
+        (ar, ai), (br, bi) = a, b
+        for i in range(n):
+            xr, xi = ar[i], ai[i]
+            if not (xr or xi):
+                continue
+            row = rows[i]
+            for j in range(size[k - deg[i]]):
+                yr, yi = br[j], bi[j]
+                if yr or yi:
+                    terms[row[j]].append((xr, xi, yr, yi))
+    if not any(terms):
+        return None
+    re, im = [0] * n, [0] * n
+    for t in range(n):
+        if terms[t]:
+            re[t], im[t] = _dot(terms[t])
+    return re, im
 
 
 def _diff(lay: _Layout, k: int, a, v: int) -> Optional[tuple]:
@@ -193,11 +220,11 @@ def _ito_mul(lay: _Layout, k: int, u, v):
     p, qt, qb = u
     fp, ft, fb = v
     if qt is None and qb is None and ft is None and fb is None:
-        return (_mul(lay, k, p, fp), None, None)
+        return (_mul(lay, k, (p, fp)), None, None)
     return (
-        _mul(lay, k, p, fp),
-        _add(lay.size[k], (_mul(lay, k, p, ft), _mul(lay, k, qt, fp), _mul(lay, k, qb, fb))),
-        _add(lay.size[k], (_mul(lay, k, p, fb), _mul(lay, k, qb, fp))),
+        _mul(lay, k, (p, fp)),
+        _mul(lay, k, (p, ft), (qt, fp), (qb, fb)),
+        _mul(lay, k, (p, fb), (qb, fp)),
     )
 
 
@@ -257,12 +284,14 @@ def _shared_nodes(root: Expr) -> tuple[set, set]:
             if dval and (t is Mul and len(kids) > 1 or t is Pow and e.exp > 1):
                 # d(uv) = u dv + v du + du dv reads both of every factor
                 modes = (False, True)
-        for c in kids:
-            for mode in modes:
-                if id(c) in seen[mode]:
-                    shared[mode].add(id(c))
+        for mode in modes:
+            s, hit = seen[mode], shared[mode]
+            for c in kids:
+                i = id(c)
+                if i in s:
+                    hit.add(i)
                 else:
-                    seen[mode].add(id(c))
+                    s.add(i)
                     stack.append((c, mode))
     return shared
 
@@ -483,17 +512,14 @@ class _Eval:
         if len(factors) == 1:
             return (udt, udb)
         lay = self._at(k)
-        n = lay.size[k]
         up = self.run(factors[0], k)[0]
         for i, f in enumerate(factors[1:], start=2):
             fp = self.run(f, k)[0]
             fdt, fdb = self.dval(f, k)
-            udt, udb = (
-                _add(n, (_mul(lay, k, up, fdt), _mul(lay, k, fp, udt), _mul(lay, k, udb, fdb))),
-                _add(n, (_mul(lay, k, up, fdb), _mul(lay, k, fp, udb))),
-            )
+            udt, udb = (_mul(lay, k, (up, fdt), (fp, udt), (udb, fdb)),
+                        _mul(lay, k, (up, fdb), (fp, udb)))
             if i < len(factors):
-                up = _mul(lay, k, up, fp)
+                up = _mul(lay, k, (up, fp))
         return (udt, udb)
 
 
