@@ -110,7 +110,7 @@ def _fp(q) -> int:
 
 def _lane_sum(cs):
     """Sum of coefficients, draw by draw."""
-    cs = [c for c in cs if c]
+    cs = list(filter(None, cs))
     if len(cs) < 2:
         return cs[0] if cs else 0
     if len(cs) == 2:
@@ -122,8 +122,8 @@ def _add(n: int, jets) -> Optional[tuple]:
     jets = [jet for jet in jets if jet is not None]
     if len(jets) < 2:
         return jets[0] if jets else None
-    return ([_lane_sum([jet[0][i] for jet in jets]) for i in range(n)],
-            [_lane_sum([jet[1][i] for jet in jets]) for i in range(n)])
+    return tuple([_lane_sum(cs) for cs in zip(*[jet[part][:n] for jet in jets])]
+                 for part in (0, 1))
 
 
 def _mac(ur, ui, xr, xi, yr, yi):
@@ -134,7 +134,7 @@ def _mac(ur, ui, xr, xi, yr, yi):
     """
     if not (xi or yi):
         return [u + a * c for u, a, c in zip(ur or _ZERO, xr, yr)], ui
-    z = [v or _ZERO for v in (xr, xi, yr, yi)]
+    z = (xr or _ZERO, xi or _ZERO, yr or _ZERO, yi or _ZERO)
     return ([u + a * c - b * d for u, a, b, c, d in zip(ur or _ZERO, *z)],
             [u + a * d + b * c for u, a, b, c, d in zip(ui or _ZERO, *z)])
 
@@ -147,7 +147,7 @@ def _dot(terms):
         xr, xi, yr, yi = terms[0]
         if not (xi or yi):
             return [a * c % P for a, c in zip(xr, yr)], 0
-        z = [v or _ZERO for v in terms[0]]
+        z = (xr or _ZERO, xi or _ZERO, yr or _ZERO, yi or _ZERO)
         return ([(a * c - b * d) % P for a, b, c, d in zip(*z)],
                 [(a * d + b * c) % P for a, b, c, d in zip(*z)])
     if len(terms) == 2 and not (terms[0][1] or terms[0][3] or terms[1][1] or terms[1][3]):
@@ -165,7 +165,7 @@ def _mul(lay: _Layout, k: int, *pairs) -> Optional[tuple]:
     n = lay.size[k]
     size, deg, rows = lay.size, lay.deg, lay.rows
     # the nonzero coefficient products that land on each monomial
-    terms = [[] for _ in range(n)]
+    terms = [None] * n
     for a, b in pairs:
         if a is None or b is None:
             continue
@@ -178,7 +178,11 @@ def _mul(lay: _Layout, k: int, *pairs) -> Optional[tuple]:
             for j in range(size[k - deg[i]]):
                 yr, yi = br[j], bi[j]
                 if yr or yi:
-                    terms[row[j]].append((xr, xi, yr, yi))
+                    t = row[j]
+                    if terms[t] is None:
+                        terms[t] = [(xr, xi, yr, yi)]
+                    else:
+                        terms[t].append((xr, xi, yr, yi))
     if not any(terms):
         return None
     re, im = [0] * n, [0] * n
