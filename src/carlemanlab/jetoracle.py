@@ -141,27 +141,39 @@ def _mac(ur, ui, xr, xi, yr, yi):
 
 def _dot(terms):
     """The sum of the products x y over terms (xr, xi, yr, yi), draw by
-    draw and reduced.  Most sums have one term, or two real ones, and
-    take one pass over the draws per part."""
+    draw and reduced.  Most sums have one or two terms, and take one pass
+    over the draws per part."""
+    if len(terms) > 2:
+        re = im = 0
+        for xr, xi, yr, yi in terms:
+            re, im = _mac(re, im, xr, xi, yr, yi)
+        return re and [x % P for x in re], im and [x % P for x in im]
+    first, last = terms[0], terms[-1]
+    if not (first[1] or first[3] or last[1] or last[3]):
+        if len(terms) == 1:
+            return [a * c % P for a, c in zip(first[0], first[2])], 0
+        return [(a * c + e * g) % P for a, c, e, g in zip(first[0], first[2],
+                                                          last[0], last[2])], 0
+    z = [v or _ZERO for term in terms for v in term]
     if len(terms) == 1:
-        xr, xi, yr, yi = terms[0]
-        if not (xi or yi):
-            return [a * c % P for a, c in zip(xr, yr)], 0
-        z = (xr or _ZERO, xi or _ZERO, yr or _ZERO, yi or _ZERO)
         return ([(a * c - b * d) % P for a, b, c, d in zip(*z)],
                 [(a * d + b * c) % P for a, b, c, d in zip(*z)])
-    if len(terms) == 2 and not (terms[0][1] or terms[0][3] or terms[1][1] or terms[1][3]):
-        (xr, _, yr, _), (ur, _, vr, _) = terms
-        return [(a * c + e * g) % P for a, c, e, g in zip(xr, yr, ur, vr)], 0
-    re = im = 0
-    for xr, xi, yr, yi in terms:
-        re, im = _mac(re, im, xr, xi, yr, yi)
-    return re and [x % P for x in re], im and [x % P for x in im]
+    return ([(a * c - b * d + e * g - f * h) % P for a, b, c, d, e, f, g, h in zip(*z)],
+            [(a * d + b * c + e * h + f * g) % P for a, b, c, d, e, f, g, h in zip(*z)])
 
 
 def _mul(lay: _Layout, k: int, *pairs) -> Optional[tuple]:
     """The sum of the products a b of the jet pairs (a, b), truncated at
     order k."""
+    if k == 0:
+        # one coefficient per jet, so every product lands on it
+        terms = [(a[0][0], a[1][0], b[0][0], b[1][0]) for a, b in pairs
+                 if a is not None and b is not None
+                 and (a[0][0] or a[1][0]) and (b[0][0] or b[1][0])]
+        if not terms:
+            return None
+        re, im = _dot(terms)
+        return [re], [im]
     n = lay.size[k]
     size, deg, rows = lay.size, lay.deg, lay.rows
     # the nonzero coefficient products that land on each monomial
