@@ -160,8 +160,8 @@ def run_carleman_gl(cfg) -> tuple[list, list]:
         paths = sim.brownian(cfg.paths, cfg.Nt, streams[2 * i + 1],
                              dt=grid.dt)
         sol = sim.solve_gl_forward(problem, grid, paths)
-        for per_mu, gw in zip(reps, gws):
-            per_mu.append(sim.carleman_gl_check(sol, gw, cfg.delta))
+        for per_mu, rep in zip(reps, sim.carleman_gl_check(sol, gws, cfg.delta)):
+            per_mu.append(rep)
     checks, rows = [], []
     for mu, per_mu in zip(cfg.mus, reps):
         fitted = [rep["fitted_C"] for rep in per_mu]
@@ -179,12 +179,12 @@ def run_carleman_gl(cfg) -> tuple[list, list]:
     zero_sol = sim.solve_gl_forward(
         sim.SPDEProblem(), grid,
         sim.brownian(cfg.paths, cfg.Nt, zero_stream, dt=grid.dt))
-    zrep = sim.carleman_gl_check(zero_sol, gw, cfg.delta)
+    zrep, = sim.carleman_gl_check(zero_sol, [gw], cfg.delta)
     checks.append(_check(
         "zero_solution", zrep["lhs"] == 0.0 and zrep["rhs"] == 0.0,
         lhs=zrep["lhs"], rhs=zrep["rhs"]))
-    doubled = sim.carleman_gl_check(sim.scaled_solution(sol, 2.0),
-                                    gw, cfg.delta)
+    doubled, = sim.carleman_gl_check(sim.scaled_solution(sol, 2.0),
+                                     [gw], cfg.delta)
     bitwise = all(a == b for a, b in zip(base["member_quotients"],
                                          doubled["member_quotients"]))
     checks.append(_check("scaling_invariance", bitwise, scale=2.0))

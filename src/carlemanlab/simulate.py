@@ -11,8 +11,8 @@ two Carleman inequalities, and two classic first-order demos.
 
 Conventions: the spatial domain is (0, 1) with homogeneous Dirichlet
 data; fields live on the Nx interior nodes; the diffusion term is
-implicit (tridiagonal solve per step), everything else explicit at the
-left time point.  All randomness flows through numpy's seeded default
+implicit (one tridiagonal factorization per solve, one triangular
+solve pair per step), everything else explicit at the left time point.  All randomness flows through numpy's seeded default
 generator, so a (seed, config) pair fixes every array bit-for-bit.
 """
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .weights import GLWeight, HeatWeight, heat_alpha
 
@@ -32,7 +32,9 @@ class SimError(ValueError):
     """Raised for invalid grids, ensembles, or violated preconditions."""
 
 
-Coefficient = Optional[Callable[[np.ndarray, float], np.ndarray]]
+# fn(x, t): x the 1-d nodes, t a column of times; the result broadcasts
+# to (len(t), len(x))
+Coefficient = Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
 # anything np.random.default_rng accepts: an integer or a spawned child
 Seed = Union[int, np.random.SeedSequence]
 
@@ -115,15 +117,26 @@ def grad_free(u: np.ndarray, dx: float) -> np.ndarray:
 
 def sample_field(fn: Coefficient, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """fn on every time node of t: a (len(t), len(x)) complex array, zero
-    for an absent field."""
-    if fn is None:
-        return np.zeros((len(t), len(x)), dtype=complex)
-    return np.array([fn(x, tm) for tm in t], dtype=complex)
+    for an absent field.
+
+    fn is called once, as fn(x, t[:, None]), with the 1-d nodes x and the
+    times as a column; it returns an array that broadcasts to
+    (len(t), len(x)), so a field constant in time may return shape
+    (len(x),)."""
+    out = np.zeros((len(t), len(x)), dtype=complex)
+    if fn is not None:
+        out[...] = fn(x, t[:, None])
+    return out
 
 
 @dataclass
 class SPDEProblem:
-    """Coefficients and data for the forward Ginzburg-Landau solve."""
+    """Coefficients and data for the forward Ginzburg-Landau solve.
+
+    Each Coefficient is None (absent) or a function fn(x, t) of the 1-d
+    nodes x and a column t of times, returning an array that broadcasts
+    to (len(t), len(x)); see sample_field.  w0(x) gives the initial state.
+    """
 
     b: float = 0.0
     a1: Coefficient = None
@@ -155,38 +168,46 @@ def solve_gl_forward(p: SPDEProblem, grid: Grid1D, paths: PathEnsemble) -> Solut
         (Id - dt (1+ib) D) w^{m+1}
             = w^m + dt (a1 w_x^m + a2 w^m + f^m) + (a3 w^m + g^m) dB_m
 
-    with D the Dirichlet second-difference matrix.  One banded solve per
-    step handles every path at once.
+    with D the Dirichlet second-difference matrix.  The matrix does not
+    depend on time, so it is LU-factored once (LAPACK gttrf); each step
+    is one gttrs solve for every path at once.  A state that leaves
+    double precision raises SimError.
     """
     if paths.Nt != grid.Nt or abs(paths.dt - grid.dt) > 1e-15 * grid.dt:
         raise SimError("path ensemble and grid disagree on time stepping")
     Nx, Nt, M = grid.Nx, grid.Nt, paths.M
     x, dx, dt = grid.x, grid.dx, grid.dt
     rho = dt * (1.0 + 1j * p.b) / (dx * dx)
-    band = np.zeros((3, Nx), dtype=complex)
-    band[0, 1:] = -rho
-    band[1, :] = 1.0 + 2.0 * rho
-    band[2, :-1] = -rho
+    off = np.full(Nx - 1, -rho)
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=complex)
+    lu = gttrf(off, np.full(Nx, 1.0 + 2.0 * rho), off)
+    if lu[-1] != 0:
+        raise SimError(f"implicit step is singular for b = {p.b}")
     a1, a2, a3, f, g = (sample_field(fn, x, grid.t[:-1])
                         for fn in (p.a1, p.a2, p.a3, p.f, p.g))
     w = np.empty((M, Nt + 1, Nx), dtype=complex)
     w[:, 0, :] = p.initial(x)[None, :]
-    for m in range(Nt):
-        wm = w[:, m, :]
-        drift = wm.copy()
-        if p.a1 is not None:
-            drift += dt * a1[m] * grad_dirichlet(wm, dx)
-        if p.a2 is not None:
-            drift += dt * a2[m] * wm
-        if p.f is not None:
-            drift += dt * f[m]
-        noise = np.zeros_like(wm)
-        if p.a3 is not None:
-            noise += a3[m] * wm
-        if p.g is not None:
-            noise += g[m]
-        rhs = drift + noise * paths.increments[:, m][:, None]
-        w[:, m + 1, :] = solve_banded((1, 1), band, rhs.T).T
+    # a blown-up state is refused once, at the end, not warned about per step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(Nt):
+            wm = w[:, m, :]
+            drift = wm.copy()
+            if p.a1 is not None:
+                drift += dt * a1[m] * grad_dirichlet(wm, dx)
+            if p.a2 is not None:
+                drift += dt * a2[m] * wm
+            if p.f is not None:
+                drift += dt * f[m]
+            noise = np.zeros_like(wm)
+            if p.a3 is not None:
+                noise += a3[m] * wm
+            if p.g is not None:
+                noise += g[m]
+            rhs = drift + noise * paths.increments[:, m][:, None]
+            w[:, m + 1, :] = gttrs(*lu[:-1], rhs.T, overwrite_b=True)[0].T
+    if not np.all(np.isfinite(w)):
+        raise SimError("forward solve left double precision; "
+                       "reduce the coefficients or refine the time grid")
     return Solution(grid=grid, paths=paths, problem=p, w=w)
 
 
@@ -397,7 +418,8 @@ def carleman_heat_check(pair: ManufacturedPair, w: HeatWeight,
     return out
 
 
-def carleman_gl_check(sol: Solution, gw: GLWeight, delta: float) -> dict:
+def carleman_gl_check(sol: Solution, gws: Sequence[GLWeight],
+                      delta: float) -> list[dict]:
     """Evaluate both sides of the Ginzburg-Landau Carleman inequality.
 
     LHS  = mu E int_d^T int |w_x|^2 theta^2 + mu^3 E int_d^T int phi theta^2 |w|^2
@@ -407,11 +429,11 @@ def carleman_gl_check(sol: Solution, gw: GLWeight, delta: float) -> dict:
 
     The single theta power on the middle data term is kept as stated.
     The reported quotient is LHS/RHS; a fitted constant is its maximum
-    over ensemble members.
+    over ensemble members.  Returns one report per weight of gws, in
+    order; every mu-free term is computed once for all of them.
     """
     grid, p = sol.grid, sol.problem
-    mu = gw.mu
-    if abs(grid.T - gw.T) > 1e-12:
+    if any(abs(grid.T - gw.T) > 1e-12 for gw in gws):
         raise SimError("weight bundle and grid disagree on the horizon")
     if p.a1 is not None or p.a2 is not None or p.a3 is not None:
         raise SimError("inequality form expects pure-source problems; "
@@ -423,8 +445,6 @@ def carleman_gl_check(sol: Solution, gw: GLWeight, delta: float) -> dict:
         raise SimError("delta must sit on a time node")
     dx, dt = grid.dx, grid.dt
     t = grid.t[md:]
-    phi = np.exp(3.0 * mu * t)
-    theta2 = np.exp(2.0 * mu * phi)
     w = sol.w[:, md:, :]
     wx = grad_dirichlet(w, dx)
     aw2 = np.abs(w) ** 2
@@ -433,30 +453,39 @@ def carleman_gl_check(sol: Solution, gw: GLWeight, delta: float) -> dict:
     tw = np.full(len(t), dt)
     tw[0] *= 0.5
     tw[-1] *= 0.5
-    wt = theta2 * tw
-    lhs_i = (mu * np.einsum("mti,t->m", awx2, wt)
-             + mu ** 3 * np.einsum("mti,t->m", aw2, phi * wt)) * dx
     # the sources do not depend on the path: one reduction serves every member
     f = sample_field(p.f, grid.x, t)
     g = sample_field(p.g, grid.x, t)
-    src = np.abs(f) ** 2 + mu ** 2 * np.abs(g) ** 2 + np.abs(grad_free(g, dx)) ** 2
-    src_i = np.einsum("ti,t->", src, (1.0 + phi) * wt) * dx
-    th_d2 = math.exp(2.0 * mu * phi[0])
-    th_d1 = math.exp(mu * phi[0])
-    th_T2 = math.exp(2.0 * mu * phi[-1])
-    data_i = (th_d2 * np.sum(np.abs(wx[:, 0, :]) ** 2, axis=1)
-              + mu ** 2 * phi[0] * th_d1 * np.sum(np.abs(w[:, 0, :]) ** 2, axis=1)
-              + mu ** 2 * phi[-1] * th_T2 * np.sum(np.abs(w[:, -1, :]) ** 2, axis=1)) * dx
-    rhs_i = data_i + src_i
-    lhs, rhs = float(np.mean(lhs_i)), float(np.mean(rhs_i))
-    quot = np.divide(lhs_i, rhs_i, out=np.zeros_like(lhs_i), where=rhs_i > 0)
-    return {
-        "mu": mu, "delta": delta,
-        "lhs": lhs, "rhs": rhs,
-        "member_quotients": [float(q) for q in quot],
-        "fitted_C": float(np.max(quot)),
-        "zero_members": int(np.sum(rhs_i == 0.0)),
-    }
+    af2, ag2, agx2 = np.abs(f) ** 2, np.abs(g) ** 2, np.abs(grad_free(g, dx)) ** 2
+    wx2_d = np.sum(awx2[:, 0, :], axis=1)
+    w2_d = np.sum(aw2[:, 0, :], axis=1)
+    w2_T = np.sum(aw2[:, -1, :], axis=1)
+    out = []
+    for gw in gws:
+        mu = gw.mu
+        phi = np.exp(3.0 * mu * t)
+        theta2 = np.exp(2.0 * mu * phi)
+        wt = theta2 * tw
+        lhs_i = (mu * np.einsum("mti,t->m", awx2, wt)
+                 + mu ** 3 * np.einsum("mti,t->m", aw2, phi * wt)) * dx
+        src = af2 + mu ** 2 * ag2 + agx2
+        src_i = np.einsum("ti,t->", src, (1.0 + phi) * wt) * dx
+        th_d2 = math.exp(2.0 * mu * phi[0])
+        th_d1 = math.exp(mu * phi[0])
+        th_T2 = math.exp(2.0 * mu * phi[-1])
+        data_i = (th_d2 * wx2_d + mu ** 2 * phi[0] * th_d1 * w2_d
+                  + mu ** 2 * phi[-1] * th_T2 * w2_T) * dx
+        rhs_i = data_i + src_i
+        lhs, rhs = float(np.mean(lhs_i)), float(np.mean(rhs_i))
+        quot = np.divide(lhs_i, rhs_i, out=np.zeros_like(lhs_i), where=rhs_i > 0)
+        out.append({
+            "mu": mu, "delta": delta,
+            "lhs": lhs, "rhs": rhs,
+            "member_quotients": [float(q) for q in quot],
+            "fitted_C": float(np.max(quot)),
+            "zero_members": int(np.sum(rhs_i == 0.0)),
+        })
+    return out
 
 
 def scaled_solution(sol: Solution, s: float) -> Solution:
@@ -484,10 +513,10 @@ def make_random_gl_problem(seed: Seed, *, with_coefficients: bool = False,
         om = rng.uniform(0.5, 2.0, size=modes)
 
         def fn(x, t):
-            acc = np.zeros(len(x), dtype=complex)
+            acc = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x)), dtype=complex)
             for k in range(modes):
                 shape = np.sin((k + 1) * np.pi * x)
-                mod = math.cos(om[k] * t)
+                mod = np.cos(om[k] * t)
                 acc += ((cr[k, 0] + 1j * ci[k, 0]) + (cr[k, 1] + 1j * ci[k, 1]) * mod) * shape
             return acc
 

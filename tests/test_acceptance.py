@@ -120,9 +120,10 @@ def test_criterion_6_gl_carleman_single_constant_per_mu():
         problem = make_random_gl_problem(21 + i)
         paths = brownian(20, grid.Nt, 5021 + i, dt=grid.dt)
         solutions.append(solve_gl_forward(problem, grid, paths))
-    for mu in (2.0, 3.0, 4.0):
-        gw = GLWeight(mu=mu, T=0.3)
-        reports = [carleman_gl_check(sol, gw, 0.05) for sol in solutions]
+    mus = (2.0, 3.0, 4.0)
+    gws = [GLWeight(mu=mu, T=0.3) for mu in mus]
+    per_sol = [carleman_gl_check(sol, gws, 0.05) for sol in solutions]
+    for mu, reports in zip(mus, zip(*per_sol)):
         for rep in reports:
             assert rep["zero_members"] == 0
             assert all(math.isfinite(q) for q in rep["member_quotients"])
@@ -133,10 +134,10 @@ def test_criterion_6_gl_carleman_single_constant_per_mu():
     # exact structural checks
     gw = GLWeight(mu=4.0, T=0.3)
     zero = solve_gl_forward(SPDEProblem(), grid, zero_paths(4, grid.Nt, grid.dt))
-    zrep = carleman_gl_check(zero, gw, 0.05)
+    zrep, = carleman_gl_check(zero, [gw], 0.05)
     assert zrep["lhs"] == 0.0 and zrep["rhs"] == 0.0
-    base = carleman_gl_check(solutions[0], gw, 0.05)
-    double = carleman_gl_check(scaled_solution(solutions[0], 2.0), gw, 0.05)
+    base, = carleman_gl_check(solutions[0], [gw], 0.05)
+    double, = carleman_gl_check(scaled_solution(solutions[0], 2.0), [gw], 0.05)
     assert double["member_quotients"] == base["member_quotients"]
 
 

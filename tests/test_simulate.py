@@ -2,9 +2,11 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from carlemanlab import simulate
 from carlemanlab.simulate import (
@@ -20,6 +22,7 @@ from carlemanlab.simulate import (
     l2_norm,
     make_random_gl_problem,
     manufacture_heat_pair,
+    sample_field,
     scaled_solution,
     solve_gl_forward,
     time_refinement_report,
@@ -102,6 +105,107 @@ def test_path_grid_mismatch_rejected():
         solve_gl_forward(SPDEProblem(), grid, brownian(4, 49, 9, dt=grid.dt))
     with pytest.raises(SimError):
         solve_gl_forward(SPDEProblem(), grid, brownian(4, 50, 9, dt=0.9 * grid.dt))
+
+
+def _scalar_time_problem(seed, with_coefficients):
+    """make_random_gl_problem's draws, with the fields written as closures
+    of one scalar time, evaluated with math.cos, as the solver once
+    called them: node by node."""
+    rng = np.random.default_rng(seed)
+
+    def random_field(scale, modes=3):
+        cr = rng.normal(0.0, scale, size=(modes, 2))
+        ci = rng.normal(0.0, scale, size=(modes, 2))
+        om = rng.uniform(0.5, 2.0, size=modes)
+
+        def fn(x, t):
+            acc = np.zeros(len(x), dtype=complex)
+            for k in range(modes):
+                shape = np.sin((k + 1) * np.pi * x)
+                mod = math.cos(om[k] * t)
+                acc += ((cr[k, 0] + 1j * ci[k, 0]) + (cr[k, 1] + 1j * ci[k, 1]) * mod) * shape
+            return acc
+
+        return fn
+
+    rng.normal(0.0, 1.0, size=(4, 2))  # w0
+    b = float(rng.uniform(-1.0, 1.0))
+    coefs = ([random_field(0.4), random_field(0.4), random_field(0.3)]
+             if with_coefficients else [None] * 3)
+    return b, dict(zip(("a1", "a2", "a3", "f", "g"),
+                       coefs + [random_field(0.5), random_field(0.3)]))
+
+
+def _per_node(fn, x, t):
+    return np.array([fn(x, tm) for tm in t], dtype=complex)
+
+
+@pytest.mark.parametrize("with_coefficients", [False, True])
+@pytest.mark.parametrize("seed", [0, 21, 12345])
+def test_random_fields_equal_per_node_closures_bitwise(seed, with_coefficients):
+    grid = Grid1D(Nx=50, Nt=300, T=0.3)
+    p = make_random_gl_problem(seed, with_coefficients=with_coefficients)
+    b, ref = _scalar_time_problem(seed, with_coefficients)
+    assert p.b == b
+    for name, fn in ref.items():
+        got = sample_field(getattr(p, name), grid.x, grid.t)
+        if fn is None:
+            assert getattr(p, name) is None
+            assert np.all(got == 0.0)
+        else:
+            assert np.array_equal(got, _per_node(fn, grid.x, grid.t)), name
+
+
+def test_field_constant_in_time_broadcasts():
+    x, t = np.linspace(0.1, 0.9, 9), np.linspace(0.0, 1.0, 5)
+    got = sample_field(lambda x, t: np.full(len(x), 0.25), x, t)
+    assert got.shape == (5, 9) and np.all(got == 0.25)
+
+
+def _banded_reference(p, grid, paths):
+    """The semi-implicit step with one solve_banded call per step and
+    every field sampled node by node."""
+    x, dx, dt = grid.x, grid.dx, grid.dt
+    rho = dt * (1.0 + 1j * p.b) / (dx * dx)
+    band = np.zeros((3, grid.Nx), dtype=complex)
+    band[0, 1:] = -rho
+    band[1, :] = 1.0 + 2.0 * rho
+    band[2, :-1] = -rho
+    a1, a2, a3, f, g = (_per_node(fn, x, grid.t[:-1]) for fn in (p.a1, p.a2, p.a3, p.f, p.g))
+    w = np.empty((paths.M, grid.Nt + 1, grid.Nx), dtype=complex)
+    w[:, 0, :] = p.initial(x)[None, :]
+    for m in range(grid.Nt):
+        wm = w[:, m, :]
+        drift = wm.copy()
+        drift += dt * a1[m] * grad_dirichlet(wm, dx)
+        drift += dt * a2[m] * wm
+        drift += dt * f[m]
+        noise = np.zeros_like(wm)
+        noise += a3[m] * wm
+        noise += g[m]
+        rhs = drift + noise * paths.increments[:, m][:, None]
+        w[:, m + 1, :] = solve_banded((1, 1), band, rhs.T).T
+    return w
+
+
+@pytest.mark.parametrize("M", [1, 3])
+def test_factored_solver_equals_banded_solve_bitwise(M):
+    grid = Grid1D(Nx=40, Nt=120, T=0.3)
+    p = make_random_gl_problem(5, with_coefficients=True)
+    assert p.b != 0.0
+    assert all(fn is not None for fn in (p.a1, p.a2, p.a3, p.f, p.g))
+    paths = brownian(M, grid.Nt, 17, dt=grid.dt)
+    sol = solve_gl_forward(p, grid, paths)
+    assert np.array_equal(sol.w, _banded_reference(p, grid, paths))
+
+
+def test_forward_solve_refuses_a_state_past_double_precision():
+    grid = Grid1D(Nx=30, Nt=60, T=0.3)
+    p = SPDEProblem(a2=lambda x, t: 1e300, w0=lambda x: np.sin(np.pi * x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimError):
+            solve_gl_forward(p, grid, zero_paths(2, grid.Nt, grid.dt))
 
 
 # -- manufactured pairs -----------------------------------------------
@@ -210,13 +314,22 @@ def gl_solution(seed=10, M=20, mu_T=0.3):
 
 def test_gl_inequality_constants():
     sol = gl_solution()
-    reports = {mu: carleman_gl_check(sol, GLWeight(mu=mu, T=0.3), 0.05)
-               for mu in (2.0, 3.0, 4.0)}
-    for mu, rep in reports.items():
+    mus = (2.0, 3.0, 4.0)
+    reports = carleman_gl_check(sol, [GLWeight(mu=mu, T=0.3) for mu in mus], 0.05)
+    assert [rep["mu"] for rep in reports] == list(mus)
+    for rep in reports:
         assert math.isfinite(rep["fitted_C"]) and rep["fitted_C"] > 0.0
         assert rep["zero_members"] == 0
         assert max(rep["member_quotients"]) == rep["fitted_C"]
         assert rep["lhs"] > 0.0 and rep["rhs"] > 0.0
+
+
+def test_gl_check_of_many_weights_equals_one_call_per_weight():
+    sol = gl_solution(seed=4, M=6)
+    gws = [GLWeight(mu=mu, T=0.3) for mu in (2.0, 3.5, 4.0)]
+    assert carleman_gl_check(sol, gws, 0.05) == [
+        carleman_gl_check(sol, [gw], 0.05)[0] for gw in gws]
+    assert carleman_gl_check(sol, [], 0.05) == []
 
 
 def test_gl_constant_stable_across_path_seeds():
@@ -225,8 +338,8 @@ def test_gl_constant_stable_across_path_seeds():
     p = make_random_gl_problem(10)
     cs = [
         carleman_gl_check(
-            solve_gl_forward(p, grid, brownian(20, 300, s, dt=grid.dt)), gw, 0.05
-        )["fitted_C"]
+            solve_gl_forward(p, grid, brownian(20, 300, s, dt=grid.dt)), [gw], 0.05
+        )[0]["fitted_C"]
         for s in (7, 8, 9)
     ]
     assert max(cs) / min(cs) < 1.5
@@ -235,7 +348,7 @@ def test_gl_constant_stable_across_path_seeds():
 def test_gl_zero_solution_is_zero_on_both_sides():
     grid = Grid1D(Nx=30, Nt=60, T=0.3)
     sol = solve_gl_forward(SPDEProblem(), grid, zero_paths(4, 60, grid.dt))
-    rep = carleman_gl_check(sol, GLWeight(mu=2.0, T=0.3), 0.05)
+    rep, = carleman_gl_check(sol, [GLWeight(mu=2.0, T=0.3)], 0.05)
     assert rep["lhs"] == 0.0 and rep["rhs"] == 0.0
     assert rep["fitted_C"] == 0.0
     assert rep["zero_members"] == 4
@@ -243,8 +356,8 @@ def test_gl_zero_solution_is_zero_on_both_sides():
 
 def test_gl_quotients_bitwise_invariant_under_family_scaling():
     sol = gl_solution(seed=21, M=8)
-    rep = carleman_gl_check(sol, GLWeight(mu=3.0, T=0.3), 0.05)
-    rep2 = carleman_gl_check(scaled_solution(sol, 2.0), GLWeight(mu=3.0, T=0.3), 0.05)
+    rep, = carleman_gl_check(sol, [GLWeight(mu=3.0, T=0.3)], 0.05)
+    rep2, = carleman_gl_check(scaled_solution(sol, 2.0), [GLWeight(mu=3.0, T=0.3)], 0.05)
     assert rep2["member_quotients"] == rep["member_quotients"]
     assert rep2["fitted_C"] == rep["fitted_C"]
 
@@ -253,16 +366,16 @@ def test_gl_check_preconditions():
     sol = gl_solution(seed=2, M=2)
     gw = GLWeight(mu=2.0, T=0.3)
     with pytest.raises(SimError):
-        carleman_gl_check(sol, gw, 0.3)  # delta = T
+        carleman_gl_check(sol, [gw], 0.3)  # delta = T
     with pytest.raises(SimError):
-        carleman_gl_check(sol, gw, 0.05 + 1e-4)  # off the time lattice
+        carleman_gl_check(sol, [gw], 0.05 + 1e-4)  # off the time lattice
     with pytest.raises(SimError):
-        carleman_gl_check(sol, GLWeight(mu=2.0, T=0.4), 0.05)
+        carleman_gl_check(sol, [gw, GLWeight(mu=2.0, T=0.4)], 0.05)
     p = make_random_gl_problem(3, with_coefficients=True)
     grid = Grid1D(Nx=30, Nt=60, T=0.3)
     sol2 = solve_gl_forward(p, grid, brownian(2, 60, 3, dt=grid.dt))
     with pytest.raises(SimError):
-        carleman_gl_check(sol2, gw, 0.05)  # coefficient terms not folded in
+        carleman_gl_check(sol2, [gw], 0.05)  # coefficient terms not folded in
 
 
 # -- demos ------------------------------------------------------------
