@@ -9,6 +9,7 @@ from carlemanlab.identity import (
     REGIMES,
     OperatorSpec,
     SpecError,
+    _spec_case,
     build_case,
     constraint_monomials,
     numeric_residual,
@@ -18,6 +19,7 @@ from carlemanlab.identity import (
     verify_identity,
     verify_reconstruction,
 )
+from carlemanlab.jetoracle import eval_jet_many
 
 THEOREM_MATRIX = [(n, r) for n in (1, 2, 3) for r in REGIMES]
 
@@ -137,9 +139,12 @@ def test_numeric_residual_rejects_empty_samples(kwargs):
                          ids=[f"n{n}-{r}" for n, r in THEOREM_MATRIX] + list(CASE_IDS))
 def test_one_draw_catches_every_mutation(target):
     # a wrong identity survives one draw with probability at most D/p,
-    # so every seed must catch every mutation with a single jet draw
-    for seed in range(50):
-        values = numeric_residual(target, seed=seed, assignments=1, points=0,
-                                  mutated=True)
-        assert len(values) == 1
-        assert not values[0].is_zero, seed
+    # so every seed must catch every mutation with a single jet draw.
+    # Draw (seed, 0) is numeric_residual's one draw at assignments=1,
+    # points=0; the case is built once and all 50 draws share one walk.
+    case = _spec_case(target) if isinstance(target, OperatorSpec) else build_case(target)
+    draws = [(seed, 0) for seed in range(50)]
+    values = eval_jet_many(case.lhs - case.mutated_rhs, case.ctx, draws)
+    assert len(values) == len(draws)
+    for (seed, _), value in zip(draws, values):
+        assert not value.is_zero, seed
