@@ -153,17 +153,17 @@ def run_carleman_gl(cfg) -> tuple[list, list]:
     gws = [wt.GLWeight(mu=mu, T=cfg.T) for mu in cfg.mus]
     *streams, zero_stream = np.random.SeedSequence(cfg.seed).spawn(
         2 * cfg.ensembles + 1)
-    # one solve per ensemble serves every mu; reports stay mu-major
-    reps = [[] for _ in gws]
+    # one solve and one check per ensemble serve every mu; reports stay
+    # mu-major
+    per_member = []
     for i in range(cfg.ensembles):
         problem = sim.make_random_gl_problem(streams[2 * i])
         paths = sim.brownian(cfg.paths, cfg.Nt, streams[2 * i + 1],
                              dt=grid.dt)
         sol = sim.solve_gl_forward(problem, grid, paths)
-        for per_mu, rep in zip(reps, sim.carleman_gl_check(sol, gws, cfg.delta)):
-            per_mu.append(rep)
+        per_member.append(sim.carleman_gl_check(sol, gws, cfg.delta))
     checks, rows = [], []
-    for mu, per_mu in zip(cfg.mus, reps):
+    for mu, per_mu in zip(cfg.mus, zip(*per_member)):
         fitted = [rep["fitted_C"] for rep in per_mu]
         zero_members = sum(rep["zero_members"] for rep in per_mu)
         for i, rep in enumerate(per_mu):
@@ -175,7 +175,7 @@ def run_carleman_gl(cfg) -> tuple[list, list]:
             fitted_C=max(fitted), zero_members=zero_members))
 
     # exact structural checks on the last (mu, ensemble) pair
-    gw, base = gws[-1], reps[-1][-1]
+    gw, base = gws[-1], per_member[-1][-1]
     zero_sol = sim.solve_gl_forward(
         sim.SPDEProblem(), grid,
         sim.brownian(cfg.paths, cfg.Nt, zero_stream, dt=grid.dt))

@@ -143,6 +143,9 @@ def _per_node(fn, x, t):
 @pytest.mark.parametrize("with_coefficients", [False, True])
 @pytest.mark.parametrize("seed", [0, 21, 12345])
 def test_random_fields_equal_per_node_closures_bitwise(seed, with_coefficients):
+    # relies on np.cos and math.cos agreeing bit for bit, as they do with
+    # numpy 2.4 and glibc on x86-64; a platform where they differ fails
+    # here first, and then tests/goldens/gl_sha256.json
     grid = Grid1D(Nx=50, Nt=300, T=0.3)
     p = make_random_gl_problem(seed, with_coefficients=with_coefficients)
     b, ref = _scalar_time_problem(seed, with_coefficients)
