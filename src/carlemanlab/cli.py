@@ -151,8 +151,7 @@ def run_carleman_heat(cfg) -> tuple[list, list]:
 def run_carleman_gl(cfg) -> tuple[list, list]:
     grid = sim.Grid1D(Nx=cfg.Nx, Nt=cfg.Nt, T=cfg.T)
     gws = [wt.GLWeight(mu=mu, T=cfg.T) for mu in cfg.mus]
-    *streams, zero_stream = np.random.SeedSequence(cfg.seed).spawn(
-        2 * cfg.ensembles + 1)
+    streams = np.random.SeedSequence(cfg.seed).spawn(2 * cfg.ensembles)
     # one solve and one check per ensemble serve every mu; reports stay
     # mu-major
     per_member = []
@@ -173,21 +172,6 @@ def run_carleman_gl(cfg) -> tuple[list, list]:
         checks.append(_check(
             f"gl(mu={mu:g})", finite and zero_members == 0,
             fitted_C=max(fitted), zero_members=zero_members))
-
-    # exact structural checks on the last (mu, ensemble) pair
-    gw, base = gws[-1], per_member[-1][-1]
-    zero_sol = sim.solve_gl_forward(
-        sim.SPDEProblem(), grid,
-        sim.brownian(cfg.paths, cfg.Nt, zero_stream, dt=grid.dt))
-    zrep, = sim.carleman_gl_check(zero_sol, [gw], cfg.delta)
-    checks.append(_check(
-        "zero_solution", zrep["lhs"] == 0.0 and zrep["rhs"] == 0.0,
-        lhs=zrep["lhs"], rhs=zrep["rhs"]))
-    doubled, = sim.carleman_gl_check(sim.scaled_solution(sol, 2.0),
-                                     [gw], cfg.delta)
-    bitwise = all(a == b for a, b in zip(base["member_quotients"],
-                                         doubled["member_quotients"]))
-    checks.append(_check("scaling_invariance", bitwise, scale=2.0))
     return checks, rows
 
 
@@ -226,7 +210,7 @@ def run_inverse_gl(cfg) -> tuple[list, list]:
 
     rng = np.random.default_rng(optimizer_stream)
     points = 10000
-    cell = (10.0 - 1.0) / points
+    cell = (inv.MU_MAX - 1.0) / points
     worst = 0.0
     for _ in range(cfg.optimizer_draws):
         D1 = 10.0 ** rng.uniform(-6.0, 2.0)
@@ -261,9 +245,6 @@ def run_demo(cfg) -> tuple[list, list]:
                 fitted_C=run["fitted_C"], support=run["support"]))
             for lam, q in zip(run["lambdas"], run["quotients"]):
                 rows.append((i, lam, q))
-        checks.append(_check("fitted_C_max",
-                             np.isfinite(rep["fitted_C_max"]),
-                             fitted_C_max=rep["fitted_C_max"]))
     return checks, rows
 
 

@@ -87,28 +87,18 @@ class Context:
         """A real constant: every derivative of it is zero."""
         return self._declare(FieldSymbol(name, "real-scalar", real=True))
 
-    def semimartingale(
-        self,
-        name: str,
-        real: bool = False,
-        drift: Optional[str] = None,
-        diffusion: Optional[str] = None,
-    ) -> tuple["Expr", "Expr", "Expr"]:
-        """Declare a semimartingale with registered jets d(name) = P dt + Q dB.
-
-        Returns (field, drift jet, diffusion jet) expressions.
-        """
+    def semimartingale(self, name: str, real: bool = False) -> "Expr":
+        """Declare a semimartingale name with registered jets Pname and
+        Qname, d(name) = Pname dt + Qname dB, and return the field."""
         kind = "real-field" if real else "complex-field"
         base = FieldSymbol(name, kind, real=real, semimartingale=True)
-        pname = drift or f"P{name}"
-        qname = diffusion or f"Q{name}"
-        p = FieldSymbol(pname, "drift-jet", real=real, semimartingale=True)
-        q = FieldSymbol(qname, "diffusion-jet", real=real, semimartingale=True)
+        p = FieldSymbol(f"P{name}", "drift-jet", real=real, semimartingale=True)
+        q = FieldSymbol(f"Q{name}", "diffusion-jet", real=real, semimartingale=True)
         base.jets = (p, q)
         e = self._declare(base)
-        ep = self._declare(p)
-        eq = self._declare(q)
-        return e, ep, eq
+        self._declare(p)
+        self._declare(q)
+        return e
 
     def rewrite_field(
         self,

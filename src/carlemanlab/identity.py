@@ -344,7 +344,7 @@ def make_theorem_workspace(spec: OperatorSpec) -> Workspace:
     ajk = {(j, k): ctx.real_field(f"a{j}{k}") for j in rng for k in range(j, spec.n + 1)}
     ell = ctx.real_field("ell")
     phi = ctx.complex_field("Phi")
-    z, _, _ = ctx.semimartingale("z")
+    z = ctx.semimartingale("z")
     return Workspace(ctx, z, a0, a, b, b0, ajk, ell, phi)
 
 
@@ -633,7 +633,7 @@ def _case_transport(n: int = 2) -> VerificationCase:
     ctx = Context(n=n)
     ell = ctx.real_field("ell")
     b0 = [ctx.real_scalar(f"b0{j}") for j in range(1, n + 1)]
-    z, _, _ = ctx.semimartingale("z", real=True)
+    z = ctx.semimartingale("z", real=True)
     ws = Workspace(ctx, z, C(1), C(0), C(0), b0, _unit_metric(n), ell, C(0))
     wt = ws.ellt + ws.b0_grad_ell
     lhs = C(2) * ws.I1 * ws.theta_L
@@ -659,7 +659,7 @@ def _case_ginzburg_landau(n: int = 2) -> VerificationCase:
     b = ctx.real_scalar("b")
     phi_w = ctx.rewrite_field("phi", real=True, dx=[C(0)] * n)
     ctx.set_rewrite("phi", "t", C(3) * mu * phi_w)
-    z, _, _ = ctx.semimartingale("z")
+    z = ctx.semimartingale("z")
     ws = Workspace(ctx, z, C(1), C(1), b, [C(0)] * n, _unit_metric(n), mu * phi_w, -mu)
     grad_sq = esum(ws.zx[j] * ws.zcx[j] for j in range(1, n + 1))
     coef = mu + C(3) * mu * mu * phi_w
@@ -699,7 +699,7 @@ def _heat_sides(n: int = 2) -> tuple[Workspace, Expr, list[Expr], Expr]:
     """
     ctx = Context(n=n)
     ell = ctx.real_field("ell")
-    z, _, _ = ctx.semimartingale("z", real=True)
+    z = ctx.semimartingale("z", real=True)
     lap_ell = esum(d_x(d_x(ell, j), j) for j in range(1, n + 1))
     phi = C(2) * lap_ell
     ws = Workspace(ctx, z, C(1), C(-1), C(0), [C(0)] * n, _unit_metric(n), ell, phi)
@@ -847,7 +847,7 @@ def _case_schrodinger(n: int = 2) -> VerificationCase:
     ctx = Context(n=n)
     ell = ctx.real_field("ell")
     psi = ctx.complex_field("Psi")
-    u, _, _ = ctx.semimartingale("u")
+    u = ctx.semimartingale("u")
     tag1 = ctx.real_scalar("tag1")
     tag2 = ctx.real_scalar("tag2")
     z = I * u
@@ -931,7 +931,7 @@ def _case_ode(components: int = 3) -> VerificationCase:
 
 def _case_c02(n: int = 2) -> VerificationCase:
     ctx = Context(n=n)
-    z, _, _ = ctx.semimartingale("z")
+    z = ctx.semimartingale("z")
     tags = [ctx.real_scalar(f"tag{j}") for j in range(1, 2 * n + 1)]
     lhs_terms = []
     rhs_terms = []

@@ -28,6 +28,10 @@ class InverseError(ValueError):
     """Raised for invalid cutoff times or degenerate optimization data."""
 
 
+# the mu bracket (1, MU_MAX] of optimize_mu and brute_force_mu
+MU_LO, MU_MAX = 1.0 + 1e-9, 10.0
+
+
 @dataclass(frozen=True)
 class CutoffSpec:
     """Cutoff times 0 < t1 < t2 < t0 < T."""
@@ -58,7 +62,12 @@ def compute_tau(t0: float, t1: float, mu1: float, C: float) -> float:
             f"e^(3 mu1 t0) overflows double precision for "
             f"(mu1, t0) = ({mu1:g}, {t0:g}); reduce mu1 or t0")
     kappa = math.exp(3.0 * mu1 * t0) - math.exp(3.0 * mu1 * t1)
-    return 2.0 * kappa / (C + 2.0 * kappa)
+    tau = 2.0 * kappa / (C + 2.0 * kappa)
+    if tau >= 1.0:
+        raise InverseError(
+            f"tau rounds to 1 in double precision for (mu1, t0, t1, C) = "
+            f"({mu1:g}, {t0:g}, {t1:g}, {C:g}); reduce mu1 or t0, or raise C")
+    return tau
 
 
 def _log_objective(mu, D1: float, D2: float, kappa: float, C: float,
@@ -73,20 +82,19 @@ def _log_objective(mu, D1: float, D2: float, kappa: float, C: float,
     return np.logaddexp(a, b)
 
 
-def _check_objective(D1: float, D2: float, kappa: float, C: float, T: float,
-                     mu_max: float) -> None:
+def _check_objective(D1: float, D2: float, kappa: float, C: float,
+                     T: float) -> None:
     if D1 <= 0 or kappa <= 0 or C <= 0 or T <= 0 or D2 < 0:
         raise InverseError("the mu objective needs D1, kappa, C, T > 0 and D2 >= 0")
-    # largest exponent is 2 mu_max e^{C mu_max T}; keep it in range
-    if C * mu_max * T + math.log(2.0 * mu_max) > 709.0:
+    # largest exponent is 2 MU_MAX e^{C MU_MAX T}; keep it in range
+    if C * MU_MAX * T + math.log(2.0 * MU_MAX) > 709.0:
         raise InverseError(
-            f"e^(2 mu e^(C mu T)) overflows double precision at mu = {mu_max:g} "
+            f"e^(2 mu e^(C mu T)) overflows double precision at mu = {MU_MAX:g} "
             f"for (C, T) = ({C:g}, {T:g}); reduce C or T")
 
 
-def optimize_mu(D1: float, D2: float, kappa: float, C: float, T: float,
-                mu_max: float = 10.0) -> float:
-    """Minimize the two-exponential bound over mu in (1, mu_max].
+def optimize_mu(D1: float, D2: float, kappa: float, C: float, T: float) -> float:
+    """Minimize the two-exponential bound over mu in (1, MU_MAX].
 
     The log objective is convex (a decreasing linear term log-summed
     with a convex double exponential), so golden-section search is
@@ -94,12 +102,11 @@ def optimize_mu(D1: float, D2: float, kappa: float, C: float, T: float,
     objective whose infimum sits at the bracket end, which is returned
     without a search.
     """
-    _check_objective(D1, D2, kappa, C, T, mu_max)
+    _check_objective(D1, D2, kappa, C, T)
     if D2 == 0.0:
-        return mu_max
-    lo, hi = 1.0 + 1e-9, mu_max
+        return MU_MAX
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = MU_LO, MU_MAX
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc = _log_objective(c, D1, D2, kappa, C, T)
@@ -117,10 +124,10 @@ def optimize_mu(D1: float, D2: float, kappa: float, C: float, T: float,
 
 
 def brute_force_mu(D1: float, D2: float, kappa: float, C: float, T: float,
-                   mu_max: float = 10.0, points: int = 10000) -> float:
+                   points: int = 10000) -> float:
     """Grid argmin oracle for optimize_mu."""
-    _check_objective(D1, D2, kappa, C, T, mu_max)
-    grid = np.linspace(1.0 + 1e-9, mu_max, points)
+    _check_objective(D1, D2, kappa, C, T)
+    grid = np.linspace(MU_LO, MU_MAX, points)
     return float(grid[np.argmin(_log_objective(grid, D1, D2, kappa, C, T))])
 
 

@@ -20,7 +20,7 @@ so a (seed, config) pair fixes every array bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -485,20 +485,6 @@ def carleman_gl_check(sol: Solution, gws: Sequence[GLWeight],
             "zero_members": int(np.sum(rhs_i == 0.0)),
         })
     return out
-
-
-def scaled_solution(sol: Solution, s: float) -> Solution:
-    """The family member with (w0, f, g) scaled by s and, by linearity,
-    the state too.  With a power-of-two s every stored float scales
-    exactly, so weighted quotients are bitwise invariant."""
-
-    def wrap(fn):
-        return None if fn is None else (lambda x, t, fn=fn: s * fn(x, t))
-
-    p = sol.problem
-    w0 = None if p.w0 is None else (lambda x, w0=p.w0: s * w0(x))
-    sp = replace(p, w0=w0, f=wrap(p.f), g=wrap(p.g))
-    return replace(sol, problem=sp, w=s * sol.w)
 
 
 def make_random_gl_problem(seed: Seed, *, with_coefficients: bool = False,

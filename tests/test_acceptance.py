@@ -33,7 +33,6 @@ from carlemanlab.simulate import (
     heat_decay_report,
     make_random_gl_problem,
     manufacture_heat_pair,
-    scaled_solution,
     solve_gl_forward,
     time_refinement_report,
     zero_paths,
@@ -131,14 +130,11 @@ def test_criterion_6_gl_carleman_single_constant_per_mu():
         assert math.isfinite(C_mu) and C_mu > 0.0
         for rep in reports:
             assert all(q <= C_mu for q in rep["member_quotients"]), mu
-    # exact structural checks
+    # zero data give an exactly zero solution: both sides vanish
     gw = GLWeight(mu=4.0, T=0.3)
     zero = solve_gl_forward(SPDEProblem(), grid, zero_paths(4, grid.Nt, grid.dt))
     zrep, = carleman_gl_check(zero, [gw], 0.05)
     assert zrep["lhs"] == 0.0 and zrep["rhs"] == 0.0
-    base, = carleman_gl_check(solutions[0], [gw], 0.05)
-    double, = carleman_gl_check(scaled_solution(solutions[0], 2.0), [gw], 0.05)
-    assert double["member_quotients"] == base["member_quotients"]
 
 
 def test_criterion_7_inverse_problem_exponent_optimizer_spread_probe():

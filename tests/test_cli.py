@@ -1,5 +1,6 @@
 """Batch driver: determinism contract, exit codes, report and CSV shapes."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -196,6 +197,100 @@ def test_large_mu_underflows_the_weight_without_warning(tmp_path):
     assert all(math.isfinite(c["min_ratio"]) for c in rep["checks"])
 
 
+# -- negative controls: every experiment check kind can fail -----------
+
+# Each run named by a control: the verb's argv and, for the experiment
+# verbs, its FAST_* config.
+CONTROL_RUNS = {
+    "carleman-heat": (["carleman-heat"], FAST_HEAT),
+    "carleman-gl": (["carleman-gl"], FAST_GL),
+    "inverse-gl": (["inverse-gl"], FAST_INV),
+    "demo:ode": (["demo", "--case", "ode"], None),
+    "demo:first_order": (["demo", "--case", "first_order"], None),
+}
+
+
+# kind -> (run, cli module, library function, tamper): tamper changes the
+# function's first result in the one field the check of that kind reads
+NEGATIVE_CONTROLS = {
+    "pair": ("carleman-heat", "sim", "carleman_heat_check",
+             lambda rep: {**rep, "uniform_ok": False}),
+    "gl": ("carleman-gl", "sim", "carleman_gl_check",
+           lambda reps: [{**reps[0], "zero_members": 1}, *reps[1:]]),
+    "tau_in_range": ("inverse-gl", "inv", "stability_experiment",
+                     lambda rep: dataclasses.replace(rep, tau=1.0)),
+    "quotient_spread": ("inverse-gl", "inv", "stability_experiment",
+                        lambda rep: dataclasses.replace(rep, spread=2e3)),
+    "falsifications": ("inverse-gl", "inv", "stability_experiment",
+                       lambda rep: dataclasses.replace(
+                           rep, falsifications=[{"member": 0}])),
+    "probe_tampered_flagged": ("inverse-gl", "inv", "backward_uniqueness_probe",
+                               lambda rep: {**rep, "flagged_non_adapted": False}),
+    # not optimize_mu, which stability_experiment also calls
+    "optimizer_grid_match": ("inverse-gl", "inv", "brute_force_mu",
+                             lambda mu: mu + 1.0),
+    "ode": ("demo:ode", "sim", "classic_demos",
+            lambda rep: {**rep, "runs": [{**rep["runs"][0], "holds_every_step": False},
+                                         *rep["runs"][1:]]}),
+    "first_order": ("demo:first_order", "sim", "classic_demos",
+                    lambda rep: {**rep, "runs": [{**rep["runs"][0], "fitted_C": 0.0},
+                                                 *rep["runs"][1:]]}),
+}
+
+
+def _kind(check):
+    return check["case"].split("(")[0]
+
+
+def run_control(tmp_path, run):
+    argv, payload = CONTROL_RUNS[run]
+    if payload is not None:
+        argv = argv + ["--config", write_config(tmp_path, "control.json", payload)]
+    code, out = run_to_file(tmp_path, argv, "report.json")
+    return code, json.loads(out.read_text())
+
+
+@pytest.fixture(scope="module")
+def untampered(tmp_path_factory):
+    """Each control run's report, unpatched."""
+    reports = {}
+    for run in CONTROL_RUNS:
+        code, reports[run] = run_control(tmp_path_factory.mktemp(run.replace(":", "_")), run)
+        assert code == 0, run
+    return reports
+
+
+@pytest.mark.parametrize("kind", sorted(NEGATIVE_CONTROLS))
+def test_negative_control_fails_only_its_check(tmp_path, monkeypatch, untampered,
+                                               kind):
+    """Tampering with the one field a check reads, in the library result it
+    reads it from, falsifies that check and leaves every other check as
+    it was."""
+    run, module, name, tamper = NEGATIVE_CONTROLS[kind]
+    module = getattr(cli, module)
+    real, calls = getattr(module, name), 0
+
+    def tampered(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        out = real(*args, **kwargs)
+        return tamper(out) if calls == 1 else out
+
+    monkeypatch.setattr(module, name, tampered)
+    code, report = run_control(tmp_path, run)
+    assert code == 1 and report["pass"] is False
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert [_kind(c) for c in failed] == [kind]
+    kept = [c for c in report["checks"] if c["pass"]]
+    assert kept == [c for c in untampered[run]["checks"]
+                    if c["case"] != failed[0]["case"]]
+
+
+def test_every_experiment_check_kind_has_a_negative_control(untampered):
+    emitted = {_kind(c) for rep in untampered.values() for c in rep["checks"]}
+    assert emitted == set(NEGATIVE_CONTROLS)
+
+
 def test_missing_config_file_exits_two(tmp_path):
     out = tmp_path / "never.json"
     code = cli.main(["carleman-heat", "--config", str(tmp_path / "nope.json"),
@@ -266,6 +361,9 @@ def test_partial_config_overrides_only_named_fields(tmp_path):
     {"epsilons": [0.1]},                       # one point fits no slope: the probe
     {"epsilons": [0.1, 0.1]},                  # nor do repeated ones: the probe
     {"C_ref": math.nan},                       # not finite: config
+    # 2 kappa / C_ref > 2^53, so tau rounds to 1: compute_tau
+    {"mu1": 100, "ensembles": 2, "optimizer_draws": 2, "paths": 4,
+     "Nx": 20, "Nt": 60},
 ])
 def test_inverse_config_validation(tmp_path, payload):
     assert_config_rejected(tmp_path, "inverse-gl",
@@ -284,10 +382,10 @@ def test_gl_config_validation(tmp_path):
 
 
 def test_every_random_stream_is_distinct(tmp_path, monkeypatch):
-    """Every problem, path ensemble, manufactured pair, zero solution and
-    the optimizer draws from a stream of its own.  Streams are told apart
-    by the function that opens them and the seed it passes; no two may
-    start alike."""
+    """Every problem, path ensemble, manufactured pair and the optimizer
+    draws from a stream of its own.  Streams are told apart by the
+    function that opens them and the seed it passes; no two may start
+    alike."""
     real = np.random.default_rng
     first = {}
 
@@ -303,7 +401,7 @@ def test_every_random_stream_is_distinct(tmp_path, monkeypatch):
         ("carleman-heat", FAST_HEAT, {"brownian", "manufacture_heat_pair"},
          2 * FAST_HEAT["pairs"]),
         ("carleman-gl", FAST_GL, {"brownian", "make_random_gl_problem"},
-         2 * FAST_GL["ensembles"] + 1),
+         2 * FAST_GL["ensembles"]),
         ("inverse-gl", FAST_INV,
          {"brownian", "make_random_gl_problem", "run_inverse_gl"},
          2 * FAST_INV["ensembles"] + 1),
@@ -318,7 +416,7 @@ def test_every_random_stream_is_distinct(tmp_path, monkeypatch):
 
 def test_carleman_gl_solves_each_ensemble_once(tmp_path, monkeypatch):
     """Every mu is checked on the same solution: one forward solve per
-    ensemble member plus the zero solution."""
+    ensemble member."""
     real = cli.sim.solve_gl_forward
     calls = []
 
@@ -330,7 +428,7 @@ def test_carleman_gl_solves_each_ensemble_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "gl.json", FAST_GL)
     code, _ = run_to_file(tmp_path, ["carleman-gl", "--config", cfg])
     assert code == 0
-    assert len(calls) == FAST_GL["ensembles"] + 1
+    assert len(calls) == FAST_GL["ensembles"]
 
 
 def test_inverse_gl_streams_its_ensemble(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Hoelder stability experiment, exponent formula, and mu optimization."""
 
+import dataclasses
 import math
 import random
 
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 from carlemanlab.inverse import (
+    MU_LO,
+    MU_MAX,
     CutoffSpec,
     InverseError,
     backward_uniqueness_probe,
@@ -21,7 +24,6 @@ from carlemanlab.simulate import (
     SPDEProblem,
     brownian,
     make_random_gl_problem,
-    scaled_solution,
     solve_gl_forward,
     zero_paths,
 )
@@ -81,6 +83,8 @@ def test_tau_preconditions():
         compute_tau(0.5, 0.2, 3.0, 0.0)
     with pytest.raises(InverseError):
         compute_tau(0.5, 0.2, 1000.0, 10.0)  # e^{3 mu1 t0} overflows
+    with pytest.raises(InverseError, match="rounds to 1"):
+        compute_tau(0.15, 0.06, 100.0, 10.0)  # 2 kappa / C > 2^53
 
 
 # -- mu optimization --------------------------------------------------
@@ -117,7 +121,7 @@ def test_grid_oracle_matches_scalar_loop():
     # two argmins may split a near-tie between adjacent nodes
     rng = random.Random(321)
     points = 2000
-    grid = np.linspace(1.0 + 1e-9, 10.0, points)
+    grid = np.linspace(MU_LO, MU_MAX, points)
     for _ in range(25):
         kw = random_objective_box(rng)
         vals = [scalar_log_objective(float(m), **kw) for m in grid]
@@ -131,8 +135,8 @@ def test_terminal_dominated_objective_pushes_mu_to_one():
 
 
 def test_zero_terminal_norm_flags_degenerate_optimum():
-    mu_star = optimize_mu(D1=1.0, D2=0.0, kappa=1.0, C=1.0, T=0.1, mu_max=10.0)
-    assert mu_star == 10.0
+    mu_star = optimize_mu(D1=1.0, D2=0.0, kappa=1.0, C=1.0, T=0.1)
+    assert mu_star == MU_MAX == 10.0
 
 
 def test_doubling_interior_norm_moves_mu_weakly_up():
@@ -206,7 +210,8 @@ def test_stability_experiment_fits_uniform_constant():
 def test_quotients_scale_invariant():
     members = solve_members(3, seed0=60)
     rep = stability_experiment(member_norms(members), CUT, mu1=3.0)
-    scaled = [scaled_solution(s, 2.0) for s in members]
+    # by linearity, doubling (w0, f, g) doubles the solved state
+    scaled = [dataclasses.replace(s, w=2.0 * s.w) for s in members]
     rep2 = stability_experiment(member_norms(scaled), CUT, mu1=3.0)
     for q1, q2 in zip(rep.quotients, rep2.quotients):
         assert q2 == pytest.approx(q1, rel=1e-12)

@@ -46,7 +46,7 @@ def draws(seed, points):
 def test_linear_semimartingale_value():
     # z = x + i t at the base point (1, 1): |z|^2 = 2
     ctx = Context(1)
-    z, _, _ = ctx.semimartingale("z")
+    z = ctx.semimartingale("z")
     jets = {"z": {(0, 0): (1, 1), (1, 0): (1, 0), (0, 1): (0, 1)}}
     value, dt, dB = value_of(pinned_value(z * conj(z), ctx, jets))
     assert value == (2, 0) and dt == (0, 0) and dB == (0, 0)
