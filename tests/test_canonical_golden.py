@@ -4,6 +4,8 @@ Reports record monomial counts only, so this golden is what catches a
 change in a printed coefficient.  It maps each side (lhs, rhs and
 mutated_rhs) of the 12 theorem cells and the 17 catalog cases, which
 include the 9 proof steps at n=2, to the sha256 of its serialization.
+It also pins lhs and rhs of the raw cells with their null pairs
+cleared, the forms behind the constraint_pairs checks.
 
 Regenerate, after a deliberate change of canonical text, with
 ``PYTHONPATH=src python tests/test_canonical_golden.py``.
@@ -14,7 +16,14 @@ import json
 import pathlib
 
 from carlemanlab.canonical import canonicalize
-from carlemanlab.identity import CASE_IDS, REGIMES, OperatorSpec, _spec_case, build_case
+from carlemanlab.identity import (
+    CASE_IDS,
+    REGIMES,
+    OperatorSpec,
+    _spec_case,
+    build_case,
+    constraint_monomials,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "canonical_sha256.json"
 
@@ -27,6 +36,11 @@ def form_digests() -> dict[str, str]:
         for side in ("lhs", "rhs", "mutated_rhs"):
             text = canonicalize(getattr(case, side), case.ctx).serialize()
             out[f"{case.case_id}/{side}"] = hashlib.sha256(text.encode()).hexdigest()
+    for n in (1, 2, 3):
+        res, _ = constraint_monomials(OperatorSpec(n=n, regime="raw"))
+        for side in ("lhs", "rhs"):
+            text = getattr(res, side).serialize()
+            out[f"{res.case}/{side}"] = hashlib.sha256(text.encode()).hexdigest()
     return out
 
 
