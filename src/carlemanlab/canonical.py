@@ -9,6 +9,12 @@ carry total differential degree at most one.
 
 Two expressions are equal as identities exactly when their canonical
 forms are byte-identical, which is what the verifier relies on.
+
+A context may declare null pairs of real scalars whose product vanishes.
+Every derivative of a real scalar is zero, so the monomials holding a
+null product form an ideal, closed under products, d_x, d_t, the Ito d
+and conjugation.  The algebra below therefore ignores the pairs, and
+canonicalize drops those monomials once, from the finished form.
 """
 
 from __future__ import annotations
@@ -57,11 +63,11 @@ def _field_key(name: str, mi: tuple, to: int, cj: bool):
 # ---------------------------------------------------------------------------
 
 
-def _mono_mul(m1, m2, ctx: Context):
+def _mono_mul(m1, m2):
     """Product of two monomials by a merge of their sorted atoms.
 
     Returns the normalized monomial, or None when it reduces to zero by
-    the Ito table or a null pair.
+    the Ito table.
     """
     if not m1:
         return m2
@@ -97,11 +103,6 @@ def _mono_mul(m1, m2, ctx: Context):
         return None
     if ndb == 2:
         ndt, ndb = 1, 0
-    partners = ctx.null_partners
-    if partners:
-        names = [k[1] for k, _ in out if k[1] in partners]
-        if names and ctx.annihilates(names):
-            return None
     if ndt:
         out.append((DT_KEY, ndt))
     if ndb:
@@ -147,7 +148,7 @@ def _cf_scale(cf: dict, coeff: QQi) -> dict:
     return {m: c * coeff for m, c in cf.items()}
 
 
-def _cf_mul(c1: dict, c2: dict, ctx: Context) -> dict:
+def _cf_mul(c1: dict, c2: dict) -> dict:
     out: dict = {}
     if not c1 or not c2:
         return out
@@ -156,7 +157,7 @@ def _cf_mul(c1: dict, c2: dict, ctx: Context) -> dict:
         c1, c2 = c2, c1
     for m1, k1 in c1.items():
         for m2, k2 in c2.items():
-            mono = _mono_mul(m1, m2, ctx)
+            mono = _mono_mul(m1, m2)
             if mono is None:
                 continue
             coeff = k1 * k2
@@ -169,10 +170,10 @@ def _cf_mul(c1: dict, c2: dict, ctx: Context) -> dict:
     return out
 
 
-def _cf_pow(cf: dict, k: int, ctx: Context) -> dict:
+def _cf_pow(cf: dict, k: int) -> dict:
     out = {EMPTY_MONO: _ONE}
     for _ in range(k):
-        out = _cf_mul(out, cf, ctx)
+        out = _cf_mul(out, cf)
     return out
 
 
@@ -237,7 +238,7 @@ def _cf_diff(cf: dict, var, ctx: Context) -> dict:
                 continue
             rest = _mono_without(mono, key)
             base = {rest: coeff * QQi(e)}
-            _cf_add_inplace(out, _cf_mul(base, datom, ctx))
+            _cf_add_inplace(out, _cf_mul(base, datom))
     return out
 
 
@@ -258,7 +259,7 @@ def _atom_ito(key, ctx: Context) -> dict:
             tuple(sorted([(qk, 1), (DB_KEY, 1)])): _ONE,
         }
     dtpart = _atom_diff(key, ("t",), ctx)
-    return _cf_mul(dtpart, {((DT_KEY, 1),): _ONE}, ctx)
+    return _cf_mul(dtpart, {((DT_KEY, 1),): _ONE})
 
 
 def _cf_ito(cf: dict, ctx: Context) -> dict:
@@ -274,7 +275,7 @@ def _cf_ito(cf: dict, ctx: Context) -> dict:
                 continue
             rest = _mono_without(mono, key)
             base = {rest: coeff * QQi(e)}
-            _cf_add_inplace(out, _cf_mul(base, datom, ctx))
+            _cf_add_inplace(out, _cf_mul(base, datom))
         # Quadratic covariation: only semimartingale atoms carry dB.
         sm = [
             (key, e)
@@ -291,11 +292,11 @@ def _cf_ito(cf: dict, ctx: Context) -> dict:
                 else:
                     mult = QQi(ei * ej)
                     rest = _mono_without(_mono_without(mono, ki), kj)
-                cross = _cf_mul(_atom_ito(ki, ctx), _atom_ito(kj, ctx), ctx)
+                cross = _cf_mul(_atom_ito(ki, ctx), _atom_ito(kj, ctx))
                 if not cross:
                     continue
                 base = {rest: coeff * mult}
-                _cf_add_inplace(out, _cf_mul(base, cross, ctx))
+                _cf_add_inplace(out, _cf_mul(base, cross))
     return out
 
 
@@ -315,10 +316,7 @@ def _canon(e: Expr, ctx: Context, memo: dict) -> dict:
         name = e.sym.name
         if name not in ctx.symbols or ctx.symbols[name] is not e.sym:
             raise ExprError(f"symbol {name!r} does not belong to this context")
-        if e.sym.kind == "real-scalar" and ctx.annihilates([name]):
-            out = {}
-        else:
-            out = {((_field_key(name, (0,) * ctx.n, 0, False), 1),): _ONE}
+        out = {((_field_key(name, (0,) * ctx.n, 0, False), 1),): _ONE}
     elif isinstance(e, DtAtom):
         out = {((DT_KEY, 1),): _ONE}
     elif isinstance(e, DBAtom):
@@ -330,11 +328,11 @@ def _canon(e: Expr, ctx: Context, memo: dict) -> dict:
     elif isinstance(e, Mul):
         out = {EMPTY_MONO: _ONE}
         for f in e.factors:
-            out = _cf_mul(out, _canon(f, ctx, memo), ctx)
+            out = _cf_mul(out, _canon(f, ctx, memo))
             if not out:
                 break
     elif isinstance(e, Pow):
-        out = _cf_pow(_canon(e.base, ctx, memo), e.exp, ctx)
+        out = _cf_pow(_canon(e.base, ctx, memo), e.exp)
     elif isinstance(e, Dx):
         out = _cf_diff(_canon(e.arg, ctx, memo), ("x", e.j), ctx)
     elif isinstance(e, Dt):
@@ -357,6 +355,15 @@ def _canon(e: Expr, ctx: Context, memo: dict) -> dict:
         raise ExprError(f"cannot canonicalize node {type(e).__name__}")
     memo[key] = out
     return out
+
+
+def _drop_null(terms: dict, ctx: Context) -> dict:
+    """The terms whose monomial holds no null product of ctx: the only
+    place the canonicalizer reads the null pairs."""
+    if not ctx.null_partners:
+        return terms
+    return {mono: coeff for mono, coeff in terms.items()
+            if not ctx.annihilates(key[1] for key, _ in mono if key[0] == "f")}
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +432,12 @@ class CanonicalForm:
         return CanonicalForm(out, self.ctx)
 
     def __mul__(self, other: "CanonicalForm") -> "CanonicalForm":
-        return CanonicalForm(_cf_mul(self._terms, other._terms, self.ctx), self.ctx)
+        return CanonicalForm(_drop_null(_cf_mul(self._terms, other._terms), self.ctx), self.ctx)
+
+    def without_null_products(self) -> "CanonicalForm":
+        """self with every monomial that holds a null product of its
+        context dropped: what canonicalizing under the pairs gives."""
+        return CanonicalForm(_drop_null(self._terms, self.ctx), self.ctx)
 
     def serialize(self) -> str:
         """Sorted, deterministic text rendering, one monomial per line."""
@@ -465,6 +477,7 @@ def canonicalize(e: Expr, ctx: Context) -> CanonicalForm:
     """Canonicalize an expression over the given context.
 
     The result is unique: equal identities produce byte-identical
-    serializations regardless of how the input tree was arranged.
+    serializations regardless of how the input tree was arranged.  The
+    null pairs of ctx are applied once, to the finished form.
     """
-    return CanonicalForm(_canon(e, ctx, {}), ctx)
+    return CanonicalForm(_drop_null(_canon(e, ctx, {}), ctx), ctx)

@@ -105,12 +105,14 @@ def run_identity_verify(args) -> tuple[list, list]:
     for n in ns:
         for regime in regimes:
             spec = identity.OperatorSpec(n=n, regime=regime)
-            checks.append(_residual_check(identity.verify_identity(spec)))
             if regime == "raw":
-                res, clean = identity.constraint_monomials(spec)
+                cell = identity.verify_raw_cell(spec)
+                checks.append(_residual_check(cell.theorem))
                 checks.append(_check(
-                    f"constraint_pairs(n={n})", clean,
-                    surviving_monomials=len(res.surviving_monomials)))
+                    f"constraint_pairs(n={n})", cell.clean,
+                    surviving_monomials=len(cell.unconstrained.surviving_monomials)))
+            else:
+                checks.append(_residual_check(identity.verify_identity(spec)))
             if args.oracle:
                 checks.append(_oracle_check(
                     spec, f"n={n},regime={regime}", args.seed or 0, args.oracle))

@@ -77,12 +77,24 @@ class IdentityResidual:
     zero: bool
     surviving_monomials: tuple[str, ...]
 
+    @classmethod
+    def of(cls, case: str, lhs: CanonicalForm, rhs: CanonicalForm) -> "IdentityResidual":
+        res = lhs - rhs
+        return cls(
+            case=case,
+            lhs=lhs,
+            rhs=rhs,
+            residual=res,
+            zero=res.is_zero,
+            surviving_monomials=tuple(res.serialize().splitlines()) if not res.is_zero else (),
+        )
+
     def to_json(self) -> dict:
         return {
             "case": self.case,
             "zero": self.zero,
-            "lhs_monomials": len(self.lhs.terms()),
-            "rhs_monomials": len(self.rhs.terms()),
+            "lhs_monomials": len(self.lhs),
+            "rhs_monomials": len(self.rhs),
             "surviving_monomials": list(self.surviving_monomials),
         }
 
@@ -102,17 +114,8 @@ class VerificationCase:
 
 def verify(case: VerificationCase) -> IdentityResidual:
     """Canonical residual of the intact identity of case."""
-    lhs_cf = canonicalize(case.lhs, case.ctx)
-    rhs_cf = canonicalize(case.rhs, case.ctx)
-    res = lhs_cf - rhs_cf
-    return IdentityResidual(
-        case=case.case_id,
-        lhs=lhs_cf,
-        rhs=rhs_cf,
-        residual=res,
-        zero=res.is_zero,
-        surviving_monomials=tuple(res.serialize().splitlines()) if not res.is_zero else (),
-    )
+    return IdentityResidual.of(
+        case.case_id, canonicalize(case.lhs, case.ctx), canonicalize(case.rhs, case.ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +428,45 @@ def build_identity(spec: OperatorSpec) -> tuple[Expr, Expr, Workspace]:
     return ws.weighted_product(), esum(e for _, e in rhs_groups(ws)), ws
 
 
+@dataclass(frozen=True)
+class RawCell:
+    """The raw cell's theorem residual, and its residual with the null
+    pairs a*b0^j and b*b0^j cleared."""
+
+    theorem: IdentityResidual
+    unconstrained: IdentityResidual
+
+    @property
+    def clean(self) -> bool:
+        """Whether the pairs are needed and suffice: the unconstrained
+        residual is nonzero, and each of its monomials holds a null
+        product."""
+        res = self.unconstrained.residual
+        return not res.is_zero and res.without_null_products().is_zero
+
+
+def verify_raw_cell(spec: OperatorSpec) -> RawCell:
+    """Canonicalize each side of the raw cell once, with its null pairs
+    cleared; the theorem forms are those forms without the monomials that
+    hold a null product, which is what canonicalizing under the pairs
+    gives."""
+    if spec.regime != "raw":
+        raise SpecError("constraint inspection applies to the raw regime")
+    case = _spec_case(spec)
+    ctx = case.ctx
+    pairs = list(ctx.null_pairs)
+    ctx.clear_null_pairs()
+    free = verify(replace(case, case_id=f"raw-unconstrained(n={spec.n})"))
+    for pair in pairs:
+        ctx.declare_null_pair(*pair)
+    theorem = IdentityResidual.of(case.case_id, free.lhs.without_null_products(),
+                                  free.rhs.without_null_products())
+    return RawCell(theorem=theorem, unconstrained=free)
+
+
 def verify_identity(spec: OperatorSpec) -> IdentityResidual:
+    if spec.regime == "raw":
+        return verify_raw_cell(spec).theorem
     return verify(_spec_case(spec))
 
 
@@ -433,18 +474,8 @@ def constraint_monomials(spec: OperatorSpec) -> tuple[IdentityResidual, bool]:
     """Residual of the raw cell with its null pairs cleared, plus a flag
     telling whether every surviving monomial contains one of the null
     products a*b0^j or b*b0^j."""
-    if spec.regime != "raw":
-        raise SpecError("constraint inspection applies to the raw regime")
-    ws = make_theorem_workspace(spec)
-    ws.ctx.clear_null_pairs()
-    res = verify(_theorem_case(f"raw-unconstrained(n={spec.n})", ws))
-    b0names = {f"b0{j}" for j in range(1, spec.n + 1)}
-    ok = not res.zero
-    for mono, _ in res.residual.terms():
-        names = {key[1] for key, _ in mono if key[0] == "f"}
-        if not (names & {"a", "b"} and names & b0names):
-            ok = False
-    return res, ok
+    cell = verify_raw_cell(spec)
+    return cell.unconstrained, cell.clean
 
 
 # ---------------------------------------------------------------------------

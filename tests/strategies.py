@@ -39,21 +39,23 @@ def random_qqi(rng: random.Random) -> QQi:
 
 
 def random_plain_expr(ctx: Context, rng: random.Random, depth: int,
-                      allow_z: bool = True):
+                      allow_z: bool = True, scalars=("lam",)):
     """Differential-free expression tree of bounded depth and width.
 
-    Time derivatives only apply to deterministic fields, so subtrees
-    under d_t exclude the semimartingale.
+    Leaves are constants, ell, Phi, z and the real scalars named in
+    scalars.  Time derivatives only apply to deterministic fields, so
+    subtrees under d_t exclude the semimartingale.
     """
     if depth <= 0 or rng.random() < 0.3:
         kind = rng.randrange(3)
         if kind == 0:
             return Const(random_qqi(rng))
-        names = ["ell", "Phi", "lam"] + (["z"] if allow_z else [])
+        names = ["ell", "Phi", *scalars] + (["z"] if allow_z else [])
         e = ctx.sym(rng.choice(names))
         return Conj(e) if kind == 2 else e
     kind = rng.randrange(8)
-    sub = lambda z=allow_z: random_plain_expr(ctx, rng, depth - 1, allow_z=z)
+    sub = lambda z=allow_z: random_plain_expr(ctx, rng, depth - 1, allow_z=z,
+                                              scalars=scalars)
     if kind == 0:
         return Add([sub() for _ in range(rng.randint(1, 3))])
     if kind == 1:
@@ -71,9 +73,9 @@ def random_plain_expr(ctx: Context, rng: random.Random, depth: int,
     return ImPart(sub())
 
 
-def random_expr(ctx: Context, rng: random.Random, depth: int):
+def random_expr(ctx: Context, rng: random.Random, depth: int, scalars=("lam",)):
     """Plain tree, optionally carrying one top-level differential."""
-    e = random_plain_expr(ctx, rng, depth)
+    e = random_plain_expr(ctx, rng, depth, scalars=scalars)
     roll = rng.random()
     if roll < 0.15:
         return Mul([e, DT])

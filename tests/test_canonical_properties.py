@@ -159,8 +159,8 @@ def test_products_reorder_freely():
         assert a == b
 
 
-def dict_and_sort_mono_mul(m1, m2, ctx):
-    """Reference: count atoms in a dict, Ito-reduce, null-check, then sort."""
+def dict_and_sort_mono_mul(m1, m2):
+    """Reference: count atoms in a dict, Ito-reduce, then sort."""
     if not m1:
         return m2
     if not m2:
@@ -174,8 +174,6 @@ def dict_and_sort_mono_mul(m1, m2, ctx):
         return None
     if ndb == 2:
         ndt, ndb = 1, 0
-    if ctx.annihilates([k[1] for k in counts]):
-        return None
     out = list(counts.items())
     if ndt:
         out.append((DT_KEY, ndt))
@@ -205,7 +203,29 @@ def monomials(draw):
 @settings(max_examples=400, deadline=None)
 @given(monomials(), monomials())
 def test_mono_mul_matches_dict_and_sort(m1, m2):
+    assert _mono_mul(m1, m2) == dict_and_sort_mono_mul(m1, m2)
+
+
+# lam pairs with mu and with nu, and kap with itself
+NULL_SCALARS = ("lam", "mu", "nu", "kap")
+NULL_PAIRS = (("lam", "mu"), ("nu", "lam"), ("kap", "kap"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.integers(min_value=1, max_value=5))
+def test_null_pairs_filter_the_null_free_form(seed, depth):
+    # the monomials holding a null product form an ideal closed under
+    # every operation, so canonicalizing under the pairs only drops them
     ctx = make_context(2)
-    ctx.real_scalar("mu")
-    ctx.declare_null_pair("lam", "mu")
-    assert _mono_mul(m1, m2, ctx) == dict_and_sort_mono_mul(m1, m2, ctx)
+    for name in NULL_SCALARS[1:]:
+        ctx.real_scalar(name)
+    rng = random.Random(seed)
+    # a product of two trees, so that more of them hold a null product
+    e = (random_expr(ctx, rng, depth, scalars=NULL_SCALARS)
+         * random_plain_expr(ctx, rng, depth, scalars=NULL_SCALARS))
+    free = canonicalize(e, ctx)
+    for pair in NULL_PAIRS:
+        ctx.declare_null_pair(*pair)
+    kept = [(mono, coeff) for mono, coeff in free.terms()
+            if not ctx.annihilates(key[1] for key, _ in mono if key[0] == "f")]
+    assert canonicalize(e, ctx).terms() == kept

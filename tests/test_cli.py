@@ -9,7 +9,8 @@ import weakref
 import numpy as np
 import pytest
 
-from carlemanlab import cli
+from carlemanlab import cli, identity
+from carlemanlab.canonical import canonicalize
 from carlemanlab.config import (
     CSV_HEADERS,
     DemoConfig,
@@ -18,6 +19,7 @@ from carlemanlab.config import (
     InverseConfig,
     load_config,
 )
+from carlemanlab.exprs import DT, conj
 
 FAST_HEAT = dict(pairs=2, paths=6, modes=4, Nx=40, Nt=200, T=1.0,
                  lambdas=[20, 40], seed=11)
@@ -204,7 +206,7 @@ def test_large_mu_underflows_the_weight_without_warning(tmp_path):
     assert all(math.isfinite(c["min_ratio"]) for c in rep["checks"])
 
 
-# -- negative controls: every experiment check kind can fail -----------
+# -- negative controls: every check kind of these runs can fail --------
 
 # Each run named by a control: the verb's argv and, for the experiment
 # verbs, its FAST_* config.
@@ -214,7 +216,27 @@ CONTROL_RUNS = {
     "inverse-gl": (["inverse-gl"], FAST_INV),
     "demo:ode": (["demo", "--case", "ode"], None),
     "demo:first_order": (["demo", "--case", "first_order"], None),
+    "identity-verify:raw": (["identity-verify", "--regime", "raw", "--n", "1"], None),
 }
+
+
+def _mutated_theorem(cell):
+    """The raw cell with its theorem residual taken against mutated_rhs."""
+    case = identity._spec_case(identity.OperatorSpec(n=cell.theorem.lhs.ctx.n,
+                                                     regime="raw"))
+    return dataclasses.replace(cell, theorem=identity.verify(
+        dataclasses.replace(case, rhs=case.mutated_rhs)))
+
+
+def _stray_monomial(cell):
+    """The raw cell with z conj(z) dt, which holds no null product, added
+    to the right side of its unconstrained residual."""
+    res = cell.unconstrained
+    ctx = res.lhs.ctx
+    z = ctx.sym("z")
+    stray = canonicalize(z * conj(z) * DT, ctx)
+    return dataclasses.replace(cell, unconstrained=identity.IdentityResidual.of(
+        res.case, res.lhs, res.rhs + stray))
 
 
 # kind -> (run, cli module, library function, tamper): tamper changes the
@@ -242,6 +264,9 @@ NEGATIVE_CONTROLS = {
     "first_order": ("demo:first_order", "sim", "classic_demos",
                     lambda rep: {**rep, "runs": [{**rep["runs"][0], "fitted_C": 0.0},
                                                  *rep["runs"][1:]]}),
+    "theorem": ("identity-verify:raw", "identity", "verify_raw_cell", _mutated_theorem),
+    "constraint_pairs": ("identity-verify:raw", "identity", "verify_raw_cell",
+                         _stray_monomial),
 }
 
 
