@@ -357,15 +357,6 @@ def _canon(e: Expr, ctx: Context, memo: dict) -> dict:
     return out
 
 
-def _drop_null(terms: dict, ctx: Context) -> dict:
-    """The terms whose monomial holds no null product of ctx: the only
-    place the canonicalizer reads the null pairs."""
-    if not ctx.null_partners:
-        return terms
-    return {mono: coeff for mono, coeff in terms.items()
-            if not ctx.annihilates(key[1] for key, _ in mono if key[0] == "f")}
-
-
 # ---------------------------------------------------------------------------
 # Public wrapper
 # ---------------------------------------------------------------------------
@@ -432,12 +423,17 @@ class CanonicalForm:
         return CanonicalForm(out, self.ctx)
 
     def __mul__(self, other: "CanonicalForm") -> "CanonicalForm":
-        return CanonicalForm(_drop_null(_cf_mul(self._terms, other._terms), self.ctx), self.ctx)
+        return CanonicalForm(_cf_mul(self._terms, other._terms), self.ctx).without_null_products()
 
     def without_null_products(self) -> "CanonicalForm":
-        """self with every monomial that holds a null product of its
-        context dropped: what canonicalizing under the pairs gives."""
-        return CanonicalForm(_drop_null(self._terms, self.ctx), self.ctx)
+        """self without the monomials that hold a null product of its
+        context: the only place the canonicalizer reads the null pairs."""
+        ctx = self.ctx
+        if not ctx.null_partners:
+            return self
+        return CanonicalForm({mono: coeff for mono, coeff in self._terms.items()
+                              if not ctx.annihilates(key[1] for key, _ in mono if key[0] == "f")},
+                             ctx)
 
     def serialize(self) -> str:
         """Sorted, deterministic text rendering, one monomial per line."""
@@ -480,4 +476,4 @@ def canonicalize(e: Expr, ctx: Context) -> CanonicalForm:
     serializations regardless of how the input tree was arranged.  The
     null pairs of ctx are applied once, to the finished form.
     """
-    return CanonicalForm(_drop_null(_canon(e, ctx, {}), ctx), ctx)
+    return CanonicalForm(_canon(e, ctx, {}), ctx).without_null_products()

@@ -54,8 +54,9 @@ class Context:
 
     n is the spatial dimension (1..3).  null_pairs lists, in declaration
     order, the pairs of real-scalar symbol names whose product vanishes:
-    the canonicalizer rewrites such products to zero, and the jet oracle
-    gives one name of each pair the zero jet.  null_partners maps each
+    canonicalize drops every monomial holding such a product from the
+    finished form, and the jet oracle gives one name of each pair the
+    zero jet.  null_partners maps each
     name of a null pair to the names it is paired with.
     """
 

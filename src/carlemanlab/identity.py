@@ -80,14 +80,7 @@ class IdentityResidual:
     @classmethod
     def of(cls, case: str, lhs: CanonicalForm, rhs: CanonicalForm) -> "IdentityResidual":
         res = lhs - rhs
-        return cls(
-            case=case,
-            lhs=lhs,
-            rhs=rhs,
-            residual=res,
-            zero=res.is_zero,
-            surviving_monomials=tuple(res.serialize().splitlines()) if not res.is_zero else (),
-        )
+        return cls(case, lhs, rhs, res, res.is_zero, tuple(res.serialize().splitlines()))
 
     def to_json(self) -> dict:
         return {
