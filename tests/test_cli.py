@@ -195,6 +195,16 @@ def test_config_errors_exit_two_without_report(tmp_path, payload, detail):
     assert_config_rejected(tmp_path, "carleman-heat", payload)
 
 
+def test_lhs_underflow_exits_two_without_traceback(tmp_path, capsys):
+    # far from G0 theta^2 underflows to 0 on the whole window at lambda =
+    # 2000, so the LHS is 0 and no ratio exists
+    payload = {"window": [0.02, 0.12], "lambdas": [20, 2000, 20000], "pairs": 1}
+    assert_config_rejected(tmp_path, "carleman-heat", json.dumps(payload))
+    err = capsys.readouterr().err
+    assert "lambda = 2000" in err
+    assert "Traceback" not in err
+
+
 def test_large_mu_underflows_the_weight_without_warning(tmp_path):
     # at mu = 1407 the exponent 2 lam (alpha - max alpha) overflows to
     # -inf; theta^2 must become its documented 0 without a numpy warning

@@ -299,6 +299,60 @@ def test_heat_ratio_scale_invariant():
     assert b["ratio"] == a["ratio"]
 
 
+def per_path_heat_sums(pair, w, lams):
+    """Reference: both sides per path, one einsum over (M, Nt, Nx) per
+    term, then the mean over paths."""
+    grid = pair.grid
+    dxdt = grid.dx * grid.dt
+    t = grid.t[1:-1]
+    gamma, _, alpha = heat_alpha(w, grid.x[None, :], t[:, None])
+    shifted = alpha - np.max(alpha)
+    lo, hi = w.psi.G0
+    mask = (grid.x >= lo) & (grid.x <= hi)
+    y = pair.y[:, 1:-1, :]
+    y2 = y ** 2
+    gy2 = grad_dirichlet(y, grid.dx) ** 2
+    f2 = pair.f[:, 1:-1, :] ** 2
+    Y2 = np.broadcast_to(pair.Y[1:-1, :] ** 2, y2.shape)
+    out = {"lhs": [], "rhs": [], "ratio": [], "observation_fraction": []}
+    for lam in lams:
+        theta2 = np.exp(2.0 * lam * shifted)
+        g3 = theta2 * gamma ** 3 * dxdt
+        lhs_i = (lam ** 3 * np.einsum("mti,ti->m", y2, g3)
+                 + lam * np.einsum("mti,ti->m", gy2, theta2 * gamma * dxdt))
+        obs = lam ** 3 * np.einsum("mti,ti->m", y2[:, :, mask], g3[:, mask])
+        rhs_i = (obs + np.einsum("mti,ti->m", f2, theta2 * dxdt)
+                 + lam ** 2 * np.einsum("mti,ti->m", Y2, theta2 * gamma ** 2 * dxdt))
+        lhs, rhs = np.mean(lhs_i), np.mean(rhs_i)
+        out["lhs"].append(lhs)
+        out["rhs"].append(rhs)
+        out["ratio"].append(rhs / lhs)
+        out["observation_fraction"].append(np.mean(obs) / rhs)
+    return out
+
+
+@pytest.mark.parametrize("M", [1, 2, 5])
+@pytest.mark.parametrize("window", [None, (0.38, 0.72), (0.1, 0.5)])
+def test_heat_check_matches_per_path_sums(M, window):
+    pair = make_pair(seed=20 + M, M=M)
+    if window is not None:
+        pair = windowed_pair(pair, *window)
+    lams = [5, 20, 40, 80, 160, 400]
+    rep = carleman_heat_check(pair, heat_weight(), lams)
+    want = per_path_heat_sums(pair, heat_weight(), lams)
+    for key, values in want.items():
+        assert all(type(v) is float for v in rep[key])
+        np.testing.assert_allclose(rep[key], values, rtol=1e-13, atol=0.0)
+
+
+def test_heat_lhs_underflow_rejected():
+    # theta^2 underflows to 0 wherever a pair windowed to [0.02, 0.12] lives
+    pair = windowed_pair(make_pair(seed=1, M=2), 0.02, 0.12)
+    assert carleman_heat_check(pair, heat_weight(), [20])["lhs"][0] > 0.0
+    with pytest.raises(SimError, match="lambda = 2000"):
+        carleman_heat_check(pair, heat_weight(), [20, 2000])
+
+
 def test_heat_weight_horizon_mismatch_rejected():
     pair = make_pair(seed=1, M=2, T=0.5)
     with pytest.raises(SimError):
