@@ -143,7 +143,8 @@ def run_carleman_heat(cfg) -> tuple[list, list]:
         checks.append(_check(
             f"pair({i:02d})", rep["uniform_ok"] and rep["slope_ok"],
             min_ratio=rep["min_ratio"], uniform_floor=rep["uniform_floor"],
-            log_slope=rep["log_slope"]))
+            log_slope=rep["log_slope"],
+            min_observation_fraction=min(rep["observation_fraction"])))
         for lam, lhs, rhs, ratio in zip(rep["lambdas"], rep["lhs"],
                                         rep["rhs"], rep["ratio"]):
             rows.append((i, lam, lhs, rhs, ratio))

@@ -145,6 +145,18 @@ def test_all_experiment_verbs_pass_on_fast_configs(tmp_path):
         assert header == ",".join(CSV_HEADERS[key])
 
 
+@pytest.mark.parametrize("window, floor", [(None, 0.0), ([0.38, 0.72], 0.5)])
+def test_heat_pairs_report_their_observation_share(tmp_path, window, floor):
+    # a pair windowed inside G0 = (0.3, 0.8) is observation dominated
+    cfg = write_config(tmp_path, "heat.json", dict(FAST_HEAT, window=window))
+    code, out = run_to_file(tmp_path, ["carleman-heat", "--config", cfg])
+    assert code == 0
+    shares = [c["min_observation_fraction"]
+              for c in json.loads(out.read_text())["checks"]]
+    assert len(shares) == FAST_HEAT["pairs"]
+    assert all(floor < s <= 1.0 for s in shares), shares
+
+
 def test_falsified_run_exits_one_and_still_reports(tmp_path, monkeypatch):
     fake = {"demo": "ode", "all_hold": False,
             "runs": [{"name": "sin", "lambda": 2.0, "x0": 1.0,
