@@ -463,14 +463,6 @@ def verify_identity(spec: OperatorSpec) -> IdentityResidual:
     return verify(_spec_case(spec))
 
 
-def constraint_monomials(spec: OperatorSpec) -> tuple[IdentityResidual, bool]:
-    """Residual of the raw cell with its null pairs cleared, plus a flag
-    telling whether every surviving monomial contains one of the null
-    products a*b0^j or b*b0^j."""
-    cell = verify_raw_cell(spec)
-    return cell.unconstrained, cell.clean
-
-
 # ---------------------------------------------------------------------------
 # Proof steps
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from carlemanlab.identity import (
     OperatorSpec,
     _spec_case,
     build_case,
-    constraint_monomials,
+    verify_raw_cell,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "canonical_sha256.json"
@@ -37,7 +37,7 @@ def form_digests() -> dict[str, str]:
             text = canonicalize(getattr(case, side), case.ctx).serialize()
             out[f"{case.case_id}/{side}"] = hashlib.sha256(text.encode()).hexdigest()
     for n in (1, 2, 3):
-        res, _ = constraint_monomials(OperatorSpec(n=n, regime="raw"))
+        res = verify_raw_cell(OperatorSpec(n=n, regime="raw")).unconstrained
         for side in ("lhs", "rhs"):
             text = getattr(res, side).serialize()
             out[f"{res.case}/{side}"] = hashlib.sha256(text.encode()).hexdigest()

@@ -11,12 +11,12 @@ from carlemanlab.identity import (
     SpecError,
     _spec_case,
     build_case,
-    constraint_monomials,
     numeric_residual,
     printed_form_deltas,
     proof_step_case,
     verify,
     verify_identity,
+    verify_raw_cell,
     verify_reconstruction,
 )
 from carlemanlab.jetoracle import eval_jet_many
@@ -54,9 +54,10 @@ def test_inconsistent_specs_rejected(bad):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_raw_regime_keeps_constraint_monomials(n):
-    res, clean = constraint_monomials(OperatorSpec(n=n, regime="raw"))
+    cell = verify_raw_cell(OperatorSpec(n=n, regime="raw"))
+    res = cell.unconstrained
     assert not res.zero
-    assert clean
+    assert cell.clean
     assert len(res.surviving_monomials) > 0
 
 
