@@ -345,14 +345,6 @@ def test_heat_check_matches_per_path_sums(M, window):
         np.testing.assert_allclose(rep[key], values, rtol=1e-13, atol=0.0)
 
 
-def test_heat_lhs_underflow_rejected():
-    # theta^2 underflows to 0 wherever a pair windowed to [0.02, 0.12] lives
-    pair = windowed_pair(make_pair(seed=1, M=2), 0.02, 0.12)
-    assert carleman_heat_check(pair, heat_weight(), [20])["lhs"][0] > 0.0
-    with pytest.raises(SimError, match="lambda = 2000"):
-        carleman_heat_check(pair, heat_weight(), [20, 2000])
-
-
 def test_heat_weight_horizon_mismatch_rejected():
     pair = make_pair(seed=1, M=2, T=0.5)
     with pytest.raises(SimError):
