@@ -8,12 +8,13 @@ from pathlib import Path
 import pytest
 
 import carlemanlab.jetoracle as jetoracle
+from carlemanlab.canonical import canonicalize
 from carlemanlab.exact import QQi
 from carlemanlab.exprs import C, Const, Context, ExprError, Pow, conj, d_t, d_x, ito_d
 from carlemanlab.identity import build_case
 from carlemanlab.jetoracle import P, _Eval, _layout, eval_jet_many
 
-from strategies import make_context, random_plain_expr
+from strategies import make_context, random_expr, random_plain_expr
 
 
 def gmul(a, b):
@@ -80,6 +81,22 @@ def test_ito_jets_of_product():
             assert got.dt != (0, 0)
     with pytest.raises(ExprError, match="over a semimartingale"):
         eval_jet_many(d_t(z), ctx, draws(3, [0]))
+
+
+def test_oracle_agrees_with_the_canonical_form_on_random_trees():
+    # the oracle reads d() off e(u + du) under the Ito table; the
+    # canonicalizer expands it by Leibniz and quadratic variation, so the
+    # two witnesses must agree on every tree, differentials included
+    ctx = make_context(2)
+    rng = random.Random(5150)
+    with_differential = 0
+    for i in range(1000):
+        e = random_expr(ctx, rng, depth=rng.randint(1, 8))
+        a = [(i, 0), (i + 1, 1)]
+        got = eval_jet_many(e, ctx, a)
+        assert got == eval_jet_many(canonicalize(e, ctx).to_expr(), ctx, a), i
+        with_differential += any(v.dt != (0, 0) or v.dB != (0, 0) for v in got)
+    assert with_differential > 200
 
 
 def test_multiplicativity_on_plain_expressions():
