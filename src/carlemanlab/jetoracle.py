@@ -7,6 +7,11 @@ p = 2^61 - 1; since p = 3 mod 4, -1 is not a square mod p and F_p[i] is a
 field.  An expression evaluates to three elements of F_p[i] at the base
 point: the differential-free part and the dt and dB coefficients.
 
+The Ito differential d(e) comes from the same evaluator.  For a
+polynomial e, Ito's formula is the Taylor expansion of e(u + du) - e(u)
+under dB dB = dt and dt dB = dt dt = 0: the table keeps the first-order
+terms and the quadratic variation, and drops every other term.
+
 One call evaluates B draws, each a (seed, base point) pair with jets of
 its own, in a single walk of the expression DAG: every jet coefficient
 is a list of B ints, one per draw.  The walk memoizes only the nodes it
@@ -21,7 +26,7 @@ A field with derivative rewrites gets the coefficients of its ruled
 directions from the rules themselves, order by order, so no assignment
 is built by hand for a case.  This module never builds canonical forms
 and imports nothing from the canonicalizer or its exact arithmetic; it
-re-derives the product rules directly on jets, so it is an independent
+re-derives the Ito table directly on jets, so it is an independent
 check of the symbolic pipeline.
 """
 
@@ -278,37 +283,31 @@ def _children(e: Expr) -> tuple:
 
 def _shared_nodes(root: Expr) -> tuple[set, set]:
     """The ids of the nodes that one walk from root can ask run for more
-    than once, and those it can ask dval for more than once: root, every
-    node asked for by two or more parents, every Pow base and every
-    rewrite expression of a symbol the walk meets."""
+    than once, in plain mode and in shifted mode: root, every node asked
+    for by two or more parents in that mode, and every rewrite expression
+    of a symbol the walk meets (plain mode).  A DIto asks for its argument
+    in shifted mode."""
     shared = ({id(root)}, set())
     seen = ({id(root)}, set())
     stack = [(root, False)]
     while stack:
-        e, dval = stack.pop()
+        e, shifted = stack.pop()
         t = type(e)
         if t is Sym:
-            kids, modes = e.sym.rewrites.values(), (False,)
+            kids, mode = e.sym.rewrites.values(), False
             shared[0].update(map(id, kids))
         elif t is DIto:
-            kids, modes = (() if dval else (e.arg,)), (True,)
+            kids, mode = (() if shifted else (e.arg,)), True
         else:
-            kids, modes = _children(e), (dval,)
-            if t is Pow:
-                shared[0].add(id(e.base))
-                shared[1].add(id(e.base))
-            if dval and (t is Mul and len(kids) > 1 or t is Pow and e.exp > 1):
-                # d(uv) = u dv + v du + du dv reads both of every factor
-                modes = (False, True)
-        for mode in modes:
-            s, hit = seen[mode], shared[mode]
-            for c in kids:
-                i = id(c)
-                if i in s:
-                    hit.add(i)
-                else:
-                    s.add(i)
-                    stack.append((c, mode))
+            kids, mode = _children(e), shifted
+        s, hit = seen[mode], shared[mode]
+        for c in kids:
+            i = id(c)
+            if i in s:
+                hit.add(i)
+            else:
+                s.add(i)
+                stack.append((c, mode))
     return shared
 
 
@@ -326,8 +325,14 @@ class _Eval:
     fresh interpreters agree, lazily to the order the expression asks
     for.  Each null pair of ctx is honoured draw by draw by giving one of
     its names the zero jet: the second name for an even seed, the first
-    for an odd one.  run and dval memoize only the nodes that the walk
-    can ask them for more than once (see _shared_nodes).
+    for an odd one.
+
+    run(e, k) is the Ito triple of e.  In shifted mode every symbol u
+    reads as the triple u + du: (u, P, Q) for a semimartingale du = P dt +
+    Q dB, (u, u_t, 0) for a plain field and (u, 0, 0) for a real scalar,
+    so the dt and dB parts of run(e, k, True) are those of d(e).  Each
+    mode memoizes only the nodes that the walk can ask it for more than
+    once (see _shared_nodes).
     """
 
     def __init__(self, ctx: Context, draws, root: Expr):
@@ -340,9 +345,9 @@ class _Eval:
                 self.zero.setdefault(pair[1 - seed % 2], [False] * len(draws))[b] = True
         self.lay = _layout(self.n + 1, 4)
         self.jets: dict[str, list] = {}  # name -> [order, re, im, per-draw rng]
-        self.shared_run, self.shared_dval = _shared_nodes(root)
-        self.memo: dict[int, tuple] = {}  # id -> (order, Ito triple)
-        self.dmemo: dict[int, tuple] = {}  # id -> (order, (dt, dB))
+        self.shared = _shared_nodes(root)
+        # per mode (plain, shifted): id -> (order, Ito triple)
+        self.memo: tuple[dict, dict] = ({}, {})
 
     def _at(self, k: int) -> _Layout:
         if k > self.lay.order:
@@ -415,128 +420,74 @@ class _Eval:
             st[0] = d
         return re, im
 
-    # -- plain/differential triple ------------------------------------
+    # -- plain and shifted triples --------------------------------------
 
-    def run(self, e: Expr, k: int):
+    def run(self, e: Expr, k: int, shifted: bool = False):
         key = id(e)
-        if key not in self.shared_run:
-            return self._run(e, k)
-        hit = self.memo.get(key)
+        if key not in self.shared[shifted]:
+            return self._run(e, k, shifted)
+        memo = self.memo[shifted]
+        hit = memo.get(key)
         if hit is not None and hit[0] >= k:
             return hit[1]
-        out = self._run(e, k)
-        self.memo[key] = (k, out)
+        out = self._run(e, k, shifted)
+        memo[key] = (k, out)
         return out
 
-    def _run(self, e: Expr, k: int):
+    def _run(self, e: Expr, k: int, shifted: bool):
         lay = self._at(k + 1)
         if isinstance(e, Mul):
-            out = self.run(e.factors[0], k)
+            out = self.run(e.factors[0], k, shifted)
             for f in e.factors[1:]:
-                out = _ito_mul(lay, k, out, self.run(f, k))
+                out = _ito_mul(lay, k, out, self.run(f, k, shifted))
             return out
         if isinstance(e, Dx):
-            return tuple(_diff(lay, k, c, e.j - 1) for c in self.run(e.arg, k + 1))
+            return tuple(_diff(lay, k, c, e.j - 1) for c in self.run(e.arg, k + 1, shifted))
         if isinstance(e, Add):
-            parts = [self.run(t, k) for t in e.terms]
+            parts = [self.run(t, k, shifted) for t in e.terms]
             return tuple(_add(lay.size[k], [p[c] for p in parts]) for c in range(3))
         if isinstance(e, Sym):
-            return (self.symbol(e.sym, k), None, None)
+            sym = e.sym
+            u = self.symbol(sym, k)
+            if not shifted:
+                return (u, None, None)
+            if sym.semimartingale:
+                if sym.jets is None:
+                    raise ExprError(f"semimartingale {sym.name!r} has no registered jets")
+                p, q = sym.jets
+                return (u, self.symbol(p, k), self.symbol(q, k))
+            if sym.kind == "real-scalar":
+                return (u, None, None)
+            # d f = f_t dt for a plain field
+            return (u, _diff(lay, k, self.symbol(sym, k + 1), self.n), None)
         if isinstance(e, Const):
             return (self._const(k, (_fp(e.value.re), _fp(e.value.im))), None, None)
         if isinstance(e, Dt):
             if _contains_semimartingale(e.arg):
                 raise ExprError("time derivative applied over a semimartingale")
-            return tuple(_diff(lay, k, c, self.n) for c in self.run(e.arg, k + 1))
+            return tuple(_diff(lay, k, c, self.n) for c in self.run(e.arg, k + 1, shifted))
         if isinstance(e, Pow):
             if not e.exp:
                 return (self._const(k, (1, 0)), None, None)
-            base = out = self.run(e.base, k)
+            base = out = self.run(e.base, k, shifted)
             for _ in range(e.exp - 1):
                 out = _ito_mul(lay, k, out, base)
             return out
+        if shifted and isinstance(e, (DtAtom, DBAtom, DIto)):
+            raise ExprError("d() applied to an expression already containing dt or dB")
         if isinstance(e, DtAtom):
             return (None, self._const(k, (1, 0)), None)
         if isinstance(e, DBAtom):
             return (None, None, self._const(k, (1, 0)))
         if isinstance(e, DIto):
-            return (None,) + self.dval(e.arg, k)
+            return (None,) + self.run(e.arg, k, True)[1:]
         if isinstance(e, Conj):
-            return tuple(_conj(c) for c in self.run(e.arg, k))
+            return tuple(_conj(c) for c in self.run(e.arg, k, shifted))
         if isinstance(e, RePart):
-            return tuple(_re(c) for c in self.run(e.arg, k))
+            return tuple(_re(c) for c in self.run(e.arg, k, shifted))
         if isinstance(e, ImPart):
-            return tuple(_im(c) for c in self.run(e.arg, k))
+            return tuple(_im(c) for c in self.run(e.arg, k, shifted))
         raise ExprError(f"cannot evaluate node {type(e).__name__}")
-
-    # -- Ito differential of a differential-free expression -------------
-
-    def dval(self, e: Expr, k: int):
-        key = id(e)
-        if key not in self.shared_dval:
-            return self._dval(e, k)
-        hit = self.dmemo.get(key)
-        if hit is not None and hit[0] >= k:
-            return hit[1]
-        out = self._dval(e, k)
-        self.dmemo[key] = (k, out)
-        return out
-
-    def _dval(self, e: Expr, k: int):
-        lay = self._at(k + 1)
-        if isinstance(e, Const):
-            return (None, None)
-        if isinstance(e, (DtAtom, DBAtom, DIto)):
-            raise ExprError("d() applied to an expression already containing dt or dB")
-        if isinstance(e, Sym):
-            sym = e.sym
-            if sym.semimartingale:
-                if sym.jets is None:
-                    raise ExprError(f"semimartingale {sym.name!r} has no registered jets")
-                p, q = sym.jets
-                return (self.symbol(p, k), self.symbol(q, k))
-            if sym.kind == "real-scalar":
-                return (None, None)
-            # d f = f_t dt for a plain field
-            return (_diff(lay, k, self.symbol(sym, k + 1), self.n), None)
-        if isinstance(e, Add):
-            parts = [self.dval(t, k) for t in e.terms]
-            return tuple(_add(lay.size[k], [p[c] for p in parts]) for c in range(2))
-        if isinstance(e, Mul):
-            return self._dval_product(e.factors, k)
-        if isinstance(e, Pow):
-            return self._dval_product([e.base] * e.exp, k)
-        if isinstance(e, Dx):
-            return tuple(_diff(lay, k, c, e.j - 1) for c in self.dval(e.arg, k + 1))
-        if isinstance(e, Dt):
-            return tuple(_diff(lay, k, c, self.n) for c in self.dval(e.arg, k + 1))
-        if isinstance(e, Conj):
-            return tuple(_conj(c) for c in self.dval(e.arg, k))
-        if isinstance(e, RePart):
-            return tuple(_re(c) for c in self.dval(e.arg, k))
-        if isinstance(e, ImPart):
-            return tuple(_im(c) for c in self.dval(e.arg, k))
-        raise ExprError(f"cannot apply d() over node {type(e).__name__}")
-
-    def _dval_product(self, factors, k: int):
-        """d of a product, folded from the left: d(uv) = u dv + v du + du dv,
-        with du dv = (dB parts) dt.  Each factor's run and dval is read
-        once."""
-        if not factors:
-            return (None, None)
-        udt, udb = self.dval(factors[0], k)
-        if len(factors) == 1:
-            return (udt, udb)
-        lay = self._at(k)
-        up = self.run(factors[0], k)[0]
-        for i, f in enumerate(factors[1:], start=2):
-            fp = self.run(f, k)[0]
-            fdt, fdb = self.dval(f, k)
-            udt, udb = (_mul(lay, k, (up, fdt), (fp, udt), (udb, fdb)),
-                        _mul(lay, k, (up, fdb), (fp, udb)))
-            if i < len(factors):
-                up = _mul(lay, k, (up, fp))
-        return (udt, udb)
 
 
 def _values(triple, b: int) -> list[JetValue]:

@@ -83,6 +83,16 @@ def test_ito_jets_of_product():
         eval_jet_many(d_t(z), ctx, draws(3, [0]))
 
 
+def test_ito_d_of_a_semimartingale_time_derivative_is_refused():
+    # z has no time derivative, so neither witness gives d(d_t z) a value
+    ctx = make_context(1)
+    e = ito_d(d_t(ctx.sym("z")))
+    with pytest.raises(ExprError):
+        canonicalize(e, ctx)
+    with pytest.raises(ExprError, match="over a semimartingale"):
+        eval_jet_many(e, ctx, draws(3, [0]))
+
+
 def test_oracle_agrees_with_the_canonical_form_on_random_trees():
     # the oracle reads d() off e(u + du) under the Ito table; the
     # canonicalizer expands it by Leibniz and quadratic variation, so the
