@@ -92,6 +92,8 @@ def _oracle_check(target, label: str, seed: int, assignments: int) -> dict:
 def run_identity_verify(args) -> tuple[list, list]:
     checks = []
     if args.case is not None:
+        if args.n or args.regime:
+            raise ConfigError("--case names one specialization: drop --n and --regime")
         if args.case not in identity.CASE_IDS:
             raise ConfigError(
                 f"unknown case '{args.case}' (known: {', '.join(identity.CASE_IDS)})")

@@ -176,6 +176,7 @@ def test_falsified_run_exits_one_and_still_reports(tmp_path, monkeypatch):
     ["demo", "--seed", "-1"],
     ["demo", "--seed", str(2 ** 64)],
     ["identity-verify", "--case", "ode", "--oracle", "-3"],
+    ["identity-verify", "--case", "c02", "--n", "3", "--regime", "R2"],
 ])
 def test_usage_errors_exit_two_without_report(tmp_path, argv):
     out = tmp_path / "never.json"
