@@ -20,6 +20,7 @@ from carlemanlab.config import (
     load_config,
 )
 from carlemanlab.exprs import DT, conj
+from carlemanlab.jetoracle import Gauss
 
 FAST_HEAT = dict(pairs=2, paths=6, modes=4, Nx=40, Nt=200, T=1.0,
                  lambdas=[20, 40], seed=11)
@@ -240,6 +241,9 @@ CONTROL_RUNS = {
     "demo:ode": (["demo", "--case", "ode"], None),
     "demo:first_order": (["demo", "--case", "first_order"], None),
     "identity-verify:raw": (["identity-verify", "--regime", "raw", "--n", "1"], None),
+    "identity-verify:oracle": (["identity-verify", "--regime", "R1", "--n", "1",
+                                "--oracle", "1"], None),
+    "identity-steps": (["identity-steps", "--n", "1"], None),
 }
 
 
@@ -251,15 +255,23 @@ def _mutated_theorem(cell):
         dataclasses.replace(case, rhs=case.mutated_rhs)))
 
 
-def _stray_monomial(cell):
-    """The raw cell with z conj(z) dt, which holds no null product, added
-    to the right side of its unconstrained residual."""
-    res = cell.unconstrained
+def _with_stray_monomial(res):
+    """res with z conj(z) dt, which holds no null product, added to its
+    right side."""
     ctx = res.lhs.ctx
     z = ctx.sym("z")
     stray = canonicalize(z * conj(z) * DT, ctx)
-    return dataclasses.replace(cell, unconstrained=identity.IdentityResidual.of(
-        res.case, res.lhs, res.rhs + stray))
+    return identity.IdentityResidual.of(res.case, res.lhs, res.rhs + stray)
+
+
+def _stray_monomial(cell):
+    """The raw cell with a stray monomial in its unconstrained residual."""
+    return dataclasses.replace(cell, unconstrained=_with_stray_monomial(cell.unconstrained))
+
+
+def _nonzero_oracle_value(values):
+    """The oracle values with a nonzero dB part in the first draw."""
+    return [dataclasses.replace(values[0], dB=Gauss(1, 0)), *values[1:]]
 
 
 # kind -> (run, cli module, library function, tamper): tamper changes the
@@ -290,6 +302,12 @@ NEGATIVE_CONTROLS = {
     "theorem": ("identity-verify:raw", "identity", "verify_raw_cell", _mutated_theorem),
     "constraint_pairs": ("identity-verify:raw", "identity", "verify_raw_cell",
                          _stray_monomial),
+    "oracle": ("identity-verify:oracle", "identity", "numeric_residual",
+               _nonzero_oracle_value),
+    # the first verify call of identity-steps is proof_step(2)
+    "proof_step": ("identity-steps", "identity", "verify", _with_stray_monomial),
+    "reconstruction": ("identity-steps", "identity", "verify_reconstruction",
+                       _with_stray_monomial),
 }
 
 
