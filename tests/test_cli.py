@@ -69,6 +69,13 @@ def test_steps_report_matches_golden(tmp_path, goldens_dir):
     assert out.read_bytes() == (goldens_dir / "report_steps_n1.json").read_bytes()
 
 
+def test_default_steps_report_matches_golden(tmp_path, goldens_dir):
+    # the default run is n = 2, as the symbolic benchmark runs it
+    code, out = run_to_file(tmp_path, ["identity-steps"])
+    assert code == 0
+    assert out.read_bytes() == (goldens_dir / "report_steps_n2.json").read_bytes()
+
+
 def test_raw_report_matches_golden(tmp_path, goldens_dir):
     # the three raw theorem checks and the three constraint_pairs checks
     code, out = run_to_file(tmp_path, ["identity-verify", "--regime", "raw"])
