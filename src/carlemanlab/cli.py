@@ -122,11 +122,8 @@ def run_identity_verify(args) -> tuple[list, list]:
 
 
 def run_identity_steps(args) -> tuple[list, list]:
-    n = args.n or 2
-    checks = [_residual_check(identity.verify(identity.proof_step_case(key, n)))
-              for key in identity.PROOF_STEPS]
-    checks.append(_residual_check(identity.verify_reconstruction(n)))
-    return checks, []
+    steps, whole = identity.verify_proof_steps(args.n or 2)
+    return [_residual_check(r) for r in steps + [whole]], []
 
 
 def run_carleman_heat(cfg) -> tuple[list, list]:

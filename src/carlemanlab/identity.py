@@ -468,176 +468,161 @@ def verify_identity(spec: OperatorSpec) -> IdentityResidual:
 # ---------------------------------------------------------------------------
 
 
-def _groups_03(ws: Workspace) -> list[Expr]:
-    """The nine terms of the expanded cross product 2 Re(conj(I1) I2)."""
-    a, b, a0 = ws.a, ws.b, ws.a0
-    sq = a * a + b * b
-    pairs = ws._pairs()
-    Lc = conj(ws.Lam)
-    pc = conj(ws.phi)
-    g1 = -(C(2) * a * a0 * re(Lc * ws.dz))
-    g2 = -(C(4) * sq * re(esum(ws.am(j, k) * ws.ellx[j] * (ws.zx[k] * Lc) for j, k in pairs)) * DT)
-    g3 = C(2) * a * re(ws.phi * Lc * ws.z) * DT
-    g4 = C(4) * a0 * b * esum(ws.am(j, k) * ws.ellx[j] * im(ws.zcx[k] * ws.dz) for j, k in pairs)
-    g5 = C(4) * b * esum(ws.am(j, k) * ws.ellx[j] * im(pc * ws.zc * ws.zx[k]) for j, k in pairs) * DT
-    g6 = C(2) * b * im((pc - a0 * ws.ellt) * ws.zc * ws.Lam) * DT
-    g7 = (
-        C(4)
-        * a
-        * esum(ws.am(j, k) * ws.ellx[j] * re((pc - a0 * ws.ellt) * ws.zc * ws.zx[k]) for j, k in pairs)
-        * DT
-    )
-    g8 = C(2) * re(
-        (pc - a0 * ws.ellt - ws.b0_grad_ell)
-        * ws.zc
-        * (a0 * ws.dz + ws.b0_dot_grad(ws.z) * DT)
-    )
-    g9 = -(C(2) * re(ws.phi * (pc - a0 * ws.ellt - ws.b0_grad_ell)) * ws.z * ws.zc * DT)
-    return [g1, g2, g3, g4, g5, g6, g7, g8, g9]
+def proof_step_sides(ws: Workspace) -> list[tuple[Expr, Expr]]:
+    """(lhs, rhs) of every proof step on ws, in PROOF_STEPS order.
 
-
-def _step_sides(ws: Workspace, key: str) -> tuple[Expr, Expr]:
+    Step 2 splits the weighted product into the magnitude term and the
+    cross product 2 Re(conj(I1) I2); step 03 expands the cross product
+    into nine terms g1..g9.  Steps 3, 5, 6, 10, 02 and zr2 each expand one
+    of g1, g2, g3, g4, g6 and g8, and zr0 expands the weight term that
+    zr2 leaves.
+    """
     a, b, a0 = ws.a, ws.b, ws.a0
     sq = a * a + b * b
     pairs = ws._pairs()
     n = ws.n
-    g = _groups_03(ws)
+    Lc = conj(ws.Lam)
     pc = conj(ws.phi)
-    if key == "2":
-        lhs = ws.weighted_product()
-        rhs = C(2) * ws.I1 * conj(ws.I1) * DT + C(2) * re(conj(ws.I1) * ws.I2)
-        return lhs, rhs
-    if key == "03":
-        return C(2) * re(conj(ws.I1) * ws.I2), esum(g)
-    if key == "3":
-        lhs = g[0]
-        terms = []
-        for j, k in pairs:
-            terms.append(-(a * a0 * d_x(ws.am(j, k) * ws.zx[j] * ws.dzc + ws.am(j, k) * ws.zcx[j] * ws.dz, k)))
-            terms.append(ito_d(a * a0 * ws.am(j, k) * ws.zx[j] * ws.zcx[k]))
-            terms.append(-(a * a0 * d_t(ws.am(j, k)) * ws.zx[j] * ws.zcx[k] * DT))
-            terms.append(-(a * a0 * ws.am(j, k) * ws.dzx[j] * ws.dzcx[k]))
-        terms.append(-ito_d(a * a0 * ws.A * ws.z * ws.zc))
-        terms.append(a * a0 * d_t(ws.A) * ws.z * ws.zc * DT)
-        terms.append(a * a0 * ws.A * ws.dz * ws.dzc)
-        return lhs, esum(terms)
-    if key == "5":
-        lhs = g[1]
-        terms = []
-        for j, k in pairs:
-            terms.append(-(C(2) * sq * d_x(ws.A * ws.am(j, k) * ws.ellx[j] * ws.z * ws.zc, k) * DT))
-            terms.append(C(2) * sq * d_x(ws.A * ws.am(j, k) * ws.ellx[j], k) * ws.z * ws.zc * DT)
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for jp in range(1, n + 1):
-                    for kp in range(1, n + 1):
-                        cross = ws.zx[jp] * ws.zcx[k] + ws.zcx[jp] * ws.zx[k]
-                        terms.append(
-                            -(C(2) * sq * d_x(ws.am(j, k) * ws.ellx[j] * ws.am(jp, kp) * cross, kp) * DT)
-                        )
-                        terms.append(
-                            C(2) * sq * ws.am(jp, kp) * d_x(ws.am(j, k) * ws.ellx[j], kp) * cross * DT
-                        )
-                        terms.append(
-                            C(2)
-                            * sq
-                            * (
-                                d_x(ws.am(j, k) * ws.ellx[j] * ws.am(jp, kp) * ws.zx[jp] * ws.zcx[kp], k)
-                                - d_x(ws.am(j, k) * ws.am(jp, kp) * ws.ellx[j], k) * ws.zx[jp] * ws.zcx[kp]
-                            )
-                            * DT
-                        )
-        return lhs, esum(terms)
-    if key == "6":
-        lhs = g[2]
-        terms = []
-        for j, k in pairs:
-            terms.append(C(2) * a * d_x(re(ws.am(j, k) * ws.zcx[j] * ws.phi * ws.z), k) * DT)
-            terms.append(-(C(2) * a * re(ws.phi) * ws.am(j, k) * ws.zx[j] * ws.zcx[k] * DT))
-            terms.append(-(C(2) * a * re(ws.am(j, k) * d_x(ws.phi, k) * ws.z * ws.zcx[j]) * DT))
-        terms.append(C(2) * a * ws.A * re(ws.phi) * ws.z * ws.zc * DT)
-        return lhs, esum(terms)
-    if key == "10":
-        lhs = g[3]
-        terms = []
-        for j, k in pairs:
-            alj = ws.am(j, k) * ws.ellx[j]
-            terms.append(C(2) * a0 * b * ito_d(alj * im(ws.zcx[k] * ws.z)))
-            terms.append(-(C(2) * a0 * b * d_x(alj * im(ws.z * ws.dzc), k)))
-            terms.append(-(C(2) * a0 * b * d_t(alj) * im(ws.zcx[k] * ws.z) * DT))
-            terms.append(C(2) * a0 * b * d_x(alj, k) * im(ws.z * ws.dzc))
-            terms.append(-(C(2) * a0 * b * alj * im(ws.dz * ws.dzcx[k])))
-        return lhs, esum(terms)
-    if key == "02":
-        lhs = g[5]
-        terms = []
-        for j, k in pairs:
-            terms.append(C(2) * b * d_x(im(ws.am(j, k) * ws.zx[j] * (pc - a0 * ws.ellt) * ws.zc), k) * DT)
-            terms.append(C(2) * b * im(ws.phi) * ws.am(j, k) * ws.zx[j] * ws.zcx[k] * DT)
-            terms.append(-(C(2) * b * ws.am(j, k) * im(d_x(pc - a0 * ws.ellt, k) * ws.zx[j] * ws.zc) * DT))
-        terms.append(-(C(2) * b * ws.A * im(ws.phi) * ws.z * ws.zc * DT))
-        return lhs, esum(terms)
-    if key == "zr2":
-        lhs = g[7]
-        rhs = C(2) * re(pc * ws.zc * (a0 * ws.dz + ws.b0_dot_grad(ws.z) * DT)) + _zr0_lhs(ws)
-        return lhs, rhs
-    if key == "zr0":
-        lhs = _zr0_lhs(ws)
-        wt = a0 * ws.ellt + ws.b0_grad_ell
-        rhs = (
-            -ito_d(a0 * wt * ws.z * ws.zc)
-            + a0 * (a0 * d_t(ws.ellt) + d_t(ws.b0_grad_ell)) * ws.z * ws.zc * DT
-            + a0 * wt * ws.dz * ws.dzc
-            - ws.b0_dot_grad(wt * ws.z * ws.zc) * DT
-            + ws.b0_dot_grad(wt) * ws.z * ws.zc * DT
-        )
-        return lhs, rhs
-    raise SpecError(f"unknown proof step {key!r}")
+    cross = C(2) * re(conj(ws.I1) * ws.I2)
+    g = [
+        -(C(2) * a * a0 * re(Lc * ws.dz)),
+        -(C(4) * sq * re(esum(ws.am(j, k) * ws.ellx[j] * (ws.zx[k] * Lc) for j, k in pairs)) * DT),
+        C(2) * a * re(ws.phi * Lc * ws.z) * DT,
+        C(4) * a0 * b * esum(ws.am(j, k) * ws.ellx[j] * im(ws.zcx[k] * ws.dz) for j, k in pairs),
+        C(4) * b * esum(ws.am(j, k) * ws.ellx[j] * im(pc * ws.zc * ws.zx[k]) for j, k in pairs) * DT,
+        C(2) * b * im((pc - a0 * ws.ellt) * ws.zc * ws.Lam) * DT,
+        C(4)
+        * a
+        * esum(ws.am(j, k) * ws.ellx[j] * re((pc - a0 * ws.ellt) * ws.zc * ws.zx[k]) for j, k in pairs)
+        * DT,
+        C(2) * re(
+            (pc - a0 * ws.ellt - ws.b0_grad_ell)
+            * ws.zc
+            * (a0 * ws.dz + ws.b0_dot_grad(ws.z) * DT)
+        ),
+        -(C(2) * re(ws.phi * (pc - a0 * ws.ellt - ws.b0_grad_ell)) * ws.z * ws.zc * DT),
+    ]
 
+    step3 = []
+    for j, k in pairs:
+        step3.append(-(a * a0 * d_x(ws.am(j, k) * ws.zx[j] * ws.dzc + ws.am(j, k) * ws.zcx[j] * ws.dz, k)))
+        step3.append(ito_d(a * a0 * ws.am(j, k) * ws.zx[j] * ws.zcx[k]))
+        step3.append(-(a * a0 * d_t(ws.am(j, k)) * ws.zx[j] * ws.zcx[k] * DT))
+        step3.append(-(a * a0 * ws.am(j, k) * ws.dzx[j] * ws.dzcx[k]))
+    step3.append(-ito_d(a * a0 * ws.A * ws.z * ws.zc))
+    step3.append(a * a0 * d_t(ws.A) * ws.z * ws.zc * DT)
+    step3.append(a * a0 * ws.A * ws.dz * ws.dzc)
 
-def _zr0_lhs(ws: Workspace) -> Expr:
-    wt = ws.a0 * ws.ellt + ws.b0_grad_ell
-    return -(
-        wt
-        * (
-            ws.a0 * ito_d(ws.z * ws.zc)
-            - ws.a0 * ws.dz * ws.dzc
-            + ws.b0_dot_grad(ws.z * ws.zc) * DT
-        )
+    step5 = []
+    for j, k in pairs:
+        step5.append(-(C(2) * sq * d_x(ws.A * ws.am(j, k) * ws.ellx[j] * ws.z * ws.zc, k) * DT))
+        step5.append(C(2) * sq * d_x(ws.A * ws.am(j, k) * ws.ellx[j], k) * ws.z * ws.zc * DT)
+    for j in range(1, n + 1):
+        for k in range(1, n + 1):
+            for jp in range(1, n + 1):
+                for kp in range(1, n + 1):
+                    sym = ws.zx[jp] * ws.zcx[k] + ws.zcx[jp] * ws.zx[k]
+                    step5.append(
+                        -(C(2) * sq * d_x(ws.am(j, k) * ws.ellx[j] * ws.am(jp, kp) * sym, kp) * DT)
+                    )
+                    step5.append(
+                        C(2) * sq * ws.am(jp, kp) * d_x(ws.am(j, k) * ws.ellx[j], kp) * sym * DT
+                    )
+                    step5.append(
+                        C(2)
+                        * sq
+                        * (
+                            d_x(ws.am(j, k) * ws.ellx[j] * ws.am(jp, kp) * ws.zx[jp] * ws.zcx[kp], k)
+                            - d_x(ws.am(j, k) * ws.am(jp, kp) * ws.ellx[j], k) * ws.zx[jp] * ws.zcx[kp]
+                        )
+                        * DT
+                    )
+
+    step6 = []
+    for j, k in pairs:
+        step6.append(C(2) * a * d_x(re(ws.am(j, k) * ws.zcx[j] * ws.phi * ws.z), k) * DT)
+        step6.append(-(C(2) * a * re(ws.phi) * ws.am(j, k) * ws.zx[j] * ws.zcx[k] * DT))
+        step6.append(-(C(2) * a * re(ws.am(j, k) * d_x(ws.phi, k) * ws.z * ws.zcx[j]) * DT))
+    step6.append(C(2) * a * ws.A * re(ws.phi) * ws.z * ws.zc * DT)
+
+    step10 = []
+    for j, k in pairs:
+        alj = ws.am(j, k) * ws.ellx[j]
+        step10.append(C(2) * a0 * b * ito_d(alj * im(ws.zcx[k] * ws.z)))
+        step10.append(-(C(2) * a0 * b * d_x(alj * im(ws.z * ws.dzc), k)))
+        step10.append(-(C(2) * a0 * b * d_t(alj) * im(ws.zcx[k] * ws.z) * DT))
+        step10.append(C(2) * a0 * b * d_x(alj, k) * im(ws.z * ws.dzc))
+        step10.append(-(C(2) * a0 * b * alj * im(ws.dz * ws.dzcx[k])))
+
+    step02 = []
+    for j, k in pairs:
+        step02.append(C(2) * b * d_x(im(ws.am(j, k) * ws.zx[j] * (pc - a0 * ws.ellt) * ws.zc), k) * DT)
+        step02.append(C(2) * b * im(ws.phi) * ws.am(j, k) * ws.zx[j] * ws.zcx[k] * DT)
+        step02.append(-(C(2) * b * ws.am(j, k) * im(d_x(pc - a0 * ws.ellt, k) * ws.zx[j] * ws.zc) * DT))
+    step02.append(-(C(2) * b * ws.A * im(ws.phi) * ws.z * ws.zc * DT))
+
+    wt = a0 * ws.ellt + ws.b0_grad_ell
+    weight = -(wt * (a0 * ito_d(ws.z * ws.zc) - a0 * ws.dz * ws.dzc + ws.b0_dot_grad(ws.z * ws.zc) * DT))
+    zr0 = (
+        -ito_d(a0 * wt * ws.z * ws.zc)
+        + a0 * (a0 * d_t(ws.ellt) + d_t(ws.b0_grad_ell)) * ws.z * ws.zc * DT
+        + a0 * wt * ws.dz * ws.dzc
+        - ws.b0_dot_grad(wt * ws.z * ws.zc) * DT
+        + ws.b0_dot_grad(wt) * ws.z * ws.zc * DT
     )
+    return [
+        (ws.weighted_product(), C(2) * ws.I1 * conj(ws.I1) * DT + cross),
+        (cross, esum(g)),
+        (g[0], esum(step3)),
+        (g[1], esum(step5)),
+        (g[2], esum(step6)),
+        (g[3], esum(step10)),
+        (g[5], esum(step02)),
+        (g[7], C(2) * re(pc * ws.zc * (a0 * ws.dz + ws.b0_dot_grad(ws.z) * DT)) + weight),
+        (weight, zr0),
+    ]
 
 
-def proof_step_case(key: str, n: int = 2) -> VerificationCase:
-    ws = make_theorem_workspace(OperatorSpec(n=n, regime="raw"))
-    lhs, rhs = _step_sides(ws, key)
+def _proof_step_cases(ws: Workspace) -> list[VerificationCase]:
     # The steps have heterogeneous structure, so the corruption is a
     # uniform spurious term rather than a per-step dropped piece.  The
     # oracle honours the null products a*b0^j and b*b0^j, which the
     # cross-product expansion relies on.
-    return VerificationCase(
-        case_id=f"proof_step({key})",
-        ctx=ws.ctx,
-        lhs=lhs,
-        rhs=rhs,
-        mutated_rhs=rhs + ws.z * ws.zc * DT,
-    )
+    return [
+        VerificationCase(
+            case_id=f"proof_step({key})",
+            ctx=ws.ctx,
+            lhs=lhs,
+            rhs=rhs,
+            mutated_rhs=rhs + ws.z * ws.zc * DT,
+        )
+        for key, (lhs, rhs) in zip(PROOF_STEPS, proof_step_sides(ws))
+    ]
 
 
-def verify_reconstruction(n: int = 2) -> IdentityResidual:
-    """Replay the derivation: substitute every proof step's expansion into
-    the cross-product split and compare with the grouped right-hand side."""
+def proof_step_case(key: str, n: int = 2) -> VerificationCase:
+    if key not in PROOF_STEPS:
+        raise SpecError(f"unknown proof step {key!r}")
     ws = make_theorem_workspace(OperatorSpec(n=n, regime="raw"))
-    g = _groups_03(ws)
-    pieces = [C(2) * ws.I1 * conj(ws.I1) * DT]
-    for key in ("3", "5", "6", "10", "02"):
-        pieces.append(_step_sides(ws, key)[1])
-    pieces.extend([g[4], g[6], g[8]])
-    pieces.append(
-        C(2) * re(conj(ws.phi) * ws.zc * (ws.a0 * ws.dz + ws.b0_dot_grad(ws.z) * DT))
-    )
-    pieces.append(_step_sides(ws, "zr0")[1])
-    case = _theorem_case(f"reconstruction(n={n})", ws)
-    return verify(replace(case, lhs=esum(pieces)))
+    return _proof_step_cases(ws)[PROOF_STEPS.index(key)]
+
+
+def verify_reconstruction(ws: Workspace, steps: list[IdentityResidual]) -> IdentityResidual:
+    """Replay the derivation from the step forms on ws: step 2's right side
+    plus rhs - lhs of every later step is the grouped right-hand side."""
+    whole = steps[0].rhs
+    for step in steps[1:]:
+        whole = whole + (step.rhs - step.lhs)
+    theorem = canonicalize(esum(e for _, e in rhs_groups(ws)), ws.ctx)
+    return IdentityResidual.of(f"reconstruction(n={ws.n})", whole, theorem)
+
+
+def verify_proof_steps(n: int = 2) -> tuple[list[IdentityResidual], IdentityResidual]:
+    """Every proof step's residual, in PROOF_STEPS order, and the
+    reassembly's, all on one raw workspace."""
+    ws = make_theorem_workspace(OperatorSpec(n=n, regime="raw"))
+    steps = [verify(case) for case in _proof_step_cases(ws)]
+    return steps, verify_reconstruction(ws, steps)
 
 
 # ---------------------------------------------------------------------------

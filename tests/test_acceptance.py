@@ -62,7 +62,10 @@ def test_criterion_2_every_specialization_and_proof_step_exact():
         res = idn.verify(idn.build_case(case_id))
         assert res.zero, (case_id, res.surviving_monomials[:5])
     for n in (1, 2):
-        assert idn.verify_reconstruction(n).zero
+        steps, whole = idn.verify_proof_steps(n)
+        for res in steps:
+            assert res.zero, (n, res.case, res.surviving_monomials[:5])
+        assert whole.zero, (n, whole.surviving_monomials[:5])
 
 
 def test_criterion_3_jet_oracle_zero_residuals_and_mutation_detection():

@@ -254,12 +254,16 @@ CONTROL_RUNS = {
 }
 
 
+def _verify_mutated(n, regime):
+    """The theorem residual of the cell (n, regime) against mutated_rhs."""
+    case = identity._spec_case(identity.OperatorSpec(n=n, regime=regime))
+    return identity.verify(dataclasses.replace(case, rhs=case.mutated_rhs))
+
+
 def _mutated_theorem(cell):
     """The raw cell with its theorem residual taken against mutated_rhs."""
-    case = identity._spec_case(identity.OperatorSpec(n=cell.theorem.lhs.ctx.n,
-                                                     regime="raw"))
-    return dataclasses.replace(cell, theorem=identity.verify(
-        dataclasses.replace(case, rhs=case.mutated_rhs)))
+    return dataclasses.replace(
+        cell, theorem=_verify_mutated(cell.theorem.lhs.ctx.n, "raw"))
 
 
 def _with_stray_monomial(res):
@@ -269,6 +273,13 @@ def _with_stray_monomial(res):
     z = ctx.sym("z")
     stray = canonicalize(z * conj(z) * DT, ctx)
     return identity.IdentityResidual.of(res.case, res.lhs, res.rhs + stray)
+
+
+def _stray_verdict(res):
+    """res with the verdict of _with_stray_monomial(res), its forms kept."""
+    stray = _with_stray_monomial(res)
+    return dataclasses.replace(res, zero=stray.zero,
+                               surviving_monomials=stray.surviving_monomials)
 
 
 def _stray_monomial(cell):
@@ -281,8 +292,10 @@ def _nonzero_oracle_value(values):
     return [dataclasses.replace(values[0], dB=Gauss(1, 0)), *values[1:]]
 
 
-# kind -> (run, cli module, library function, tamper): tamper changes the
-# function's first result in the one field the check of that kind reads
+# control -> (run, cli module, library function, tamper): tamper changes
+# the function's first result in the fields its check reads.  A control is
+# named by the kind of check it falsifies, and by a qualifier in
+# parentheses when another control of the same kind exists.
 NEGATIVE_CONTROLS = {
     "pair": ("carleman-heat", "sim", "carleman_heat_check",
              lambda rep: {**rep, "uniform_ok": False}),
@@ -307,19 +320,22 @@ NEGATIVE_CONTROLS = {
                     lambda rep: {**rep, "runs": [{**rep["runs"][0], "fitted_C": 0.0},
                                                  *rep["runs"][1:]]}),
     "theorem": ("identity-verify:raw", "identity", "verify_raw_cell", _mutated_theorem),
+    "theorem(R1)": ("identity-verify:oracle", "identity", "verify_identity",
+                    lambda res: _verify_mutated(res.lhs.ctx.n, "R1")),
     "constraint_pairs": ("identity-verify:raw", "identity", "verify_raw_cell",
                          _stray_monomial),
     "oracle": ("identity-verify:oracle", "identity", "numeric_residual",
                _nonzero_oracle_value),
-    # the first verify call of identity-steps is proof_step(2)
-    "proof_step": ("identity-steps", "identity", "verify", _with_stray_monomial),
+    # the first verify call of identity-steps is proof_step(2); the
+    # reassembly reads its forms, so the tamper keeps them
+    "proof_step": ("identity-steps", "identity", "verify", _stray_verdict),
     "reconstruction": ("identity-steps", "identity", "verify_reconstruction",
                        _with_stray_monomial),
 }
 
 
-def _kind(check):
-    return check["case"].split("(")[0]
+def _kind(name):
+    return name.split("(")[0]
 
 
 def run_control(tmp_path, run):
@@ -340,13 +356,13 @@ def untampered(tmp_path_factory):
     return reports
 
 
-@pytest.mark.parametrize("kind", sorted(NEGATIVE_CONTROLS))
+@pytest.mark.parametrize("control", sorted(NEGATIVE_CONTROLS))
 def test_negative_control_fails_only_its_check(tmp_path, monkeypatch, untampered,
-                                               kind):
-    """Tampering with the one field a check reads, in the library result it
-    reads it from, falsifies that check and leaves every other check as
+                                               control):
+    """Tampering with the fields a check reads, in the library result it
+    reads them from, falsifies that check and leaves every other check as
     it was."""
-    run, module, name, tamper = NEGATIVE_CONTROLS[kind]
+    run, module, name, tamper = NEGATIVE_CONTROLS[control]
     module = getattr(cli, module)
     real, calls = getattr(module, name), 0
 
@@ -360,15 +376,15 @@ def test_negative_control_fails_only_its_check(tmp_path, monkeypatch, untampered
     code, report = run_control(tmp_path, run)
     assert code == 1 and report["pass"] is False
     failed = [c for c in report["checks"] if not c["pass"]]
-    assert [_kind(c) for c in failed] == [kind]
+    assert [_kind(c["case"]) for c in failed] == [_kind(control)]
     kept = [c for c in report["checks"] if c["pass"]]
     assert kept == [c for c in untampered[run]["checks"]
                     if c["case"] != failed[0]["case"]]
 
 
 def test_every_experiment_check_kind_has_a_negative_control(untampered):
-    emitted = {_kind(c) for rep in untampered.values() for c in rep["checks"]}
-    assert emitted == set(NEGATIVE_CONTROLS)
+    emitted = {_kind(c["case"]) for rep in untampered.values() for c in rep["checks"]}
+    assert emitted == {_kind(control) for control in NEGATIVE_CONTROLS}
 
 
 def test_missing_config_file_exits_two(tmp_path):
@@ -509,6 +525,25 @@ def test_carleman_gl_solves_each_ensemble_once(tmp_path, monkeypatch):
     code, _ = run_to_file(tmp_path, ["carleman-gl", "--config", cfg])
     assert code == 0
     assert len(calls) == FAST_GL["ensembles"]
+
+
+def test_identity_steps_builds_one_workspace(tmp_path, monkeypatch):
+    """The nine proof steps share one workspace, and the reassembly reads
+    their forms: the only canonicalization beyond the steps' two sides
+    is the theorem's right side."""
+    calls = {"make_theorem_workspace": 0, "canonicalize": 0}
+    for name in calls:
+        real = getattr(identity, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(identity, name, counting)
+    code, _ = run_to_file(tmp_path, ["identity-steps", "--n", "1"])
+    assert code == 0
+    assert calls == {"make_theorem_workspace": 1,
+                     "canonicalize": 2 * len(identity.PROOF_STEPS) + 1}
 
 
 def test_inverse_gl_streams_its_ensemble(tmp_path, monkeypatch):

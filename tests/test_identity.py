@@ -16,8 +16,8 @@ from carlemanlab.identity import (
     proof_step_case,
     verify,
     verify_identity,
+    verify_proof_steps,
     verify_raw_cell,
-    verify_reconstruction,
 )
 from carlemanlab.jetoracle import eval_jet_many
 
@@ -70,7 +70,16 @@ def test_proof_step(key, n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_reconstruction_from_steps(n):
-    assert verify_reconstruction(n=n).zero
+    steps, whole = verify_proof_steps(n=n)
+    assert [r.case for r in steps] == [f"proof_step({k})" for k in PROOF_STEPS]
+    assert all(r.zero for r in steps)
+    assert whole.case == f"reconstruction(n={n})"
+    assert whole.zero and len(whole.lhs) > 0
+
+
+def test_unknown_proof_step_rejected():
+    with pytest.raises(SpecError):
+        proof_step_case("4")
 
 
 @pytest.mark.parametrize("case_id", CASE_IDS)
