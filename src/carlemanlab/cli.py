@@ -151,6 +151,10 @@ def run_carleman_heat(cfg) -> tuple[list, list]:
 
 
 def run_carleman_gl(cfg) -> tuple[list, list]:
+    labels = [f"gl(mu={mu:g})" for mu in cfg.mus]
+    if len(set(labels)) != len(labels):
+        raise ConfigError(f"carleman-gl config: mus {list(cfg.mus)} repeat a "
+                          f"report label: {', '.join(labels)}")
     grid = sim.Grid1D(Nx=cfg.Nx, Nt=cfg.Nt, T=cfg.T)
     gws = [wt.GLWeight(mu=mu, T=cfg.T) for mu in cfg.mus]
     streams = np.random.SeedSequence(cfg.seed).spawn(2 * cfg.ensembles)
@@ -164,7 +168,7 @@ def run_carleman_gl(cfg) -> tuple[list, list]:
         sol = sim.solve_gl_forward(problem, grid, paths)
         per_member.append(sim.carleman_gl_check(sol, gws, cfg.delta))
     checks, rows = [], []
-    for mu, per_mu in zip(cfg.mus, zip(*per_member)):
+    for mu, label, per_mu in zip(cfg.mus, labels, zip(*per_member)):
         fitted = [rep["fitted_C"] for rep in per_mu]
         zero_members = sum(rep["zero_members"] for rep in per_mu)
         for i, rep in enumerate(per_mu):
@@ -172,7 +176,7 @@ def run_carleman_gl(cfg) -> tuple[list, list]:
                 rows.append((mu, i, m, q))
         finite = all(np.isfinite(c) and c > 0.0 for c in fitted)
         checks.append(_check(
-            f"gl(mu={mu:g})", finite and zero_members == 0,
+            label, finite and zero_members == 0,
             fitted_C=max(fitted), zero_members=zero_members))
     return checks, rows
 

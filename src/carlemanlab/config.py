@@ -7,11 +7,12 @@ only override outside the file is the process-level seed flag.
 
 This module checks the file as input: JSON syntax, a top-level object,
 known keys, each value's type (taken from the field's default), list
-shapes and per-field lower bounds, plus increasing ``lambdas``.  Rules
-that tie fields together (cutoff ordering, ``mu1 > 2``, ``mus >= 2``,
+shapes and per-field lower bounds, plus strictly increasing ``lambdas``.
+Rules that tie fields together (cutoff ordering, ``mu1 > 2``, ``mus >= 2``,
 ``delta < T``, the ``modes`` budget, the demo ``case``, two distinct
-positive ``epsilons``) belong to the domain objects that use them; the
-driver maps their errors to the same exit code.
+positive ``epsilons``) belong to the domain objects that use them, and
+the driver refuses ``mus`` that share a report label; the driver maps
+their errors to the same exit code.
 
 CSV series column order, per verb:
 
@@ -48,7 +49,7 @@ def _field(default, lo=None, shape=None, increasing=False):
     """A config field.  Its default fixes the value type; ``lo`` is an
     inclusive lower bound on the value (or on each element); ``shape`` is
     "list" (non-empty) or "pair" (two elements) for a list of numbers,
-    which ``increasing`` requires to be sorted."""
+    which ``increasing`` requires to be strictly increasing."""
     return field(default=default, metadata={
         "lo": lo, "shape": shape, "increasing": increasing})
 
@@ -150,8 +151,8 @@ def _coerce(f, v):
     if shape == "list" and not (isinstance(v, list) and v):
         raise ConfigError(f"'{f.name}' must be a non-empty list of numbers")
     out = tuple(_scalar(f.name, e, float, lo) for e in v)
-    if f.metadata["increasing"] and list(out) != sorted(out):
-        raise ConfigError(f"'{f.name}' must be increasing")
+    if f.metadata["increasing"] and any(a >= b for a, b in zip(out, out[1:])):
+        raise ConfigError(f"'{f.name}' must be strictly increasing")
     return out
 
 

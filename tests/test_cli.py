@@ -200,6 +200,7 @@ def test_usage_errors_exit_two_without_report(tmp_path, argv):
     (json.dumps({"pairs": 0}), "positive"),
     (json.dumps({"modes": 40}), "budget"),
     (json.dumps({"lambdas": [40, 20]}), "increasing"),
+    (json.dumps({"lambdas": [20, 20]}), "strictly increasing"),
     (json.dumps({"window": [0.2]}), "pair shape"),
     (json.dumps({"lambdas": [20, True]}), "element type"),
     (json.dumps({"mu": math.inf, "pairs": 1}), "not finite"),
@@ -466,12 +467,19 @@ def test_inverse_config_validation(tmp_path, payload):
                            json.dumps({**FAST_INV, **payload}))
 
 
-def test_gl_config_validation(tmp_path):
+def test_gl_config_validation(tmp_path, monkeypatch):
     # delta past T: carleman_gl_check; mu below 2: GLWeight; T not
     # finite: config
     for payload in ({"delta": 0.3}, {"mus": [1.5, 3]}, {"T": math.nan}):
         assert_config_rejected(tmp_path, "carleman-gl",
                                json.dumps({**FAST_GL, **payload}))
+    # two mus with one report label gl(mu=3): run_carleman_gl, before
+    # any solve
+    monkeypatch.setattr(cli.sim, "solve_gl_forward",
+                        lambda *args, **kwargs: pytest.fail("solved"))
+    for mus in ([3, 3], [3.0, 3.0000001]):
+        assert_config_rejected(tmp_path, "carleman-gl",
+                               json.dumps({**FAST_GL, "mus": mus}))
     # unknown case: classic_demos; wrong type: config
     for payload in ({"case": "spde"}, {"case": 3}):
         assert_config_rejected(tmp_path, "demo", json.dumps(payload))
