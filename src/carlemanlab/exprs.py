@@ -101,39 +101,13 @@ class Context:
         self._declare(q)
         return e
 
-    def rewrite_field(
-        self,
-        name: str,
-        real: bool = True,
-        dx: Optional[Iterable["Expr"]] = None,
-        dt: Optional["Expr"] = None,
-    ) -> "Expr":
-        """Declare a field whose derivatives rewrite to closed expressions.
-
-        dx gives the rewrite for each of the n spatial directions; dt for
-        the time direction.  Directions without a rewrite differentiate
-        normally.  Rewrites keep exponential weights polynomial: a field
-        phi standing for e^{3 mu t} is declared with dt = 3*mu*phi.
-        """
-        kind = "real-field" if real else "complex-field"
-        sym = FieldSymbol(name, kind, real=real)
-        expr = self._declare(sym)
-        if dx is not None:
-            dx = list(dx)
-            if len(dx) != self.n:
-                raise ExprError(f"need {self.n} spatial rewrites for {name!r}")
-            for j, rw in enumerate(dx, start=1):
-                sym.rewrites[("x", j)] = as_expr(rw)
-        if dt is not None:
-            sym.rewrites[("t",)] = as_expr(dt)
-        return expr
-
     def set_rewrite(self, name: str, var: str, expr) -> None:
-        """Register a derivative rewrite after declaration.
+        """Rewrite the derivative of a declared field in direction var
+        ("x1".."x3" or "t") to a closed expression.
 
-        Needed when the rewrite references the field itself, as for a
-        field phi standing for e^{3 mu t} with set_rewrite("phi", "t",
-        3*mu*phi).  var is "x1".."x3" or "t".
+        Directions without a rewrite differentiate normally.  Rewrites
+        keep exponential weights polynomial: a field phi standing for
+        e^{3 mu t} gets set_rewrite("phi", "t", 3*mu*phi).
         """
         sym = self.symbols.get(name)
         if sym is None:

@@ -658,7 +658,9 @@ def _case_ginzburg_landau(n: int = 2) -> VerificationCase:
     ctx = Context(n=n)
     mu = ctx.real_scalar("mu")
     b = ctx.real_scalar("b")
-    phi_w = ctx.rewrite_field("phi", real=True, dx=[C(0)] * n)
+    phi_w = ctx.real_field("phi")
+    for j in range(1, n + 1):
+        ctx.set_rewrite("phi", f"x{j}", C(0))
     ctx.set_rewrite("phi", "t", C(3) * mu * phi_w)
     z = ctx.semimartingale("z")
     ws = Workspace(ctx, z, C(1), C(1), b, [C(0)] * n, _unit_metric(n), mu * phi_w, -mu)
@@ -878,8 +880,10 @@ def _case_fst(n: int = 2) -> VerificationCase:
     g = [ctx.real_field(f"g{j}") for j in range(1, n + 1)]
     xi = []
     for j in range(1, n + 1):
-        dxs = [C(1) if k == j else C(0) for k in range(1, n + 1)]
-        xi.append(ctx.rewrite_field(f"xi{j}", real=True, dx=dxs, dt=C(0)))
+        xi.append(ctx.real_field(f"xi{j}"))
+        for k in range(1, n + 1):
+            ctx.set_rewrite(f"xi{j}", f"x{k}", C(1) if k == j else C(0))
+        ctx.set_rewrite(f"xi{j}", "t", C(0))
     # Weight exponent ell = lam * sum xi_j^2, so ell_xj = 2 lam xi_j.
     ellx = [C(2) * lam * xi[j - 1] for j in range(1, n + 1)]
     half = C(1, 2)

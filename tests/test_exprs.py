@@ -80,7 +80,7 @@ def test_exponential_weight_rewrite():
     # theta = e^ell is never an atom: derivatives rewrite through ell
     ctx = Context(1)
     ell = ctx.real_field("ell")
-    theta = ctx.rewrite_field("theta")
+    theta = ctx.real_field("theta")
     ctx.set_rewrite("theta", "x1", d_x(ell, 1) * theta)
     ctx.set_rewrite("theta", "t", d_t(ell) * theta)
     got = canonicalize(d_x(theta, 1) - d_x(ell, 1) * theta, ctx)
