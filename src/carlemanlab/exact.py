@@ -95,27 +95,6 @@ class QQi:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "QQi":
-        a1, b1, d1 = self._v
-        a2, b2, d2 = _coerce(other)._v
-        den = a2 * a2 + b2 * b2
-        if den == 0:
-            raise ZeroDivisionError("division by zero QQi")
-        # (a1 + b1 i) / d1 * d2 / (a2 + b2 i) = (a1 + b1 i)(a2 - b2 i) d2 / (den d1)
-        return _norm((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, den * d1)
-
-    def __pow__(self, k: int) -> "QQi":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("QQi power must be a nonnegative int")
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def conj(self) -> "QQi":
         a, b, d = self._v
         return _make((a, -b, d))

@@ -55,36 +55,12 @@ def test_ring_axioms(a, b, c):
 
 
 @given(qqis, qqis)
-def test_division_inverts_multiplication(a, b):
-    if not b.is_zero():
-        assert (a * b) / b == a
-
-
-def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        ONE / ZERO
-
-
-@given(qqis, qqis)
 def test_conjugation_automorphism(a, b):
     assert a.conj().conj() == a
     assert (a + b).conj() == a.conj() + b.conj()
     assert (a * b).conj() == a.conj() * b.conj()
     norm = a * a.conj()
     assert norm.im == 0 and norm.re >= 0
-
-
-@given(qqis, st.integers(min_value=0, max_value=6))
-def test_pow_matches_repeated_multiplication(a, k):
-    expected = ONE
-    for _ in range(k):
-        expected = expected * a
-    assert a ** k == expected
-
-
-def test_pow_rejects_negative():
-    with pytest.raises(ValueError):
-        ONE ** (-1)
 
 
 def test_coercion_with_ints_and_fractions():
@@ -108,18 +84,6 @@ def ref_mul(x, y):
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
-def ref_div(x, y):
-    den = y[0] * y[0] + y[1] * y[1]
-    return ((x[0] * y[0] + x[1] * y[1]) / den, (x[1] * y[0] - x[0] * y[1]) / den)
-
-
-def ref_pow(x, k):
-    out = (Fraction(1), Fraction(0))
-    for _ in range(k):
-        out = ref_mul(out, x)
-    return out
-
-
 def assert_matches(q, ref):
     a, b, d = q._v
     assert d > 0 and gcd(a, b, d) == 1
@@ -127,18 +91,15 @@ def assert_matches(q, ref):
     assert q == QQi(*ref) and hash(q) == hash(QQi(*ref))
 
 
-@given(pairs, pairs, st.integers(min_value=0, max_value=5))
-def test_arithmetic_matches_fraction_pairs(x, y, k):
+@given(pairs, pairs)
+def test_arithmetic_matches_fraction_pairs(x, y):
     p, q = QQi(*x), QQi(*y)
     assert_matches(p, x)
     assert_matches(p + q, (x[0] + y[0], x[1] + y[1]))
     assert_matches(p - q, (x[0] - y[0], x[1] - y[1]))
     assert_matches(-p, (-x[0], -x[1]))
     assert_matches(p * q, ref_mul(x, y))
-    assert_matches(p ** k, ref_pow(x, k))
     assert_matches(p.conj(), (x[0], -x[1]))
-    if y != (0, 0):
-        assert_matches(p / q, ref_div(x, y))
 
 
 @given(pairs, st.integers(min_value=-9, max_value=9), unreduced())
