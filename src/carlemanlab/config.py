@@ -11,8 +11,8 @@ shapes and per-field lower bounds, plus strictly increasing ``lambdas``.
 Rules that tie fields together (cutoff ordering, ``mu1 > 2``, ``mus >= 2``,
 ``delta < T``, the ``modes`` budget, the demo ``case``, two distinct
 positive ``epsilons``) belong to the domain objects that use them, and
-the driver refuses ``mus`` that share a report label; the driver maps
-their errors to the same exit code.
+distinct ``gl(mu=...)`` report labels for ``mus`` to the driver, which
+maps all their errors to the same exit code.
 
 CSV series column order, per verb:
 

@@ -484,24 +484,24 @@ def proof_step_sides(ws: Workspace) -> list[tuple[Expr, Expr]]:
     Lc = conj(ws.Lam)
     pc = conj(ws.phi)
     cross = C(2) * re(conj(ws.I1) * ws.I2)
-    g = [
-        -(C(2) * a * a0 * re(Lc * ws.dz)),
-        -(C(4) * sq * re(esum(ws.am(j, k) * ws.ellx[j] * (ws.zx[k] * Lc) for j, k in pairs)) * DT),
-        C(2) * a * re(ws.phi * Lc * ws.z) * DT,
-        C(4) * a0 * b * esum(ws.am(j, k) * ws.ellx[j] * im(ws.zcx[k] * ws.dz) for j, k in pairs),
-        C(4) * b * esum(ws.am(j, k) * ws.ellx[j] * im(pc * ws.zc * ws.zx[k]) for j, k in pairs) * DT,
-        C(2) * b * im((pc - a0 * ws.ellt) * ws.zc * ws.Lam) * DT,
+    g1 = -(C(2) * a * a0 * re(Lc * ws.dz))
+    g2 = -(C(4) * sq * re(esum(ws.am(j, k) * ws.ellx[j] * (ws.zx[k] * Lc) for j, k in pairs)) * DT)
+    g3 = C(2) * a * re(ws.phi * Lc * ws.z) * DT
+    g4 = C(4) * a0 * b * esum(ws.am(j, k) * ws.ellx[j] * im(ws.zcx[k] * ws.dz) for j, k in pairs)
+    g5 = C(4) * b * esum(ws.am(j, k) * ws.ellx[j] * im(pc * ws.zc * ws.zx[k]) for j, k in pairs) * DT
+    g6 = C(2) * b * im((pc - a0 * ws.ellt) * ws.zc * ws.Lam) * DT
+    g7 = (
         C(4)
         * a
         * esum(ws.am(j, k) * ws.ellx[j] * re((pc - a0 * ws.ellt) * ws.zc * ws.zx[k]) for j, k in pairs)
-        * DT,
-        C(2) * re(
-            (pc - a0 * ws.ellt - ws.b0_grad_ell)
-            * ws.zc
-            * (a0 * ws.dz + ws.b0_dot_grad(ws.z) * DT)
-        ),
-        -(C(2) * re(ws.phi * (pc - a0 * ws.ellt - ws.b0_grad_ell)) * ws.z * ws.zc * DT),
-    ]
+        * DT
+    )
+    g8 = C(2) * re(
+        (pc - a0 * ws.ellt - ws.b0_grad_ell)
+        * ws.zc
+        * (a0 * ws.dz + ws.b0_dot_grad(ws.z) * DT)
+    )
+    g9 = -(C(2) * re(ws.phi * (pc - a0 * ws.ellt - ws.b0_grad_ell)) * ws.z * ws.zc * DT)
 
     step3 = []
     for j, k in pairs:
@@ -572,13 +572,13 @@ def proof_step_sides(ws: Workspace) -> list[tuple[Expr, Expr]]:
     )
     return [
         (ws.weighted_product(), C(2) * ws.I1 * conj(ws.I1) * DT + cross),
-        (cross, esum(g)),
-        (g[0], esum(step3)),
-        (g[1], esum(step5)),
-        (g[2], esum(step6)),
-        (g[3], esum(step10)),
-        (g[5], esum(step02)),
-        (g[7], C(2) * re(pc * ws.zc * (a0 * ws.dz + ws.b0_dot_grad(ws.z) * DT)) + weight),
+        (cross, esum([g1, g2, g3, g4, g5, g6, g7, g8, g9])),
+        (g1, esum(step3)),
+        (g2, esum(step5)),
+        (g3, esum(step6)),
+        (g4, esum(step10)),
+        (g6, esum(step02)),
+        (g8, C(2) * re(pc * ws.zc * (a0 * ws.dz + ws.b0_dot_grad(ws.z) * DT)) + weight),
         (weight, zr0),
     ]
 
