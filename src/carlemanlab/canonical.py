@@ -1,14 +1,19 @@
 """Canonical polynomial forms with the Ito multiplication table.
 
 A canonical form maps monomials to exact rational-complex coefficients.
-A monomial is a sorted multiset of atoms; an atom is either a derivative
-of a declared field (name, spatial multi-index, time order, conjugation
-flag) or one of the formal differentials dt, dB.  Products reduce by the
-Ito table: dB*dB -> dt, dt*dB -> 0, dt*dt -> 0, so nonzero monomials
-carry total differential degree at most one.
+An atom is either a derivative of a declared field (name, spatial
+multi-index, time order, conjugation flag) or one of the formal
+differentials dt, dB.  Products reduce by the Ito table: dB*dB -> dt,
+dt*dB -> 0, dt*dt -> 0, so nonzero monomials carry total differential
+degree at most one.
 
-Two expressions are equal as identities exactly when their canonical
-forms are byte-identical, which is what the verifier relies on.
+A monomial is a packed exponent vector (Monagan & Pearce, CASC 2007):
+one int whose byte i holds the exponent of atom i in its context's
+AtomTable, so a product of monomials is an integer addition.  Atom ids
+follow the order atoms were first met, so terms(), serialize, to_expr
+and hash read monomials decoded to (atom_key, exponent) pairs sorted by
+key.  Two expressions are equal as identities exactly when their
+canonical forms are byte-identical, which is what the verifier relies on.
 
 A context may declare null pairs of real scalars whose product vanishes.
 Every derivative of a real scalar is zero, so the monomials holding a
@@ -20,10 +25,13 @@ canonicalize drops those monomials once, from the finished form.
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 
 from .exact import QQi, format_qqi
 from .exprs import (
+    DB,
+    DT,
     Add,
     Conj,
     Const,
@@ -50,81 +58,95 @@ _ONE = QQi(1)
 _HALF = QQi(Fraction(1, 2))
 _MINUS_I_HALF = QQi(0, Fraction(-1, 2))
 
-EMPTY_MONO = ()
-
 
 def _field_key(name: str, mi: tuple, to: int, cj: bool):
     return ("f", name, mi, to, cj)
 
 
 # ---------------------------------------------------------------------------
-# Monomial helpers.  A monomial is a tuple of (atom_key, exponent) pairs
-# sorted by atom key.
+# Monomial helpers.  Byte i of a monomial is the exponent of atom i; dt and
+# dB are atoms 0 and 1, so the low 16 bits hold the differentials.  The top
+# bit of each byte is a guard bit: an exponent that reaches 128 raises
+# ExprError instead of carrying into the next atom.
 # ---------------------------------------------------------------------------
 
-
-def _mono_mul(m1, m2):
-    """Product of two monomials by a merge of their sorted atoms.
-
-    Returns the normalized monomial, or None when it reduces to zero by
-    the Ito table.
-    """
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        k1, e1 = m1[i]
-        k2, e2 = m2[j]
-        if k1 == k2:
-            out.append((k1, e1 + e2))
-            i += 1
-            j += 1
-        elif k1 < k2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    # The differentials sort last; reduce them by the Ito table.
-    ndt = ndb = 0
-    while out and out[-1][0][0] == "q":
-        key, e = out.pop()
-        if key == DB_KEY:
-            ndb = e
-        else:
-            ndt = e
-    if ndb >= 3 or ndt >= 2 or (ndt == 1 and ndb >= 1):
-        return None
-    if ndb == 2:
-        ndt, ndb = 1, 0
-    if ndt:
-        out.append((DT_KEY, ndt))
-    if ndb:
-        out.append((DB_KEY, ndb))
-    return tuple(out)
+EMPTY_MONO = 0
+DT_MONO = 1
+DB_MONO = 1 << 8
+DIFFS = 0xFFFF
+MAX_ATOMS = 4096
+GUARD = int.from_bytes(b"\x80" * MAX_ATOMS, "little")
 
 
-def _mono_without(mono, key, k=1):
-    """Remove k powers of key from mono (which must contain them)."""
-    out = []
-    for kk, e in mono:
-        if kk == key:
-            e -= k
-            if e < 0:
-                raise ExprError("internal: monomial power underflow")
-        if e:
-            out.append((kk, e))
-    return tuple(out)
+class AtomTable:
+    """The atoms of one context, given byte positions in first-seen order.
+    A complex field atom and its conjugate take adjacent bytes."""
+
+    __slots__ = ("symbols", "keys", "units", "_swap", "_decoded")
+
+    def __init__(self, symbols: dict):
+        self.symbols = symbols
+        self.keys = [DT_KEY, DB_KEY]
+        self.units = {DT_KEY: DT_MONO, DB_KEY: DB_MONO}
+        self._swap = 0  # 0xFF in the byte of every unconjugated complex atom
+        self._decoded = {EMPTY_MONO: ()}
+
+    def unit(self, key) -> int:
+        """The monomial key^1, interning key when it is new."""
+        u = self.units.get(key)
+        if u is None:
+            pair = key[0] == "f" and not self.symbols[key[1]].real
+            new = (key[:4] + (False,), key[:4] + (True,)) if pair else (key,)
+            i = len(self.keys)
+            if i + len(new) > MAX_ATOMS:
+                raise ExprError(f"more than {MAX_ATOMS} distinct atoms in one context")
+            if pair:
+                self._swap |= 0xFF << (8 * i)
+            for k in new:
+                self.units[k] = 1 << (8 * len(self.keys))
+                self.keys.append(k)
+            u = self.units[key]
+        return u
+
+    def conj(self, mono: int) -> int:
+        """mono with each complex atom's byte swapped with its conjugate's."""
+        lo = mono & self._swap
+        hi = (mono >> 8) & self._swap
+        return mono + 255 * (lo - hi)  # lo moves up a byte, hi down
+
+    def decode(self, mono: int) -> tuple:
+        """mono as (atom_key, exponent) pairs sorted by atom key."""
+        hit = self._decoded.get(mono)
+        if hit is None:
+            keys = self.keys
+            raw = mono.to_bytes((mono.bit_length() + 7) // 8, "little")
+            hit = self._decoded[mono] = tuple(sorted((keys[i], e) for i, e in enumerate(raw) if e))
+        return hit
 
 
-def _mono_has_differential(mono) -> bool:
-    return any(k[0] == "q" for k, _ in mono)
+_TABLES: "weakref.WeakKeyDictionary[Context, AtomTable]" = weakref.WeakKeyDictionary()
+
+
+def _atoms(ctx: Context) -> AtomTable:
+    """The atom table of ctx, made on first use."""
+    atoms = _TABLES.get(ctx)
+    if atoms is None:
+        atoms = _TABLES[ctx] = AtomTable(ctx.symbols)
+    return atoms
+
+
+def _mono_mul(m1: int, m2: int):
+    """Product of two monomials, or None when the Ito table makes it zero.
+    A product with 1 returns the other factor as it is."""
+    m = m1 + m2
+    d = m & DIFFS
+    if d > DT_MONO and d != DB_MONO and m1 and m2:
+        if d != 2 * DB_MONO:
+            return None  # dt*dt, dt*dB
+        m += DT_MONO - 2 * DB_MONO  # dB*dB -> dt
+    if m & GUARD:
+        raise ExprError("an exponent in a monomial reaches 128")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +165,12 @@ def _cf_add_inplace(acc: dict, other: dict) -> None:
 
 
 def _cf_scale(cf: dict, coeff: QQi) -> dict:
-    if coeff.is_zero():
-        return {}
+    """cf times a nonzero coeff."""
     return {m: c * coeff for m, c in cf.items()}
 
 
 def _cf_mul(c1: dict, c2: dict) -> dict:
     out: dict = {}
-    if not c1 or not c2:
-        return out
     # Iterate over the smaller operand outside for fewer dict rebuilds.
     if len(c1) > len(c2):
         c1, c2 = c2, c1
@@ -177,22 +196,9 @@ def _cf_pow(cf: dict, k: int) -> dict:
     return out
 
 
-def _atom_conj(key, ctx: Context):
-    if key[0] == "q":
-        return key
-    _, name, mi, to, cj = key
-    if ctx.symbols[name].real:
-        return key
-    return ("f", name, mi, to, not cj)
-
-
 def _cf_conj(cf: dict, ctx: Context) -> dict:
-    out: dict = {}
-    for mono, coeff in cf.items():
-        items = [(_atom_conj(k, ctx), e) for k, e in mono]
-        items.sort(key=lambda p: p[0])
-        out[tuple(items)] = coeff.conj()
-    return out
+    conj = _atoms(ctx).conj
+    return {conj(mono): coeff.conj() for mono, coeff in cf.items()}
 
 
 def _atom_diff(key, var, ctx: Context) -> dict:
@@ -207,13 +213,13 @@ def _atom_diff(key, var, ctx: Context) -> dict:
         raise ExprError(f"time derivative of semimartingale {name!r} is not defined")
     rw = sym.rewrites.get(var)
     if rw is None:
-        if var[0] == "x":
-            j = var[1]
-            if not 1 <= j <= ctx.n:
-                raise ExprError(f"x{j} out of range for dimension {ctx.n}")
-            mi2 = tuple(m + 1 if idx == j - 1 else m for idx, m in enumerate(mi))
-            return {((("f", name, mi2, to, cj), 1),): _ONE}
-        return {((("f", name, mi, to + 1, cj), 1),): _ONE}
+        if var == ("t",):
+            to += 1
+        elif 1 <= var[1] <= ctx.n:
+            mi = tuple(m + 1 if idx == var[1] - 1 else m for idx, m in enumerate(mi))
+        else:
+            raise ExprError(f"x{var[1]} out of range for dimension {ctx.n}")
+        return {_atoms(ctx).unit(_field_key(name, mi, to, cj)): _ONE}
     # Rewrite-bearing direction: differentiate the rewrite by the orders
     # the atom already carries, then conjugate if the atom was conjugated.
     cf = _canon(rw, ctx, {})
@@ -228,17 +234,16 @@ def _atom_diff(key, var, ctx: Context) -> dict:
 
 
 def _cf_diff(cf: dict, var, ctx: Context) -> dict:
+    atoms = _atoms(ctx)
     out: dict = {}
     for mono, coeff in cf.items():
-        for key, e in mono:
+        for key, e in atoms.decode(mono):
             if key[0] == "q":
                 continue  # differentials are constants under derivatives
             datom = _atom_diff(key, var, ctx)
             if not datom:
                 continue
-            rest = _mono_without(mono, key)
-            base = {rest: coeff * QQi(e)}
-            _cf_add_inplace(out, _cf_mul(base, datom))
+            _cf_add_inplace(out, _cf_mul({mono - atoms.units[key]: coeff * QQi(e)}, datom))
     return out
 
 
@@ -252,51 +257,44 @@ def _atom_ito(key, ctx: Context) -> dict:
         if sym.jets is None:
             raise ExprError(f"semimartingale {name!r} has no registered jets")
         p, q = sym.jets
+        atoms = _atoms(ctx)
         pk = _field_key(p.name, mi, to, cj and not p.real)
         qk = _field_key(q.name, mi, to, cj and not q.real)
-        return {
-            tuple(sorted([(pk, 1), (DT_KEY, 1)])): _ONE,
-            tuple(sorted([(qk, 1), (DB_KEY, 1)])): _ONE,
-        }
+        return {atoms.unit(pk) + DT_MONO: _ONE, atoms.unit(qk) + DB_MONO: _ONE}
     dtpart = _atom_diff(key, ("t",), ctx)
-    return _cf_mul(dtpart, {((DT_KEY, 1),): _ONE})
+    return _cf_mul(dtpart, {DT_MONO: _ONE})
 
 
 def _cf_ito(cf: dict, ctx: Context) -> dict:
+    atoms = _atoms(ctx)
+    units = atoms.units
     out: dict = {}
     for mono, coeff in cf.items():
-        if _mono_has_differential(mono):
+        if mono & DIFFS:
             raise ExprError("d() applied to an expression already containing dt or dB")
-        atoms = list(mono)
+        items = atoms.decode(mono)
         # Leibniz first-order part.
-        for key, e in atoms:
+        for key, e in items:
             datom = _atom_ito(key, ctx)
             if not datom:
                 continue
-            rest = _mono_without(mono, key)
-            base = {rest: coeff * QQi(e)}
-            _cf_add_inplace(out, _cf_mul(base, datom))
+            _cf_add_inplace(out, _cf_mul({mono - units[key]: coeff * QQi(e)}, datom))
         # Quadratic covariation: only semimartingale atoms carry dB.
-        sm = [
-            (key, e)
-            for key, e in atoms
-            if key[0] == "f" and ctx.symbols[key[1]].semimartingale
-        ]
+        sm = [(key, e) for key, e in items
+              if key[0] == "f" and ctx.symbols[key[1]].semimartingale]
         for i, (ki, ei) in enumerate(sm):
             for kj, ej in sm[i:]:
                 if ki == kj:
                     if ei < 2:
                         continue
                     mult = QQi(math.comb(ei, 2))
-                    rest = _mono_without(mono, ki, 2)
+                    rest = mono - 2 * units[ki]
                 else:
                     mult = QQi(ei * ej)
-                    rest = _mono_without(_mono_without(mono, ki), kj)
+                    rest = mono - units[ki] - units[kj]
                 cross = _cf_mul(_atom_ito(ki, ctx), _atom_ito(kj, ctx))
-                if not cross:
-                    continue
-                base = {rest: coeff * mult}
-                _cf_add_inplace(out, _cf_mul(base, cross))
+                if cross:
+                    _cf_add_inplace(out, _cf_mul({rest: coeff * mult}, cross))
     return out
 
 
@@ -316,11 +314,11 @@ def _canon(e: Expr, ctx: Context, memo: dict) -> dict:
         name = e.sym.name
         if name not in ctx.symbols or ctx.symbols[name] is not e.sym:
             raise ExprError(f"symbol {name!r} does not belong to this context")
-        out = {((_field_key(name, (0,) * ctx.n, 0, False), 1),): _ONE}
+        out = {_atoms(ctx).unit(_field_key(name, (0,) * ctx.n, 0, False)): _ONE}
     elif isinstance(e, DtAtom):
-        out = {((DT_KEY, 1),): _ONE}
+        out = {DT_MONO: _ONE}
     elif isinstance(e, DBAtom):
-        out = {((DB_KEY, 1),): _ONE}
+        out = {DB_MONO: _ONE}
     elif isinstance(e, Add):
         out = {}
         for t in e.terms:
@@ -341,16 +339,12 @@ def _canon(e: Expr, ctx: Context, memo: dict) -> dict:
         out = _cf_ito(_canon(e.arg, ctx, memo), ctx)
     elif isinstance(e, Conj):
         out = _cf_conj(_canon(e.arg, ctx, memo), ctx)
-    elif isinstance(e, RePart):
+    elif isinstance(e, (RePart, ImPart)):
+        # Re x = (x + conj x) / 2, Im x = (x - conj x) / 2i
         inner = _canon(e.arg, ctx, memo)
-        out = {}
-        _cf_add_inplace(out, _cf_scale(inner, _HALF))
-        _cf_add_inplace(out, _cf_scale(_cf_conj(inner, ctx), _HALF))
-    elif isinstance(e, ImPart):
-        inner = _canon(e.arg, ctx, memo)
-        out = {}
-        _cf_add_inplace(out, _cf_scale(inner, _MINUS_I_HALF))
-        _cf_add_inplace(out, _cf_scale(_cf_conj(inner, ctx), -_MINUS_I_HALF))
+        w = _HALF if isinstance(e, RePart) else _MINUS_I_HALF
+        out = _cf_scale(inner, w)
+        _cf_add_inplace(out, _cf_scale(_cf_conj(inner, ctx), w.conj()))
     else:
         raise ExprError(f"cannot canonicalize node {type(e).__name__}")
     memo[key] = out
@@ -376,13 +370,7 @@ def atom_str(key) -> str:
 
 
 def mono_str(mono) -> str:
-    if not mono:
-        return "1"
-    parts = []
-    for key, e in mono:
-        s = atom_str(key)
-        parts.append(s if e == 1 else f"{s}^{e}")
-    return "*".join(parts)
+    return "*".join(atom_str(k) if e == 1 else f"{atom_str(k)}^{e}" for k, e in mono) or "1"
 
 
 class CanonicalForm:
@@ -402,28 +390,39 @@ class CanonicalForm:
         return len(self._terms)
 
     def terms(self):
-        return sorted(self._terms.items(), key=lambda p: p[0])
+        """(monomial, coeff) pairs, sorted, with monomials decoded."""
+        decode = _atoms(self.ctx).decode
+        return sorted(((decode(mono), coeff) for mono, coeff in self._terms.items()),
+                      key=lambda p: p[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CanonicalForm):
             return NotImplemented
+        if other.ctx is not self.ctx:
+            return self.terms() == other.terms()
         return self._terms == other._terms
 
     def __hash__(self):
         return hash(tuple(self.terms()))
 
+    def _same_ctx(self, other: "CanonicalForm") -> dict:
+        if other.ctx is not self.ctx:
+            raise ExprError("canonical forms of different contexts do not combine")
+        return other._terms
+
     def __add__(self, other: "CanonicalForm") -> "CanonicalForm":
         out = dict(self._terms)
-        _cf_add_inplace(out, other._terms)
+        _cf_add_inplace(out, self._same_ctx(other))
         return CanonicalForm(out, self.ctx)
 
     def __sub__(self, other: "CanonicalForm") -> "CanonicalForm":
         out = dict(self._terms)
-        _cf_add_inplace(out, _cf_scale(other._terms, QQi(-1)))
+        _cf_add_inplace(out, _cf_scale(self._same_ctx(other), QQi(-1)))
         return CanonicalForm(out, self.ctx)
 
     def __mul__(self, other: "CanonicalForm") -> "CanonicalForm":
-        return CanonicalForm(_cf_mul(self._terms, other._terms), self.ctx).without_null_products()
+        return CanonicalForm(_cf_mul(self._terms, self._same_ctx(other)),
+                             self.ctx).without_null_products()
 
     def without_null_products(self) -> "CanonicalForm":
         """self without the monomials that hold a null product of its
@@ -431,9 +430,10 @@ class CanonicalForm:
         ctx = self.ctx
         if not ctx.null_partners:
             return self
-        return CanonicalForm({mono: coeff for mono, coeff in self._terms.items()
-                              if not ctx.annihilates(key[1] for key, _ in mono if key[0] == "f")},
-                             ctx)
+        decode = _atoms(ctx).decode
+        kept = {mono: coeff for mono, coeff in self._terms.items()
+                if not ctx.annihilates(key[1] for key, _ in decode(mono) if key[0] == "f")}
+        return CanonicalForm(kept, ctx)
 
     def serialize(self) -> str:
         """Sorted, deterministic text rendering, one monomial per line."""
@@ -442,11 +442,9 @@ class CanonicalForm:
 
     def to_expr(self) -> Expr:
         """Rebuild an expression tree; canonicalizing it reproduces self."""
-        from .exprs import Const as _Const, Mul as _Mul, Add as _Add, DT, DB, Conj as _Conj, Pow as _Pow
-
         terms = []
         for mono, coeff in self.terms():
-            factors: list[Expr] = [_Const(coeff)]
+            factors: list[Expr] = [Const(coeff)]
             for key, e in mono:
                 if key == DT_KEY:
                     atom: Expr = DT
@@ -461,12 +459,12 @@ class CanonicalForm:
                     for _ in range(to):
                         atom = Dt(atom)
                     if cj:
-                        atom = _Conj(atom)
-                factors.append(atom if e == 1 else _Pow(atom, e))
-            terms.append(_Mul(factors))
+                        atom = Conj(atom)
+                factors.append(atom if e == 1 else Pow(atom, e))
+            terms.append(Mul(factors))
         if not terms:
-            return _Const(QQi(0))
-        return _Add(terms)
+            return Const(QQi(0))
+        return Add(terms)
 
 
 def canonicalize(e: Expr, ctx: Context) -> CanonicalForm:

@@ -308,6 +308,8 @@ def C(p: Number, q: int = 1) -> Const:
         if q != 1:
             raise ExprError("QQi constant takes no denominator")
         return Const(p)
+    if q == 1 and type(p) is int:
+        return Const(QQi(p))
     return Const(QQi(Fraction(p, q)))
 
 

@@ -1,17 +1,20 @@
 """Canonicalizer laws: normal form uniqueness, calculus, and the Ito table."""
 
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carlemanlab.canonical import DB_KEY, DT_KEY, _mono_mul, canonicalize
+from carlemanlab.canonical import DB_KEY, DT_KEY, AtomTable, _mono_mul, canonicalize
 from carlemanlab.exprs import (
     Add,
     C,
     DB,
     DT,
+    ExprError,
     Mul,
+    Pow,
     conj,
     d_t,
     d_x,
@@ -182,6 +185,8 @@ def dict_and_sort_mono_mul(m1, m2):
     return tuple(sorted(out, key=lambda p: p[0]))
 
 
+MONO_CONTEXT = make_context(2)
+MONO_CONTEXT.real_scalar("mu")  # make_context declares the other names below
 FIELD_KEYS = [("f", name, mi, to, cj)
               for name in ("Phi", "ell", "lam", "mu", "z")
               for mi in ((0, 0), (1, 0), (0, 2))
@@ -203,7 +208,16 @@ def monomials(draw):
 @settings(max_examples=400, deadline=None)
 @given(monomials(), monomials())
 def test_mono_mul_matches_dict_and_sort(m1, m2):
-    assert _mono_mul(m1, m2) == dict_and_sort_mono_mul(m1, m2)
+    # the packed product, read back through the atom table, is the
+    # reference product of the (atom_key, exponent) tuples
+    atoms = AtomTable(MONO_CONTEXT.symbols)
+
+    def encode(mono):
+        return sum(e * atoms.unit(key) for key, e in mono)
+
+    packed = _mono_mul(encode(m1), encode(m2))
+    got = None if packed is None else atoms.decode(packed)
+    assert got == dict_and_sort_mono_mul(m1, m2)
 
 
 # lam pairs with mu and with nu, and kap with itself
@@ -229,3 +243,50 @@ def test_null_pairs_filter_the_null_free_form(seed, depth):
     kept = [(mono, coeff) for mono, coeff in free.terms()
             if not ctx.annihilates(key[1] for key, _ in mono if key[0] == "f")]
     assert canonicalize(e, ctx).terms() == kept
+
+
+def _form_after_meeting(names):
+    """A fixed expression canonicalized in a fresh context whose atom
+    table first met the derivatives of the named fields in that order."""
+    ctx = make_context(2)
+    for name in names:
+        canonicalize(d_x(ctx.sym(name), 1) + conj(ctx.sym(name)), ctx)
+    z, phi, ell, lam = (ctx.sym(name) for name in ("z", "Phi", "ell", "lam"))
+    e = (ito_d(z * conj(z)) * phi + d_x(phi * ell, 1) * d_t(ell) * DB
+         - C(3) * lam * conj(d_x(phi, 2)) * z ** 2)
+    return canonicalize(e, ctx)
+
+
+def test_atom_interning_order_does_not_matter():
+    names = ["z", "Pz", "Qz", "Phi", "ell", "lam"]
+    a = _form_after_meeting(names)
+    b = _form_after_meeting(names[::-1])
+    # the packed monomials differ, what a form shows does not
+    assert set(a._terms) != set(b._terms)
+    assert a.serialize() == b.serialize()
+    assert a.terms() == b.terms()
+    assert hash(a) == hash(b)
+    assert a == b
+
+
+def test_exponent_guard():
+    ctx = make_context(1)
+    z = ctx.sym("z")
+    assert canonicalize(Pow(z, 127), ctx).serialize() == "1 * z^127"
+    # neighbouring bytes at 127 do not carry into each other
+    assert (canonicalize(Pow(z, 127) * Pow(conj(z), 127), ctx).serialize()
+            == "1 * z^127*conj(z)^127")
+    for e in (Pow(z, 128), Pow(z, 64) * Pow(z, 64), Pow(z, 127) * conj(z) * z):
+        with pytest.raises(ExprError, match="reaches 128"):
+            canonicalize(e, ctx)
+
+
+def test_forms_of_different_contexts_do_not_combine():
+    a = _form_after_meeting(["z", "Phi"])
+    b = _form_after_meeting(["Phi", "z"])
+    for combine in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ExprError, match="different contexts"):
+            combine(a, b)
+    # equality across contexts reads the decoded terms
+    assert a == b
+    assert a != canonicalize(DB, b.ctx)
