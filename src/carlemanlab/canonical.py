@@ -25,7 +25,6 @@ canonicalize drops those monomials once, from the finished form.
 from __future__ import annotations
 
 import math
-import weakref
 from fractions import Fraction
 
 from .exact import QQi, format_qqi
@@ -124,15 +123,11 @@ class AtomTable:
         return hit
 
 
-_TABLES: "weakref.WeakKeyDictionary[Context, AtomTable]" = weakref.WeakKeyDictionary()
-
-
 def _atoms(ctx: Context) -> AtomTable:
     """The atom table of ctx, made on first use."""
-    atoms = _TABLES.get(ctx)
-    if atoms is None:
-        atoms = _TABLES[ctx] = AtomTable(ctx.symbols)
-    return atoms
+    if ctx.atoms is None:
+        ctx.atoms = AtomTable(ctx.symbols)
+    return ctx.atoms
 
 
 def _mono_mul(m1: int, m2: int):
@@ -204,7 +199,7 @@ def _cf_conj(cf: dict, ctx: Context) -> dict:
 def _atom_diff(key, var, ctx: Context) -> dict:
     """Derivative of a single atom as a canonical form."""
     if key[0] == "q":
-        return {}
+        return {}  # differentials are constants under derivatives
     _, name, mi, to, cj = key
     sym = ctx.symbols[name]
     if sym.kind == "real-scalar":
@@ -238,8 +233,6 @@ def _cf_diff(cf: dict, var, ctx: Context) -> dict:
     out: dict = {}
     for mono, coeff in cf.items():
         for key, e in atoms.decode(mono):
-            if key[0] == "q":
-                continue  # differentials are constants under derivatives
             datom = _atom_diff(key, var, ctx)
             if not datom:
                 continue
@@ -280,8 +273,11 @@ def _cf_ito(cf: dict, ctx: Context) -> dict:
                 continue
             _cf_add_inplace(out, _cf_mul({mono - units[key]: coeff * QQi(e)}, datom))
         # Quadratic covariation: only semimartingale atoms carry dB.
-        sm = [(key, e) for key, e in items
-              if key[0] == "f" and ctx.symbols[key[1]].semimartingale]
+        sm = [
+            (key, e)
+            for key, e in items
+            if key[0] == "f" and ctx.symbols[key[1]].semimartingale
+        ]
         for i, (ki, ei) in enumerate(sm):
             for kj, ej in sm[i:]:
                 if ki == kj:
@@ -370,7 +366,13 @@ def atom_str(key) -> str:
 
 
 def mono_str(mono) -> str:
-    return "*".join(atom_str(k) if e == 1 else f"{atom_str(k)}^{e}" for k, e in mono) or "1"
+    if not mono:
+        return "1"
+    parts = []
+    for key, e in mono:
+        s = atom_str(key)
+        parts.append(s if e == 1 else f"{s}^{e}")
+    return "*".join(parts)
 
 
 class CanonicalForm:

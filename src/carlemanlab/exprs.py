@@ -57,7 +57,8 @@ class Context:
     canonicalize drops every monomial holding such a product from the
     finished form, and the jet oracle gives one name of each pair the
     zero jet.  null_partners maps each
-    name of a null pair to the names it is paired with.
+    name of a null pair to the names it is paired with.  atoms is the
+    canonicalizer's atom table, made the first time it is needed.
     """
 
     def __init__(self, n: int):
@@ -67,6 +68,7 @@ class Context:
         self.symbols: dict[str, FieldSymbol] = {}
         self.null_pairs: list[tuple[str, str]] = []
         self.null_partners: dict[str, set[str]] = {}
+        self.atoms = None
 
     # -- declarations ------------------------------------------------
 
