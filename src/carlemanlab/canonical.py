@@ -1,8 +1,8 @@
 """Canonical polynomial forms with the Ito multiplication table.
 
-A canonical form maps monomials to exact rational-complex coefficients.
-An atom is either a derivative of a declared field (name, spatial
-multi-index, time order, conjugation flag) or one of the formal
+A canonical form maps monomials to nonzero Gaussian-rational
+coefficients.  An atom is either a derivative of a declared field (name,
+spatial multi-index, time order, conjugation flag) or one of the formal
 differentials dt, dB.  Products reduce by the Ito table: dB*dB -> dt,
 dt*dB -> 0, dt*dt -> 0, so nonzero monomials carry total differential
 degree at most one.
@@ -15,6 +15,12 @@ and hash read monomials decoded to (atom_key, exponent) pairs sorted by
 key.  Two expressions are equal as identities exactly when their
 canonical forms are byte-identical, which is what the verifier relies on.
 
+Inside the kernel a coefficient is the bare normalised triple (a, b, d)
+of exact.QQi, the value (a + b i) / d; exact.triple_mul and triple_add
+hold its arithmetic.  A product of two nonzero coefficients is nonzero,
+so only a sum can cancel a monomial.  terms() wraps each triple in a QQi,
+so everything outside the kernel sees QQi coefficients.
+
 A context may declare null pairs of real scalars whose product vanishes.
 Every derivative of a real scalar is zero, so the monomials holding a
 null product form an ideal, closed under products, d_x, d_t, the Ito d
@@ -25,9 +31,8 @@ canonicalize drops those monomials once, from the finished form.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .exact import QQi, format_qqi
+from .exact import ZERO, _make, format_qqi, triple_add, triple_mul
 from .exprs import (
     DB,
     DT,
@@ -53,9 +58,11 @@ from .exprs import (
 DT_KEY = ("q", 0)
 DB_KEY = ("q", 1)
 
-_ONE = QQi(1)
-_HALF = QQi(Fraction(1, 2))
-_MINUS_I_HALF = QQi(0, Fraction(-1, 2))
+# Coefficient triples (a, b, d), the value (a + b i) / d.
+_ONE = (1, 0, 1)
+_MINUS_ONE = (-1, 0, 1)
+_HALF = (1, 0, 2)
+_MINUS_I_HALF = (0, -1, 2)
 
 
 def _field_key(name: str, mi: tuple, to: int, cj: bool):
@@ -152,16 +159,19 @@ def _mono_mul(m1: int, m2: int):
 def _cf_add_inplace(acc: dict, other: dict) -> None:
     for mono, coeff in other.items():
         cur = acc.get(mono)
-        new = coeff if cur is None else cur + coeff
-        if new.is_zero():
-            acc.pop(mono, None)
+        if cur is None:
+            acc[mono] = coeff
         else:
-            acc[mono] = new
+            new = triple_add(cur, coeff)
+            if new[0] or new[1]:
+                acc[mono] = new
+            else:
+                del acc[mono]
 
 
-def _cf_scale(cf: dict, coeff: QQi) -> dict:
+def _cf_scale(cf: dict, coeff: tuple) -> dict:
     """cf times a nonzero coeff."""
-    return {m: c * coeff for m, c in cf.items()}
+    return {m: triple_mul(c, coeff) for m, c in cf.items()}
 
 
 def _cf_mul(c1: dict, c2: dict) -> dict:
@@ -174,13 +184,16 @@ def _cf_mul(c1: dict, c2: dict) -> dict:
             mono = _mono_mul(m1, m2)
             if mono is None:
                 continue
-            coeff = k1 * k2
+            coeff = triple_mul(k1, k2)
             cur = out.get(mono)
-            new = coeff if cur is None else cur + coeff
-            if new.is_zero():
-                out.pop(mono, None)
+            if cur is None:
+                out[mono] = coeff
             else:
-                out[mono] = new
+                new = triple_add(cur, coeff)
+                if new[0] or new[1]:
+                    out[mono] = new
+                else:
+                    del out[mono]
     return out
 
 
@@ -193,7 +206,7 @@ def _cf_pow(cf: dict, k: int) -> dict:
 
 def _cf_conj(cf: dict, ctx: Context) -> dict:
     conj = _atoms(ctx).conj
-    return {conj(mono): coeff.conj() for mono, coeff in cf.items()}
+    return {conj(mono): (a, -b, d) for mono, (a, b, d) in cf.items()}
 
 
 def _atom_diff(key, var, ctx: Context) -> dict:
@@ -236,7 +249,8 @@ def _cf_diff(cf: dict, var, ctx: Context) -> dict:
             datom = _atom_diff(key, var, ctx)
             if not datom:
                 continue
-            _cf_add_inplace(out, _cf_mul({mono - atoms.units[key]: coeff * QQi(e)}, datom))
+            _cf_add_inplace(out, _cf_mul({mono - atoms.units[key]: triple_mul(coeff, (e, 0, 1))},
+                                         datom))
     return out
 
 
@@ -271,7 +285,7 @@ def _cf_ito(cf: dict, ctx: Context) -> dict:
             datom = _atom_ito(key, ctx)
             if not datom:
                 continue
-            _cf_add_inplace(out, _cf_mul({mono - units[key]: coeff * QQi(e)}, datom))
+            _cf_add_inplace(out, _cf_mul({mono - units[key]: triple_mul(coeff, (e, 0, 1))}, datom))
         # Quadratic covariation: only semimartingale atoms carry dB.
         sm = [
             (key, e)
@@ -283,14 +297,14 @@ def _cf_ito(cf: dict, ctx: Context) -> dict:
                 if ki == kj:
                     if ei < 2:
                         continue
-                    mult = QQi(math.comb(ei, 2))
+                    mult = math.comb(ei, 2)
                     rest = mono - 2 * units[ki]
                 else:
-                    mult = QQi(ei * ej)
+                    mult = ei * ej
                     rest = mono - units[ki] - units[kj]
                 cross = _cf_mul(_atom_ito(ki, ctx), _atom_ito(kj, ctx))
                 if cross:
-                    _cf_add_inplace(out, _cf_mul({rest: coeff * mult}, cross))
+                    _cf_add_inplace(out, _cf_mul({rest: triple_mul(coeff, (mult, 0, 1))}, cross))
     return out
 
 
@@ -305,7 +319,8 @@ def _canon(e: Expr, ctx: Context, memo: dict) -> dict:
     if hit is not None:
         return hit
     if isinstance(e, Const):
-        out = {} if e.value.is_zero() else {EMPTY_MONO: e.value}
+        v = e.value._v
+        out = {EMPTY_MONO: v} if v[0] or v[1] else {}
     elif isinstance(e, Sym):
         name = e.sym.name
         if name not in ctx.symbols or ctx.symbols[name] is not e.sym:
@@ -336,11 +351,10 @@ def _canon(e: Expr, ctx: Context, memo: dict) -> dict:
     elif isinstance(e, Conj):
         out = _cf_conj(_canon(e.arg, ctx, memo), ctx)
     elif isinstance(e, (RePart, ImPart)):
-        # Re x = (x + conj x) / 2, Im x = (x - conj x) / 2i
-        inner = _canon(e.arg, ctx, memo)
+        # Re x = y + conj y with y = x / 2, Im x = y + conj y with y = x / 2i
         w = _HALF if isinstance(e, RePart) else _MINUS_I_HALF
-        out = _cf_scale(inner, w)
-        _cf_add_inplace(out, _cf_scale(_cf_conj(inner, ctx), w.conj()))
+        out = _cf_scale(_canon(e.arg, ctx, memo), w)
+        _cf_add_inplace(out, _cf_conj(out, ctx))
     else:
         raise ExprError(f"cannot canonicalize node {type(e).__name__}")
     memo[key] = out
@@ -392,9 +406,10 @@ class CanonicalForm:
         return len(self._terms)
 
     def terms(self):
-        """(monomial, coeff) pairs, sorted, with monomials decoded."""
+        """(monomial, coeff) pairs, sorted, with monomials decoded and
+        coefficients as QQi."""
         decode = _atoms(self.ctx).decode
-        return sorted(((decode(mono), coeff) for mono, coeff in self._terms.items()),
+        return sorted(((decode(mono), _make(coeff)) for mono, coeff in self._terms.items()),
                       key=lambda p: p[0])
 
     def __eq__(self, other) -> bool:
@@ -419,7 +434,7 @@ class CanonicalForm:
 
     def __sub__(self, other: "CanonicalForm") -> "CanonicalForm":
         out = dict(self._terms)
-        _cf_add_inplace(out, _cf_scale(self._same_ctx(other), QQi(-1)))
+        _cf_add_inplace(out, _cf_scale(self._same_ctx(other), _MINUS_ONE))
         return CanonicalForm(out, self.ctx)
 
     def __mul__(self, other: "CanonicalForm") -> "CanonicalForm":
@@ -428,14 +443,20 @@ class CanonicalForm:
 
     def without_null_products(self) -> "CanonicalForm":
         """self without the monomials that hold a null product of its
-        context: the only place the canonicalizer reads the null pairs."""
+        context: the only place the canonicalizer reads the null pairs.
+        A real scalar has one atom, its underived value, so a pair is two
+        byte masks; a pair whose atom the table has not met holds nothing."""
         ctx = self.ctx
-        if not ctx.null_partners:
-            return self
-        decode = _atoms(ctx).decode
-        kept = {mono: coeff for mono, coeff in self._terms.items()
-                if not ctx.annihilates(key[1] for key, _ in decode(mono) if key[0] == "f")}
-        return CanonicalForm(kept, ctx)
+        units = _atoms(ctx).units
+        partners: dict = {}  # byte mask of a scalar -> bytes of its partners
+        for pair in ctx.null_pairs:
+            ua, ub = (units.get(_field_key(name, (0,) * ctx.n, 0, False)) for name in pair)
+            if ua and ub:
+                partners[0xFF * ua] = partners.get(0xFF * ua, 0) | 0xFF * ub
+        kept = self._terms
+        for ma, mb in partners.items():
+            kept = {m: c for m, c in kept.items() if not (m & ma and m & mb)}
+        return self if kept is self._terms else CanonicalForm(kept, ctx)
 
     def serialize(self) -> str:
         """Sorted, deterministic text rendering, one monomial per line."""
@@ -465,7 +486,7 @@ class CanonicalForm:
                 factors.append(atom if e == 1 else Pow(atom, e))
             terms.append(Mul(factors))
         if not terms:
-            return Const(QQi(0))
+            return Const(ZERO)
         return Add(terms)
 
 

@@ -1,12 +1,18 @@
 """Exact rational-complex arithmetic used throughout the symbolic kernel.
 
-Every coefficient in the expression kernel is a :class:`QQi`, a Gaussian
-rational stored fraction-free: a Gaussian-integer numerator ``a + b*i``
-over one positive denominator ``d``, as Python ints ``(a, b, d)`` with
-``gcd(a, b, d) == 1``.  Nearly every coefficient the canonicalizer meets
-is a Gaussian integer (``d == 1``); their sums and products are plain int
+A Gaussian rational is stored fraction-free as the int triple
+``(a, b, d)``, the value ``(a + b*i) / d`` with ``d > 0`` and
+``gcd(a, b, d) == 1``, so equal values have equal triples.  The module
+functions :func:`triple_mul` and :func:`triple_add` hold the product and
+the sum of two triples; nearly every coefficient the canonicalizer meets
+is a Gaussian integer (``d == 1``), whose sums and products are plain int
 arithmetic with no gcd.  This is the layering of FLINT's ``fmpq`` over
 ``fmpz`` (https://flintlib.org/doc/), without the dependency.
+
+The canonicalizer keeps bare triples in its dicts and wraps them only at
+its boundary.  Everywhere else a coefficient is a :class:`QQi`, an
+immutable object whose state is one triple and whose ``*`` and ``+`` call
+the same two functions.
 
 No floats ever enter canonical forms, so identity residuals are exact: a
 verified identity cancels to the empty canonical form, not to something
@@ -67,11 +73,7 @@ class QQi:
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other) -> "QQi":
-        a1, b1, d1 = self._v
-        a2, b2, d2 = (other if type(other) is QQi else _coerce(other))._v
-        if d1 == 1 and d2 == 1:
-            return _make((a1 + a2, b1 + b2, 1))
-        return _norm(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+        return _make(triple_add(self._v, (other if type(other) is QQi else _coerce(other))._v))
 
     __radd__ = __add__
 
@@ -86,12 +88,7 @@ class QQi:
         return _make((-a, -b, d))
 
     def __mul__(self, other) -> "QQi":
-        a1, b1, d1 = self._v
-        a2, b2, d2 = (other if type(other) is QQi else _coerce(other))._v
-        a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-        if d1 == 1 and d2 == 1:
-            return _make((a, b, 1))
-        return _norm(a, b, d1 * d2)
+        return _make(triple_mul(self._v, (other if type(other) is QQi else _coerce(other))._v))
 
     __rmul__ = __mul__
 
@@ -138,10 +135,30 @@ def _make(v: tuple) -> QQi:
     return q
 
 
-def _norm(a: int, b: int, d: int) -> QQi:
-    """The QQi (a + b i) / d for any d > 0."""
+def _norm(a: int, b: int, d: int) -> tuple:
+    """The normalised triple of (a + b i) / d for any d > 0."""
     g = gcd(a, b, d)
-    return _make((a, b, d) if g == 1 else (a // g, b // g, d // g))
+    return (a, b, d) if g == 1 else (a // g, b // g, d // g)
+
+
+def triple_mul(x: tuple, y: tuple) -> tuple:
+    """The normalised triple of the product of two normalised triples."""
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+    if d1 == 1 and d2 == 1:
+        return (a, b, 1)
+    return _norm(a, b, d1 * d2)
+
+
+def triple_add(x: tuple, y: tuple) -> tuple:
+    """The normalised triple of the sum of two normalised triples; zero
+    is (0, 0, 1)."""
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    if d1 == 1 and d2 == 1:
+        return (a1 + a2, b1 + b2, 1)
+    return _norm(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
 
 def _coerce(x) -> QQi:

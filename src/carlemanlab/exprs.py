@@ -56,9 +56,8 @@ class Context:
     order, the pairs of real-scalar symbol names whose product vanishes:
     canonicalize drops every monomial holding such a product from the
     finished form, and the jet oracle gives one name of each pair the
-    zero jet.  null_partners maps each
-    name of a null pair to the names it is paired with.  atoms is the
-    canonicalizer's atom table, made the first time it is needed.
+    zero jet.  atoms is the canonicalizer's atom table, made the first
+    time it is needed.
     """
 
     def __init__(self, n: int):
@@ -67,7 +66,6 @@ class Context:
         self.n = n
         self.symbols: dict[str, FieldSymbol] = {}
         self.null_pairs: list[tuple[str, str]] = []
-        self.null_partners: dict[str, set[str]] = {}
         self.atoms = None
 
     # -- declarations ------------------------------------------------
@@ -137,24 +135,9 @@ class Context:
             if sym.kind != "real-scalar":
                 raise ExprError("null pairs are only supported for real scalars")
         self.null_pairs.append((name_a, name_b))
-        self.null_partners.setdefault(name_a, set()).add(name_b)
-        self.null_partners.setdefault(name_b, set()).add(name_a)
 
     def clear_null_pairs(self) -> None:
         self.null_pairs.clear()
-        self.null_partners.clear()
-
-    def annihilates(self, names: Iterable[str]) -> bool:
-        """Whether names include both names of some null pair."""
-        partners = self.null_partners
-        seen = []
-        for name in names:
-            mates = partners.get(name)
-            if mates is not None:
-                if name in mates or not mates.isdisjoint(seen):
-                    return True
-                seen.append(name)
-        return False
 
     def sym(self, name: str) -> "Expr":
         try:
@@ -203,8 +186,6 @@ class Expr:
         return Mul((as_expr(other), self))
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ExprError("powers must be nonnegative integers")
         return Pow(self, k)
 
 
@@ -240,6 +221,8 @@ class Pow(Expr):
     __slots__ = ("base", "exp")
 
     def __init__(self, base: Expr, exp: int):
+        if not isinstance(exp, int) or exp < 0:
+            raise ExprError("powers must be nonnegative integers")
         self.base = base
         self.exp = exp
 

@@ -2,6 +2,7 @@
 
 import operator
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,9 @@ from carlemanlab.exprs import (
     conj,
     d_t,
     d_x,
+    im,
     ito_d,
+    re,
 )
 
 from strategies import make_context, random_expr, random_plain_expr
@@ -225,6 +228,13 @@ NULL_SCALARS = ("lam", "mu", "nu", "kap")
 NULL_PAIRS = (("lam", "mu"), ("nu", "lam"), ("kap", "kap"))
 
 
+def holds_null_pair(mono) -> bool:
+    """Whether the field names of a decoded monomial include both names
+    of one of NULL_PAIRS."""
+    names = {key[1] for key, _ in mono if key[0] == "f"}
+    return any(a in names and b in names for a, b in NULL_PAIRS)
+
+
 @settings(max_examples=150, deadline=None)
 @given(SEEDS, st.integers(min_value=1, max_value=5))
 def test_null_pairs_filter_the_null_free_form(seed, depth):
@@ -240,8 +250,7 @@ def test_null_pairs_filter_the_null_free_form(seed, depth):
     free = canonicalize(e, ctx)
     for pair in NULL_PAIRS:
         ctx.declare_null_pair(*pair)
-    kept = [(mono, coeff) for mono, coeff in free.terms()
-            if not ctx.annihilates(key[1] for key, _ in mono if key[0] == "f")]
+    kept = [(mono, coeff) for mono, coeff in free.terms() if not holds_null_pair(mono)]
     assert canonicalize(e, ctx).terms() == kept
 
 
@@ -290,3 +299,20 @@ def test_forms_of_different_contexts_do_not_combine():
     # equality across contexts reads the decoded terms
     assert a == b
     assert a != canonicalize(DB, b.ctx)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.integers(min_value=1, max_value=5))
+def test_stored_coefficients_are_nonzero_normalised_triples(seed, depth):
+    # a new monomial is stored without a zero test, because a product of
+    # nonzero Gaussian rationals is nonzero; Re and Im bring in halves
+    ctx = make_context(2)
+    rng = random.Random(seed)
+    x, y = (random_plain_expr(ctx, rng, depth) for _ in range(2))
+    f = canonicalize(re(x) * im(y) + random_expr(ctx, rng, depth), ctx)
+    g = canonicalize(im(x) + re(y) * conj(x), ctx)
+    for form in (f, g, f + g, f - g, f * g, g * g):
+        for a, b, d in form._terms.values():
+            assert (a, b) != (0, 0)
+            assert d > 0 and gcd(a, b, d) == 1
+    assert (f - f).is_zero

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from carlemanlab.exact import IMAG, ONE, ZERO, QQi, format_qqi
+from carlemanlab.exact import IMAG, ONE, ZERO, QQi, _make, format_qqi, triple_add, triple_mul
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 qqis = st.builds(QQi, fractions, fractions)
@@ -109,6 +109,22 @@ def test_mixed_operands_match_fraction_pairs(x, n, f):
     assert_matches(n - p, (n - x[0], -x[1]))
     assert_matches(f * p, (f * x[0], f * x[1]))
     assert (QQi(f) == f) and (QQi(n) == n) and (QQi(f, 1) != f)
+
+
+@given(pairs, pairs)
+def test_triple_functions_match_fraction_pairs(x, y):
+    # the kernel's bare triples, including d != 1 and sums that cancel
+    tx, ty, tneg = QQi(*x)._v, QQi(*y)._v, QQi(-x[0], -x[1])._v
+    assert_matches(_make(triple_mul(tx, ty)), ref_mul(x, y))
+    assert_matches(_make(triple_add(tx, ty)), (x[0] + y[0], x[1] + y[1]))
+    assert triple_add(tx, tneg) == (0, 0, 1)
+
+
+def test_triple_examples():
+    assert triple_mul((1, 1, 2), (1, -1, 2)) == (1, 0, 2)
+    assert triple_mul((2, 0, 1), (1, 0, 2)) == (1, 0, 1)
+    assert triple_add((1, 0, 2), (-1, 0, 2)) == (0, 0, 1)
+    assert triple_add((1, 1, 6), (1, -1, 6)) == (1, 0, 3)
 
 
 def test_equal_values_have_equal_state():

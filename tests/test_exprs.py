@@ -12,6 +12,7 @@ from carlemanlab.exprs import (
     Dx,
     ExprError,
     Mul,
+    Pow,
     conj,
     d_t,
     d_x,
@@ -126,12 +127,23 @@ def test_re_im_decomposition(ctx):
 def test_null_pair_declaration(ctx):
     a = ctx.real_scalar("a")
     b01 = ctx.real_scalar("b01")
+    lam, z = ctx.sym("lam"), ctx.sym("z")
     ctx.declare_null_pair("a", "b01")
-    assert ctx.annihilates({"a", "b01"})
-    assert not ctx.annihilates({"a", "lam"})
     assert canonicalize(a * b01, ctx).is_zero
+    assert canonicalize(a ** 2 * z * b01 * lam, ctx).is_zero
+    assert canonicalize(a * lam + b01 * z, ctx).serialize() == "1 * a*lam\n1 * b01*z"
     with pytest.raises(ExprError):
         ctx.declare_null_pair("ell", "lam")  # fields cannot be null pairs
+
+
+def test_pow_exponent_is_validated_at_construction(ctx):
+    z = ctx.sym("z")
+    for bad in (-1, 1.5):
+        with pytest.raises(ExprError, match="nonnegative integers"):
+            Pow(z, bad)
+        with pytest.raises(ExprError, match="nonnegative integers"):
+            z ** bad
+    assert canonicalize(Pow(z, 0), ctx).serialize() == "1 * 1"
 
 
 def test_esum_empty_is_zero(ctx):
