@@ -120,13 +120,6 @@ def test_triple_functions_match_fraction_pairs(x, y):
     assert triple_add(tx, tneg) == (0, 0, 1)
 
 
-def test_triple_examples():
-    assert triple_mul((1, 1, 2), (1, -1, 2)) == (1, 0, 2)
-    assert triple_mul((2, 0, 1), (1, 0, 2)) == (1, 0, 1)
-    assert triple_add((1, 0, 2), (-1, 0, 2)) == (0, 0, 1)
-    assert triple_add((1, 1, 6), (1, -1, 6)) == (1, 0, 3)
-
-
 def test_equal_values_have_equal_state():
     half = QQi(Fraction(2, 4))
     assert half._v == QQi(Fraction(1, 2))._v == (1, 0, 2)
