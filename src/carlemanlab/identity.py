@@ -1018,7 +1018,8 @@ def numeric_residual(target, seed: int, assignments: int = 4, points: int = 5,
     implicit base points; every (seed, base point) draw has all jets of
     its own, so the assignments * (points + 1) values are independent
     draws.  All of them are evaluated in one eval_jet_many call, which
-    walks the residual once.  For an intact identity every
+    walks the residual once, with one memo entry per distinct subtree
+    rather than per object.  For an intact identity every
     component of every value is exactly zero; a wrong one is missed by a
     draw with probability at most D/p, where D is the residual's degree
     in the jet coefficients and p = 2^61 - 1 (Schwartz-Zippel).

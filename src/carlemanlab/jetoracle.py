@@ -14,9 +14,12 @@ terms and the quadratic variation, and drops every other term.
 
 One call evaluates B draws, each a (seed, base point) pair with jets of
 its own, in a single walk of the expression DAG: every jet coefficient
-is a list of B ints, one per draw.  The walk memoizes only the nodes it
-can reach more than once, so the jets of every other node are freed as
-soon as their parent has used them.
+is a list of B ints, one per draw.  The walk's memo is keyed by
+structure (hash-consing, Filliatre & Conchon 2006), so equal subtrees
+built as separate objects share one entry.  It holds only the subtrees
+the walk asks for more than once, each until its last expected read;
+the jets of every other node are freed as soon as their parent has used
+them.
 
 A residual that is not identically zero is a nonzero polynomial of some
 degree D in the drawn coefficients, so by the Schwartz-Zippel lemma one
@@ -281,34 +284,61 @@ def _children(e: Expr) -> tuple:
     return ()
 
 
-def _shared_nodes(root: Expr) -> tuple[set, set]:
-    """The ids of the nodes that one walk from root can ask run for more
-    than once, in plain mode and in shifted mode: root, every node asked
-    for by two or more parents in that mode, and every rewrite expression
-    of a symbol the walk meets (plain mode).  A DIto asks for its argument
-    in shifted mode."""
-    shared = ({id(root)}, set())
-    seen = ({id(root)}, set())
-    stack = [(root, False)]
-    while stack:
-        e, shifted = stack.pop()
-        t = type(e)
-        if t is Sym:
-            kids, mode = e.sym.rewrites.values(), False
-            shared[0].update(map(id, kids))
-        elif t is DIto:
-            kids, mode = (() if shifted else (e.arg,)), True
-        else:
-            kids, mode = _children(e), shifted
-        s, hit = seen[mode], shared[mode]
+def _key(e: Expr, shifted: bool, keys: tuple, sigs: dict, asks: list, todo: list) -> int:
+    """The structural key of e read in the given mode (see _structure).
+    A new key counts one ask of each child; a new symbol adds its
+    rewrites, and those of its jets, to todo."""
+    t = type(e)
+    into = shifted or t is DIto
+    seen = keys[into]
+    kids = [seen[c] if c in seen else _key(c, into, keys, sigs, asks, todo)
+            for c in _children(e)]
+    if t is Sym:
+        payload = e.sym
+    elif t is Const:
+        payload = (e.value.re, e.value.im)
+    elif t is Pow:
+        payload = e.exp
+    elif t is Dx:
+        payload = e.j
+    else:
+        payload = None
+    k = keys[shifted][e] = sigs.setdefault((t, payload, shifted, *kids), len(asks))
+    if k == len(asks):
+        asks.append(0)
         for c in kids:
-            i = id(c)
-            if i in s:
-                hit.add(i)
-            else:
-                s.add(i)
-                stack.append((c, mode))
-    return shared
+            asks[c] += 1
+        if t is Sym:
+            for s in (e.sym, *(e.sym.jets or ())):
+                todo.extend(s.rewrites.values())
+    return k
+
+
+def _structure(root: Expr) -> tuple:
+    """Structural keys for one walk from root, and how often it asks for each.
+
+    The key of a node read in plain or shifted mode is that of (type,
+    payload, mode, child keys), so two nodes share a key exactly when
+    their trees are equal; a DIto reads its argument in shifted mode.  The
+    walk meets the rewrite expressions of every symbol it meets, and of
+    its jets; they do not enter the symbol's key, since a rewrite such as
+    phi_t = 3 mu phi refers back to phi.
+
+    When the walk evaluates each key once, it asks for a key once from
+    root and once per occurrence in each distinct parent, and for a
+    rewrite expression once per order of its symbol's jet, unboundedly.
+    Returns, per mode, the keys of the nodes whose key the walk asks for
+    more than once, and the ask count of every key.
+    """
+    keys, sigs, asks, todo = ({}, {}), {}, [], [root]
+    for e in todo:
+        if e not in keys[0]:
+            _key(e, False, keys, sigs, asks, todo)
+    del sigs
+    asks[keys[0][root]] += 1
+    for e in todo[1:]:
+        asks[keys[0][e]] = float("inf")
+    return tuple({e: k for e, k in mode.items() if asks[k] > 1} for mode in keys), asks
 
 
 def _contains_semimartingale(e: Expr) -> bool:
@@ -330,14 +360,15 @@ class _Eval:
     run(e, k) is the Ito triple of e.  In shifted mode every symbol u
     reads as the triple u + du: (u, P, Q) for a semimartingale du = P dt +
     Q dB, (u, u_t, 0) for a plain field and (u, 0, 0) for a real scalar,
-    so the dt and dB parts of run(e, k, True) are those of d(e).  Each
-    mode memoizes only the nodes that the walk can ask it for more than
-    once (see _shared_nodes).
+    so the dt and dB parts of run(e, k, True) are those of d(e).  The
+    memo holds the value of each structural key (see _structure) that the
+    walk asks for more than once, from its first read to its last
+    expected one.
     """
 
     def __init__(self, ctx: Context, draws, root: Expr):
         self.n = ctx.n
-        self.keys = [f"{seed}/{point}/" for seed, point in draws]
+        self.streams = [f"{seed}/{point}/" for seed, point in draws]
         # name -> per-draw flags, True where the draw zeroes the name
         self.zero: dict[str, list] = {}
         for b, (seed, _) in enumerate(draws):
@@ -345,9 +376,8 @@ class _Eval:
                 self.zero.setdefault(pair[1 - seed % 2], [False] * len(draws))[b] = True
         self.lay = _layout(self.n + 1, 4)
         self.jets: dict[str, list] = {}  # name -> [order, re, im, per-draw rng]
-        self.shared = _shared_nodes(root)
-        # per mode (plain, shifted): id -> (order, Ito triple)
-        self.memo: tuple[dict, dict] = ({}, {})
+        self.keys, self.left = _structure(root)
+        self.memo: dict[int, tuple] = {}  # key -> (order, Ito triple)
 
     def _at(self, k: int) -> _Layout:
         if k > self.lay.order:
@@ -358,7 +388,7 @@ class _Eval:
         if not (c[0] or c[1]):
             return None
         pad = [0] * (self._at(k).size[k] - 1)
-        b = len(self.keys)
+        b = len(self.streams)
         return [c[0] and [c[0]] * b] + pad, [c[1] and [c[1]] * b] + pad
 
     # -- symbol jets ----------------------------------------------------
@@ -376,7 +406,7 @@ class _Eval:
         if st is None:
             rngs = [None if mask and mask[b] else random.Random(int.from_bytes(
                         hashlib.sha256((key + sym.name).encode()).digest(), "big"))
-                    for b, key in enumerate(self.keys)]
+                    for b, key in enumerate(self.streams)]
             st = self.jets[sym.name] = [-1, [], [], rngs]
         done, re, im, rngs = st
         if done >= k:
@@ -423,15 +453,17 @@ class _Eval:
     # -- plain and shifted triples --------------------------------------
 
     def run(self, e: Expr, k: int, shifted: bool = False):
-        key = id(e)
-        if key not in self.shared[shifted]:
+        key = self.keys[shifted].get(e)
+        if key is None:
             return self._run(e, k, shifted)
-        memo = self.memo[shifted]
-        hit = memo.get(key)
+        # after the last expected read the entry goes; a later one recomputes
+        n = self.left[key] = self.left[key] - 1
+        hit = self.memo.get(key) if n > 0 else self.memo.pop(key, None)
         if hit is not None and hit[0] >= k:
             return hit[1]
         out = self._run(e, k, shifted)
-        memo[key] = (k, out)
+        if n > 0:
+            self.memo[key] = (k, out)
         return out
 
     def _run(self, e: Expr, k: int, shifted: bool):
@@ -444,8 +476,13 @@ class _Eval:
         if isinstance(e, Dx):
             return tuple(_diff(lay, k, c, e.j - 1) for c in self.run(e.arg, k + 1, shifted))
         if isinstance(e, Add):
-            parts = [self.run(t, k, shifted) for t in e.terms]
-            return tuple(_add(lay.size[k], [p[c] for p in parts]) for c in range(3))
+            # summed four at a time, so that few term jets are alive at once
+            n, parts = lay.size[k], []
+            for t in e.terms:
+                parts.append(self.run(t, k, shifted))
+                if len(parts) == 4:
+                    parts = [tuple(_add(n, [p[c] for p in parts]) for c in range(3))]
+            return tuple(_add(n, [p[c] for p in parts]) for c in range(3))
         if isinstance(e, Sym):
             sym = e.sym
             u = self.symbol(sym, k)

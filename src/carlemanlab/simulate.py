@@ -387,16 +387,19 @@ def carleman_heat_check(pair: ManufacturedPair, w: HeatWeight,
            "observation_fraction": []}
     for lam in lams:
         # for a large mu the exponent itself overflows to -inf; theta^2 is
-        # then the same documented 0
-        with np.errstate(over="ignore"):
+        # then the same documented 0.  lambda^3 is a numpy float, so past
+        # the double range it is inf, which the guard below refuses, where
+        # a Python float would raise
+        with np.errstate(over="ignore", invalid="ignore"):
             theta2 = np.exp(2.0 * lam * shifted)
-        lhs = float(cell * (lam ** 3 * np.vdot(theta2, y2g3)
-                            + lam * np.vdot(theta2, gy2g1)))
+            lam3 = np.float64(lam) ** 3
+            lhs = float(cell * (lam3 * np.vdot(theta2, y2g3)
+                                + lam * np.vdot(theta2, gy2g1)))
         if not (math.isfinite(lhs) and lhs > 0.0):
             raise SimError(f"Carleman LHS is {lhs:g} at lambda = {lam:g}: "
-                           f"theta^2 underflows where the pair lives; "
-                           f"lower lambda")
-        obs = float(cell * lam ** 3 * np.vdot(theta2[:, mask], y2g3_obs))
+                           f"theta^2 underflows where the pair lives, or "
+                           f"lambda^3 overflows; lower lambda")
+        obs = float(cell * lam3 * np.vdot(theta2[:, mask], y2g3_obs))
         rhs = obs + float(cell * (np.vdot(theta2, f2)
                                   + lam ** 2 * np.vdot(theta2, Y2g2)))
         out["lhs"].append(lhs)

@@ -279,8 +279,9 @@ class GLWeight:
             raise WeightError("mu must be at least 2")
         if self.T <= 0:
             raise WeightError("T must be positive")
-        # largest exponent used anywhere is 2 mu phi(T); keep it in range
-        if 2.0 * self.mu * math.exp(3.0 * self.mu * self.T) > 709.0:
+        # largest exponent used anywhere is 2 mu phi(T); keep it in range,
+        # testing its logarithm so that the test itself cannot overflow
+        if math.log(2.0 * self.mu) + 3.0 * self.mu * self.T > math.log(709.0):
             raise WeightError(
                 f"theta^2 overflows double precision at t = T for "
                 f"(mu, T) = ({self.mu:g}, {self.T:g}); reduce mu or T")

@@ -227,6 +227,20 @@ def test_lhs_underflow_exits_two_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb,payload", [
+    ("carleman-gl", {"T": 1e6}),
+    ("carleman-gl", {"mus": [1e6]}),
+    ("carleman-heat", {"lambdas": [1e300]}),
+], ids=["gl-long-horizon", "gl-huge-mu", "heat-huge-lambda"])
+def test_overflowing_configs_exit_two_without_traceback(tmp_path, capsys, verb, payload):
+    # e^(3 mu T) and lambda^3 leave the double range here; the guards
+    # test them without overflowing themselves and refuse the config
+    assert_config_rejected(tmp_path, verb, json.dumps(payload))
+    err = capsys.readouterr().err
+    assert "overflows" in err
+    assert "Traceback" not in err
+
+
 def test_large_mu_underflows_the_weight_without_warning(tmp_path):
     # at mu = 1407 the exponent 2 lam (alpha - max alpha) overflows to
     # -inf; theta^2 must become its documented 0 without a numpy warning

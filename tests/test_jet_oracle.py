@@ -10,9 +10,33 @@ import pytest
 import carlemanlab.jetoracle as jetoracle
 from carlemanlab.canonical import canonicalize
 from carlemanlab.exact import QQi
-from carlemanlab.exprs import C, Const, Context, ExprError, Pow, conj, d_t, d_x, ito_d
-from carlemanlab.identity import build_case
-from carlemanlab.jetoracle import P, _Eval, _layout, eval_jet_many
+from carlemanlab.exprs import (
+    DB,
+    DT,
+    Add,
+    C,
+    Conj,
+    Const,
+    Context,
+    DIto,
+    Dt,
+    Dx,
+    ExprError,
+    I,
+    ImPart,
+    Mul,
+    Pow,
+    RePart,
+    Sym,
+    conj,
+    d_t,
+    d_x,
+    im,
+    ito_d,
+    re,
+)
+from carlemanlab.identity import OperatorSpec, _spec_case, build_case
+from carlemanlab.jetoracle import P, Gauss, _Eval, _layout, eval_jet_many
 
 from strategies import make_context, random_expr, random_plain_expr
 
@@ -271,3 +295,104 @@ def test_batched_rule_derived_jets_match_draws_one_at_a_time(mutated):
 def test_no_draws_give_no_values():
     ctx = make_context(1)
     assert eval_jet_many(ctx.sym("z") * ctx.sym("ell"), ctx, []) == []
+
+
+# -- the walk's memo is keyed by structure ------------------------------
+
+
+def tree_copy(e):
+    """e rebuilt node by node as a tree: the same structure, and no node
+    object shared between two parents."""
+    t = type(e)
+    if t in (Add, Mul):
+        return t([tree_copy(c) for c in jetoracle._children(e)])
+    if t is Pow:
+        return Pow(tree_copy(e.base), e.exp)
+    if t is Dx:
+        return Dx(e.j, tree_copy(e.arg))
+    if t in (Dt, DIto, Conj, RePart, ImPart):
+        return t(tree_copy(e.arg))
+    if t is Sym:
+        return Sym(e.sym)
+    if t is Const:
+        return Const(e.value)
+    return t()
+
+
+def near_misses():
+    """Pairs of trees that differ only in what a structural key must see."""
+    ctx = make_context(2)
+    ctx.real_field("m")
+    ell, phi = ctx.sym("ell"), ctx.sym("Phi")
+    return ctx, {
+        "direction": (d_x(ell, 1), d_x(ell, 2)),
+        "exponent": (ell ** 2, ell ** 3),
+        "constant": (C(2), C(3)),
+        "constant part": (C(2), Const(QQi(0, 2))),
+        "imaginary part of a constant": (Const(QQi(2, 1)), Const(QQi(2, 3))),
+        "constant times i": (C(2), 2 * I),
+        "real or imaginary part": (re(phi), im(phi)),
+        "conjugate": (phi, conj(phi)),
+        "differential": (DT, DB),
+        "symbol": (ell, ctx.sym("m")),
+    }
+
+
+def gadd(a: Gauss, b: Gauss) -> Gauss:
+    return Gauss((a.re + b.re) % P, (a.im + b.im) % P)
+
+
+@pytest.mark.parametrize("pair", sorted(near_misses()[1]))
+def test_near_miss_subtrees_keep_their_own_values(pair):
+    # one walk reads both x and y; a key that confused them would hand y
+    # the memoized value of x, making x - y vanish and x + y differ from
+    # the sum of the two values taken in walks of their own
+    ctx, pairs = near_misses()
+    x, y = pairs[pair]
+    assert not any(v.is_zero for v in eval_jet_many(x - y, ctx, MIXED))
+    apart = zip(eval_jet_many(x, ctx, MIXED), eval_jet_many(y, ctx, MIXED))
+    for v, (a, b) in zip(eval_jet_many(Add((x, y)), ctx, MIXED), apart):
+        assert (v.value, v.dt, v.dB) == (gadd(a.value, b.value), gadd(a.dt, b.dt),
+                                         gadd(a.dB, b.dB))
+
+
+def counted_runs(monkeypatch) -> list:
+    """A list that gains one entry per _Eval._run call from now on."""
+    calls, run = [], _Eval._run
+
+    def counted(self, *args):
+        calls.append(1)
+        return run(self, *args)
+
+    monkeypatch.setattr(_Eval, "_run", counted)
+    return calls
+
+
+@pytest.mark.parametrize("target", [OperatorSpec(n=2, regime="R1"), "ginzburg_landau"])
+def test_shared_and_unshared_residuals_walk_and_evaluate_alike(target, monkeypatch):
+    # the builders share some subtree objects and repeat equal subtrees as
+    # new objects; the tree copy has the same structure and shares no
+    # object, so a walk keyed by structure takes the same steps on both
+    case = _spec_case(target) if isinstance(target, OperatorSpec) else build_case(target)
+    calls = counted_runs(monkeypatch)
+    for mutated in (False, True):
+        residual = case.lhs - (case.mutated_rhs if mutated else case.rhs)
+        values, walks = [], []
+        for e in (residual, tree_copy(residual)):
+            calls.clear()
+            values.append(eval_jet_many(e, case.ctx, MIXED))
+            walks.append(len(calls))
+        assert values[0] == values[1]
+        assert walks[0] == walks[1]
+        assert all(v.is_zero for v in values[0]) != mutated
+
+
+def test_walk_evaluates_each_distinct_subtree_once(monkeypatch):
+    # the n = 3 R1 theorem residual has 3092 node objects and 1467
+    # distinct subtrees; a walk memoized by object identity took 3257
+    # _run calls on it, one memoized by structure takes 1895, counting
+    # plain and shifted mode and the orders each subtree is asked at
+    case = _spec_case(OperatorSpec(n=3, regime="R1"))
+    calls = counted_runs(monkeypatch)
+    eval_jet_many(case.lhs - case.rhs, case.ctx, [(0, 0)])
+    assert len(calls) == 1895
