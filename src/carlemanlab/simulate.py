@@ -171,6 +171,14 @@ def solve_gl_forward(p: SPDEProblem, grid: Grid1D, paths: PathEnsemble) -> Solut
     depend on time, so it is LU-factored once (LAPACK gttrf); each step
     is one gttrs solve for every path at once.  A state that leaves
     double precision raises SimError.
+
+    The step allocates nothing.  dt a1, dt a2 and dt f are sampled once
+    ((dt a)[m] is dt a[m] bit for bit), and the increments are read from
+    one transposed copy.  Four (M, .) buffers live for the whole solve:
+    rhs, the transpose of a Fortran-ordered (Nx, M) array that gttrs
+    solves in place; prod, for one product at a time; grad, for w_x; and
+    pad, w^m between two zero edges, on which grad runs grad_dirichlet's
+    own stencil.  An absent field's term is skipped, not added as zero.
     """
     if paths.Nt != grid.Nt or abs(paths.dt - grid.dt) > 1e-15 * grid.dt:
         raise SimError("path ensemble and grid disagree on time stepping")
@@ -182,27 +190,42 @@ def solve_gl_forward(p: SPDEProblem, grid: Grid1D, paths: PathEnsemble) -> Solut
     off = np.full(Nx - 1, -rho)
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=complex)
     *lu, _ = gttrf(off, np.full(Nx, 1.0 + 2.0 * rho), off)
-    a1, a2, a3, f, g = (sample_field(fn, x, grid.t[:-1])
+    a1, a2, a3, f, g = (None if fn is None else sample_field(fn, x, grid.t[:-1])
                         for fn in (p.a1, p.a2, p.a3, p.f, p.g))
+    dta1, dta2, dtf = (None if a is None else dt * a for a in (a1, a2, f))
+    dB = paths.increments.T.copy()
     w = np.empty((M, Nt + 1, Nx), dtype=complex)
     w[:, 0, :] = p.initial(x)[None, :]
+    rhs = np.empty((Nx, M), dtype=complex, order="F").T
+    prod = np.empty((M, Nx), dtype=complex)
+    if a1 is not None:
+        grad = np.empty((M, Nx), dtype=complex)
+        pad = np.zeros((M, Nx + 2), dtype=complex)
     # a blown-up state is refused once, at the end, not warned about per step
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(Nt):
             wm = w[:, m, :]
-            drift = wm.copy()
-            if p.a1 is not None:
-                drift += dt * a1[m] * grad_dirichlet(wm, dx)
-            if p.a2 is not None:
-                drift += dt * a2[m] * wm
-            if p.f is not None:
-                drift += dt * f[m]
-            noise = np.zeros_like(wm)
-            if p.a3 is not None:
-                noise += a3[m] * wm
-            if p.g is not None:
-                noise += g[m]
-            rhs = drift + noise * paths.increments[:, m][:, None]
+            rhs[...] = wm
+            if a1 is not None:
+                pad[:, 1:-1] = wm
+                np.subtract(pad[:, 2:], pad[:, :-2], out=grad)
+                grad /= 2.0 * dx
+                np.multiply(dta1[m], grad, out=prod)
+                rhs += prod
+            if a2 is not None:
+                np.multiply(dta2[m], wm, out=prod)
+                rhs += prod
+            if f is not None:
+                rhs += dtf[m]
+            if a3 is not None:
+                np.multiply(a3[m], wm, out=prod)
+                if g is not None:
+                    prod += g[m]
+                prod *= dB[m][:, None]
+                rhs += prod
+            elif g is not None:
+                np.multiply(g[m], dB[m][:, None], out=prod)
+                rhs += prod
             w[:, m + 1, :] = gttrs(*lu, rhs.T, overwrite_b=True)[0].T
     if not np.all(np.isfinite(w)):
         raise SimError("forward solve left double precision; "
@@ -533,19 +556,22 @@ def make_random_gl_problem(seed: Seed, *, with_coefficients: bool = False,
 # Classic first-order demos.
 
 
-def _rk4(afun, x0: float, T: float, steps: int):
+def _rk4(a, x0: float, T: float, steps: int):
+    """Classic RK4 for x' = a(t) x.  a takes an array of times; it is
+    sampled once at the left, middle and right stage times of every step,
+    and the steps run on Python floats."""
     ts = np.linspace(0.0, T, steps + 1)
-    xs = np.empty(steps + 1)
-    xs[0] = x0
     h = T / steps
-    for m in range(steps):
-        t, x = ts[m], xs[m]
-        k1 = afun(t) * x
-        k2 = afun(t + h / 2) * (x + h / 2 * k1)
-        k3 = afun(t + h / 2) * (x + h / 2 * k2)
-        k4 = afun(t + h) * (x + h * k3)
-        xs[m + 1] = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return ts, xs
+    t = ts[:-1]
+    x, xs = x0, [x0]
+    for a0, ah, a1 in zip(a(t).tolist(), a(t + h / 2).tolist(), a(t + h).tolist()):
+        k1 = a0 * x
+        k2 = ah * (x + h / 2 * k1)
+        k3 = ah * (x + h / 2 * k2)
+        k4 = a1 * (x + h * k3)
+        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        xs.append(x)
+    return ts, np.array(xs)
 
 
 def _bump(s0: float, s1: float):
@@ -580,17 +606,19 @@ def classic_demos(which: str, seed: int = 0, draws: int = 10, *,
     if which == "ode":
         T, steps = 2.0, 2000
         runs = []
-        specs = [("sin", 1.0, lambda t: math.sin(t))]
+        tfine = np.linspace(0.0, T, 20001)
+        # each a(t) takes an array of times; np.sin matches math.sin bit
+        # for bit on these grids (tests/test_simulate.py)
+        specs = [("sin", 1.0, np.sin)]
         for i in range(draws):
             c0, c1 = rng.uniform(-1.5, 1.5, size=2)
             om, ph = rng.uniform(0.5, 3.0), rng.uniform(0, 2 * math.pi)
             x0 = float(rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0]))
             specs.append((f"draw{i}", x0,
-                          lambda t, c0=c0, c1=c1, om=om, ph=ph: c0 + c1 * math.sin(om * t + ph)))
-        for name, x0, afun in specs:
-            tfine = np.linspace(0.0, T, 20001)
-            lam = 2.0 * float(np.max(np.abs([afun(t) for t in tfine])))
-            ts, xs = _rk4(afun, x0, T, steps)
+                          lambda t, c0=c0, c1=c1, om=om, ph=ph: c0 + c1 * np.sin(om * t + ph)))
+        for name, x0, a in specs:
+            lam = 2.0 * float(np.max(np.abs(a(tfine))))
+            ts, xs = _rk4(a, x0, T, steps)
             bound = np.exp(lam * ts) * abs(x0)
             ok = bool(np.all(np.abs(xs) <= bound + 1e-12))
             # t = 0 is an exact tie; the strict margin starts one step in

@@ -165,15 +165,17 @@ def test_field_constant_in_time_broadcasts():
 
 
 def _banded_reference(p, grid, paths):
-    """The semi-implicit step with one solve_banded call per step and
-    every field sampled node by node."""
+    """The semi-implicit step with one solve_banded call per step, every
+    field sampled node by node and an absent field read as zeros."""
     x, dx, dt = grid.x, grid.dx, grid.dt
     rho = dt * (1.0 + 1j * p.b) / (dx * dx)
     band = np.zeros((3, grid.Nx), dtype=complex)
     band[0, 1:] = -rho
     band[1, :] = 1.0 + 2.0 * rho
     band[2, :-1] = -rho
-    a1, a2, a3, f, g = (_per_node(fn, x, grid.t[:-1]) for fn in (p.a1, p.a2, p.a3, p.f, p.g))
+    a1, a2, a3, f, g = (np.zeros((grid.Nt, grid.Nx), dtype=complex) if fn is None
+                        else _per_node(fn, x, grid.t[:-1])
+                        for fn in (p.a1, p.a2, p.a3, p.f, p.g))
     w = np.empty((paths.M, grid.Nt + 1, grid.Nx), dtype=complex)
     w[:, 0, :] = p.initial(x)[None, :]
     for m in range(grid.Nt):
@@ -190,12 +192,22 @@ def _banded_reference(p, grid, paths):
     return w
 
 
+GL_FIELDS = ("a1", "a2", "a3", "f", "g")
+# every branch of the solver's step: all five fields, each verb's set
+# (inverse-gl draws coefficients, carleman-gl sources), a noise term with
+# and without the state, and pure diffusion
+FIELD_SETS = {"all": GL_FIELDS, "inverse-gl": ("a1", "a2", "a3"),
+              "carleman-gl": ("f", "g"), "a3": ("a3",), "g": ("g",), "none": ()}
+
+
+@pytest.mark.parametrize("fields", FIELD_SETS.values(), ids=FIELD_SETS.keys())
 @pytest.mark.parametrize("M", [1, 3])
-def test_factored_solver_equals_banded_solve_bitwise(M):
+def test_factored_solver_equals_banded_solve_bitwise(M, fields):
     grid = Grid1D(Nx=40, Nt=120, T=0.3)
     p = make_random_gl_problem(5, with_coefficients=True)
     assert p.b != 0.0
-    assert all(fn is not None for fn in (p.a1, p.a2, p.a3, p.f, p.g))
+    assert all(getattr(p, name) is not None for name in GL_FIELDS)
+    p = dataclasses.replace(p, **{name: None for name in GL_FIELDS if name not in fields})
     paths = brownian(M, grid.Nt, 17, dt=grid.dt)
     sol = solve_gl_forward(p, grid, paths)
     assert np.array_equal(sol.w, _banded_reference(p, grid, paths))
@@ -419,6 +431,64 @@ def test_gl_check_preconditions():
 
 
 # -- demos ------------------------------------------------------------
+
+
+ODE_T, ODE_STEPS = 2.0, 2000
+
+
+def _scalar_ode_specs(seed, draws):
+    """classic_demos("ode")'s draws as (name, x0, om, ph, a): a(t) a
+    closure of one scalar time, evaluated with math.sin, as the demo once
+    called it: node by node.  The pinned sin case is om = 1, ph = None."""
+    rng = np.random.default_rng(seed)
+    specs = [("sin", 1.0, 1.0, None, math.sin)]
+    for i in range(draws):
+        c0, c1 = rng.uniform(-1.5, 1.5, size=2)
+        om, ph = rng.uniform(0.5, 3.0), rng.uniform(0, 2 * math.pi)
+        x0 = float(rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0]))
+        specs.append((f"draw{i}", x0, om, ph,
+                      lambda t, c0=c0, c1=c1, om=om, ph=ph: c0 + c1 * math.sin(om * t + ph)))
+    return specs
+
+
+def _scalar_ode_run(x0, a):
+    """The demo's lambda and RK4 trajectory on numpy scalars, one a(t) call
+    per node and per stage."""
+    tfine = np.linspace(0.0, ODE_T, 20001)
+    lam = 2.0 * float(np.max(np.abs([a(t) for t in tfine])))
+    ts = np.linspace(0.0, ODE_T, ODE_STEPS + 1)
+    xs = np.empty(ODE_STEPS + 1)
+    xs[0] = x0
+    h = ODE_T / ODE_STEPS
+    for m in range(ODE_STEPS):
+        t, x = ts[m], xs[m]
+        k1 = a(t) * x
+        k2 = a(t + h / 2) * (x + h / 2 * k1)
+        k3 = a(t + h / 2) * (x + h / 2 * k2)
+        k4 = a(t + h) * (x + h * k3)
+        xs[m + 1] = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    bound = np.exp(lam * ts) * abs(x0)
+    return lam, float(np.min(bound[1:] - np.abs(xs[1:])))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_ode_demo_sines_equal_scalar_math_sin_bitwise(seed):
+    # relies on np.sin and math.sin agreeing bit for bit, as they do with
+    # numpy 2.4 and glibc on x86-64; a platform where they differ fails
+    # here first, and then tests/goldens/demo_sha256.json
+    tfine = np.linspace(0.0, ODE_T, 20001)
+    t = np.linspace(0.0, ODE_T, ODE_STEPS + 1)[:-1]
+    h = ODE_T / ODE_STEPS
+    times = np.concatenate([tfine, t, t + h / 2, t + h])
+    specs = _scalar_ode_specs(seed, draws=10)
+    for name, _, om, ph, _ in specs:
+        arg = times if ph is None else om * times + ph
+        assert np.array_equal(np.sin(arg), [math.sin(v) for v in arg.tolist()]), name
+    runs = classic_demos("ode", seed=seed, draws=10)["runs"]
+    assert [r["name"] for r in runs] == [s[0] for s in specs]
+    for run, (name, x0, _, _, a) in zip(runs, specs):
+        assert run["x0"] == x0
+        assert (run["lambda"], run["min_margin"]) == _scalar_ode_run(x0, a), name
 
 
 def test_ode_demo_bound_holds():
