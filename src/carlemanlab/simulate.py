@@ -19,14 +19,48 @@ so a (seed, config) pair fixes every array bit-for-bit.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .weights import GLWeight, HeatWeight, heat_alpha
+
+
+def _load_flapack(scipy_spec):
+    """scipy's f2py LAPACK extension, loaded from scipy_spec's directory
+    without importing scipy or scipy.linalg.
+
+    The solver needs only zgttrf and zgttrs, the same wrappers that
+    scipy.linalg.get_lapack_funcs returns, and the package import of
+    scipy.linalg would cost about 0.3 s of every start.  The module is
+    not left in sys.modules.
+    """
+    roots = scipy_spec.submodule_search_locations if scipy_spec else None
+    dirs = [os.path.join(root, "linalg") for root in roots or ()]
+    for d in dirs:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(d, "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader("_flapack", path)
+                module = loader.create_module(
+                    importlib.util.spec_from_loader("_flapack", loader))
+                loader.exec_module(module)
+                # creating a single-phase extension module registers it
+                if sys.modules.get("_flapack") is module:
+                    del sys.modules["_flapack"]
+                return module
+    where = f"in {', '.join(dirs)}" if dirs else "(scipy is not installed)"
+    raise ImportError(f"scipy.linalg._flapack not found {where}",
+                      name="scipy.linalg._flapack")
+
+
+_flapack = _load_flapack(importlib.util.find_spec("scipy"))
 
 
 class SimError(ValueError):
@@ -188,7 +222,7 @@ def solve_gl_forward(p: SPDEProblem, grid: Grid1D, paths: PathEnsemble) -> Solut
     # Re rho > 0 makes the matrix strictly diagonally dominant, so the
     # factorization never meets a zero pivot
     off = np.full(Nx - 1, -rho)
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=complex)
+    gttrf, gttrs = _flapack.zgttrf, _flapack.zgttrs
     *lu, _ = gttrf(off, np.full(Nx, 1.0 + 2.0 * rho), off)
     a1, a2, a3, f, g = (None if fn is None else sample_field(fn, x, grid.t[:-1])
                         for fn in (p.a1, p.a2, p.a3, p.f, p.g))

@@ -1,7 +1,14 @@
 """Forward solver, manufactured pairs, and Monte-Carlo inequality checks."""
 
 import dataclasses
+import importlib.machinery
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -211,6 +218,42 @@ def test_factored_solver_equals_banded_solve_bitwise(M, fields):
     paths = brownian(M, grid.Nt, 17, dt=grid.dt)
     sol = solve_gl_forward(p, grid, paths)
     assert np.array_equal(sol.w, _banded_reference(p, grid, paths))
+
+
+def test_carleman_gl_runs_without_importing_scipy_linalg(tmp_path):
+    # the solver's zgttrf/zgttrs come from scipy's _flapack extension
+    # itself; scipy.linalg's package import would add about 0.3 s per start
+    cfg = tmp_path / "gl.json"
+    cfg.write_text(json.dumps(dict(ensembles=1, paths=2, Nx=8, Nt=20, T=0.2,
+                                   mus=[2.0], delta=0.05, seed=3)))
+    script = textwrap.dedent(f"""
+        import sys
+        from carlemanlab import cli
+        code = cli.main(["carleman-gl", "--config", {str(cfg)!r},
+                         "--out", {str(tmp_path / "out.json")!r}])
+        print(code, [m for m in ("scipy", "scipy.linalg") if m in sys.modules])
+    """)
+    src = str(pathlib.Path(simulate.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[-2] == "0 []"
+
+
+@pytest.mark.parametrize("scipy_dir", ["absent", "empty"])
+def test_flapack_loader_refuses_a_missing_extension(tmp_path, scipy_dir):
+    spec = None
+    if scipy_dir == "empty":
+        (tmp_path / "linalg").mkdir()
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack") as err:
+        simulate._load_flapack(spec)
+    assert err.value.name == "scipy.linalg._flapack"
+    if spec is not None:
+        assert str(tmp_path / "linalg") in str(err.value)
 
 
 def test_forward_solve_refuses_a_state_past_double_precision():
