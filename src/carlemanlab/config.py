@@ -11,16 +11,9 @@ shapes and per-field lower bounds, plus strictly increasing ``lambdas``.
 Rules that tie fields together (cutoff ordering, ``mu1 > 2``, ``mus >= 2``,
 ``delta < T``, the ``modes`` budget, the demo ``case``, two distinct
 positive ``epsilons``) belong to the domain objects that use them, and
-distinct ``gl(mu=...)`` report labels for ``mus`` to the driver, which
-maps all their errors to the same exit code.
-
-CSV series column order, per verb:
-
-    carleman-heat        pair, lambda, lhs, rhs, ratio
-    carleman-gl          mu, ensemble, member, quotient
-    inverse-gl           member, quotient
-    demo (ode)           draw, lambda, min_margin
-    demo (first_order)   draw, lambda, quotient
+distinct ``gl(mu=...)`` report labels for ``mus`` to the experiment
+runner.  Every such error is a :class:`RunError`, the one class the
+driver maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -32,17 +25,13 @@ from pathlib import Path
 from typing import Optional
 
 
-class ConfigError(ValueError):
+class RunError(ValueError):
+    """A run refused on its input (flags, config or a domain rule): the
+    driver exits 2 and writes no report."""
+
+
+class ConfigError(RunError):
     """Raised when a config file fails to parse or validate."""
-
-
-CSV_HEADERS = {
-    "carleman-heat": ("pair", "lambda", "lhs", "rhs", "ratio"),
-    "carleman-gl": ("mu", "ensemble", "member", "quotient"),
-    "inverse-gl": ("member", "quotient"),
-    "demo:ode": ("draw", "lambda", "min_margin"),
-    "demo:first_order": ("draw", "lambda", "quotient"),
-}
 
 
 def _field(default, lo=None, shape=None, increasing=False):

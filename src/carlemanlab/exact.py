@@ -70,40 +70,13 @@ class QQi:
         _, b, d = self._v
         return Fraction(b, d)
 
-    # -- algebra ---------------------------------------------------------
+    # -- algebra and equality --------------------------------------------
 
     def __add__(self, other) -> "QQi":
         return _make(triple_add(self._v, (other if type(other) is QQi else _coerce(other))._v))
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "QQi":
-        return self + -_coerce(other)
-
-    def __rsub__(self, other) -> "QQi":
-        return _coerce(other) - self
-
-    def __neg__(self) -> "QQi":
-        a, b, d = self._v
-        return _make((-a, -b, d))
-
     def __mul__(self, other) -> "QQi":
         return _make(triple_mul(self._v, (other if type(other) is QQi else _coerce(other))._v))
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "QQi":
-        a, b, d = self._v
-        return _make((a, -b, d))
-
-    # -- predicates ------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        v = self._v
-        return v[0] == 0 and v[1] == 0
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QQi):

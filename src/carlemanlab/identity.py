@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 from .canonical import CanonicalForm, canonicalize
+from .config import RunError
 from .exprs import C, Context, DT, Expr, I, conj, d_t, d_x, esum, im, ito_d, re
 from .jetoracle import JetValue, eval_jet_many
 
@@ -42,7 +43,7 @@ REGIMES = ("R1", "R2", "R3", "raw")
 PROOF_STEPS = ("2", "03", "3", "5", "6", "10", "02", "zr2", "zr0")
 
 
-class SpecError(ValueError):
+class SpecError(RunError):
     """Raised for an unknown cell, case, proof step or sample size."""
 
 
@@ -147,6 +148,9 @@ class Workspace:
         self.A = self._build_A()
         self.Lam = self._build_Lambda()
         self.b0_grad_ell = self.b0_dot_grad(ell)
+        # sum_jk a^{jk} ell_xj z_xk, shared by I1 and I2
+        self.grad_term = esum(
+            self.am(j, k) * self.ellx[j] * self.zx[k] for j, k in self._pairs())
         self.I1 = self._build_I1()
         self.I2 = self._build_I2()
         self.theta_L = self._build_theta_L()
@@ -178,23 +182,17 @@ class Workspace:
         return esum(terms)
 
     def _build_I1(self) -> Expr:
-        grad_term = esum(
-            self.am(j, k) * self.ellx[j] * self.zx[k] for j, k in self._pairs()
-        )
         return (
             -(self.a * self.Lam)
-            + C(2) * I * self.b * grad_term
+            + C(2) * I * self.b * self.grad_term
             + (self.phi - self.a0 * self.ellt - self.b0_grad_ell) * self.z
         )
 
     def _build_I2(self) -> Expr:
-        grad_term = esum(
-            self.am(j, k) * self.ellx[j] * self.zx[k] for j, k in self._pairs()
-        )
         return (
             self.a0 * self.dz
             - I * self.b * self.Lam * DT
-            + C(2) * self.a * grad_term * DT
+            + C(2) * self.a * self.grad_term * DT
             + self.b0_dot_grad(self.z) * DT
             - self.phi * self.z * DT
         )

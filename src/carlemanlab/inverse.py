@@ -21,10 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import RunError
 from .simulate import Solution, grad_dirichlet, l2_norm
 
 
-class InverseError(ValueError):
+class InverseError(RunError):
     """Raised for invalid cutoff times or degenerate optimization data."""
 
 

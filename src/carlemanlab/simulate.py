@@ -29,6 +29,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .config import RunError
 from .weights import GLWeight, HeatWeight, heat_alpha
 
 
@@ -63,7 +64,7 @@ def _load_flapack(scipy_spec):
 _flapack = _load_flapack(importlib.util.find_spec("scipy"))
 
 
-class SimError(ValueError):
+class SimError(RunError):
     """Raised for invalid grids, ensembles, or violated preconditions."""
 
 

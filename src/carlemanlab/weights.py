@@ -29,8 +29,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import RunError
 
-class WeightError(ValueError):
+
+class WeightError(RunError):
     """Raised for invalid weight parameters or evaluation points."""
 
 

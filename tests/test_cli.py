@@ -3,24 +3,33 @@
 import dataclasses
 import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
+import textwrap
 import weakref
 
 import numpy as np
 import pytest
 
 from carlemanlab import cli, identity
+from carlemanlab import inverse as inv
+from carlemanlab import simulate as sim
 from carlemanlab.canonical import canonicalize
 from carlemanlab.config import (
-    CSV_HEADERS,
+    ConfigError,
     DemoConfig,
     GLCarlemanConfig,
     HeatCarlemanConfig,
     InverseConfig,
+    RunError,
     load_config,
 )
-from carlemanlab.exprs import DT, conj
+from carlemanlab.experiments import CSV_HEADERS
+from carlemanlab.exprs import DT, ExprError, conj
 from carlemanlab.jetoracle import Gauss
+from carlemanlab.weights import WeightError
 
 FAST_HEAT = dict(pairs=2, paths=6, modes=4, Nx=40, Nt=200, T=1.0,
                  lambdas=[20, 40], seed=11)
@@ -107,6 +116,17 @@ def test_output_paths_not_echoed_into_report(tmp_path):
     assert "--out" not in rep["command"]
 
 
+@pytest.mark.parametrize("flag", ["--ou", "--o", "--cs"])
+def test_abbreviated_output_flags_are_usage_errors(tmp_path, capsys, flag):
+    # each is a unique prefix for demo; accepted, its path would reach the
+    # command echo, which strips only the full --out and --csv
+    path = tmp_path / "never"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["demo", "--case", "ode", flag, str(path)])
+    assert exc.value.code == 2
+    assert not path.exists() and capsys.readouterr().out == ""
+
+
 def test_csv_byte_identical_and_headed(tmp_path):
     cfg = write_config(tmp_path, "heat.json", FAST_HEAT)
     csvs = []
@@ -169,7 +189,7 @@ def test_falsified_run_exits_one_and_still_reports(tmp_path, monkeypatch):
     fake = {"demo": "ode", "all_hold": False,
             "runs": [{"name": "sin", "lambda": 2.0, "x0": 1.0,
                       "holds_every_step": False, "min_margin": -0.5}]}
-    monkeypatch.setattr(cli.sim, "classic_demos",
+    monkeypatch.setattr(sim, "classic_demos",
                         lambda *a, **k: fake)
     code, out = run_to_file(tmp_path, ["demo", "--case", "ode"])
     assert code == 1
@@ -307,44 +327,44 @@ def _nonzero_oracle_value(values):
     return [dataclasses.replace(values[0], dB=Gauss(1, 0)), *values[1:]]
 
 
-# control -> (run, cli module, library function, tamper): tamper changes
+# control -> (run, library module, library function, tamper): tamper changes
 # the function's first result in the fields its check reads.  A control is
 # named by the kind of check it falsifies, and by a qualifier in
 # parentheses when another control of the same kind exists.
 NEGATIVE_CONTROLS = {
-    "pair": ("carleman-heat", "sim", "carleman_heat_check",
+    "pair": ("carleman-heat", sim, "carleman_heat_check",
              lambda rep: {**rep, "uniform_ok": False}),
-    "gl": ("carleman-gl", "sim", "carleman_gl_check",
+    "gl": ("carleman-gl", sim, "carleman_gl_check",
            lambda reps: [{**reps[0], "zero_members": 1}, *reps[1:]]),
-    "tau_in_range": ("inverse-gl", "inv", "stability_experiment",
+    "tau_in_range": ("inverse-gl", inv, "stability_experiment",
                      lambda rep: dataclasses.replace(rep, tau=1.0)),
-    "quotient_spread": ("inverse-gl", "inv", "stability_experiment",
+    "quotient_spread": ("inverse-gl", inv, "stability_experiment",
                         lambda rep: dataclasses.replace(rep, spread=2e3)),
-    "falsifications": ("inverse-gl", "inv", "stability_experiment",
+    "falsifications": ("inverse-gl", inv, "stability_experiment",
                        lambda rep: dataclasses.replace(
                            rep, falsifications=[{"member": 0}])),
-    "probe_tampered_flagged": ("inverse-gl", "inv", "backward_uniqueness_probe",
+    "probe_tampered_flagged": ("inverse-gl", inv, "backward_uniqueness_probe",
                                lambda rep: {**rep, "flagged_non_adapted": False}),
     # not optimize_mu, which stability_experiment also calls
-    "optimizer_grid_match": ("inverse-gl", "inv", "brute_force_mu",
+    "optimizer_grid_match": ("inverse-gl", inv, "brute_force_mu",
                              lambda mu: mu + 1.0),
-    "ode": ("demo:ode", "sim", "classic_demos",
+    "ode": ("demo:ode", sim, "classic_demos",
             lambda rep: {**rep, "runs": [{**rep["runs"][0], "holds_every_step": False},
                                          *rep["runs"][1:]]}),
-    "first_order": ("demo:first_order", "sim", "classic_demos",
+    "first_order": ("demo:first_order", sim, "classic_demos",
                     lambda rep: {**rep, "runs": [{**rep["runs"][0], "fitted_C": 0.0},
                                                  *rep["runs"][1:]]}),
-    "theorem": ("identity-verify:raw", "identity", "verify_raw_cell", _mutated_theorem),
-    "theorem(R1)": ("identity-verify:oracle", "identity", "verify_identity",
+    "theorem": ("identity-verify:raw", identity, "verify_raw_cell", _mutated_theorem),
+    "theorem(R1)": ("identity-verify:oracle", identity, "verify_identity",
                     lambda res: _verify_mutated(res.lhs.ctx.n, "R1")),
-    "constraint_pairs": ("identity-verify:raw", "identity", "verify_raw_cell",
+    "constraint_pairs": ("identity-verify:raw", identity, "verify_raw_cell",
                          _stray_monomial),
-    "oracle": ("identity-verify:oracle", "identity", "numeric_residual",
+    "oracle": ("identity-verify:oracle", identity, "numeric_residual",
                _nonzero_oracle_value),
     # the first verify call of identity-steps is proof_step(2); the
     # reassembly reads its forms, so the tamper keeps them
-    "proof_step": ("identity-steps", "identity", "verify", _stray_verdict),
-    "reconstruction": ("identity-steps", "identity", "verify_reconstruction",
+    "proof_step": ("identity-steps", identity, "verify", _stray_verdict),
+    "reconstruction": ("identity-steps", identity, "verify_reconstruction",
                        _with_stray_monomial),
 }
 
@@ -378,7 +398,6 @@ def test_negative_control_fails_only_its_check(tmp_path, monkeypatch, untampered
     reads them from, falsifies that check and leaves every other check as
     it was."""
     run, module, name, tamper = NEGATIVE_CONTROLS[control]
-    module = getattr(cli, module)
     real, calls = getattr(module, name), 0
 
     def tampered(*args, **kwargs):
@@ -414,6 +433,58 @@ def test_unknown_verb_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["laplace-verify"])
     assert exc.value.code == 2
+
+
+RUN_ERRORS = (ConfigError, WeightError, sim.SimError, inv.InverseError,
+              identity.SpecError)
+
+
+@pytest.mark.parametrize("error", RUN_ERRORS, ids=lambda e: e.__name__)
+def test_every_run_error_exits_two_without_report(tmp_path, monkeypatch, error):
+    assert issubclass(error, RunError) and issubclass(error, ValueError)
+
+    def refusing(args):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "run_identity_steps", refusing)
+    code, out = run_to_file(tmp_path, ["identity-steps"])
+    assert code == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("error", [ValueError, ExprError], ids=lambda e: e.__name__)
+def test_other_value_errors_propagate(tmp_path, monkeypatch, error):
+    # a bare ValueError or an expression-kernel error is a program fault,
+    # not a refused input: it ends in a traceback, not in exit code 2
+    from carlemanlab import experiments
+
+    def failing(cfg):
+        raise error("fault")
+
+    monkeypatch.setitem(experiments.RUNNERS, "demo", failing)
+    with pytest.raises(error, match="fault"):
+        run_to_file(tmp_path, ["demo"])
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["identity-verify", "--n", "1"],
+                                  ["identity-steps", "--n", "1"]],
+                         ids=lambda argv: argv[0])
+def test_identity_verbs_import_no_numerics(tmp_path, argv):
+    # the identity verbs are exact algebra: a fresh interpreter running
+    # one loads neither numpy, scipy nor the numeric modules
+    script = textwrap.dedent(f"""
+        import sys
+        from carlemanlab import cli
+        code = cli.main({argv + ["--out", str(tmp_path / "out.json")]!r})
+        print(code, [m for m in ("numpy", "scipy", "carlemanlab.simulate")
+                     if m in sys.modules])
+    """)
+    src = pathlib.Path(cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 []"
 
 
 # -- helpers -----------------------------------------------------------
@@ -489,7 +560,7 @@ def test_gl_config_validation(tmp_path, monkeypatch):
                                json.dumps({**FAST_GL, **payload}))
     # two mus with one report label gl(mu=3): run_carleman_gl, before
     # any solve
-    monkeypatch.setattr(cli.sim, "solve_gl_forward",
+    monkeypatch.setattr(sim, "solve_gl_forward",
                         lambda *args, **kwargs: pytest.fail("solved"))
     for mus in ([3, 3], [3.0, 3.0000001]):
         assert_config_rejected(tmp_path, "carleman-gl",
@@ -535,14 +606,14 @@ def test_every_random_stream_is_distinct(tmp_path, monkeypatch):
 def test_carleman_gl_solves_each_ensemble_once(tmp_path, monkeypatch):
     """Every mu is checked on the same solution: one forward solve per
     ensemble member."""
-    real = cli.sim.solve_gl_forward
+    real = sim.solve_gl_forward
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli.sim, "solve_gl_forward", counting)
+    monkeypatch.setattr(sim, "solve_gl_forward", counting)
     cfg = write_config(tmp_path, "gl.json", FAST_GL)
     code, _ = run_to_file(tmp_path, ["carleman-gl", "--config", cfg])
     assert code == 0
@@ -572,8 +643,8 @@ def test_inverse_gl_streams_its_ensemble(tmp_path, monkeypatch):
     """inverse-gl keeps each member's norms, not its solution: when a member
     is solved and when the probe starts, at most two solutions are alive
     (member 0, which the probe reads, and the member read last)."""
-    real_solve = cli.sim.solve_gl_forward
-    real_probe = cli.inv.backward_uniqueness_probe
+    real_solve = sim.solve_gl_forward
+    real_probe = inv.backward_uniqueness_probe
     refs, alive = [], []
 
     def count_alive():
@@ -589,8 +660,8 @@ def test_inverse_gl_streams_its_ensemble(tmp_path, monkeypatch):
         count_alive()
         return real_probe(*args, **kwargs)
 
-    monkeypatch.setattr(cli.sim, "solve_gl_forward", solving)
-    monkeypatch.setattr(cli.inv, "backward_uniqueness_probe", probing)
+    monkeypatch.setattr(sim, "solve_gl_forward", solving)
+    monkeypatch.setattr(inv, "backward_uniqueness_probe", probing)
     cfg = write_config(tmp_path, "inv.json", FAST_INV)
     code, _ = run_to_file(tmp_path, ["inverse-gl", "--config", cfg])
     assert code == 0
