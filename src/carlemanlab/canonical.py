@@ -85,10 +85,11 @@ GUARD = int.from_bytes(b"\x80" * MAX_ATOMS, "little")
 
 
 class AtomTable:
-    """The atoms of one context, given byte positions in first-seen order.
-    A complex field atom and its conjugate take adjacent bytes."""
+    """The atoms of one context, given byte positions in first-seen order,
+    and the derivatives of each atom once computed.  A complex field atom
+    and its conjugate take adjacent bytes."""
 
-    __slots__ = ("symbols", "keys", "units", "_swap", "_decoded")
+    __slots__ = ("symbols", "keys", "units", "_swap", "_decoded", "diffs", "itos")
 
     def __init__(self, symbols: dict):
         self.symbols = symbols
@@ -96,6 +97,15 @@ class AtomTable:
         self.units = {DT_KEY: DT_MONO, DB_KEY: DB_MONO}
         self._swap = 0  # 0xFF in the byte of every unconjugated complex atom
         self._decoded = {EMPTY_MONO: ()}
+        # Each atom's derivative by direction, and its Ito differential, as
+        # forms shared by every caller: nothing may change them.  They hold
+        # until forget_derivatives, which a new rewrite rule calls.
+        self.diffs: dict = {}  # (atom key, direction) -> form
+        self.itos: dict = {}  # atom key -> form
+
+    def forget_derivatives(self) -> None:
+        self.diffs.clear()
+        self.itos.clear()
 
     def unit(self, key) -> int:
         """The monomial key^1, interning key when it is new."""
@@ -169,9 +179,23 @@ def _cf_add_inplace(acc: dict, other: dict) -> None:
                 del acc[mono]
 
 
-def _cf_scale(cf: dict, coeff: tuple) -> dict:
-    """cf times a nonzero coeff."""
-    return {m: triple_mul(c, coeff) for m, c in cf.items()}
+def _cf_addmul(acc: dict, coeff: tuple, mono: int, cf: dict) -> None:
+    """acc += coeff * mono * cf for a nonzero coeff, dropping each monomial
+    that cancels."""
+    for m, k in cf.items():
+        m = _mono_mul(mono, m)
+        if m is None:
+            continue
+        k = triple_mul(coeff, k)
+        cur = acc.get(m)
+        if cur is None:
+            acc[m] = k
+        else:
+            new = triple_add(cur, k)
+            if new[0] or new[1]:
+                acc[m] = new
+            else:
+                del acc[m]
 
 
 def _cf_mul(c1: dict, c2: dict) -> dict:
@@ -198,8 +222,10 @@ def _cf_mul(c1: dict, c2: dict) -> dict:
 
 
 def _cf_pow(cf: dict, k: int) -> dict:
-    out = {EMPTY_MONO: _ONE}
-    for _ in range(k):
+    if not k:
+        return {EMPTY_MONO: _ONE}
+    out = cf
+    for _ in range(k - 1):
         out = _cf_mul(out, cf)
     return out
 
@@ -243,14 +269,15 @@ def _atom_diff(key, var, ctx: Context) -> dict:
 
 def _cf_diff(cf: dict, var, ctx: Context) -> dict:
     atoms = _atoms(ctx)
+    diffs = atoms.diffs
     out: dict = {}
     for mono, coeff in cf.items():
         for key, e in atoms.decode(mono):
-            datom = _atom_diff(key, var, ctx)
-            if not datom:
-                continue
-            _cf_add_inplace(out, _cf_mul({mono - atoms.units[key]: triple_mul(coeff, (e, 0, 1))},
-                                         datom))
+            datom = diffs.get((key, var))
+            if datom is None:
+                datom = diffs[key, var] = _atom_diff(key, var, ctx)
+            if datom:
+                _cf_addmul(out, triple_mul(coeff, (e, 0, 1)), mono - atoms.units[key], datom)
     return out
 
 
@@ -268,24 +295,25 @@ def _atom_ito(key, ctx: Context) -> dict:
         pk = _field_key(p.name, mi, to, cj and not p.real)
         qk = _field_key(q.name, mi, to, cj and not q.real)
         return {atoms.unit(pk) + DT_MONO: _ONE, atoms.unit(qk) + DB_MONO: _ONE}
-    dtpart = _atom_diff(key, ("t",), ctx)
-    return _cf_mul(dtpart, {DT_MONO: _ONE})
+    # d f = f_t dt, the time derivative of f dt since dt is a constant
+    return _cf_diff({_atoms(ctx).units[key] + DT_MONO: _ONE}, ("t",), ctx)
 
 
 def _cf_ito(cf: dict, ctx: Context) -> dict:
     atoms = _atoms(ctx)
-    units = atoms.units
+    units, itos = atoms.units, atoms.itos
     out: dict = {}
     for mono, coeff in cf.items():
         if mono & DIFFS:
             raise ExprError("d() applied to an expression already containing dt or dB")
         items = atoms.decode(mono)
-        # Leibniz first-order part.
+        # Leibniz first-order part; it leaves d(atom) in itos for every atom.
         for key, e in items:
-            datom = _atom_ito(key, ctx)
-            if not datom:
-                continue
-            _cf_add_inplace(out, _cf_mul({mono - units[key]: triple_mul(coeff, (e, 0, 1))}, datom))
+            datom = itos.get(key)
+            if datom is None:
+                datom = itos[key] = _atom_ito(key, ctx)
+            if datom:
+                _cf_addmul(out, triple_mul(coeff, (e, 0, 1)), mono - units[key], datom)
         # Quadratic covariation: only semimartingale atoms carry dB.
         sm = [
             (key, e)
@@ -302,9 +330,9 @@ def _cf_ito(cf: dict, ctx: Context) -> dict:
                 else:
                     mult = ei * ej
                     rest = mono - units[ki] - units[kj]
-                cross = _cf_mul(_atom_ito(ki, ctx), _atom_ito(kj, ctx))
+                cross = _cf_mul(itos[ki], itos[kj])
                 if cross:
-                    _cf_add_inplace(out, _cf_mul({rest: triple_mul(coeff, (mult, 0, 1))}, cross))
+                    _cf_addmul(out, triple_mul(coeff, (mult, 0, 1)), rest, cross)
     return out
 
 
@@ -335,11 +363,12 @@ def _canon(e: Expr, ctx: Context, memo: dict) -> dict:
         for t in e.terms:
             _cf_add_inplace(out, _canon(t, ctx, memo))
     elif isinstance(e, Mul):
-        out = {EMPTY_MONO: _ONE}
-        for f in e.factors:
-            out = _cf_mul(out, _canon(f, ctx, memo))
+        factors = iter(e.factors)
+        out = _canon(next(factors), ctx, memo) if e.factors else {EMPTY_MONO: _ONE}
+        for f in factors:
             if not out:
                 break
+            out = _cf_mul(out, _canon(f, ctx, memo))
     elif isinstance(e, Pow):
         out = _cf_pow(_canon(e.base, ctx, memo), e.exp)
     elif isinstance(e, Dx):
@@ -353,7 +382,8 @@ def _canon(e: Expr, ctx: Context, memo: dict) -> dict:
     elif isinstance(e, (RePart, ImPart)):
         # Re x = y + conj y with y = x / 2, Im x = y + conj y with y = x / 2i
         w = _HALF if isinstance(e, RePart) else _MINUS_I_HALF
-        out = _cf_scale(_canon(e.arg, ctx, memo), w)
+        out = {}
+        _cf_addmul(out, w, EMPTY_MONO, _canon(e.arg, ctx, memo))
         _cf_add_inplace(out, _cf_conj(out, ctx))
     else:
         raise ExprError(f"cannot canonicalize node {type(e).__name__}")
@@ -434,7 +464,7 @@ class CanonicalForm:
 
     def __sub__(self, other: "CanonicalForm") -> "CanonicalForm":
         out = dict(self._terms)
-        _cf_add_inplace(out, _cf_scale(self._same_ctx(other), _MINUS_ONE))
+        _cf_addmul(out, _MINUS_ONE, EMPTY_MONO, self._same_ctx(other))
         return CanonicalForm(out, self.ctx)
 
     def __mul__(self, other: "CanonicalForm") -> "CanonicalForm":

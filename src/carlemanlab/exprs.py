@@ -124,6 +124,8 @@ class Context:
         else:
             raise ExprError(f"unknown derivative direction {var!r}")
         sym.rewrites[key] = as_expr(expr)
+        if self.atoms is not None:
+            self.atoms.forget_derivatives()  # they may have read the old rule
 
     # -- vanishing products -------------------------------------------
 

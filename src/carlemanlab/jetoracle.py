@@ -324,21 +324,38 @@ def _structure(root: Expr) -> tuple:
     its jets; they do not enter the symbol's key, since a rewrite such as
     phi_t = 3 mu phi refers back to phi.
 
-    When the walk evaluates each key once, it asks for a key once from
-    root and once per occurrence in each distinct parent, and for a
-    rewrite expression once per order of its symbol's jet, unboundedly.
-    Returns, per mode, the keys of the nodes whose key the walk asks for
-    more than once, and the ask count of every key.
+    The walk evaluates each key once, at the highest order it asks of the
+    key, except the keys a rewrite expression reaches: their symbol's jet
+    is extended one order at a time, so they are evaluated at each order
+    asked.  It then asks for a key once from root and once per occurrence
+    in each distinct parent, and for a rewrite expression once per order
+    of its symbol's jet, unboundedly.  Returns, per mode, the keys of the
+    nodes whose key the walk asks for more than once, the ask count of
+    every key, and the order to evaluate each key at, -1 for the asked
+    order.
     """
     keys, sigs, asks, todo = ({}, {}), {}, [], [root]
     for e in todo:
         if e not in keys[0]:
             _key(e, False, keys, sigs, asks, todo)
-    del sigs
     asks[keys[0][root]] += 1
+    top = [0] * len(asks)
     for e in todo[1:]:
         asks[keys[0][e]] = float("inf")
-    return tuple({e: k for e, k in mode.items() if asks[k] > 1} for mode in keys), asks
+        top[keys[0][e]] = -1
+    # A key is numbered after its children, so a sweep from the last key
+    # down meets every parent of a key before the key itself.
+    for (t, _, _, *kids), k in reversed(sigs.items()):
+        if top[k] < 0:
+            for c in kids:
+                top[c] = -1
+            continue
+        order = top[k] + (t is Dx or t is Dt)
+        for c in kids:
+            if top[c] >= 0:
+                top[c] = max(top[c], order)
+    del sigs
+    return tuple({e: k for e, k in mode.items() if asks[k] > 1} for mode in keys), asks, top
 
 
 def _contains_semimartingale(e: Expr) -> bool:
@@ -363,7 +380,7 @@ class _Eval:
     so the dt and dB parts of run(e, k, True) are those of d(e).  The
     memo holds the value of each structural key (see _structure) that the
     walk asks for more than once, from its first read to its last
-    expected one.
+    expected one, computed at the order _structure gives the key.
     """
 
     def __init__(self, ctx: Context, draws, root: Expr):
@@ -376,7 +393,7 @@ class _Eval:
                 self.zero.setdefault(pair[1 - seed % 2], [False] * len(draws))[b] = True
         self.lay = _layout(self.n + 1, 4)
         self.jets: dict[str, list] = {}  # name -> [order, re, im, per-draw rng]
-        self.keys, self.left = _structure(root)
+        self.keys, self.left, self.top = _structure(root)
         self.memo: dict[int, tuple] = {}  # key -> (order, Ito triple)
 
     def _at(self, k: int) -> _Layout:
@@ -461,6 +478,7 @@ class _Eval:
         hit = self.memo.get(key) if n > 0 else self.memo.pop(key, None)
         if hit is not None and hit[0] >= k:
             return hit[1]
+        k = max(k, self.top[key])
         out = self._run(e, k, shifted)
         if n > 0:
             self.memo[key] = (k, out)

@@ -1,18 +1,32 @@
 """Canonicalizer laws: normal form uniqueness, calculus, and the Ito table."""
 
+import itertools
 import operator
 import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from carlemanlab.canonical import DB_KEY, DT_KEY, AtomTable, _mono_mul, canonicalize
+from carlemanlab.canonical import (
+    DB_KEY,
+    DB_MONO,
+    DT_KEY,
+    DT_MONO,
+    AtomTable,
+    _cf_add_inplace,
+    _cf_addmul,
+    _cf_mul,
+    _mono_mul,
+    canonicalize,
+)
+from carlemanlab.exact import QQi
 from carlemanlab.exprs import (
     Add,
     C,
     DB,
     DT,
+    Dx,
     ExprError,
     Mul,
     Pow,
@@ -316,3 +330,138 @@ def test_stored_coefficients_are_nonzero_normalised_triples(seed, depth):
             assert (a, b) != (0, 0)
             assert d > 0 and gcd(a, b, d) == 1
     assert (f - f).is_zero
+
+
+ONE = (1, 0, 1)
+DIFFS = st.sampled_from([(), ((DT_KEY, 1),), ((DB_KEY, 1),)])
+PARTS = st.fractions(-4, 4, max_denominator=3)
+# nonzero normalised coefficient triples
+TRIPLES = st.builds(QQi, PARTS, PARTS).map(lambda q: q._v).filter(lambda v: v[0] or v[1])
+
+
+@st.composite
+def reduced_monomials(draw):
+    """A decoded monomial of differential degree at most one."""
+    keys = draw(st.lists(st.sampled_from(FIELD_KEYS), max_size=3, unique=True))
+    items = [(k, draw(st.integers(min_value=1, max_value=2))) for k in sorted(keys)]
+    return tuple(items) + draw(DIFFS)
+
+
+FORMS = st.lists(st.tuples(reduced_monomials(), TRIPLES), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FORMS, reduced_monomials(), TRIPLES, FORMS, st.booleans())
+@example([], ((DT_KEY, 1),), ONE, [(((DT_KEY, 1),), ONE)], False)  # dt dt = 0
+@example([], ((DT_KEY, 1),), ONE, [(((DB_KEY, 1),), ONE)], False)  # dt dB = 0
+@example([], ((DB_KEY, 1),), ONE, [(((DB_KEY, 1),), ONE)], False)  # dB dB = dt
+def test_fused_accumulate_matches_mul_then_add(acc, mono, coeff, form, cancel):
+    # acc += coeff * mono * form in one pass equals the product taken as
+    # a form of its own and then added, cancellations included
+    atoms = AtomTable(MONO_CONTEXT.symbols)
+
+    def encode(m):
+        return sum(e * atoms.unit(key) for key, e in m)
+
+    acc = {encode(m): c for m, c in acc}
+    mono, form = encode(mono), {encode(m): c for m, c in form}
+    if cancel:  # acc holds minus the product, so the sum is the empty form
+        acc = _cf_mul({mono: (-coeff[0], -coeff[1], coeff[2])}, form)
+    want = dict(acc)
+    _cf_add_inplace(want, _cf_mul({mono: coeff}, form))
+    _cf_addmul(acc, coeff, mono, form)
+    assert acc == want
+    assert not (cancel and acc)
+
+
+def test_fused_accumulate_applies_the_ito_table():
+    for mono, form, want in ((DT_MONO, {DT_MONO: ONE}, {}),
+                             (DT_MONO, {DB_MONO: ONE}, {}),
+                             (DB_MONO, {DB_MONO: ONE}, {DT_MONO: ONE})):
+        acc: dict = {}
+        _cf_addmul(acc, ONE, mono, form)
+        assert acc == want
+
+
+def rewrite_context(n: int = 2):
+    """make_context with derivative rewrites on Phi and ell."""
+    ctx = make_context(n)
+    phi, ell, lam = (ctx.sym(name) for name in ("Phi", "ell", "lam"))
+    ctx.set_rewrite("Phi", "t", lam * phi + ell * conj(phi))
+    ctx.set_rewrite("ell", "x1", C(2) * lam * ell * ell)
+    return ctx
+
+
+def reversed_tree(e):
+    """e with the terms of every sum and the factors of every product in
+    reverse order."""
+    if isinstance(e, Add):
+        return Add([reversed_tree(t) for t in e.terms[::-1]])
+    if isinstance(e, Mul):
+        return Mul([reversed_tree(f) for f in e.factors[::-1]])
+    if isinstance(e, Pow):
+        return Pow(reversed_tree(e.base), e.exp)
+    if isinstance(e, Dx):
+        return Dx(e.j, reversed_tree(e.arg))
+    if hasattr(e, "arg"):
+        return type(e)(reversed_tree(e.arg))
+    return e
+
+
+@settings(max_examples=120, deadline=None)
+@given(SEEDS, st.integers(min_value=1, max_value=5))
+def test_cached_derivatives_do_not_depend_on_meeting_order(seed, depth):
+    # the reversed tree meets sub-expressions, and so atoms and their
+    # derivatives, in reverse order: on the same context, where it reads
+    # what the first pass cached, and on a twin context that met nothing
+    def tree(ctx):
+        # every atom of u is differentiated in three directions
+        rng = random.Random(seed)
+        u = random_plain_expr(ctx, rng, depth, allow_z=False)
+        return d_x(u, 1) * d_t(u) + d_x(u, 2) + random_expr(ctx, rng, depth)
+
+    ctx, twin = rewrite_context(), rewrite_context()
+    first = canonicalize(tree(ctx), ctx).serialize()
+    assert canonicalize(reversed_tree(tree(ctx)), ctx).serialize() == first
+    assert canonicalize(reversed_tree(tree(twin)), twin).serialize() == first
+
+
+def _chained_rewrites(late_rule: bool):
+    """d_t d_t a and d_x1 conj(d_t a) for a_t = lam b, canonicalized
+    before b_t = 5 a is declared, and again after it when late_rule."""
+    ctx = make_context(1)
+    a, b = ctx.complex_field("a"), ctx.complex_field("b")
+    ctx.set_rewrite("a", "t", ctx.sym("lam") * b)
+    e = d_t(d_t(a)) + d_x(conj(d_t(a)), 1) * a
+    if not late_rule:
+        ctx.set_rewrite("b", "t", C(5) * a)
+        return canonicalize(e, ctx).serialize()
+    before = canonicalize(e, ctx).serialize()
+    ctx.set_rewrite("b", "t", C(5) * a)
+    return before, canonicalize(e, ctx).serialize()
+
+
+def test_a_new_rewrite_applies_after_canonicalizing():
+    # set_rewrite drops the cached derivatives, since the derivative of
+    # a may read the rule of b
+    before, after = _chained_rewrites(late_rule=True)
+    assert after == _chained_rewrites(late_rule=False)
+    assert after != before
+    assert "b_t" in before and "b_t" not in after
+
+
+def test_shared_forms_are_never_changed():
+    # one-factor products and first powers share their operand's form,
+    # and rewrite derivatives are cached on the context: arithmetic on
+    # the results and canonicalizing again leave every operand as it was
+    ctx = rewrite_context(1)
+    z, phi, ell = (ctx.sym(name) for name in ("z", "Phi", "ell"))
+    exprs = [Mul([phi]), Pow(ell * conj(phi), 1), Mul([Pow(d_t(phi), 1)]),
+             d_t(phi) * d_x(ell, 1) + re(d_t(conj(phi))), ito_d(z * phi * ell)]
+    forms = [canonicalize(e, ctx) for e in exprs]
+    texts = [f.serialize() for f in forms]
+    for f, g in itertools.product(forms, repeat=2):
+        for combine in (operator.add, operator.sub, operator.mul):
+            combine(f, g)
+    assert [f.serialize() for f in forms] == texts
+    assert [canonicalize(e, ctx).serialize() for e in exprs] == texts
