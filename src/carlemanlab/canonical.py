@@ -249,10 +249,8 @@ def _atom_diff(key, var, ctx: Context) -> dict:
     if rw is None:
         if var == ("t",):
             to += 1
-        elif 1 <= var[1] <= ctx.n:
-            mi = tuple(m + 1 if idx == var[1] - 1 else m for idx, m in enumerate(mi))
         else:
-            raise ExprError(f"x{var[1]} out of range for dimension {ctx.n}")
+            mi = tuple(m + 1 if idx == var[1] - 1 else m for idx, m in enumerate(mi))
         return {_atoms(ctx).unit(_field_key(name, mi, to, cj)): _ONE}
     # Rewrite-bearing direction: differentiate the rewrite by the orders
     # the atom already carries, then conjugate if the atom was conjugated.
@@ -372,6 +370,8 @@ def _canon(e: Expr, ctx: Context, memo: dict) -> dict:
     elif isinstance(e, Pow):
         out = _cf_pow(_canon(e.base, ctx, memo), e.exp)
     elif isinstance(e, Dx):
+        if not 1 <= e.j <= ctx.n:
+            raise ExprError(f"x{e.j} out of range for dimension {ctx.n}")
         out = _cf_diff(_canon(e.arg, ctx, memo), ("x", e.j), ctx)
     elif isinstance(e, Dt):
         out = _cf_diff(_canon(e.arg, ctx, memo), ("t",), ctx)

@@ -7,7 +7,8 @@ only override outside the file is the process-level seed flag.
 
 This module checks the file as input: JSON syntax, a top-level object,
 known keys, each value's type (taken from the field's default), list
-shapes and per-field lower bounds, plus strictly increasing ``lambdas``.
+shapes and per-field lower bounds, plus strictly increasing ``lambdas``
+and the seed rule that ``check_seed`` also applies to the seed flag.
 Rules that tie fields together (cutoff ordering, ``mu1 > 2``, ``mus >= 2``,
 ``delta < T``, the ``modes`` budget, the demo ``case``, two distinct
 positive ``epsilons``) belong to the domain objects that use them, and
@@ -34,6 +35,13 @@ class ConfigError(RunError):
     """Raised when a config file fails to parse or validate."""
 
 
+def check_seed(seed: Optional[int]) -> None:
+    """The seed rule for both sources, a config's ``seed`` and the
+    ``--seed`` flag: absent, or an unsigned 64-bit integer."""
+    if seed is not None and not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must fit in u64, got {seed}")
+
+
 def _field(default, lo=None, shape=None, increasing=False):
     """A config field.  Its default fixes the value type; ``lo`` is an
     inclusive lower bound on the value (or on each element); ``shape`` is
@@ -58,7 +66,7 @@ class HeatCarlemanConfig:
                            increasing=True)
     G0: tuple = _field((0.3, 0.8), shape="pair")
     window: Optional[tuple] = _field(None, shape="pair")
-    seed: int = _field(11, lo=0)
+    seed: int = _field(11)
 
 
 @dataclass(frozen=True)
@@ -72,7 +80,7 @@ class GLCarlemanConfig:
     T: float = _field(0.3, lo=1e-6)
     mus: tuple = _field((2.0, 3.0, 4.0), shape="list")
     delta: float = _field(0.05)
-    seed: int = _field(21, lo=0)
+    seed: int = _field(21)
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,7 @@ class InverseConfig:
     epsilons: tuple = _field((1e-1, 1e-2, 1e-3, 1e-4), shape="list")
     C_ref: float = _field(10.0, lo=1e-9)
     optimizer_draws: int = _field(100, lo=1)
-    seed: int = _field(31, lo=0)
+    seed: int = _field(31)
 
 
 @dataclass(frozen=True)
@@ -100,7 +108,7 @@ class DemoConfig:
 
     case: str = _field("ode")
     draws: int = _field(10, lo=1)
-    seed: int = _field(0, lo=0)
+    seed: int = _field(0)
 
 
 _SCHEMAS = {
@@ -173,6 +181,7 @@ def load_config(verb: str, path: Optional[str]):
                 raise ConfigError(f"unknown key '{key}' "
                                   f"(allowed: {', '.join(sorted(known))})")
             kwargs[key] = _coerce(known[key], value)
+        check_seed(kwargs.get("seed"))
     except ConfigError as exc:
         raise ConfigError(f"{verb} config: {exc}") from None
     return cls(**kwargs)

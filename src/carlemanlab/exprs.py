@@ -107,13 +107,16 @@ class Context:
 
         Directions without a rewrite differentiate normally.  Rewrites
         keep exponential weights polynomial: a field phi standing for
-        e^{3 mu t} gets set_rewrite("phi", "t", 3*mu*phi).
+        e^{3 mu t} gets set_rewrite("phi", "t", 3*mu*phi).  Semimartingales
+        and real scalars take no rewrite.
         """
         sym = self.symbols.get(name)
         if sym is None:
             raise ExprError(f"unknown symbol {name!r}")
         if sym.semimartingale:
             raise ExprError("semimartingales cannot carry derivative rewrites")
+        if sym.kind == "real-scalar":
+            raise ExprError("real scalars are constants: they take no rewrite")
         if var == "t":
             key: VarKey = ("t",)
         elif len(var) == 2 and var[0] == "x" and var[1].isdigit():
@@ -169,14 +172,8 @@ class Expr:
     def __add__(self, other):
         return Add((self, as_expr(other)))
 
-    def __radd__(self, other):
-        return Add((as_expr(other), self))
-
     def __sub__(self, other):
         return Add((self, Mul((MINUS_ONE, as_expr(other)))))
-
-    def __rsub__(self, other):
-        return Add((as_expr(other), Mul((MINUS_ONE, self))))
 
     def __neg__(self):
         return Mul((MINUS_ONE, self))

@@ -83,15 +83,6 @@ class IdentityResidual:
         res = lhs - rhs
         return cls(case, lhs, rhs, res, res.is_zero, tuple(res.serialize().splitlines()))
 
-    def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "zero": self.zero,
-            "lhs_monomials": len(self.lhs),
-            "rhs_monomials": len(self.rhs),
-            "surviving_monomials": list(self.surviving_monomials),
-        }
-
 
 @dataclass(frozen=True)
 class VerificationCase:
@@ -689,13 +680,10 @@ def _case_ginzburg_landau(n: int = 2) -> VerificationCase:
     )
 
 
-def _heat_sides(n: int = 2) -> tuple[Workspace, Expr, list[Expr], Expr]:
-    """Shared construction for the stochastic heat specialization.
-
-    Returns the workspace, the left side, the derived right-side groups,
-    and the first-order term whose sign distinguishes the derived form
-    from the printed one.
-    """
+def _case_heat_identity(n: int = 2) -> VerificationCase:
+    """The stochastic heat specialization.  Its corruption flips the
+    first-order coupling back to the printed sign, so mutated_rhs - rhs
+    is the delta recorded by printed_form_deltas."""
     ctx = Context(n=n)
     ell = ctx.real_field("ell")
     z = ctx.semimartingale("z", real=True)
@@ -741,20 +729,12 @@ def _heat_sides(n: int = 2) -> tuple[Workspace, Expr, list[Expr], Expr]:
         (-A + ws.ellt) * ws.dz * ws.dz,
         C(2) * phi * ws.z * ws.dz,
     ]
-    return ws, lhs, groups, e_term
-
-
-def _case_heat_identity(n: int = 2) -> VerificationCase:
-    ws, lhs, groups, e_term = _heat_sides(n)
-    # The corruption flips the first-order coupling back to the printed
-    # sign, which is exactly the delta recorded by printed_form_deltas.
-    mutated = esum(groups[:5] + [e_term] + groups[6:])
     return VerificationCase(
         case_id="heat_identity",
-        ctx=ws.ctx,
+        ctx=ctx,
         lhs=lhs,
         rhs=esum(groups),
-        mutated_rhs=mutated,
+        mutated_rhs=esum(groups[:5] + [e_term] + groups[6:]),
     )
 
 
@@ -977,7 +957,7 @@ CASE_IDS = tuple(_CASES)
 def build_case(case_id: str) -> VerificationCase:
     builder = _CASES.get(case_id)
     if builder is None:
-        raise SpecError(f"unknown case id {case_id!r}")
+        raise SpecError(f"unknown case '{case_id}' (known: {', '.join(CASE_IDS)})")
     return builder()
 
 
@@ -990,8 +970,8 @@ def printed_form_deltas() -> dict[str, CanonicalForm]:
     printed flux term omits a gradient factor.  Both deltas are recorded
     rather than silently corrected.
     """
-    ws, _, _, e_term = _heat_sides(2)
-    heat_delta = canonicalize(C(2) * e_term, ws.ctx)
+    heat = _case_heat_identity(2)
+    heat_delta = canonicalize(heat.mutated_rhs - heat.rhs, heat.ctx)
     case, div_printed, div_derived = _case_elliptic(2)
     elliptic_delta = canonicalize(div_printed - div_derived, case.ctx)
     return {

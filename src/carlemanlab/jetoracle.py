@@ -414,8 +414,8 @@ class _Eval:
         """The jet of sym to order k.  A ruled direction v fixes the
         coefficient at every a with a_v > 0 as [rule_v]_(a - e_v) / a_v;
         the others are drawn, real for real symbols and constant for real
-        scalars.  A draw that zeroes sym has no stream and reads no rule:
-        every coefficient of sym is 0 there."""
+        scalars.  A draw that zeroes sym (a real scalar, so ruled in no
+        direction) has no stream: every coefficient of sym is 0 there."""
         mask = self.zero.get(sym.name)
         if mask is not None and all(mask):
             return None
@@ -439,9 +439,7 @@ class _Eval:
         def ruled_coeff(c, inv):
             if not c:
                 return 0
-            if mask is None:
-                return c if inv == 1 else [x * inv % P for x in c]
-            return [0 if rng is None else x * inv % P for x, rng in zip(c, rngs)]
+            return c if inv == 1 else [x * inv % P for x in c]
 
         for d in range(done + 1, k + 1):
             ruled = [(v, self.run(rw, d - 1)[0]) for v, rw in rules] if d else []
@@ -492,6 +490,8 @@ class _Eval:
                 out = _ito_mul(lay, k, out, self.run(f, k, shifted))
             return out
         if isinstance(e, Dx):
+            if not 1 <= e.j <= self.n:
+                raise ExprError(f"x{e.j} out of range for dimension {self.n}")
             return tuple(_diff(lay, k, c, e.j - 1) for c in self.run(e.arg, k + 1, shifted))
         if isinstance(e, Add):
             # summed four at a time, so that few term jets are alive at once

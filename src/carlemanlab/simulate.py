@@ -128,9 +128,10 @@ def brownian(M: int, Nt: int, seed: Seed, *, dt: float) -> PathEnsemble:
     return PathEnsemble(M=M, Nt=Nt, dt=dt, increments=inc)
 
 
-def zero_paths(M: int, Nt: int, dt: float) -> PathEnsemble:
-    """Degenerate ensemble driving the deterministic special cases."""
-    return PathEnsemble(M=M, Nt=Nt, dt=dt, increments=np.zeros((M, Nt)))
+def _check_paths(grid: Grid1D, paths: PathEnsemble) -> None:
+    """Refuse an ensemble sampled on another time grid than grid."""
+    if paths.Nt != grid.Nt or abs(paths.dt - grid.dt) > 1e-15 * grid.dt:
+        raise SimError("path ensemble and grid disagree on time stepping")
 
 
 def grad_dirichlet(u: np.ndarray, dx: float) -> np.ndarray:
@@ -215,8 +216,7 @@ def solve_gl_forward(p: SPDEProblem, grid: Grid1D, paths: PathEnsemble) -> Solut
     pad, w^m between two zero edges, on which grad runs grad_dirichlet's
     own stencil.  An absent field's term is skipped, not added as zero.
     """
-    if paths.Nt != grid.Nt or abs(paths.dt - grid.dt) > 1e-15 * grid.dt:
-        raise SimError("path ensemble and grid disagree on time stepping")
+    _check_paths(grid, paths)
     Nx, Nt, M = grid.Nx, grid.Nt, paths.M
     x, dx, dt = grid.x, grid.dx, grid.dt
     rho = dt * (1.0 + 1j * p.b) / (dx * dx)
@@ -273,34 +273,6 @@ def l2_norm(u: np.ndarray, dx: float) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(u) ** 2, axis=-1) * dx)
 
 
-def heat_decay_report(Nx: int = 200, Nt: int = 2000, T: float = 0.1) -> dict:
-    """Pure-heat special case against the exact decay rate e^{-pi^2 t}."""
-    grid = Grid1D(Nx=Nx, Nt=Nt, T=T)
-    p = SPDEProblem(w0=lambda x: np.sin(np.pi * x))
-    sol = solve_gl_forward(p, grid, zero_paths(1, Nt, grid.dt))
-    ratio = float(l2_norm(sol.w[0, -1], grid.dx) / l2_norm(sol.w[0, 0], grid.dx))
-    exact = math.exp(-math.pi ** 2 * T)
-    return {
-        "decay_ratio": ratio,
-        "exact": exact,
-        "relative_error": abs(ratio - exact) / exact,
-    }
-
-
-def time_refinement_report(Nx: int = 200, Nt: int = 250, T: float = 0.1) -> dict:
-    """First-order convergence in dt: halving the step should roughly
-    halve the final-time error against the exact heat solution."""
-    errors = []
-    for steps in (Nt, 2 * Nt):
-        grid = Grid1D(Nx=Nx, Nt=steps, T=T)
-        p = SPDEProblem(w0=lambda x: np.sin(np.pi * x))
-        sol = solve_gl_forward(p, grid, zero_paths(1, steps, grid.dt))
-        exact = math.exp(-math.pi ** 2 * T) * np.sin(np.pi * grid.x)
-        errors.append(float(l2_norm(sol.w[0, -1] - exact, grid.dx)))
-    return {"error_coarse": errors[0], "error_fine": errors[1],
-            "ratio": errors[0] / errors[1]}
-
-
 # ---------------------------------------------------------------------------
 # Manufactured pairs for the backward heat operator.
 
@@ -331,8 +303,7 @@ class ManufacturedPair:
 def manufacture_heat_pair(grid: Grid1D, paths: PathEnsemble, K: int, seed: Seed) -> ManufacturedPair:
     if K > grid.Nx // 4:
         raise SimError(f"K = {K} exceeds the resolvable budget Nx/4 = {grid.Nx // 4}")
-    if paths.Nt != grid.Nt:
-        raise SimError("path ensemble and grid disagree on time stepping")
+    _check_paths(grid, paths)
     rng = np.random.default_rng(seed)
     k = np.arange(1, K + 1)
     eta = rng.uniform(0.3, 1.0, size=K) / k

@@ -1,9 +1,12 @@
-"""Shared generators: a standard context and random expression trees."""
+"""Shared generators: a standard context, random expression trees, and the
+noise-free path ensemble of the deterministic solver checks."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from carlemanlab.exact import QQi
 from carlemanlab.exprs import (
@@ -21,6 +24,7 @@ from carlemanlab.exprs import (
     d_x,
     ito_d,
 )
+from carlemanlab.simulate import PathEnsemble
 
 
 def make_context(n: int = 2) -> Context:
@@ -84,3 +88,9 @@ def random_expr(ctx: Context, rng: random.Random, depth: int, scalars=("lam",)):
     if roll < 0.45:
         return ito_d(e)
     return e
+
+
+def zero_paths(M: int, Nt: int, dt: float) -> PathEnsemble:
+    """M paths with zero increments: the solver's deterministic special
+    cases."""
+    return PathEnsemble(M=M, Nt=Nt, dt=dt, increments=np.zeros((M, Nt)))

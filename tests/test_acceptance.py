@@ -30,12 +30,10 @@ from carlemanlab.simulate import (
     carleman_gl_check,
     carleman_heat_check,
     classic_demos,
-    heat_decay_report,
+    l2_norm,
     make_random_gl_problem,
     manufacture_heat_pair,
     solve_gl_forward,
-    time_refinement_report,
-    zero_paths,
 )
 from carlemanlab.weights import (
     GLWeight,
@@ -43,6 +41,7 @@ from carlemanlab.weights import (
     leading_order_B_check,
     psi_1d,
 )
+from strategies import zero_paths
 
 THEOREM_SPECS = [OperatorSpec(n=n, regime=r)
                  for n in (1, 2, 3) for r in ("R1", "R2", "R3", "raw")]
@@ -182,10 +181,27 @@ def test_criterion_7_inverse_problem_exponent_optimizer_spread_probe():
 
 
 def test_criterion_8_solver_validation():
-    decay = heat_decay_report(Nx=200, Nt=2000, T=0.1)
-    assert decay["relative_error"] < 0.02, decay
-    refine = time_refinement_report()
-    assert abs(refine["ratio"] - 2.0) <= 0.3 * 2.0, refine
+    # pure heat from sin(pi x): the exact solution is e^{-pi^2 t} sin(pi x)
+    T, Nx = 0.1, 200
+    p = SPDEProblem(w0=lambda x: np.sin(np.pi * x))
+    exact_decay = math.exp(-math.pi ** 2 * T)
+
+    def final_state(Nt):
+        grid = Grid1D(Nx=Nx, Nt=Nt, T=T)
+        return grid, solve_gl_forward(p, grid, zero_paths(1, Nt, grid.dt)).w[0]
+
+    grid, w = final_state(2000)
+    decay = float(l2_norm(w[-1], grid.dx) / l2_norm(w[0], grid.dx))
+    assert abs(decay - exact_decay) / exact_decay < 0.02, decay
+
+    # first order in dt: halving the step about halves the final-time error
+    errors = []
+    for Nt in (250, 500):
+        grid, w = final_state(Nt)
+        exact = exact_decay * np.sin(np.pi * grid.x)
+        errors.append(float(l2_norm(w[-1] - exact, grid.dx)))
+    ratio = errors[0] / errors[1]
+    assert abs(ratio - 2.0) <= 0.3 * 2.0, errors
 
 
 def test_criterion_9_first_order_demos():

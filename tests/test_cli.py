@@ -232,6 +232,8 @@ def test_usage_errors_exit_two_without_report(tmp_path, argv):
     (json.dumps({"mu": 1418}), "alpha overflows at t = dt"),
     (json.dumps({"mu": 1500}), "e^(2 mu max psi) overflows"),
     (json.dumps({"mu": 4000}), "e^(mu psi) overflows"),
+    (json.dumps({"seed": 2 ** 64}), "seed past u64"),
+    (json.dumps({"seed": -1}), "negative seed"),
 ])
 def test_config_errors_exit_two_without_report(tmp_path, payload, detail):
     assert_config_rejected(tmp_path, "carleman-heat", payload)
@@ -485,6 +487,30 @@ def test_identity_verbs_import_no_numerics(tmp_path, argv):
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "0 []"
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # one identity verb and one experiment verb, each run in a fresh
+    # interpreter under two string-hash seeds, write the same bytes
+    runs = {"verify": ["identity-verify", "--case", "transport", "--oracle", "1"],
+            "demo": ["demo", "--case", "ode"]}
+    src = pathlib.Path(cli.__file__).parents[1]
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        script = textwrap.dedent(f"""
+            from carlemanlab import cli
+            for name, argv in {runs!r}.items():
+                cli.main(argv + ["--out", {str(out)!r} + "/" + name + ".json"])
+        """)
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append({name: (out / f"{name}.json").read_bytes() for name in runs})
+    assert outputs[0] == outputs[1]
+    assert all(outputs[0].values())
 
 
 # -- helpers -----------------------------------------------------------

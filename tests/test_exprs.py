@@ -3,6 +3,7 @@
 import pytest
 
 from carlemanlab.canonical import canonicalize
+from carlemanlab.jetoracle import eval_jet_many
 from carlemanlab.exprs import (
     C,
     Context,
@@ -65,9 +66,15 @@ def test_real_symbols_fixed_by_conjugation(ctx):
 
 
 def test_derivative_direction_bounds(ctx):
-    z = ctx.sym("z")
-    with pytest.raises(ExprError):
-        canonicalize(d_x(z, 3), ctx)  # n = 2 has no third direction
+    # n = 2 has neither x0 nor x3; both witnesses refuse them at the Dx
+    # node, even where the dense jet would read either one as d_t
+    z, ell = ctx.sym("z"), ctx.sym("ell")
+    for j in (0, ctx.n + 1):
+        for e in (d_x(z, j), d_x(ell, j) - d_t(ell), d_x(C(1), j)):
+            with pytest.raises(ExprError, match="out of range"):
+                canonicalize(e, ctx)
+            with pytest.raises(ExprError, match="out of range"):
+                eval_jet_many(e, ctx, [(1, 0)])
 
 
 def test_chain_rule_on_square(ctx):
@@ -93,6 +100,13 @@ def test_exponential_weight_rewrite():
 def test_rewrites_rejected_on_semimartingales(ctx):
     with pytest.raises(ExprError):
         ctx.set_rewrite("z", "t", ctx.sym("ell"))
+
+
+def test_rewrites_rejected_on_real_scalars(ctx):
+    # a real scalar is a constant: with a rule d_t(lam) = 1 the canonical
+    # form would call d_t(lam) zero and the oracle would not
+    with pytest.raises(ExprError, match="real scalars"):
+        ctx.set_rewrite("lam", "t", C(1))
 
 
 def test_ito_of_deterministic_field(ctx):

@@ -25,8 +25,8 @@ from carlemanlab.simulate import (
     brownian,
     make_random_gl_problem,
     solve_gl_forward,
-    zero_paths,
 )
+from strategies import zero_paths
 
 CUT = CutoffSpec(t1=0.06, t2=0.12, t0=0.15, T=0.3)
 

@@ -25,17 +25,15 @@ from carlemanlab.simulate import (
     carleman_heat_check,
     classic_demos,
     grad_dirichlet,
-    heat_decay_report,
     l2_norm,
     make_random_gl_problem,
     manufacture_heat_pair,
     sample_field,
     solve_gl_forward,
-    time_refinement_report,
     windowed_pair,
-    zero_paths,
 )
 from carlemanlab.weights import GLWeight, HeatWeight, heat_alpha, psi_1d
+from strategies import zero_paths
 
 
 def heat_weight(mu=4.0, T=1.0):
@@ -89,16 +87,6 @@ def test_cumulative_starts_at_zero():
 # -- forward solver ---------------------------------------------------
 
 
-def test_heat_decay_matches_exact_rate():
-    rep = heat_decay_report(Nx=200, Nt=2000, T=0.1)
-    assert rep["relative_error"] < 0.02
-
-
-def test_time_refinement_is_first_order():
-    rep = time_refinement_report()
-    assert rep["ratio"] == pytest.approx(2.0, rel=0.3)
-
-
 def test_zero_data_gives_zero_solution():
     grid = Grid1D(Nx=30, Nt=50, T=0.2)
     sol = solve_gl_forward(SPDEProblem(), grid, brownian(4, 50, 9, dt=grid.dt))
@@ -106,11 +94,15 @@ def test_zero_data_gives_zero_solution():
 
 
 def test_path_grid_mismatch_rejected():
+    # a wrong step count, then a wrong step size; the solver and the
+    # manufactured pair refuse both
     grid = Grid1D(Nx=30, Nt=50, T=0.2)
-    with pytest.raises(SimError):
-        solve_gl_forward(SPDEProblem(), grid, brownian(4, 49, 9, dt=grid.dt))
-    with pytest.raises(SimError):
-        solve_gl_forward(SPDEProblem(), grid, brownian(4, 50, 9, dt=0.9 * grid.dt))
+    for paths in (brownian(4, 49, 9, dt=grid.dt),
+                  brownian(4, 50, 9, dt=0.9 * grid.dt)):
+        with pytest.raises(SimError, match="disagree on time stepping"):
+            solve_gl_forward(SPDEProblem(), grid, paths)
+        with pytest.raises(SimError, match="disagree on time stepping"):
+            manufacture_heat_pair(grid, paths, 2, 0)
 
 
 def _scalar_time_problem(seed, with_coefficients):
