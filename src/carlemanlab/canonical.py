@@ -221,15 +221,6 @@ def _cf_mul(c1: dict, c2: dict) -> dict:
     return out
 
 
-def _cf_pow(cf: dict, k: int) -> dict:
-    if not k:
-        return {EMPTY_MONO: _ONE}
-    out = cf
-    for _ in range(k - 1):
-        out = _cf_mul(out, cf)
-    return out
-
-
 def _cf_conj(cf: dict, ctx: Context) -> dict:
     conj = _atoms(ctx).conj
     return {conj(mono): (a, -b, d) for mono, (a, b, d) in cf.items()}
@@ -368,7 +359,9 @@ def _canon(e: Expr, ctx: Context, memo: dict) -> dict:
                 break
             out = _cf_mul(out, _canon(f, ctx, memo))
     elif isinstance(e, Pow):
-        out = _cf_pow(_canon(e.base, ctx, memo), e.exp)
+        base, out = _canon(e.base, ctx, memo), {EMPTY_MONO: _ONE}
+        for _ in range(e.exp):
+            out = _cf_mul(out, base)
     elif isinstance(e, Dx):
         if not 1 <= e.j <= ctx.n:
             raise ExprError(f"x{e.j} out of range for dimension {ctx.n}")

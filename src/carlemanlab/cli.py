@@ -107,7 +107,7 @@ def run_identity_verify(args) -> tuple[list, list]:
                 checks.append(_residual_check(cell.theorem))
                 checks.append(_check(
                     f"constraint_pairs(n={n})", cell.clean,
-                    surviving_monomials=len(cell.unconstrained.surviving_monomials)))
+                    surviving_monomials=len(cell.unconstrained.residual)))
             else:
                 checks.append(_residual_check(identity.verify_identity(spec)))
             if args.oracle:

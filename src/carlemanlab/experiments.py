@@ -51,6 +51,16 @@ def run_carleman_heat(cfg) -> tuple[list, list]:
     return checks, rows
 
 
+def _gl_solutions(cfg, grid, streams, **kinds):
+    """Solve the config's GL members one at a time: member i draws its
+    problem, of the given kinds, from streams[2 i] and its paths from
+    streams[2 i + 1]."""
+    for i in range(cfg.ensembles):
+        problem = sim.make_random_gl_problem(streams[2 * i], **kinds)
+        paths = sim.brownian(cfg.paths, cfg.Nt, streams[2 * i + 1], dt=grid.dt)
+        yield sim.solve_gl_forward(problem, grid, paths)
+
+
 def run_carleman_gl(cfg) -> tuple[list, list]:
     labels = [f"gl(mu={mu:g})" for mu in cfg.mus]
     if len(set(labels)) != len(labels):
@@ -61,13 +71,8 @@ def run_carleman_gl(cfg) -> tuple[list, list]:
     streams = np.random.SeedSequence(cfg.seed).spawn(2 * cfg.ensembles)
     # one solve and one check per ensemble serve every mu; reports stay
     # mu-major
-    per_member = []
-    for i in range(cfg.ensembles):
-        problem = sim.make_random_gl_problem(streams[2 * i])
-        paths = sim.brownian(cfg.paths, cfg.Nt, streams[2 * i + 1],
-                             dt=grid.dt)
-        sol = sim.solve_gl_forward(problem, grid, paths)
-        per_member.append(sim.carleman_gl_check(sol, gws, cfg.delta))
+    per_member = [sim.carleman_gl_check(sol, gws, cfg.delta)
+                  for sol in _gl_solutions(cfg, grid, streams)]
     checks, rows = [], []
     for mu, label, per_mu in zip(cfg.mus, labels, zip(*per_member)):
         fitted = [rep["fitted_C"] for rep in per_mu]
@@ -89,13 +94,8 @@ def run_inverse_gl(cfg) -> tuple[list, list]:
         2 * cfg.ensembles + 1)
     # stream the ensemble: keep each member's norms, and member 0 for the probe
     norms = []
-    for i in range(cfg.ensembles):
-        problem = sim.make_random_gl_problem(streams[2 * i],
-                                             with_coefficients=True,
-                                             with_sources=False)
-        paths = sim.brownian(cfg.paths, cfg.Nt, streams[2 * i + 1],
-                             dt=grid.dt)
-        sol = sim.solve_gl_forward(problem, grid, paths)
+    for i, sol in enumerate(_gl_solutions(cfg, grid, streams, with_coefficients=True,
+                                          with_sources=False)):
         norms.append(inv.solution_norms(sol, cut.t0))
         if i == 0:
             first = sol

@@ -75,13 +75,18 @@ class IdentityResidual:
     lhs: CanonicalForm
     rhs: CanonicalForm
     residual: CanonicalForm
-    zero: bool
-    surviving_monomials: tuple[str, ...]
 
     @classmethod
     def of(cls, case: str, lhs: CanonicalForm, rhs: CanonicalForm) -> "IdentityResidual":
-        res = lhs - rhs
-        return cls(case, lhs, rhs, res, res.is_zero, tuple(res.serialize().splitlines()))
+        return cls(case, lhs, rhs, lhs - rhs)
+
+    @property
+    def zero(self) -> bool:
+        return self.residual.is_zero
+
+    @property
+    def surviving_monomials(self) -> tuple[str, ...]:
+        return tuple(self.residual.serialize().splitlines())
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,16 @@ class VerificationCase:
     lhs: Expr
     rhs: Expr
     mutated_rhs: Expr
+
+
+def _dropping(case_id: str, ctx: Context, lhs: Expr, groups: list[tuple[str, Expr]],
+              dropped: str) -> VerificationCase:
+    """The identity lhs = the sum of the named groups, corrupted by dropping
+    the group named dropped; both sums keep the groups' order."""
+    kept = dict(groups)
+    del kept[dropped]
+    return VerificationCase(case_id=case_id, ctx=ctx, lhs=lhs,
+                            rhs=esum(e for _, e in groups), mutated_rhs=esum(kept.values()))
 
 
 def verify(case: VerificationCase) -> IdentityResidual:
@@ -390,14 +405,7 @@ def rhs_groups(ws: Workspace) -> list[tuple[str, Expr]]:
 
 def _theorem_case(case_id: str, ws: Workspace) -> VerificationCase:
     """The general identity on ws; the corruption drops its zero-order term."""
-    groups = rhs_groups(ws)
-    return VerificationCase(
-        case_id=case_id,
-        ctx=ws.ctx,
-        lhs=ws.weighted_product(),
-        rhs=esum(e for _, e in groups),
-        mutated_rhs=esum(e for name, e in groups if name != "zero_order"),
-    )
+    return _dropping(case_id, ws.ctx, ws.weighted_product(), rhs_groups(ws), "zero_order")
 
 
 def _spec_case(spec: OperatorSpec) -> VerificationCase:
@@ -624,21 +632,14 @@ def _case_transport(n: int = 2) -> VerificationCase:
     z = ctx.semimartingale("z", real=True)
     ws = Workspace(ctx, z, C(1), C(0), C(0), b0, _unit_metric(n), ell, C(0))
     wt = ws.ellt + ws.b0_grad_ell
-    lhs = C(2) * ws.I1 * ws.theta_L
     groups = [
-        C(2) * ws.I1 * conj(ws.I1) * DT,
-        -ito_d(wt * ws.z * ws.zc),
-        ws.B_coef() * ws.z * ws.zc * DT,
-        -(ws.b0_dot_grad(wt * ws.z * ws.zc) * DT),
-        wt * ws.dz * ws.dzc,
+        ("magnitude", C(2) * ws.I1 * conj(ws.I1) * DT),
+        ("martingale", -ito_d(wt * ws.z * ws.zc)),
+        ("zero_order", ws.B_coef() * ws.z * ws.zc * DT),
+        ("weight_transport", -(ws.b0_dot_grad(wt * ws.z * ws.zc) * DT)),
+        ("qv_mass", wt * ws.dz * ws.dzc),
     ]
-    return VerificationCase(
-        case_id="transport",
-        ctx=ctx,
-        lhs=lhs,
-        rhs=esum(groups),
-        mutated_rhs=esum(groups[:2] + groups[3:]),  # drops the energy term
-    )
+    return _dropping("transport", ctx, C(2) * ws.I1 * ws.theta_L, groups, "zero_order")
 
 
 def _case_ginzburg_landau(n: int = 2) -> VerificationCase:
@@ -661,23 +662,16 @@ def _case_ginzburg_landau(n: int = 2) -> VerificationCase:
         for k in range(1, n + 1)
     }
     groups = [
-        C(2) * ws.I1 * conj(ws.I1) * DT,
-        ito_d(grad_sq - C(3) * mu * mu * phi_w * ws.z * ws.zc),
-        esum(d_x(Vk[k], k) for k in range(1, n + 1)),
-        mu * mu * (C(3) * mu * phi_w - C(2)) * ws.z * ws.zc * DT,
-        C(2) * mu * grad_sq * DT,
-        -esum(ws.dzx[j] * ws.dzcx[j] for j in range(1, n + 1)),
-        -(C(2) * mu * re(ws.zc * ws.dz)),
-        C(3) * mu * mu * phi_w * ws.dz * ws.dzc,
+        ("magnitude", C(2) * ws.I1 * conj(ws.I1) * DT),
+        ("martingale", ito_d(grad_sq - C(3) * mu * mu * phi_w * ws.z * ws.zc)),
+        ("divergence", esum(d_x(Vk[k], k) for k in range(1, n + 1))),
+        ("zero_order", mu * mu * (C(3) * mu * phi_w - C(2)) * ws.z * ws.zc * DT),
+        ("gradient_form", C(2) * mu * grad_sq * DT),
+        ("qv_gradient", -esum(ws.dzx[j] * ws.dzcx[j] for j in range(1, n + 1))),
+        ("stochastic_mass", -(C(2) * mu * re(ws.zc * ws.dz))),
+        ("qv_mass", C(3) * mu * mu * phi_w * ws.dz * ws.dzc),
     ]
-
-    return VerificationCase(
-        case_id="ginzburg_landau",
-        ctx=ctx,
-        lhs=ws.weighted_product(),
-        rhs=esum(groups),
-        mutated_rhs=esum(groups[:3] + groups[4:]),  # drops the mass energy term
-    )
+    return _dropping("ginzburg_landau", ctx, ws.weighted_product(), groups, "zero_order")
 
 
 def _case_heat_identity(n: int = 2) -> VerificationCase:
@@ -806,20 +800,14 @@ def _case_elliptic(n: int = 2) -> tuple[VerificationCase, Expr, Expr]:
     div_derived = esum(d_x(V_derived(k), k) for k in range(1, n + 1))
     div_printed = esum(d_x(V_printed(k), k) for k in range(1, n + 1))
     groups = [
-        C(2) * I1 * I1,
-        div_derived,
-        B * ws.z * ws.z,
-        esum(Dc(j, k) * ws.zx[j] * ws.zx[k] for j in range(1, n + 1) for k in range(1, n + 1)),
-        e_term,
+        ("magnitude", C(2) * I1 * I1),
+        ("divergence", div_derived),
+        ("zero_order", B * ws.z * ws.z),
+        ("gradient_form", esum(Dc(j, k) * ws.zx[j] * ws.zx[k]
+                               for j in range(1, n + 1) for k in range(1, n + 1))),
+        ("first_order", e_term),
     ]
-    case = VerificationCase(
-        case_id="elliptic",
-        ctx=ctx,
-        lhs=lhs,
-        rhs=esum(groups),
-        mutated_rhs=esum(groups[:2] + groups[3:]),  # drops the energy term
-    )
-    return case, div_printed, div_derived
+    return _dropping("elliptic", ctx, lhs, groups, "zero_order"), div_printed, div_derived
 
 
 def _case_schrodinger(n: int = 2) -> VerificationCase:

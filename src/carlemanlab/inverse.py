@@ -135,15 +135,9 @@ def brute_force_mu(D1: float, D2: float, kappa: float, C: float, T: float,
 def solution_norms(sol: Solution, t0: float) -> tuple[float, float, float]:
     """(N1, N2, N3): interior L2 at t0, space-time L2, terminal H1 —
     each mean-square over the path ensemble."""
-    grid = sol.grid
-    m0 = int(round(t0 / grid.dt))
-    if abs(m0 * grid.dt - t0) > 1e-9 * grid.T or not (0 <= m0 <= grid.Nt):
-        raise InverseError(f"t0 = {t0} must sit on a time node")
-    dx, dt = grid.dx, grid.dt
-    N1 = math.sqrt(float(np.mean(l2_norm(sol.w[:, m0, :], dx) ** 2)))
-    tw = np.full(grid.Nt + 1, dt)
-    tw[0] *= 0.5
-    tw[-1] *= 0.5
+    grid, dx = sol.grid, sol.grid.dx
+    N1 = math.sqrt(float(np.mean(l2_norm(sol.w[:, grid.node(t0, "t0"), :], dx) ** 2)))
+    tw = grid.trapezoid()
     N2 = math.sqrt(float(np.mean(np.sum(l2_norm(sol.w, dx) ** 2 * tw[None, :], axis=1))))
     wT = sol.w[:, -1, :]
     h1 = l2_norm(wT, dx) ** 2 + l2_norm(grad_dirichlet(wT, dx), dx) ** 2
@@ -163,7 +157,6 @@ class StabilityReport:
     C_fit: float
     quotients: list
     mu_star: float
-    mu1: float
     kappa: float
     spread: float
     falsifications: list
@@ -208,7 +201,7 @@ def stability_experiment(norms: Sequence[tuple[float, float, float]],
     return StabilityReport(
         N1=float(agg[0]), N2=float(agg[1]), N3=float(agg[2]),
         tau=tau, tau_alt=tau_alt, C_fit=max(quotients),
-        quotients=quotients, mu_star=mu_star, mu1=mu1, kappa=kappa,
+        quotients=quotients, mu_star=mu_star, kappa=kappa,
         spread=spread, falsifications=falsifications)
 
 
@@ -233,7 +226,7 @@ def backward_uniqueness_probe(sol: Solution, cut: CutoffSpec, mu1: float,
     _, _, N3 = solution_norms(sol, cut.t0)
     if N3 == 0.0:
         raise InverseError("probe needs a nonzero terminal norm")
-    m0 = int(round(cut.t0 / grid.dt))
+    m0 = grid.node(cut.t0, "t0")
     B = sol.paths.cumulative()
     future = (B[:, -1] - B[:, m0]) * 0.5
     bump = np.sin(np.pi * grid.x)
@@ -241,10 +234,4 @@ def backward_uniqueness_probe(sol: Solution, cut: CutoffSpec, mu1: float,
     interior = [math.sqrt(float(np.mean(l2_norm(e / N3 * w0 + lift, grid.dx) ** 2)))
                 for e in eps]
     slope = float(np.polyfit(np.log(eps), np.log(np.asarray(interior)), 1)[0])
-    return {
-        "epsilons": eps.tolist(),
-        "interior_norms": interior,
-        "slope": slope,
-        "tau_fit": tau_fit,
-        "flagged_non_adapted": bool(slope < tau_fit - 0.1),
-    }
+    return {"slope": slope, "flagged_non_adapted": bool(slope < tau_fit - 0.1)}

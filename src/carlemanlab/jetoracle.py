@@ -284,14 +284,16 @@ def _children(e: Expr) -> tuple:
     return ()
 
 
-def _key(e: Expr, shifted: bool, keys: tuple, sigs: dict, asks: list, todo: list) -> int:
+def _key(e: Expr, shifted: bool, keys: tuple, sigs: dict, asks: list, todo: list,
+         semi: set) -> int:
     """The structural key of e read in the given mode (see _structure).
-    A new key counts one ask of each child; a new symbol adds its
-    rewrites, and those of its jets, to todo."""
+    A new key counts one ask of each child, and joins semi when its tree
+    holds a semimartingale; a time derivative over such a key is refused.
+    A new symbol adds its rewrites, and those of its jets, to todo."""
     t = type(e)
     into = shifted or t is DIto
     seen = keys[into]
-    kids = [seen[c] if c in seen else _key(c, into, keys, sigs, asks, todo)
+    kids = [seen[c] if c in seen else _key(c, into, keys, sigs, asks, todo, semi)
             for c in _children(e)]
     if t is Sym:
         payload = e.sym
@@ -309,8 +311,14 @@ def _key(e: Expr, shifted: bool, keys: tuple, sigs: dict, asks: list, todo: list
         for c in kids:
             asks[c] += 1
         if t is Sym:
+            if e.sym.semimartingale:
+                semi.add(k)
             for s in (e.sym, *(e.sym.jets or ())):
                 todo.extend(s.rewrites.values())
+        elif not semi.isdisjoint(kids):
+            if t is Dt:
+                raise ExprError("time derivative applied over a semimartingale")
+            semi.add(k)
     return k
 
 
@@ -322,7 +330,8 @@ def _structure(root: Expr) -> tuple:
     their trees are equal; a DIto reads its argument in shifted mode.  The
     walk meets the rewrite expressions of every symbol it meets, and of
     its jets; they do not enter the symbol's key, since a rewrite such as
-    phi_t = 3 mu phi refers back to phi.
+    phi_t = 3 mu phi refers back to phi.  A time derivative over a tree
+    that holds a semimartingale is refused here, with ExprError.
 
     The walk evaluates each key once, at the highest order it asks of the
     key, except the keys a rewrite expression reaches: their symbol's jet
@@ -334,10 +343,10 @@ def _structure(root: Expr) -> tuple:
     every key, and the order to evaluate each key at, -1 for the asked
     order.
     """
-    keys, sigs, asks, todo = ({}, {}), {}, [], [root]
+    keys, sigs, asks, todo, semi = ({}, {}), {}, [], [root], set()
     for e in todo:
         if e not in keys[0]:
-            _key(e, False, keys, sigs, asks, todo)
+            _key(e, False, keys, sigs, asks, todo, semi)
     asks[keys[0][root]] += 1
     top = [0] * len(asks)
     for e in todo[1:]:
@@ -356,12 +365,6 @@ def _structure(root: Expr) -> tuple:
                 top[c] = max(top[c], order)
     del sigs
     return tuple({e: k for e, k in mode.items() if asks[k] > 1} for mode in keys), asks, top
-
-
-def _contains_semimartingale(e: Expr) -> bool:
-    if isinstance(e, Sym):
-        return e.sym.semimartingale
-    return any(_contains_semimartingale(c) for c in _children(e))
 
 
 class _Eval:
@@ -518,8 +521,6 @@ class _Eval:
         if isinstance(e, Const):
             return (self._const(k, (_fp(e.value.re), _fp(e.value.im))), None, None)
         if isinstance(e, Dt):
-            if _contains_semimartingale(e.arg):
-                raise ExprError("time derivative applied over a semimartingale")
             return tuple(_diff(lay, k, c, self.n) for c in self.run(e.arg, k + 1, shifted))
         if isinstance(e, Pow):
             if not e.exp:

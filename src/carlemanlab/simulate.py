@@ -101,6 +101,20 @@ class Grid1D:
     def t(self) -> np.ndarray:
         return self.dt * np.arange(self.Nt + 1)
 
+    def node(self, t: float, name: str) -> int:
+        """The index m of the time node m dt at t; SimError off the lattice."""
+        m = int(round(t / self.dt))
+        if abs(m * self.dt - t) > 1e-9 * self.T or not (0 <= m <= self.Nt):
+            raise SimError(f"{name} = {t} must sit on a time node")
+        return m
+
+    def trapezoid(self, m: int = 0) -> np.ndarray:
+        """Trapezoid weights in time on the nodes m..Nt."""
+        tw = np.full(self.Nt + 1 - m, self.dt)
+        tw[0] *= 0.5
+        tw[-1] *= 0.5
+        return tw
+
 
 @dataclass(frozen=True)
 class PathEnsemble:
@@ -286,7 +300,8 @@ class ManufacturedPair:
         f = sum_k (d_k' - (k pi)^2 d_k)(1 + sigma_k B(t)) sin(k pi x),
         Y = sum_k sigma_k d_k(t) sin(k pi x)
 
-    solve the equation exactly; no discretization enters the triple.
+    solve the equation exactly; no discretization enters the triple.  A
+    windowed pair is no such sum, so it carries no modal form (None).
     """
 
     grid: Grid1D
@@ -295,9 +310,9 @@ class ManufacturedPair:
     y: np.ndarray  # (M, Nt+1, Nx)
     Y: np.ndarray  # (Nt+1, Nx): the same on every path
     f: np.ndarray
-    modal_d: np.ndarray       # (Nt+1, K) deterministic amplitudes
-    modal_ddot: np.ndarray    # (Nt+1, K)
-    sigma: np.ndarray         # (K,)
+    modal_d: Optional[np.ndarray] = None     # (Nt+1, K) deterministic amplitudes
+    modal_ddot: Optional[np.ndarray] = None  # (Nt+1, K)
+    sigma: Optional[np.ndarray] = None       # (K,)
 
 
 def manufacture_heat_pair(grid: Grid1D, paths: PathEnsemble, K: int, seed: Seed) -> ManufacturedPair:
@@ -343,7 +358,12 @@ def windowed_pair(pair: ManufacturedPair, lo: float, hi: float) -> ManufacturedP
     picks up the exact commutator so the triple still solves the equation:
 
         f_w = chi f + 2 chi' y_x + chi'' y,   Y_w = chi Y,  y_w = chi y.
+
+    y_x is read off the pair's modal form, which the windowed pair does not
+    carry, so a windowed pair cannot be windowed again.
     """
+    if pair.modal_d is None:
+        raise SimError("a windowed pair has no modal form to window again")
     if not (0.0 <= lo < hi <= 1.0):
         raise SimError(f"window [{lo}, {hi}] is not an ordered subinterval of [0, 1]")
     x, ramp = pair.grid.x, _WINDOW_RAMP
@@ -361,8 +381,7 @@ def windowed_pair(pair: ManufacturedPair, lo: float, hi: float) -> ManufacturedP
         grid=pair.grid, paths=pair.paths, K=pair.K,
         y=pair.y * chi,
         Y=pair.Y * chi,
-        f=pair.f * chi + 2.0 * yx * dchi + pair.y * ddchi,
-        modal_d=pair.modal_d, modal_ddot=pair.modal_ddot, sigma=pair.sigma)
+        f=pair.f * chi + 2.0 * yx * dchi + pair.y * ddchi)
 
 
 # ---------------------------------------------------------------------------
@@ -471,19 +490,14 @@ def carleman_gl_check(sol: Solution, gws: Sequence[GLWeight],
                        "fold coefficient terms into f and g first")
     if not (0.0 <= delta < grid.T):
         raise SimError(f"delta = {delta} outside [0, T)")
-    md = int(round(delta / grid.dt))
-    if abs(md * grid.dt - delta) > 1e-9 * grid.T:
-        raise SimError("delta must sit on a time node")
-    dx, dt = grid.dx, grid.dt
+    md = grid.node(delta, "delta")
+    dx = grid.dx
     t = grid.t[md:]
     w = sol.w[:, md:, :]
     wx = grad_dirichlet(w, dx)
     aw2 = np.abs(w) ** 2
     awx2 = np.abs(wx) ** 2
-    # trapezoid weights in time on [delta, T]
-    tw = np.full(len(t), dt)
-    tw[0] *= 0.5
-    tw[-1] *= 0.5
+    tw = grid.trapezoid(md)
     # the sources do not depend on the path: one reduction serves every member
     f = sample_field(p.f, grid.x, t)
     g = sample_field(p.g, grid.x, t)

@@ -313,10 +313,8 @@ def _with_stray_monomial(res):
 
 
 def _stray_verdict(res):
-    """res with the verdict of _with_stray_monomial(res), its forms kept."""
-    stray = _with_stray_monomial(res)
-    return dataclasses.replace(res, zero=stray.zero,
-                               surviving_monomials=stray.surviving_monomials)
+    """res with the residual of _with_stray_monomial(res), its sides kept."""
+    return dataclasses.replace(res, residual=_with_stray_monomial(res).residual)
 
 
 def _stray_monomial(cell):

@@ -21,11 +21,14 @@ from carlemanlab.inverse import (
 )
 from carlemanlab.simulate import (
     Grid1D,
+    SimError,
     SPDEProblem,
     brownian,
+    carleman_gl_check,
     make_random_gl_problem,
     solve_gl_forward,
 )
+from carlemanlab.weights import GLWeight
 from strategies import zero_paths
 
 CUT = CutoffSpec(t1=0.06, t2=0.12, t0=0.15, T=0.3)
@@ -185,10 +188,20 @@ def test_norms_of_zero_solution_vanish():
     assert solution_norms(sol, 0.15) == (0.0, 0.0, 0.0)
 
 
-def test_norms_need_a_time_node():
+@pytest.mark.parametrize("caller", ["carleman_gl_check", "solution_norms",
+                                    "backward_uniqueness_probe"])
+def test_norms_need_a_time_node(caller):
+    # every reader of the GL grid places its time by one rule
     sol = solve_members(1)[0]
-    with pytest.raises(InverseError):
-        solution_norms(sol, 0.15 + 1e-4)
+    off = 0.15 + 1e-4
+    run = {
+        "carleman_gl_check": lambda: carleman_gl_check(sol, [GLWeight(mu=2.0, T=0.3)], off),
+        "solution_norms": lambda: solution_norms(sol, off),
+        "backward_uniqueness_probe": lambda: backward_uniqueness_probe(
+            sol, CutoffSpec(t1=0.06, t2=0.12, t0=off, T=0.3), 3.0, [0.1, 0.01]),
+    }[caller]
+    with pytest.raises(SimError, match=f"= {off} must sit on a time node"):
+        run()
 
 
 # -- stability experiment ---------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import carlemanlab.jetoracle as jetoracle
 from carlemanlab.canonical import canonicalize
@@ -38,7 +39,15 @@ from carlemanlab.exprs import (
 from carlemanlab.identity import OperatorSpec, _spec_case, build_case
 from carlemanlab.jetoracle import P, Gauss, _Eval, _layout, eval_jet_many
 
-from strategies import make_context, random_expr, random_plain_expr
+from strategies import (
+    make_context,
+    make_ruled_context,
+    random_expr,
+    random_plain_expr,
+    random_ruled_expr,
+)
+
+SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
 
 def gmul(a, b):
@@ -117,6 +126,36 @@ def test_ito_d_of_a_semimartingale_time_derivative_is_refused():
         eval_jet_many(e, ctx, draws(3, [0]))
 
 
+def doubled(e, times):
+    """e + e, then that sum doubled again, times times: 2^times copies of e
+    over times + 1 distinct nodes."""
+    for _ in range(times):
+        e = e + e
+    return e
+
+
+def test_time_derivative_check_visits_each_distinct_subtree_once(monkeypatch):
+    # the semimartingale check rides the key pass, so d_t of a tree that
+    # shares 2^22 copies of ell reads each distinct node once, not each path
+    ctx = make_context(1)
+    ell, z = ctx.sym("ell"), ctx.sym("z")
+    visits = []
+
+    def counted(e):
+        visits.append(e)
+        return children(e)
+
+    children = jetoracle._children
+    monkeypatch.setattr(jetoracle, "_children", counted)
+    e = d_t(doubled(ell, 22)) - C(2 ** 22) * d_t(ell)
+    assert all(v.is_zero for v in eval_jet_many(e, ctx, draws(3, range(2))))
+    assert len(visits) < 100, len(visits)
+    visits.clear()
+    with pytest.raises(ExprError, match="time derivative applied over a semimartingale"):
+        eval_jet_many(d_t(doubled(ell * z, 22)) + ell, ctx, draws(3, [0]))
+    assert len(visits) < 100, len(visits)
+
+
 def test_oracle_agrees_with_the_canonical_form_on_random_trees():
     # the oracle reads d() off e(u + du) under the Ito table; the
     # canonicalizer expands it by Leibniz and quadratic variation, so the
@@ -131,6 +170,30 @@ def test_oracle_agrees_with_the_canonical_form_on_random_trees():
         assert got == eval_jet_many(canonicalize(e, ctx).to_expr(), ctx, a), i
         with_differential += any(v.dt != (0, 0) or v.dB != (0, 0) for v in got)
     assert with_differential > 200
+
+
+def ruled_orders(cf):
+    """The atoms of cf that carry an order in a ruled direction: any order
+    of phi, an x1 order of eta."""
+    return [key for mono, _ in cf.terms() for key, _ in mono
+            if key[0] == "f" and (key[1] == "phi" and (any(key[2]) or key[3])
+                                  or key[1] == "eta" and key[2][0])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=6))
+def test_oracle_agrees_with_the_canonical_form_on_ruled_contexts(seed, n, depth):
+    # the catalog's constructs: ruled fields with mixed derivative orders,
+    # conjugated ruled atoms, a null pair, rules set after first use,
+    # products of two d() and d_x over a d() factor.  A canonical form is
+    # reduced by the rules, so none of its atoms carries a ruled order.
+    rng = random.Random(seed)
+    ctx = make_ruled_context(n, rng)
+    e = random_ruled_expr(ctx, rng, depth)
+    cf = canonicalize(e, ctx)
+    a = [(seed, 0), (seed + 1, 1)]
+    assert eval_jet_many(e, ctx, a) == eval_jet_many(cf.to_expr(), ctx, a)
+    assert not ruled_orders(cf)
 
 
 def test_multiplicativity_on_plain_expressions():

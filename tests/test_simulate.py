@@ -29,6 +29,7 @@ from carlemanlab.simulate import (
     make_random_gl_problem,
     manufacture_heat_pair,
     sample_field,
+    smoothstep,
     solve_gl_forward,
     windowed_pair,
 )
@@ -332,6 +333,47 @@ def test_windowed_pair_is_observation_dominated():
     rep = carleman_heat_check(wp, heat_weight(), [20, 40, 80, 160])
     assert rep["uniform_ok"]
     assert min(rep["observation_fraction"]) > 0.5
+
+
+def modal_y_x(pair):
+    """y_x of a manufactured pair, read off its modal form."""
+    k = np.arange(1, pair.K + 1)
+    cosines = np.cos(np.pi * np.outer(pair.grid.x, k)) * (k * np.pi)
+    B = pair.paths.cumulative()
+    return (pair.modal_d[None, :, :] * (1.0 + pair.sigma[None, None, :] * B[:, :, None])) @ cosines.T
+
+
+def window_derivatives(x, lo, hi, h=1e-5):
+    """chi, chi' and chi'' of windowed_pair's cut-off, the derivatives by
+    central differences of chi."""
+    def chi(x):
+        up, down = smoothstep((x - lo) / simulate._WINDOW_RAMP), smoothstep(
+            (hi - x) / simulate._WINDOW_RAMP)
+        return up[0] * down[0]
+    left, mid, right = chi(x - h), chi(x), chi(x + h)
+    return mid, (right - left) / (2 * h), (right - 2 * mid + left) / (h * h)
+
+
+@pytest.mark.parametrize("window", [(0.1, 0.9), (0.05, 0.5), (0.38, 0.72)])
+def test_windowed_pair_solves_its_equation(window):
+    # y_w = chi y solves dy + y_xx dt = f_w dt + Y_w dB with
+    # f_w = chi f + 2 chi' y_x + chi'' y and Y_w = chi Y
+    pair = make_pair(seed=5, M=3)
+    wp = windowed_pair(pair, *window)
+    chi, dchi, ddchi = window_derivatives(pair.grid.x, *window)
+    want = chi * pair.f + 2.0 * dchi * modal_y_x(pair) + ddchi * pair.y
+    scale = np.max(np.abs(want))
+    np.testing.assert_allclose(wp.f, want, rtol=0.0, atol=1e-6 * scale)
+    np.testing.assert_allclose(wp.y, chi * pair.y, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(wp.Y, chi * pair.Y, rtol=0.0, atol=1e-12)
+
+
+def test_a_windowed_pair_is_not_windowed_again():
+    # the window's y_x comes from the modal form, which chi y does not have
+    wp = windowed_pair(make_pair(seed=5, M=3), 0.1, 0.9)
+    assert wp.modal_d is None and wp.modal_ddot is None and wp.sigma is None
+    with pytest.raises(SimError, match="no modal form"):
+        windowed_pair(wp, 0.05, 0.5)
 
 
 def test_heat_ratio_scale_invariant():
