@@ -348,8 +348,9 @@ def _canon(e: Expr, ctx: Context, memo: dict) -> dict:
     elif isinstance(e, DBAtom):
         out = {DB_MONO: _ONE}
     elif isinstance(e, Add):
-        out = {}
-        for t in e.terms:
+        terms = iter(e.terms)
+        out = dict(_canon(next(terms), ctx, memo)) if e.terms else {}
+        for t in terms:
             _cf_add_inplace(out, _canon(t, ctx, memo))
     elif isinstance(e, Mul):
         factors = iter(e.factors)

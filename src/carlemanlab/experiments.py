@@ -110,7 +110,7 @@ def run_inverse_gl(cfg) -> tuple[list, list]:
         _check("falsifications", not rep.falsifications,
                count=len(rep.falsifications)),
     ]
-    probe = inv.backward_uniqueness_probe(first, cut, cfg.mu1,
+    probe = inv.backward_uniqueness_probe(first, norms[0][2], cut, cfg.mu1,
                                           list(cfg.epsilons), cfg.C_ref)
     checks.append(_check("probe_tampered_flagged",
                          probe["flagged_non_adapted"], slope=probe["slope"]))

@@ -205,12 +205,13 @@ def stability_experiment(norms: Sequence[tuple[float, float, float]],
         spread=spread, falsifications=falsifications)
 
 
-def backward_uniqueness_probe(sol: Solution, cut: CutoffSpec, mu1: float,
-                              eps_list: Sequence[float],
+def backward_uniqueness_probe(sol: Solution, N3: float, cut: CutoffSpec,
+                              mu1: float, eps_list: Sequence[float],
                               C_ref: float = 10.0) -> dict:
     """Flag a non-adapted family by its interior-from-terminal rate.
 
-    The solved ensemble is scaled to terminal H1 size eps and future
+    N3 is the terminal H1 norm of sol, as solution_norms gives it.  The
+    solved ensemble is scaled to terminal H1 size eps and future
     increments (B(T) - B(t)) / 2 times sin(pi x) are added.  The added
     field vanishes at T, so the terminal data stay those of an adapted
     solution, but it pins the interior norm at t0: log N1(eps) against
@@ -223,10 +224,9 @@ def backward_uniqueness_probe(sol: Solution, cut: CutoffSpec, mu1: float,
             f"probe needs at least two distinct positive epsilons, got {list(eps_list)}")
     grid = sol.grid
     tau_fit = compute_tau(cut.t0, cut.t1, mu1, C_ref)
-    _, _, N3 = solution_norms(sol, cut.t0)
+    m0 = grid.node(cut.t0, "t0")
     if N3 == 0.0:
         raise InverseError("probe needs a nonzero terminal norm")
-    m0 = grid.node(cut.t0, "t0")
     B = sol.paths.cumulative()
     future = (B[:, -1] - B[:, m0]) * 0.5
     bump = np.sin(np.pi * grid.x)

@@ -19,7 +19,12 @@ structure (hash-consing, Filliatre & Conchon 2006), so equal subtrees
 built as separate objects share one entry.  It holds only the subtrees
 the walk asks for more than once, each until its last expected read;
 the jets of every other node are freed as soon as their parent has used
-them.
+them.  Each subtree is evaluated only on its needed set, the Taylor
+coefficients its parents read: the root needs its value, and a
+derivative in x_v or t needed on a set S of monomials needs S and
+S + e_v of its argument (sparse Taylor propagation, Griewank & Walther,
+Evaluating Derivatives, 2008).  The arithmetic is exact, so skipping
+the coefficients no parent reads changes no value.
 
 A residual that is not identically zero is a nonzero polynomial of some
 degree D in the drawn coefficients, so by the Schwartz-Zippel lemma one
@@ -40,6 +45,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from itertools import product, repeat
+from math import comb
 from typing import NamedTuple, Optional
 
 from .exprs import (
@@ -67,9 +73,10 @@ P = (1 << 61) - 1
 # A jet is a pair (re, im) of coefficient lists in the graded monomial
 # order of a _Layout, or None when it is zero in every draw.  A
 # coefficient is a list of B ints in [0, p), one per draw, or the int 0
-# when it is zero in every draw.  A jet computed to order k serves every
-# order below k, since that order's coefficients are a prefix of the
-# lists.  An Ito triple is (plain, dt, dB) jets.
+# when it is zero in every draw.  A jet computed on a needed set (see
+# below) holds the right coefficient at each position of the set, and
+# may hold anything at the other positions of its lists; it serves every
+# needed set inside its own.  An Ito triple is (plain, dt, dB) jets.
 
 # Stands in for a coefficient that is zero in every draw inside zip().
 _ZERO = repeat(0)
@@ -80,11 +87,11 @@ class _Layout:
 
     Monomials of degree d precede those of degree d + 1, so the first
     size[k] monomials are those of degree <= k at every order; tables
-    built for a higher order extend those for a lower one.
+    built for a higher order extend those for a lower one, and a position
+    names the same monomial at every order.
     """
 
     def __init__(self, m: int, order: int):
-        self.order = order
         monos, size = [], []
         for d in range(order + 1):
             monos += sorted((a for a in product(range(d + 1), repeat=m) if sum(a) == d),
@@ -92,13 +99,6 @@ class _Layout:
             size.append(len(monos))
         self.monos, self.size = monos, size
         self.index = {a: i for i, a in enumerate(monos)}
-        self.deg = [sum(a) for a in monos]
-        # rows[i][j]: index of monos[i] * monos[j], for deg i + deg j <= order
-        self.rows = [
-            [self.index[tuple(x + y for x, y in zip(a, b))]
-             for b in monos[:size[order - self.deg[i]]]]
-            for i, a in enumerate(monos)
-        ]
         # d/dx_v: the coefficient at a comes from a + e_v, times a_v + 1
         top = size[order - 1] if order else 0
         self.dsrc = [[self.index[a[:v] + (a[v] + 1,) + a[v + 1:]] for a in monos[:top]]
@@ -109,6 +109,63 @@ class _Layout:
 @functools.cache
 def _layout(m: int, order: int) -> _Layout:
     return _Layout(m, order)
+
+
+# A needed set is an int bitmask over the positions of the graded layout
+# of m = n + 1 variables: bit i stands for the coefficient of monos[i].
+# With a monomial, a needed set holds every monomial that divides it, so
+# the coefficients of a product on the set read its factors on the set
+# alone.
+
+
+@functools.cache
+def _order(m: int, mask: int) -> int:
+    """The highest degree of a position of mask."""
+    d, n = 0, mask.bit_length()
+    while comb(d + m, m) < n:
+        d += 1
+    return d
+
+
+def _full(m: int, k: int) -> int:
+    """The needed set of every monomial of degree <= k."""
+    return (1 << comb(k + m, m)) - 1
+
+
+def _span(m: int, mask: int) -> _Layout:
+    """A layout that holds mask and its shift by one degree."""
+    return _layout(m, _order(m, mask) + 1)
+
+
+@functools.cache
+def _positions(mask: int) -> tuple:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@functools.cache
+def _up(m: int, mask: int, v: int) -> int:
+    """What d/dx_v on mask needs of its argument: mask and mask + e_v, so
+    that the set still holds every divisor of its monomials."""
+    src = _span(m, mask).dsrc[v]
+    for i in _positions(mask):
+        mask |= 1 << src[i]
+    return mask
+
+
+@functools.cache
+def _plan(m: int, mask: int) -> tuple:
+    """The product plan of mask: for each position i of mask, the pairs
+    (j, t) of positions of mask with monos[i] * monos[j] = monos[t]."""
+    lay, pos = _span(m, mask), _positions(mask)
+    plan = []
+    for i in pos:
+        row = []
+        for j in pos:
+            t = lay.index.get(tuple(x + y for x, y in zip(lay.monos[i], lay.monos[j])))
+            if t is not None and mask >> t & 1:
+                row.append((j, t))
+        plan.append((i, tuple(row)))
+    return tuple(plan)
 
 
 def _fp(q) -> int:
@@ -126,11 +183,13 @@ def _lane_sum(cs):
     return [sum(xs) % P for xs in zip(*cs)]
 
 
-def _add(n: int, jets) -> Optional[tuple]:
+def _add(mask: int, jets) -> Optional[tuple]:
     jets = [jet for jet in jets if jet is not None]
     if len(jets) < 2:
         return jets[0] if jets else None
-    return tuple([_lane_sum(cs) for cs in zip(*[jet[part][:n] for jet in jets])]
+    n = mask.bit_length()
+    return tuple([_lane_sum(cs) if mask >> i & 1 else 0
+                  for i, cs in enumerate(zip(*[jet[part][:n] for jet in jets]))]
                  for part in (0, 1))
 
 
@@ -170,10 +229,10 @@ def _dot(terms):
             [(a * d + b * c + e * h + f * g) % P for a, b, c, d, e, f, g, h in zip(*z)])
 
 
-def _mul(lay: _Layout, k: int, *pairs) -> Optional[tuple]:
-    """The sum of the products a b of the jet pairs (a, b), truncated at
-    order k."""
-    if k == 0:
+def _mul(m: int, mask: int, *pairs) -> Optional[tuple]:
+    """The sum of the products a b of the jet pairs (a, b), on the
+    positions of mask."""
+    if mask == 1:
         # one coefficient per jet, so every product lands on it
         terms = [(a[0][0], a[1][0], b[0][0], b[1][0]) for a, b in pairs
                  if a is not None and b is not None
@@ -182,23 +241,20 @@ def _mul(lay: _Layout, k: int, *pairs) -> Optional[tuple]:
             return None
         re, im = _dot(terms)
         return [re], [im]
-    n = lay.size[k]
-    size, deg, rows = lay.size, lay.deg, lay.rows
+    n, plan = mask.bit_length(), _plan(m, mask)
     # the nonzero coefficient products that land on each monomial
     terms = [None] * n
     for a, b in pairs:
         if a is None or b is None:
             continue
         (ar, ai), (br, bi) = a, b
-        for i in range(n):
+        for i, row in plan:
             xr, xi = ar[i], ai[i]
             if not (xr or xi):
                 continue
-            row = rows[i]
-            for j in range(size[k - deg[i]]):
+            for j, t in row:
                 yr, yi = br[j], bi[j]
                 if yr or yi:
-                    t = row[j]
                     if terms[t] is None:
                         terms[t] = [(xr, xi, yr, yi)]
                     else:
@@ -212,17 +268,18 @@ def _mul(lay: _Layout, k: int, *pairs) -> Optional[tuple]:
     return re, im
 
 
-def _diff(lay: _Layout, k: int, a, v: int) -> Optional[tuple]:
-    """d/dx_v of a jet of order k + 1, as a jet of order k."""
+def _diff(m: int, mask: int, a, v: int) -> Optional[tuple]:
+    """d/dx_v, on the positions of mask, of a jet on _up(m, mask, v)."""
     if a is None:
         return None
+    lay = _span(m, mask)
     src, fac = lay.dsrc[v], lay.dfac[v]
     out = []
     for part in a:
-        coeffs = []
-        for i in range(lay.size[k]):
+        coeffs = [0] * mask.bit_length()
+        for i in _positions(mask):
             c, f = part[src[i]], fac[i]
-            coeffs.append(c if f == 1 or not c else [x * f % P for x in c])
+            coeffs[i] = c if f == 1 or not c else [x * f % P for x in c]
         out.append(coeffs)
     return tuple(out)
 
@@ -239,16 +296,16 @@ def _im(a):
     return None if a is None else (a[1], [0] * len(a[1]))
 
 
-def _ito_mul(lay: _Layout, k: int, u, v):
+def _ito_mul(m: int, mask: int, u, v):
     """(p + qt dt + qb dB)(fp + ft dt + fb dB) with dB dB = dt."""
     p, qt, qb = u
     fp, ft, fb = v
     if qt is None and qb is None and ft is None and fb is None:
-        return (_mul(lay, k, (p, fp)), None, None)
+        return (_mul(m, mask, (p, fp)), None, None)
     return (
-        _mul(lay, k, (p, fp)),
-        _mul(lay, k, (p, ft), (qt, fp), (qb, fb)),
-        _mul(lay, k, (p, fb), (qb, fp)),
+        _mul(m, mask, (p, fp)),
+        _mul(m, mask, (p, ft), (qt, fp), (qb, fb)),
+        _mul(m, mask, (p, fb), (qb, fp)),
     )
 
 
@@ -322,8 +379,9 @@ def _key(e: Expr, shifted: bool, keys: tuple, sigs: dict, asks: list, todo: list
     return k
 
 
-def _structure(root: Expr) -> tuple:
-    """Structural keys for one walk from root, and how often it asks for each.
+def _structure(root: Expr, m: int) -> tuple:
+    """Structural keys for one walk from root, how often it asks for each,
+    and what it needs of each.
 
     The key of a node read in plain or shifted mode is that of (type,
     payload, mode, child keys), so two nodes share a key exactly when
@@ -333,38 +391,45 @@ def _structure(root: Expr) -> tuple:
     phi_t = 3 mu phi refers back to phi.  A time derivative over a tree
     that holds a semimartingale is refused here, with ExprError.
 
-    The walk evaluates each key once, at the highest order it asks of the
-    key, except the keys a rewrite expression reaches: their symbol's jet
-    is extended one order at a time, so they are evaluated at each order
-    asked.  It then asks for a key once from root and once per occurrence
-    in each distinct parent, and for a rewrite expression once per order
-    of its symbol's jet, unboundedly.  Returns, per mode, the keys of the
-    nodes whose key the walk asks for more than once, the ask count of
-    every key, and the order to evaluate each key at, -1 for the asked
-    order.
+    The walk evaluates each key once, on its needed set (see _up): the
+    root needs its constant term, the argument of a derivative in x_v or
+    t over a needed set S needs S and S + e_v, every other child needs S,
+    and a key needs the union of what its parents need of it.  The keys a
+    rewrite expression reaches are the exception: their symbol's jet is
+    extended one order at a time, so they are evaluated on the full
+    graded set of each order asked.  The walk then asks for a key once
+    from root and once per occurrence in each distinct parent, and for a
+    rewrite expression once per order of its symbol's jet, unboundedly.
+    Returns, per mode, the keys of the nodes whose key the walk asks for
+    more than once, the ask count of every key, and the needed set of
+    every key, -1 for the full graded set of the asked order.
     """
     keys, sigs, asks, todo, semi = ({}, {}), {}, [], [root], set()
     for e in todo:
         if e not in keys[0]:
             _key(e, False, keys, sigs, asks, todo, semi)
     asks[keys[0][root]] += 1
-    top = [0] * len(asks)
+    need = [0] * len(asks)
+    need[keys[0][root]] = 1
     for e in todo[1:]:
         asks[keys[0][e]] = float("inf")
-        top[keys[0][e]] = -1
+        need[keys[0][e]] = -1
     # A key is numbered after its children, so a sweep from the last key
     # down meets every parent of a key before the key itself.
-    for (t, _, _, *kids), k in reversed(sigs.items()):
-        if top[k] < 0:
+    for (t, j, _, *kids), k in reversed(sigs.items()):
+        s = need[k]
+        if s < 0:
             for c in kids:
-                top[c] = -1
+                need[c] = -1
             continue
-        order = top[k] + (t is Dx or t is Dt)
+        # an x_j out of range is refused when the walk reaches it
+        if t is Dt or t is Dx and 1 <= j < m:
+            s = _up(m, s, j - 1 if t is Dx else m - 1)
         for c in kids:
-            if top[c] >= 0:
-                top[c] = max(top[c], order)
+            if need[c] >= 0:
+                need[c] |= s
     del sigs
-    return tuple({e: k for e, k in mode.items() if asks[k] > 1} for mode in keys), asks, top
+    return tuple({e: k for e, k in mode.items() if asks[k] > 1} for mode in keys), asks, need
 
 
 class _Eval:
@@ -377,13 +442,14 @@ class _Eval:
     its names the zero jet: the second name for an even seed, the first
     for an odd one.
 
-    run(e, k) is the Ito triple of e.  In shifted mode every symbol u
-    reads as the triple u + du: (u, P, Q) for a semimartingale du = P dt +
-    Q dB, (u, u_t, 0) for a plain field and (u, 0, 0) for a real scalar,
-    so the dt and dB parts of run(e, k, True) are those of d(e).  The
-    memo holds the value of each structural key (see _structure) that the
-    walk asks for more than once, from its first read to its last
-    expected one, computed at the order _structure gives the key.
+    run(e, mask) is the Ito triple of e on the needed set mask.  In
+    shifted mode every symbol u reads as the triple u + du: (u, P, Q) for
+    a semimartingale du = P dt + Q dB, (u, u_t, 0) for a plain field and
+    (u, 0, 0) for a real scalar, so the dt and dB parts of
+    run(e, mask, True) are those of d(e).  The memo holds the value of
+    each structural key (see _structure) that the walk asks for more than
+    once, from its first read to its last expected one, computed on the
+    needed set _structure gives the key.
     """
 
     def __init__(self, ctx: Context, draws, root: Expr):
@@ -394,20 +460,15 @@ class _Eval:
         for b, (seed, _) in enumerate(draws):
             for pair in ctx.null_pairs:
                 self.zero.setdefault(pair[1 - seed % 2], [False] * len(draws))[b] = True
-        self.lay = _layout(self.n + 1, 4)
+        self.m = self.n + 1
         self.jets: dict[str, list] = {}  # name -> [order, re, im, per-draw rng]
-        self.keys, self.left, self.top = _structure(root)
-        self.memo: dict[int, tuple] = {}  # key -> (order, Ito triple)
+        self.keys, self.left, self.need = _structure(root, self.m)
+        self.memo: dict[int, tuple] = {}  # key -> (needed set, Ito triple)
 
-    def _at(self, k: int) -> _Layout:
-        if k > self.lay.order:
-            self.lay = _layout(self.n + 1, k + 2)
-        return self.lay
-
-    def _const(self, k: int, c: tuple):
+    def _const(self, mask: int, c: tuple):
         if not (c[0] or c[1]):
             return None
-        pad = [0] * (self._at(k).size[k] - 1)
+        pad = [0] * (mask.bit_length() - 1)
         b = len(self.streams)
         return [c[0] and [c[0]] * b] + pad, [c[1] and [c[1]] * b] + pad
 
@@ -431,7 +492,7 @@ class _Eval:
         done, re, im, rngs = st
         if done >= k:
             return re, im
-        lay = self._at(k)
+        lay = _layout(self.m, k)
         rules = sorted((self.n if key == ("t",) else key[1] - 1, rw)
                        for key, rw in sym.rewrites.items())
         constant = sym.kind == "real-scalar"
@@ -445,7 +506,8 @@ class _Eval:
             return c if inv == 1 else [x * inv % P for x in c]
 
         for d in range(done + 1, k + 1):
-            ruled = [(v, self.run(rw, d - 1)[0]) for v, rw in rules] if d else []
+            ruled = [(v, self.run(rw, _full(self.m, d - 1))[0])
+                     for v, rw in rules] if d else []
             for a in lay.monos[len(re):lay.size[d]]:
                 for v, rj in ruled:
                     if a[v]:
@@ -470,42 +532,46 @@ class _Eval:
 
     # -- plain and shifted triples --------------------------------------
 
-    def run(self, e: Expr, k: int, shifted: bool = False):
+    def run(self, e: Expr, mask: int, shifted: bool = False):
         key = self.keys[shifted].get(e)
         if key is None:
-            return self._run(e, k, shifted)
+            return self._run(e, mask, shifted)
         # after the last expected read the entry goes; a later one recomputes
         n = self.left[key] = self.left[key] - 1
         hit = self.memo.get(key) if n > 0 else self.memo.pop(key, None)
-        if hit is not None and hit[0] >= k:
+        if hit is not None and not mask & ~hit[0]:
             return hit[1]
-        k = max(k, self.top[key])
-        out = self._run(e, k, shifted)
+        need = self.need[key]
+        mask = need if need >= 0 else _full(self.m, _order(self.m, mask))
+        out = self._run(e, mask, shifted)
         if n > 0:
-            self.memo[key] = (k, out)
+            self.memo[key] = (mask, out)
         return out
 
-    def _run(self, e: Expr, k: int, shifted: bool):
-        lay = self._at(k + 1)
+    def _run(self, e: Expr, mask: int, shifted: bool):
+        m = self.m
         if isinstance(e, Mul):
-            out = self.run(e.factors[0], k, shifted)
+            out = self.run(e.factors[0], mask, shifted)
             for f in e.factors[1:]:
-                out = _ito_mul(lay, k, out, self.run(f, k, shifted))
+                out = _ito_mul(m, mask, out, self.run(f, mask, shifted))
             return out
         if isinstance(e, Dx):
             if not 1 <= e.j <= self.n:
                 raise ExprError(f"x{e.j} out of range for dimension {self.n}")
-            return tuple(_diff(lay, k, c, e.j - 1) for c in self.run(e.arg, k + 1, shifted))
+            v = e.j - 1
+            return tuple(_diff(m, mask, c, v)
+                         for c in self.run(e.arg, _up(m, mask, v), shifted))
         if isinstance(e, Add):
             # summed four at a time, so that few term jets are alive at once
-            n, parts = lay.size[k], []
+            parts = []
             for t in e.terms:
-                parts.append(self.run(t, k, shifted))
+                parts.append(self.run(t, mask, shifted))
                 if len(parts) == 4:
-                    parts = [tuple(_add(n, [p[c] for p in parts]) for c in range(3))]
-            return tuple(_add(n, [p[c] for p in parts]) for c in range(3))
+                    parts = [tuple(_add(mask, [p[c] for p in parts]) for c in range(3))]
+            return tuple(_add(mask, [p[c] for p in parts]) for c in range(3))
         if isinstance(e, Sym):
             sym = e.sym
+            k = _order(m, mask)
             u = self.symbol(sym, k)
             if not shifted:
                 return (u, None, None)
@@ -516,33 +582,34 @@ class _Eval:
                 return (u, self.symbol(p, k), self.symbol(q, k))
             if sym.kind == "real-scalar":
                 return (u, None, None)
-            # d f = f_t dt for a plain field
-            return (u, _diff(lay, k, self.symbol(sym, k + 1), self.n), None)
+            # d f = f_t dt for a plain field, read off the jet on S + e_t
+            return (u, _diff(m, mask, self.symbol(sym, k + 1), self.n), None)
         if isinstance(e, Const):
-            return (self._const(k, (_fp(e.value.re), _fp(e.value.im))), None, None)
+            return (self._const(mask, (_fp(e.value.re), _fp(e.value.im))), None, None)
         if isinstance(e, Dt):
-            return tuple(_diff(lay, k, c, self.n) for c in self.run(e.arg, k + 1, shifted))
+            return tuple(_diff(m, mask, c, self.n)
+                         for c in self.run(e.arg, _up(m, mask, self.n), shifted))
         if isinstance(e, Pow):
             if not e.exp:
-                return (self._const(k, (1, 0)), None, None)
-            base = out = self.run(e.base, k, shifted)
+                return (self._const(mask, (1, 0)), None, None)
+            base = out = self.run(e.base, mask, shifted)
             for _ in range(e.exp - 1):
-                out = _ito_mul(lay, k, out, base)
+                out = _ito_mul(m, mask, out, base)
             return out
         if shifted and isinstance(e, (DtAtom, DBAtom, DIto)):
             raise ExprError("d() applied to an expression already containing dt or dB")
         if isinstance(e, DtAtom):
-            return (None, self._const(k, (1, 0)), None)
+            return (None, self._const(mask, (1, 0)), None)
         if isinstance(e, DBAtom):
-            return (None, None, self._const(k, (1, 0)))
+            return (None, None, self._const(mask, (1, 0)))
         if isinstance(e, DIto):
-            return (None,) + self.run(e.arg, k, True)[1:]
+            return (None,) + self.run(e.arg, mask, True)[1:]
         if isinstance(e, Conj):
-            return tuple(_conj(c) for c in self.run(e.arg, k, shifted))
+            return tuple(_conj(c) for c in self.run(e.arg, mask, shifted))
         if isinstance(e, RePart):
-            return tuple(_re(c) for c in self.run(e.arg, k, shifted))
+            return tuple(_re(c) for c in self.run(e.arg, mask, shifted))
         if isinstance(e, ImPart):
-            return tuple(_im(c) for c in self.run(e.arg, k, shifted))
+            return tuple(_im(c) for c in self.run(e.arg, mask, shifted))
         raise ExprError(f"cannot evaluate node {type(e).__name__}")
 
 
@@ -568,4 +635,4 @@ def eval_jet_many(expr: Expr, ctx: Context, draws) -> list[JetValue]:
     draws = list(draws)
     if not draws:
         return []
-    return _values(_Eval(ctx, draws, expr).run(expr, 0), len(draws))
+    return _values(_Eval(ctx, draws, expr).run(expr, 1), len(draws))

@@ -198,7 +198,7 @@ def test_norms_need_a_time_node(caller):
         "carleman_gl_check": lambda: carleman_gl_check(sol, [GLWeight(mu=2.0, T=0.3)], off),
         "solution_norms": lambda: solution_norms(sol, off),
         "backward_uniqueness_probe": lambda: backward_uniqueness_probe(
-            sol, CutoffSpec(t1=0.06, t2=0.12, t0=off, T=0.3), 3.0, [0.1, 0.01]),
+            sol, 1.0, CutoffSpec(t1=0.06, t2=0.12, t0=off, T=0.3), 3.0, [0.1, 0.01]),
     }[caller]
     with pytest.raises(SimError, match=f"= {off} must sit on a time node"):
         run()
@@ -254,7 +254,7 @@ def test_zeroed_terminal_slice_is_reported_not_dropped():
 
 def test_probe_flags_non_adapted_tampering():
     sol = solve_members(1, seed0=140, M=12)[0]
-    rep = backward_uniqueness_probe(sol, CUT, mu1=3.0,
+    rep = backward_uniqueness_probe(sol, solution_norms(sol, CUT.t0)[2], CUT, mu1=3.0,
                                     eps_list=[1e-1, 1e-2, 1e-3, 1e-4])
     assert abs(rep["slope"]) < 0.2
     assert rep["flagged_non_adapted"]
@@ -264,7 +264,8 @@ def test_probe_needs_terminal_mass():
     grid = Grid1D(Nx=20, Nt=60, T=0.3)
     zero = solve_gl_forward(SPDEProblem(), grid, zero_paths(2, 60, grid.dt))
     with pytest.raises(InverseError):
-        backward_uniqueness_probe(zero, CUT, mu1=3.0, eps_list=[1e-1, 1e-2])
+        backward_uniqueness_probe(zero, solution_norms(zero, CUT.t0)[2], CUT, mu1=3.0,
+                                  eps_list=[1e-1, 1e-2])
 
 
 @pytest.mark.parametrize("eps", [[0.0, 0.1], [-0.1, 0.1], [0.1], [0.1, 0.1],
@@ -272,4 +273,4 @@ def test_probe_needs_terminal_mass():
 def test_probe_needs_two_distinct_positive_epsilons(eps):
     sol = solve_members(1, seed0=140, M=4, Nt=60)[0]
     with pytest.raises(InverseError, match="epsilons"):
-        backward_uniqueness_probe(sol, CUT, mu1=3.0, eps_list=eps)
+        backward_uniqueness_probe(sol, 1.0, CUT, mu1=3.0, eps_list=eps)
