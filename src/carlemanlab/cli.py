@@ -76,43 +76,37 @@ def write_csv(path: str, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _oracle_check(target, label: str, seed: int, assignments: int) -> dict:
-    values = identity.numeric_residual(target, seed=seed, assignments=assignments)
-    zero = all(v.is_zero for v in values)
-    return _check(f"oracle({label})", zero, evaluations=len(values))
-
-
 # ---------------------------------------------------------------------------
 # Identity verb runners: each returns (checks, csv rows)
 # ---------------------------------------------------------------------------
 
 
 def run_identity_verify(args) -> tuple[list, list]:
-    checks = []
+    """Each target's case is built once; both witnesses read it."""
     if args.case is not None:
         if args.n or args.regime:
             raise ConfigError("--case names one specialization: drop --n and --regime")
-        checks.append(_residual_check(identity.verify(identity.build_case(args.case))))
+        targets = [(args.case, args.case)]
+    else:
+        targets = [(identity.OperatorSpec(n=n, regime=regime), f"n={n},regime={regime}")
+                   for n in ([args.n] if args.n else [1, 2, 3])
+                   for regime in ([args.regime] if args.regime else identity.REGIMES)]
+    checks = []
+    for target, label in targets:
+        case = identity.build_case(target)
+        if isinstance(target, identity.OperatorSpec) and target.regime == "raw":
+            cell = identity.verify_raw_cell(case)
+            checks.append(_residual_check(cell.theorem))
+            checks.append(_check(
+                f"constraint_pairs(n={target.n})", cell.clean,
+                surviving_monomials=len(cell.unconstrained.residual)))
+        else:
+            checks.append(_residual_check(identity.verify(case)))
         if args.oracle:
-            checks.append(_oracle_check(args.case, args.case, args.seed or 0,
-                                        args.oracle))
-        return checks, []
-    ns = [args.n] if args.n else [1, 2, 3]
-    regimes = [args.regime] if args.regime else list(identity.REGIMES)
-    for n in ns:
-        for regime in regimes:
-            spec = identity.OperatorSpec(n=n, regime=regime)
-            if regime == "raw":
-                cell = identity.verify_raw_cell(spec)
-                checks.append(_residual_check(cell.theorem))
-                checks.append(_check(
-                    f"constraint_pairs(n={n})", cell.clean,
-                    surviving_monomials=len(cell.unconstrained.residual)))
-            else:
-                checks.append(_residual_check(identity.verify_identity(spec)))
-            if args.oracle:
-                checks.append(_oracle_check(
-                    spec, f"n={n},regime={regime}", args.seed or 0, args.oracle))
+            values = identity.numeric_residual(case, seed=args.seed or 0,
+                                               assignments=args.oracle)
+            checks.append(_check(f"oracle({label})", all(v.is_zero for v in values),
+                                 evaluations=len(values)))
     return checks, []
 
 

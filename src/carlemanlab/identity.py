@@ -408,10 +408,6 @@ def _theorem_case(case_id: str, ws: Workspace) -> VerificationCase:
     return _dropping(case_id, ws.ctx, ws.weighted_product(), rhs_groups(ws), "zero_order")
 
 
-def _spec_case(spec: OperatorSpec) -> VerificationCase:
-    return _theorem_case(f"theorem(n={spec.n},{spec.regime})", make_theorem_workspace(spec))
-
-
 def build_identity(spec: OperatorSpec) -> tuple[Expr, Expr, Workspace]:
     """Both sides of the general identity for the given spec."""
     ws = make_theorem_workspace(spec)
@@ -435,18 +431,17 @@ class RawCell:
         return not res.is_zero and res.without_null_products().is_zero
 
 
-def verify_raw_cell(spec: OperatorSpec) -> RawCell:
-    """Canonicalize each side of the raw cell once, with its null pairs
-    cleared; the theorem forms are those forms without the monomials that
-    hold a null product, which is what canonicalizing under the pairs
-    gives."""
-    if spec.regime != "raw":
-        raise SpecError("constraint inspection applies to the raw regime")
-    case = _spec_case(spec)
+def verify_raw_cell(case: VerificationCase) -> RawCell:
+    """Canonicalize each side of a raw cell's built case once, with its
+    null pairs cleared; the theorem forms are those forms without the
+    monomials that hold a null product, which is what canonicalizing under
+    the pairs gives.  The pairs are declared again before it returns."""
     ctx = case.ctx
     pairs = list(ctx.null_pairs)
+    if not pairs:
+        raise SpecError("constraint inspection applies to the raw regime")
     ctx.clear_null_pairs()
-    free = verify(replace(case, case_id=f"raw-unconstrained(n={spec.n})"))
+    free = verify(replace(case, case_id=f"raw-unconstrained(n={ctx.n})"))
     for pair in pairs:
         ctx.declare_null_pair(*pair)
     theorem = IdentityResidual.of(case.case_id, free.lhs.without_null_products(),
@@ -455,9 +450,8 @@ def verify_raw_cell(spec: OperatorSpec) -> RawCell:
 
 
 def verify_identity(spec: OperatorSpec) -> IdentityResidual:
-    if spec.regime == "raw":
-        return verify_raw_cell(spec).theorem
-    return verify(_spec_case(spec))
+    case = build_case(spec)
+    return verify_raw_cell(case).theorem if spec.regime == "raw" else verify(case)
 
 
 # ---------------------------------------------------------------------------
@@ -465,19 +459,19 @@ def verify_identity(spec: OperatorSpec) -> IdentityResidual:
 # ---------------------------------------------------------------------------
 
 
-def proof_step_sides(ws: Workspace) -> list[tuple[Expr, Expr]]:
-    """(lhs, rhs) of every proof step on ws, in PROOF_STEPS order.
+def proof_step_sides(ws: Workspace, key: str) -> tuple[Expr, Expr]:
+    """(lhs, rhs) of the proof step key on ws; SpecError for a key outside
+    PROOF_STEPS.
 
     Step 2 splits the weighted product into the magnitude term and the
     cross product 2 Re(conj(I1) I2); step 03 expands the cross product
     into nine terms g1..g9.  Steps 3, 5, 6, 10, 02 and zr2 each expand one
     of g1, g2, g3, g4, g6 and g8, and zr0 expands the weight term that
-    zr2 leaves.
+    zr2 leaves.  Only the expansion of step key is built.
     """
     a, b, a0 = ws.a, ws.b, ws.a0
     sq = a * a + b * b
     pairs = ws._pairs()
-    n = ws.n
     Lc = conj(ws.Lam)
     pc = conj(ws.phi)
     cross = C(2) * re(conj(ws.I1) * ws.I2)
@@ -500,124 +494,120 @@ def proof_step_sides(ws: Workspace) -> list[tuple[Expr, Expr]]:
     )
     g9 = -(C(2) * re(ws.phi * (pc - a0 * ws.ellt - ws.b0_grad_ell)) * ws.z * ws.zc * DT)
 
-    step3 = []
-    for j, k in pairs:
-        step3.append(-(a * a0 * d_x(ws.am(j, k) * ws.zx[j] * ws.dzc + ws.am(j, k) * ws.zcx[j] * ws.dz, k)))
-        step3.append(ito_d(a * a0 * ws.am(j, k) * ws.zx[j] * ws.zcx[k]))
-        step3.append(-(a * a0 * d_t(ws.am(j, k)) * ws.zx[j] * ws.zcx[k] * DT))
-        step3.append(-(a * a0 * ws.am(j, k) * ws.dzx[j] * ws.dzcx[k]))
-    step3.append(-ito_d(a * a0 * ws.A * ws.z * ws.zc))
-    step3.append(a * a0 * d_t(ws.A) * ws.z * ws.zc * DT)
-    step3.append(a * a0 * ws.A * ws.dz * ws.dzc)
+    if key == "2":
+        return ws.weighted_product(), C(2) * ws.I1 * conj(ws.I1) * DT + cross
+    if key == "03":
+        return cross, esum([g1, g2, g3, g4, g5, g6, g7, g8, g9])
 
-    step5 = []
-    for j, k in pairs:
-        step5.append(-(C(2) * sq * d_x(ws.A * ws.am(j, k) * ws.ellx[j] * ws.z * ws.zc, k) * DT))
-        step5.append(C(2) * sq * d_x(ws.A * ws.am(j, k) * ws.ellx[j], k) * ws.z * ws.zc * DT)
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            for jp in range(1, n + 1):
-                for kp in range(1, n + 1):
-                    sym = ws.zx[jp] * ws.zcx[k] + ws.zcx[jp] * ws.zx[k]
-                    step5.append(
-                        -(C(2) * sq * d_x(ws.am(j, k) * ws.ellx[j] * ws.am(jp, kp) * sym, kp) * DT)
+    if key == "3":
+        step3 = []
+        for j, k in pairs:
+            step3.append(-(a * a0 * d_x(ws.am(j, k) * ws.zx[j] * ws.dzc + ws.am(j, k) * ws.zcx[j] * ws.dz, k)))
+            step3.append(ito_d(a * a0 * ws.am(j, k) * ws.zx[j] * ws.zcx[k]))
+            step3.append(-(a * a0 * d_t(ws.am(j, k)) * ws.zx[j] * ws.zcx[k] * DT))
+            step3.append(-(a * a0 * ws.am(j, k) * ws.dzx[j] * ws.dzcx[k]))
+        step3.append(-ito_d(a * a0 * ws.A * ws.z * ws.zc))
+        step3.append(a * a0 * d_t(ws.A) * ws.z * ws.zc * DT)
+        step3.append(a * a0 * ws.A * ws.dz * ws.dzc)
+        return g1, esum(step3)
+
+    if key == "5":
+        step5 = []
+        for j, k in pairs:
+            step5.append(-(C(2) * sq * d_x(ws.A * ws.am(j, k) * ws.ellx[j] * ws.z * ws.zc, k) * DT))
+            step5.append(C(2) * sq * d_x(ws.A * ws.am(j, k) * ws.ellx[j], k) * ws.z * ws.zc * DT)
+        for j, k in pairs:
+            for jp, kp in pairs:
+                sym = ws.zx[jp] * ws.zcx[k] + ws.zcx[jp] * ws.zx[k]
+                step5.append(
+                    -(C(2) * sq * d_x(ws.am(j, k) * ws.ellx[j] * ws.am(jp, kp) * sym, kp) * DT)
+                )
+                step5.append(
+                    C(2) * sq * ws.am(jp, kp) * d_x(ws.am(j, k) * ws.ellx[j], kp) * sym * DT
+                )
+                step5.append(
+                    C(2)
+                    * sq
+                    * (
+                        d_x(ws.am(j, k) * ws.ellx[j] * ws.am(jp, kp) * ws.zx[jp] * ws.zcx[kp], k)
+                        - d_x(ws.am(j, k) * ws.am(jp, kp) * ws.ellx[j], k) * ws.zx[jp] * ws.zcx[kp]
                     )
-                    step5.append(
-                        C(2) * sq * ws.am(jp, kp) * d_x(ws.am(j, k) * ws.ellx[j], kp) * sym * DT
-                    )
-                    step5.append(
-                        C(2)
-                        * sq
-                        * (
-                            d_x(ws.am(j, k) * ws.ellx[j] * ws.am(jp, kp) * ws.zx[jp] * ws.zcx[kp], k)
-                            - d_x(ws.am(j, k) * ws.am(jp, kp) * ws.ellx[j], k) * ws.zx[jp] * ws.zcx[kp]
-                        )
-                        * DT
-                    )
+                    * DT
+                )
+        return g2, esum(step5)
 
-    step6 = []
-    for j, k in pairs:
-        step6.append(C(2) * a * d_x(re(ws.am(j, k) * ws.zcx[j] * ws.phi * ws.z), k) * DT)
-        step6.append(-(C(2) * a * re(ws.phi) * ws.am(j, k) * ws.zx[j] * ws.zcx[k] * DT))
-        step6.append(-(C(2) * a * re(ws.am(j, k) * d_x(ws.phi, k) * ws.z * ws.zcx[j]) * DT))
-    step6.append(C(2) * a * ws.A * re(ws.phi) * ws.z * ws.zc * DT)
+    if key == "6":
+        step6 = []
+        for j, k in pairs:
+            step6.append(C(2) * a * d_x(re(ws.am(j, k) * ws.zcx[j] * ws.phi * ws.z), k) * DT)
+            step6.append(-(C(2) * a * re(ws.phi) * ws.am(j, k) * ws.zx[j] * ws.zcx[k] * DT))
+            step6.append(-(C(2) * a * re(ws.am(j, k) * d_x(ws.phi, k) * ws.z * ws.zcx[j]) * DT))
+        step6.append(C(2) * a * ws.A * re(ws.phi) * ws.z * ws.zc * DT)
+        return g3, esum(step6)
 
-    step10 = []
-    for j, k in pairs:
-        alj = ws.am(j, k) * ws.ellx[j]
-        step10.append(C(2) * a0 * b * ito_d(alj * im(ws.zcx[k] * ws.z)))
-        step10.append(-(C(2) * a0 * b * d_x(alj * im(ws.z * ws.dzc), k)))
-        step10.append(-(C(2) * a0 * b * d_t(alj) * im(ws.zcx[k] * ws.z) * DT))
-        step10.append(C(2) * a0 * b * d_x(alj, k) * im(ws.z * ws.dzc))
-        step10.append(-(C(2) * a0 * b * alj * im(ws.dz * ws.dzcx[k])))
+    if key == "10":
+        step10 = []
+        for j, k in pairs:
+            alj = ws.am(j, k) * ws.ellx[j]
+            step10.append(C(2) * a0 * b * ito_d(alj * im(ws.zcx[k] * ws.z)))
+            step10.append(-(C(2) * a0 * b * d_x(alj * im(ws.z * ws.dzc), k)))
+            step10.append(-(C(2) * a0 * b * d_t(alj) * im(ws.zcx[k] * ws.z) * DT))
+            step10.append(C(2) * a0 * b * d_x(alj, k) * im(ws.z * ws.dzc))
+            step10.append(-(C(2) * a0 * b * alj * im(ws.dz * ws.dzcx[k])))
+        return g4, esum(step10)
 
-    step02 = []
-    for j, k in pairs:
-        step02.append(C(2) * b * d_x(im(ws.am(j, k) * ws.zx[j] * (pc - a0 * ws.ellt) * ws.zc), k) * DT)
-        step02.append(C(2) * b * im(ws.phi) * ws.am(j, k) * ws.zx[j] * ws.zcx[k] * DT)
-        step02.append(-(C(2) * b * ws.am(j, k) * im(d_x(pc - a0 * ws.ellt, k) * ws.zx[j] * ws.zc) * DT))
-    step02.append(-(C(2) * b * ws.A * im(ws.phi) * ws.z * ws.zc * DT))
+    if key == "02":
+        step02 = []
+        for j, k in pairs:
+            step02.append(C(2) * b * d_x(im(ws.am(j, k) * ws.zx[j] * (pc - a0 * ws.ellt) * ws.zc), k) * DT)
+            step02.append(C(2) * b * im(ws.phi) * ws.am(j, k) * ws.zx[j] * ws.zcx[k] * DT)
+            step02.append(-(C(2) * b * ws.am(j, k) * im(d_x(pc - a0 * ws.ellt, k) * ws.zx[j] * ws.zc) * DT))
+        step02.append(-(C(2) * b * ws.A * im(ws.phi) * ws.z * ws.zc * DT))
+        return g6, esum(step02)
 
     wt = a0 * ws.ellt + ws.b0_grad_ell
     weight = -(wt * (a0 * ito_d(ws.z * ws.zc) - a0 * ws.dz * ws.dzc + ws.b0_dot_grad(ws.z * ws.zc) * DT))
-    zr0 = (
-        -ito_d(a0 * wt * ws.z * ws.zc)
-        + a0 * (a0 * d_t(ws.ellt) + d_t(ws.b0_grad_ell)) * ws.z * ws.zc * DT
-        + a0 * wt * ws.dz * ws.dzc
-        - ws.b0_dot_grad(wt * ws.z * ws.zc) * DT
-        + ws.b0_dot_grad(wt) * ws.z * ws.zc * DT
-    )
-    return [
-        (ws.weighted_product(), C(2) * ws.I1 * conj(ws.I1) * DT + cross),
-        (cross, esum([g1, g2, g3, g4, g5, g6, g7, g8, g9])),
-        (g1, esum(step3)),
-        (g2, esum(step5)),
-        (g3, esum(step6)),
-        (g4, esum(step10)),
-        (g6, esum(step02)),
-        (g8, C(2) * re(pc * ws.zc * (a0 * ws.dz + ws.b0_dot_grad(ws.z) * DT)) + weight),
-        (weight, zr0),
-    ]
+    if key == "zr2":
+        return g8, C(2) * re(pc * ws.zc * (a0 * ws.dz + ws.b0_dot_grad(ws.z) * DT)) + weight
+    if key == "zr0":
+        return weight, (
+            -ito_d(a0 * wt * ws.z * ws.zc)
+            + a0 * (a0 * d_t(ws.ellt) + d_t(ws.b0_grad_ell)) * ws.z * ws.zc * DT
+            + a0 * wt * ws.dz * ws.dzc
+            - ws.b0_dot_grad(wt * ws.z * ws.zc) * DT
+            + ws.b0_dot_grad(wt) * ws.z * ws.zc * DT
+        )
+    raise SpecError(f"unknown proof step {key!r}")
 
 
-def _proof_step_cases(ws: Workspace) -> list[VerificationCase]:
+def _step_case(ws: Workspace, key: str) -> VerificationCase:
     # The steps have heterogeneous structure, so the corruption is a
     # uniform spurious term rather than a per-step dropped piece.  The
     # oracle honours the null products a*b0^j and b*b0^j, which the
     # cross-product expansion relies on.
-    return [
-        VerificationCase(
-            case_id=f"proof_step({key})",
-            ctx=ws.ctx,
-            lhs=lhs,
-            rhs=rhs,
-            mutated_rhs=rhs + ws.z * ws.zc * DT,
-        )
-        for key, (lhs, rhs) in zip(PROOF_STEPS, proof_step_sides(ws))
-    ]
+    lhs, rhs = proof_step_sides(ws, key)
+    return VerificationCase(case_id=f"proof_step({key})", ctx=ws.ctx, lhs=lhs, rhs=rhs,
+                            mutated_rhs=rhs + ws.z * ws.zc * DT)
 
 
 def proof_step_case(key: str, n: int = 2) -> VerificationCase:
-    if key not in PROOF_STEPS:
-        raise SpecError(f"unknown proof step {key!r}")
-    ws = make_theorem_workspace(OperatorSpec(n=n, regime="raw"))
-    return _proof_step_cases(ws)[PROOF_STEPS.index(key)]
+    return _step_case(make_theorem_workspace(OperatorSpec(n=n, regime="raw")), key)
 
 
-def verify_reconstruction(ws: Workspace, steps: list[IdentityResidual]) -> IdentityResidual:
-    """Step 2's right side, read from the step forms, equals the grouped
+def verify_reconstruction(ws: Workspace, step2: IdentityResidual) -> IdentityResidual:
+    """Step 2's right side, read from its step forms, equals the grouped
     theorem right side on ws.  Each later step's own check holds rhs - lhs
     as the zero form, so this is the whole reassembly of the derivation."""
     theorem = canonicalize(esum(e for _, e in rhs_groups(ws)), ws.ctx)
-    return IdentityResidual.of(f"reconstruction(n={ws.n})", steps[0].rhs, theorem)
+    return IdentityResidual.of(f"reconstruction(n={ws.n})", step2.rhs, theorem)
 
 
 def verify_proof_steps(n: int = 2) -> tuple[list[IdentityResidual], IdentityResidual]:
     """Every proof step's residual, in PROOF_STEPS order, and the
     reconstruction's, all on one raw workspace."""
     ws = make_theorem_workspace(OperatorSpec(n=n, regime="raw"))
-    steps = [verify(case) for case in _proof_step_cases(ws)]
-    return steps, verify_reconstruction(ws, steps)
+    steps = {key: verify(_step_case(ws, key)) for key in PROOF_STEPS}
+    return list(steps.values()), verify_reconstruction(ws, steps["2"])
 
 
 # ---------------------------------------------------------------------------
@@ -942,10 +932,14 @@ _CASES = {
 CASE_IDS = tuple(_CASES)
 
 
-def build_case(case_id: str) -> VerificationCase:
-    builder = _CASES.get(case_id)
+def build_case(target) -> VerificationCase:
+    """The theorem case of an OperatorSpec, or the catalog case of a case id."""
+    if isinstance(target, OperatorSpec):
+        return _theorem_case(f"theorem(n={target.n},{target.regime})",
+                             make_theorem_workspace(target))
+    builder = _CASES.get(target)
     if builder is None:
-        raise SpecError(f"unknown case '{case_id}' (known: {', '.join(CASE_IDS)})")
+        raise SpecError(f"unknown case '{target}' (known: {', '.join(CASE_IDS)})")
     return builder()
 
 
@@ -977,7 +971,8 @@ def numeric_residual(target, seed: int, assignments: int = 4, points: int = 5,
                      mutated: bool = False) -> list[JetValue]:
     """Exact jet evaluations of an identity residual.
 
-    target is either an OperatorSpec (general identity) or a case id.
+    target is a built VerificationCase, or what build_case takes: an
+    OperatorSpec (general identity) or a case id.
     Assignment i has seed seed + 101 i and is evaluated at points + 1
     implicit base points; every (seed, base point) draw has all jets of
     its own, so the assignments * (points + 1) values are independent
@@ -991,7 +986,7 @@ def numeric_residual(target, seed: int, assignments: int = 4, points: int = 5,
     if assignments < 1 or points < 0:
         raise SpecError(f"need assignments >= 1 and points >= 0, "
                         f"got {assignments} and {points}")
-    case = _spec_case(target) if isinstance(target, OperatorSpec) else build_case(target)
+    case = target if isinstance(target, VerificationCase) else build_case(target)
     residual = case.lhs - (case.mutated_rhs if mutated else case.rhs)
     draws = [(seed + 101 * i, point)
              for i in range(assignments) for point in range(points + 1)]

@@ -49,6 +49,10 @@ class CutoffSpec:
                 f"({self.t1}, {self.t2}, {self.t0}, {self.T})")
 
 
+def _kappa(t0: float, t: float, mu1: float) -> float:
+    return math.exp(3.0 * mu1 * t0) - math.exp(3.0 * mu1 * t)
+
+
 def compute_tau(t0: float, t1: float, mu1: float, C: float) -> float:
     """tau = 2 kappa / (C + 2 kappa) with kappa = e^{3 mu1 t0} - e^{3 mu1 t1}."""
     if t1 >= t0:
@@ -62,7 +66,7 @@ def compute_tau(t0: float, t1: float, mu1: float, C: float) -> float:
         raise InverseError(
             f"e^(3 mu1 t0) overflows double precision for "
             f"(mu1, t0) = ({mu1:g}, {t0:g}); reduce mu1 or t0")
-    kappa = math.exp(3.0 * mu1 * t0) - math.exp(3.0 * mu1 * t1)
+    kappa = _kappa(t0, t1, mu1)
     tau = 2.0 * kappa / (C + 2.0 * kappa)
     if tau >= 1.0:
         raise InverseError(
@@ -194,7 +198,7 @@ def stability_experiment(norms: Sequence[tuple[float, float, float]],
     if not quotients:
         raise InverseError("no nondegenerate ensemble members")
     agg = np.sqrt(agg / len(norms))
-    kappa = math.exp(3.0 * mu1 * cut.t0) - math.exp(3.0 * mu1 * cut.t2)
+    kappa = _kappa(cut.t0, cut.t2, mu1)
     mu_star = optimize_mu(float(agg[1]) ** 2, float(agg[2]) ** 2, kappa, C_ref, cut.T)
     pos = [q for q in quotients if q > 0]
     spread = (max(pos) / min(pos)) if pos else float("inf")

@@ -109,7 +109,10 @@ class Grid1D:
         return m
 
     def trapezoid(self, m: int = 0) -> np.ndarray:
-        """Trapezoid weights in time on the nodes m..Nt."""
+        """Trapezoid weights in time on the nodes m..Nt; SimError for fewer
+        than two nodes, which span no interval."""
+        if m >= self.Nt:
+            raise SimError(f"the trapezoid rule needs two time nodes, got {self.Nt + 1 - m}")
         tw = np.full(self.Nt + 1 - m, self.dt)
         tw[0] *= 0.5
         tw[-1] *= 0.5

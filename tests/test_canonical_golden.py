@@ -20,7 +20,6 @@ from carlemanlab.identity import (
     CASE_IDS,
     REGIMES,
     OperatorSpec,
-    _spec_case,
     build_case,
     verify_raw_cell,
 )
@@ -29,7 +28,7 @@ GOLDEN = pathlib.Path(__file__).parent / "goldens" / "canonical_sha256.json"
 
 
 def form_digests() -> dict[str, str]:
-    cases = [_spec_case(OperatorSpec(n=n, regime=r)) for n in (1, 2, 3) for r in REGIMES]
+    cases = [build_case(OperatorSpec(n=n, regime=r)) for n in (1, 2, 3) for r in REGIMES]
     cases += [build_case(c) for c in CASE_IDS]
     out = {}
     for case in cases:
@@ -37,7 +36,7 @@ def form_digests() -> dict[str, str]:
             text = canonicalize(getattr(case, side), case.ctx).serialize()
             out[f"{case.case_id}/{side}"] = hashlib.sha256(text.encode()).hexdigest()
     for n in (1, 2, 3):
-        res = verify_raw_cell(OperatorSpec(n=n, regime="raw")).unconstrained
+        res = verify_raw_cell(build_case(OperatorSpec(n=n, regime="raw"))).unconstrained
         for side in ("lhs", "rhs"):
             text = getattr(res, side).serialize()
             out[f"{res.case}/{side}"] = hashlib.sha256(text.encode()).hexdigest()

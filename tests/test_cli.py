@@ -293,7 +293,7 @@ CONTROL_RUNS = {
 
 def _verify_mutated(n, regime):
     """The theorem residual of the cell (n, regime) against mutated_rhs."""
-    case = identity._spec_case(identity.OperatorSpec(n=n, regime=regime))
+    case = identity.build_case(identity.OperatorSpec(n=n, regime=regime))
     return identity.verify(dataclasses.replace(case, rhs=case.mutated_rhs))
 
 
@@ -355,7 +355,7 @@ NEGATIVE_CONTROLS = {
                     lambda rep: {**rep, "runs": [{**rep["runs"][0], "fitted_C": 0.0},
                                                  *rep["runs"][1:]]}),
     "theorem": ("identity-verify:raw", identity, "verify_raw_cell", _mutated_theorem),
-    "theorem(R1)": ("identity-verify:oracle", identity, "verify_identity",
+    "theorem(R1)": ("identity-verify:oracle", identity, "verify",
                     lambda res: _verify_mutated(res.lhs.ctx.n, "R1")),
     "constraint_pairs": ("identity-verify:raw", identity, "verify_raw_cell",
                          _stray_monomial),
@@ -582,6 +582,10 @@ def test_gl_config_validation(tmp_path, monkeypatch):
     for payload in ({"delta": 0.3}, {"mus": [1.5, 3]}, {"T": math.nan}):
         assert_config_rejected(tmp_path, "carleman-gl",
                                json.dumps({**FAST_GL, **payload}))
+    # delta on the last time node (T = 0.3, Nt = 300) leaves one node to
+    # integrate over: Grid1D.trapezoid
+    assert_config_rejected(tmp_path, "carleman-gl", json.dumps(
+        {"delta": 0.2999999999999, "ensembles": 2, "paths": 4}))
     # two mus with one report label gl(mu=3): run_carleman_gl, before
     # any solve
     monkeypatch.setattr(sim, "solve_gl_forward",
@@ -661,6 +665,22 @@ def test_identity_steps_builds_one_workspace(tmp_path, monkeypatch):
     assert code == 0
     assert calls == {"make_theorem_workspace": 1,
                      "canonicalize": 2 * len(identity.PROOF_STEPS) + 1}
+
+
+def test_identity_verify_builds_each_case_once(tmp_path, monkeypatch):
+    """The canonical and the oracle check of a cell read one built case."""
+    real, built = identity.make_theorem_workspace, []
+
+    def counting(spec):
+        built.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(identity, "make_theorem_workspace", counting)
+    code, out = run_to_file(tmp_path, ["identity-verify", "--n", "1", "--oracle", "1"])
+    assert code == 0
+    assert sorted(built, key=lambda s: s.regime) == [
+        identity.OperatorSpec(n=1, regime=r) for r in sorted(identity.REGIMES)]
+    assert len(json.loads(out.read_text())["checks"]) == 2 * len(identity.REGIMES) + 1
 
 
 def test_inverse_gl_streams_its_ensemble(tmp_path, monkeypatch):

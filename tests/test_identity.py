@@ -3,17 +3,19 @@
 import pytest
 
 from carlemanlab import identity
+from carlemanlab.exprs import Expr
 from carlemanlab.identity import (
     CASE_IDS,
     PROOF_STEPS,
     REGIMES,
     OperatorSpec,
     SpecError,
-    _spec_case,
     build_case,
+    make_theorem_workspace,
     numeric_residual,
     printed_form_deltas,
     proof_step_case,
+    proof_step_sides,
     verify,
     verify_identity,
     verify_proof_steps,
@@ -54,7 +56,7 @@ def test_inconsistent_specs_rejected(bad):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_raw_regime_keeps_constraint_monomials(n):
-    cell = verify_raw_cell(OperatorSpec(n=n, regime="raw"))
+    cell = verify_raw_cell(build_case(OperatorSpec(n=n, regime="raw")))
     res = cell.unconstrained
     assert not res.zero
     assert cell.clean
@@ -80,6 +82,35 @@ def test_reconstruction_from_steps(n):
 def test_unknown_proof_step_rejected():
     with pytest.raises(SpecError):
         proof_step_case("4")
+
+
+def test_every_proof_step_key_builds_and_no_other():
+    ws = make_theorem_workspace(OperatorSpec(n=1, regime="raw"))
+    for key in PROOF_STEPS:
+        assert all(isinstance(side, Expr) for side in proof_step_sides(ws, key))
+    for key in ("4", "", "zr1", 2):
+        with pytest.raises(SpecError):
+            proof_step_sides(ws, key)
+
+
+@pytest.mark.parametrize("key,expands", [("2", False), ("3", True)])
+def test_a_proof_step_case_expands_only_its_own_step(monkeypatch, key, expands):
+    # step 2 takes no derivative beyond the workspace's; steps 3, 10, zr2
+    # and zr0 each take d_t or the Ito d, so building them is seen here
+    calls, real_ws = [], identity.make_theorem_workspace
+
+    def workspace_then_count(spec):
+        ws = real_ws(spec)
+        for name in ("d_t", "ito_d"):
+            real = getattr(identity, name)
+            monkeypatch.setattr(identity, name,
+                                lambda e, _real=real: calls.append(e) or _real(e))
+        return ws
+
+    monkeypatch.setattr(identity, "make_theorem_workspace", workspace_then_count)
+    case = build_case(f"proof_step({key})")
+    assert bool(calls) == expands
+    assert verify(case).zero
 
 
 @pytest.mark.parametrize("case_id", CASE_IDS)
@@ -152,7 +183,7 @@ def test_one_draw_catches_every_mutation(target):
     # so every seed must catch every mutation with a single jet draw.
     # Draw (seed, 0) is numeric_residual's one draw at assignments=1,
     # points=0; the case is built once and all 50 draws share one walk.
-    case = _spec_case(target) if isinstance(target, OperatorSpec) else build_case(target)
+    case = build_case(target)
     draws = [(seed, 0) for seed in range(50)]
     values = eval_jet_many(case.lhs - case.mutated_rhs, case.ctx, draws)
     assert len(values) == len(draws)

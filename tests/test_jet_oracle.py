@@ -36,7 +36,7 @@ from carlemanlab.exprs import (
     ito_d,
     re,
 )
-from carlemanlab.identity import OperatorSpec, _spec_case, build_case
+from carlemanlab.identity import OperatorSpec, build_case
 from carlemanlab.jetoracle import P, Gauss, _Eval, _layout, eval_jet_many
 
 from strategies import (
@@ -434,7 +434,7 @@ def test_shared_and_unshared_residuals_walk_and_evaluate_alike(target, monkeypat
     # the builders share some subtree objects and repeat equal subtrees as
     # new objects; the tree copy has the same structure and shares no
     # object, so a walk keyed by structure takes the same steps on both
-    case = _spec_case(target) if isinstance(target, OperatorSpec) else build_case(target)
+    case = build_case(target)
     calls = counted_runs(monkeypatch)
     for mutated in (False, True):
         residual = case.lhs - (case.mutated_rhs if mutated else case.rhs)
@@ -454,7 +454,7 @@ def test_walk_evaluates_each_distinct_subtree_once(monkeypatch):
     # _run calls on it, one memoized by structure 1895, counting plain and
     # shifted mode and the orders each subtree is asked at; evaluated once
     # on its needed set, each of the 1537 distinct keys takes one
-    case = _spec_case(OperatorSpec(n=3, regime="R1"))
+    case = build_case(OperatorSpec(n=3, regime="R1"))
     calls = counted_runs(monkeypatch)
     eval_jet_many(case.lhs - case.rhs, case.ctx, [(0, 0)])
     assert len(calls) == 1537
@@ -506,7 +506,7 @@ def test_needed_sets_give_the_values_of_the_graded_walk(seed, n, depth, ruled):
 
 
 def test_needed_sets_give_the_values_of_the_graded_walk_on_the_theorem():
-    case = _spec_case(OperatorSpec(n=2, regime="R1"))
+    case = build_case(OperatorSpec(n=2, regime="R1"))
     for e in (case.lhs, case.lhs - case.rhs, case.lhs - case.mutated_rhs):
         assert eval_jet_many(e, case.ctx, MIXED) == graded_values(e, case.ctx, MIXED)
 
@@ -514,7 +514,7 @@ def test_needed_sets_give_the_values_of_the_graded_walk_on_the_theorem():
 def test_walk_multiplies_only_the_needed_coefficients(monkeypatch):
     # on the n = 3 R1 theorem residual the graded walk hands _dot 6728
     # coefficient products in 4154 calls; on needed sets it hands 3293
-    case = _spec_case(OperatorSpec(n=3, regime="R1"))
+    case = build_case(OperatorSpec(n=3, regime="R1"))
     products, dot = [], jetoracle._dot
 
     def counted(terms):
