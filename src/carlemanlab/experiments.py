@@ -4,7 +4,7 @@ Each runner takes its checked config and returns ``(checks, rows)``: the
 report checks and the CSV series, whose columns ``CSV_HEADERS`` names.
 The driver imports this module only to run an experiment verb, so the
 identity verbs never load numpy.  Library functions are called through
-their modules (``sim.solve_gl_forward``), where wrappers placed on the
+their modules (``sim.march_gl``), where wrappers placed on the
 module attribute see them.
 """
 
@@ -51,14 +51,16 @@ def run_carleman_heat(cfg) -> tuple[list, list]:
     return checks, rows
 
 
-def _gl_solutions(cfg, grid, streams, **kinds):
-    """Solve the config's GL members one at a time: member i draws its
+def _gl_members(cfg, grid, streams, keep=(), **kinds):
+    """March the config's GL members in one time loop (sim.march_gl),
+    keeping their states at the nodes of keep: member i draws its
     problem, of the given kinds, from streams[2 i] and its paths from
     streams[2 i + 1]."""
-    for i in range(cfg.ensembles):
-        problem = sim.make_random_gl_problem(streams[2 * i], **kinds)
-        paths = sim.brownian(cfg.paths, cfg.Nt, streams[2 * i + 1], dt=grid.dt)
-        yield sim.solve_gl_forward(problem, grid, paths)
+    members = range(cfg.ensembles)
+    problems = [sim.make_random_gl_problem(streams[2 * i], **kinds) for i in members]
+    ensembles = [sim.brownian(cfg.paths, cfg.Nt, streams[2 * i + 1], dt=grid.dt)
+                 for i in members]
+    return sim.march_gl(problems, grid, ensembles, keep)
 
 
 def run_carleman_gl(cfg) -> tuple[list, list]:
@@ -69,10 +71,10 @@ def run_carleman_gl(cfg) -> tuple[list, list]:
     grid = sim.Grid1D(Nx=cfg.Nx, Nt=cfg.Nt, T=cfg.T)
     gws = [wt.GLWeight(mu=mu, T=cfg.T) for mu in cfg.mus]
     streams = np.random.SeedSequence(cfg.seed).spawn(2 * cfg.ensembles)
-    # one solve and one check per ensemble serve every mu; reports stay
+    # one march and one check per ensemble serve every mu; reports stay
     # mu-major
-    per_member = [sim.carleman_gl_check(sol, gws, cfg.delta)
-                  for sol in _gl_solutions(cfg, grid, streams)]
+    per_member = [sim.carleman_gl_check(run, gws, cfg.delta)
+                  for run in _gl_members(cfg, grid, streams)]
     checks, rows = [], []
     for mu, label, per_mu in zip(cfg.mus, labels, zip(*per_member)):
         fitted = [rep["fitted_C"] for rep in per_mu]
@@ -92,13 +94,10 @@ def run_inverse_gl(cfg) -> tuple[list, list]:
     cut = inv.CutoffSpec(t1=cfg.t1, t2=cfg.t2, t0=cfg.t0, T=cfg.T)
     *streams, optimizer_stream = np.random.SeedSequence(cfg.seed).spawn(
         2 * cfg.ensembles + 1)
-    # stream the ensemble: keep each member's norms, and member 0 for the probe
-    norms = []
-    for i, sol in enumerate(_gl_solutions(cfg, grid, streams, with_coefficients=True,
-                                          with_sources=False)):
-        norms.append(inv.solution_norms(sol, cut.t0))
-        if i == 0:
-            first = sol
+    # the norms read per-path sums; the probe reads member 0's state at t0
+    runs = _gl_members(cfg, grid, streams, keep=[grid.node(cut.t0, "t0")],
+                       with_coefficients=True, with_sources=False)
+    norms = [inv.solution_norms(run, cut.t0) for run in runs]
     rep = inv.stability_experiment(norms, cut, cfg.mu1, cfg.C_ref)
     checks = [
         _check("tau_in_range",
@@ -110,7 +109,7 @@ def run_inverse_gl(cfg) -> tuple[list, list]:
         _check("falsifications", not rep.falsifications,
                count=len(rep.falsifications)),
     ]
-    probe = inv.backward_uniqueness_probe(first, norms[0][2], cut, cfg.mu1,
+    probe = inv.backward_uniqueness_probe(runs[0], norms[0][2], cut, cfg.mu1,
                                           list(cfg.epsilons), cfg.C_ref)
     checks.append(_check("probe_tampered_flagged",
                          probe["flagged_non_adapted"], slope=probe["slope"]))

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
 from .config import RunError
-from .simulate import Solution, grad_dirichlet, l2_norm
+from .simulate import PathSums, Solution, l2_norm
 
 
 class InverseError(RunError):
@@ -136,16 +136,17 @@ def brute_force_mu(D1: float, D2: float, kappa: float, C: float, T: float,
     return float(grid[np.argmin(_log_objective(grid, D1, D2, kappa, C, T))])
 
 
-def solution_norms(sol: Solution, t0: float) -> tuple[float, float, float]:
+def solution_norms(sol: Union[Solution, PathSums],
+                   t0: float) -> tuple[float, float, float]:
     """(N1, N2, N3): interior L2 at t0, space-time L2, terminal H1 —
-    each mean-square over the path ensemble."""
+    each mean-square over the path ensemble, read off the per-path sums
+    sol.w2 and sol.wx2."""
     grid, dx = sol.grid, sol.grid.dx
-    N1 = math.sqrt(float(np.mean(l2_norm(sol.w[:, grid.node(t0, "t0"), :], dx) ** 2)))
-    tw = grid.trapezoid()
-    N2 = math.sqrt(float(np.mean(np.sum(l2_norm(sol.w, dx) ** 2 * tw[None, :], axis=1))))
-    wT = sol.w[:, -1, :]
-    h1 = l2_norm(wT, dx) ** 2 + l2_norm(grad_dirichlet(wT, dx), dx) ** 2
-    N3 = math.sqrt(float(np.mean(h1)))
+    m0 = grid.node(t0, "t0")
+    w2 = sol.w2
+    N1 = math.sqrt(float(np.mean(w2[:, m0])) * dx)
+    N2 = math.sqrt(float(np.mean(w2 @ grid.trapezoid())) * dx)
+    N3 = math.sqrt(float(np.mean(w2[:, -1] + sol.wx2[:, -1])) * dx)
     return N1, N2, N3
 
 
@@ -209,12 +210,13 @@ def stability_experiment(norms: Sequence[tuple[float, float, float]],
         spread=spread, falsifications=falsifications)
 
 
-def backward_uniqueness_probe(sol: Solution, N3: float, cut: CutoffSpec,
-                              mu1: float, eps_list: Sequence[float],
+def backward_uniqueness_probe(sol: Union[Solution, PathSums], N3: float,
+                              cut: CutoffSpec, mu1: float, eps_list: Sequence[float],
                               C_ref: float = 10.0) -> dict:
     """Flag a non-adapted family by its interior-from-terminal rate.
 
-    N3 is the terminal H1 norm of sol, as solution_norms gives it.  The
+    N3 is the terminal H1 norm of sol, as solution_norms gives it; of
+    the solve, the probe reads only the state at t0.  The
     solved ensemble is scaled to terminal H1 size eps and future
     increments (B(T) - B(t)) / 2 times sin(pi x) are added.  The added
     field vanishes at T, so the terminal data stay those of an adapted
@@ -234,7 +236,7 @@ def backward_uniqueness_probe(sol: Solution, N3: float, cut: CutoffSpec,
     B = sol.paths.cumulative()
     future = (B[:, -1] - B[:, m0]) * 0.5
     bump = np.sin(np.pi * grid.x)
-    w0, lift = sol.w[:, m0, :], future[:, None] * bump[None, :]
+    w0, lift = sol.state(m0), future[:, None] * bump[None, :]
     interior = [math.sqrt(float(np.mean(l2_norm(e / N3 * w0 + lift, grid.dx) ** 2)))
                 for e in eps]
     slope = float(np.polyfit(np.log(eps), np.log(np.asarray(interior)), 1)[0])

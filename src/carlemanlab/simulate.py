@@ -11,10 +11,12 @@ two Carleman inequalities, and two classic first-order demos.
 
 Conventions: the spatial domain is (0, 1) with homogeneous Dirichlet
 data; fields live on the Nx interior nodes; the diffusion term is
-implicit (one tridiagonal factorization per solve, one pair of
-triangular solves per step), everything else explicit at the left time
-point.  All randomness flows through numpy's seeded default generator,
-so a (seed, config) pair fixes every array bit-for-bit.
+implicit, everything else explicit at the left time point.  All
+members of a Ginzburg-Landau ensemble march in one time loop: one
+block-diagonal tridiagonal factorization, one pair of triangular solves
+per step, and per-path sums over x streamed out of each step in place
+of the states.  All randomness flows through numpy's seeded default
+generator, so a (seed, config) pair fixes every array bit-for-bit.
 """
 
 from __future__ import annotations
@@ -167,18 +169,27 @@ def grad_free(u: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def sample_field(fn: Coefficient, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+def sample_field(fn: Coefficient, x: np.ndarray, t: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """fn on every time node of t: a (len(t), len(x)) complex array, zero
-    for an absent field.
+    for an absent field; out, if given, is a zeroed slot to fill.
 
     fn is called once, as fn(x, t[:, None]), with the 1-d nodes x and the
     times as a column; it returns an array that broadcasts to
     (len(t), len(x)), so a field constant in time may return shape
     (len(x),)."""
-    out = np.zeros((len(t), len(x)), dtype=complex)
+    if out is None:
+        out = np.zeros((len(t), len(x)), dtype=complex)
     if fn is not None:
         out[...] = fn(x, t[:, None])
     return out
+
+
+def sum_squares(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """sum |z|^2 over the trailing axis of a complex array, as one sum of
+    the squared real and imaginary parts."""
+    v = z.view(np.float64)  # z's trailing axis must be contiguous
+    return np.einsum("...i,...i->...", v, v, out=out)
 
 
 @dataclass
@@ -205,84 +216,188 @@ class SPDEProblem:
 
 
 @dataclass
+class PathSums:
+    """One member of a marched ensemble, streamed into what its checks read.
+
+    w2[i, m] = sum_j |w[i, m, j]|^2 and wx2[i, m] = sum_j |w_x[i, m, j]|^2
+    (grad_dirichlet's stencil) per path i and time node m; states[:, k, :]
+    is the state w[:, kept[k], :] at the nodes the caller kept.
+    """
+
+    grid: Grid1D
+    paths: PathEnsemble
+    problem: SPDEProblem
+    w2: np.ndarray      # (M, Nt+1)
+    wx2: np.ndarray     # (M, Nt+1)
+    kept: tuple         # time nodes, increasing
+    states: np.ndarray  # (M, len(kept), Nx) complex
+
+    def state(self, m: int) -> np.ndarray:
+        if m not in self.kept:
+            raise SimError(f"the state at time node {m} was not kept")
+        return self.states[:, self.kept.index(m), :]
+
+
+@dataclass
 class Solution:
-    """Forward-solved ensemble: w[i, m, j] = path i, time node m, x node j."""
+    """Forward-solved ensemble: w[i, m, j] = path i, time node m, x node j.
+
+    It reads as a PathSums that kept every node: w2 and wx2 are summed
+    from w when read, so they follow any change made to w.
+    """
 
     grid: Grid1D
     paths: PathEnsemble
     problem: SPDEProblem
     w: np.ndarray  # (M, Nt+1, Nx) complex
 
+    @property
+    def w2(self) -> np.ndarray:
+        return sum_squares(self.w)
 
-def solve_gl_forward(p: SPDEProblem, grid: Grid1D, paths: PathEnsemble) -> Solution:
-    """Semi-implicit Euler step: implicit diffusion, explicit rest.
+    @property
+    def wx2(self) -> np.ndarray:
+        return sum_squares(grad_dirichlet(self.w, self.grid.dx))
+
+    def state(self, m: int) -> np.ndarray:
+        return self.w[:, m, :]
+
+
+def march_gl(problems: Sequence[SPDEProblem], grid: Grid1D,
+             ensembles: Sequence[PathEnsemble],
+             keep: Sequence[int] = ()) -> list[PathSums]:
+    """Forward-solve every member in one time loop, one semi-implicit
+    Euler step per time step: implicit diffusion, explicit rest,
 
         (Id - dt (1+ib) D) w^{m+1}
             = w^m + dt (a1 w_x^m + a2 w^m + f^m) + (a3 w^m + g^m) dB_m
 
-    with D the Dirichlet second-difference matrix.  The matrix does not
-    depend on time, so it is LU-factored once (LAPACK gttrf); each step
-    is one gttrs solve for every path at once.  A state that leaves
-    double precision raises SimError.
+    with D the Dirichlet second-difference matrix.  Member e solves
+    problems[e] on ensembles[e]; all ensembles have the same path count
+    M.  The E matrices do not depend on time, so they are LU-factored
+    once, as one block-diagonal matrix with zero couplings between the
+    blocks (LAPACK gttrf); each step is one gttrs solve for every path of
+    every member.  A zero coupling adds and multiplies only exact zeros,
+    so each member's states equal its own solve's bit for bit.
 
-    The step allocates nothing.  dt a1, dt a2 and dt f are sampled once
-    ((dt a)[m] is dt a[m] bit for bit), and the increments are read from
-    one transposed copy.  Four (M, .) buffers live for the whole solve:
-    rhs, the transpose of a Fortran-ordered (Nx, M) array that gttrs
-    solves in place; prod, for one product at a time; grad, for w_x; and
-    pad, w^m between two zero edges, on which grad runs grad_dirichlet's
-    own stencil.  An absent field's term is skipped, not added as zero.
+    The states are not kept: each step streams its per-path sums w2 and
+    wx2 out (see PathSums), and copies the state only at the time nodes
+    of keep.  A state or a sum that leaves double precision raises
+    SimError.
+
+    The step allocates nothing.  Each field is sampled once into one
+    (Nt, E, Nx) stack, absent members' slots zero, and dt a1, dt a2 and
+    dt f are scaled in place ((dt a)[m] is dt a[m] bit for bit).  The
+    state lives in two (M, E Nx) buffers, the transposes of the
+    Fortran-ordered (E Nx, M) arrays gttrs solves in place: one holds
+    w^m while the other takes the right side, and they swap each step.
+    grad, w_x by grad_dirichlet's stencil, serves both wx2 and the a1
+    term.  A field absent from every member is skipped, not added as
+    zero.
     """
-    _check_paths(grid, paths)
-    Nx, Nt, M = grid.Nx, grid.Nt, paths.M
+    E, Nx, Nt = len(problems), grid.Nx, grid.Nt
+    if E == 0 or len(ensembles) != E:
+        raise SimError(f"need one path ensemble per problem, got "
+                       f"{len(ensembles)} for {E}")
+    for paths in ensembles:
+        _check_paths(grid, paths)
+    M = ensembles[0].M
+    if any(paths.M != M for paths in ensembles):
+        raise SimError("the members of one march need the same path count")
+    kept = tuple(sorted({int(m) for m in keep}))
+    if kept and not (0 <= kept[0] and kept[-1] <= Nt):
+        raise SimError(f"kept nodes {kept} outside 0..{Nt}")
     x, dx, dt = grid.x, grid.dx, grid.dt
-    rho = dt * (1.0 + 1j * p.b) / (dx * dx)
-    # Re rho > 0 makes the matrix strictly diagonally dominant, so the
+    # Re rho > 0 makes each block strictly diagonally dominant, so the
     # factorization never meets a zero pivot
-    off = np.full(Nx - 1, -rho)
+    rho = np.repeat([dt * (1.0 + 1j * p.b) / (dx * dx) for p in problems], Nx)
+    off = -rho[1:]
+    off[Nx - 1::Nx] = 0.0  # no coupling between two members' blocks
     gttrf, gttrs = _flapack.zgttrf, _flapack.zgttrs
-    *lu, _ = gttrf(off, np.full(Nx, 1.0 + 2.0 * rho), off)
-    a1, a2, a3, f, g = (None if fn is None else sample_field(fn, x, grid.t[:-1])
-                        for fn in (p.a1, p.a2, p.a3, p.f, p.g))
-    dta1, dta2, dtf = (None if a is None else dt * a for a in (a1, a2, f))
-    dB = paths.increments.T.copy()
-    w = np.empty((M, Nt + 1, Nx), dtype=complex)
-    w[:, 0, :] = p.initial(x)[None, :]
-    rhs = np.empty((Nx, M), dtype=complex, order="F").T
-    prod = np.empty((M, Nx), dtype=complex)
-    if a1 is not None:
-        grad = np.empty((M, Nx), dtype=complex)
-        pad = np.zeros((M, Nx + 2), dtype=complex)
+    *lu, _ = gttrf(off, 1.0 + 2.0 * rho, off)
+
+    def stack(name):
+        fns = [getattr(p, name) for p in problems]
+        if all(fn is None for fn in fns):
+            return None
+        out = np.zeros((Nt, E, Nx), dtype=complex)
+        for e, fn in enumerate(fns):
+            sample_field(fn, x, grid.t[:-1], out=out[:, e, :])
+        return out
+
+    a1, a2, a3, f, g = map(stack, ("a1", "a2", "a3", "f", "g"))
+    for a in (a1, a2, f):
+        if a is not None:
+            a *= dt
+    dB = np.empty((Nt, M, E))
+    for e, paths in enumerate(ensembles):
+        dB[:, :, e] = paths.increments.T
+    w, rhs = (np.empty((M, E * Nx), dtype=complex) for _ in range(2))
+    for e, p in enumerate(problems):
+        w.reshape(M, E, Nx)[:, e, :] = p.initial(x)
+    w2, wx2 = np.empty((Nt + 1, M, E)), np.empty((Nt + 1, M, E))
+    states = np.empty((M, len(kept), E, Nx), dtype=complex)
+    slot = {m: k for k, m in enumerate(kept)}
+    prod = np.empty((M, E, Nx), dtype=complex)
+    pad = np.zeros((M, E, Nx + 2), dtype=complex)
+    diff = np.zeros((M, E, Nx + 2), dtype=complex)
+    pad_flat, diff_flat = pad.reshape(-1), diff.reshape(-1)
+    grad = diff[..., 1:-1]
+    # numpy divides a complex by a real c as a product with 1/c, so this
+    # scaling of both parts is grad_dirichlet's division bit for bit
+    diff_parts, inv_2dx = diff_flat.view(np.float64), 1.0 / (2.0 * dx)
     # a blown-up state is refused once, at the end, not warned about per step
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(Nt):
-            wm = w[:, m, :]
-            rhs[...] = wm
+        for m in range(Nt + 1):
+            wm = w.reshape(M, E, Nx)
+            pad[..., 1:-1] = wm
+            # one contiguous difference over all rows: only the row
+            # interiors, grad, are read
+            np.subtract(pad_flat[2:], pad_flat[:-2], out=diff_flat[1:-1])
+            diff_parts *= inv_2dx
+            sum_squares(wm, out=w2[m])
+            sum_squares(grad, out=wx2[m])
+            if m in slot:
+                states[:, slot[m]] = wm
+            if m == Nt:
+                break
+            r = rhs.reshape(M, E, Nx)
+            r[...] = wm
             if a1 is not None:
-                pad[:, 1:-1] = wm
-                np.subtract(pad[:, 2:], pad[:, :-2], out=grad)
-                grad /= 2.0 * dx
-                np.multiply(dta1[m], grad, out=prod)
-                rhs += prod
+                np.multiply(a1[m], grad, out=prod)
+                r += prod
             if a2 is not None:
-                np.multiply(dta2[m], wm, out=prod)
-                rhs += prod
+                np.multiply(a2[m], wm, out=prod)
+                r += prod
             if f is not None:
-                rhs += dtf[m]
+                r += f[m]
             if a3 is not None:
                 np.multiply(a3[m], wm, out=prod)
                 if g is not None:
                     prod += g[m]
-                prod *= dB[m][:, None]
-                rhs += prod
+                prod *= dB[m][..., None]
+                r += prod
             elif g is not None:
-                np.multiply(g[m], dB[m][:, None], out=prod)
-                rhs += prod
-            w[:, m + 1, :] = gttrs(*lu, rhs.T, overwrite_b=True)[0].T
-    if not np.all(np.isfinite(w)):
-        raise SimError("forward solve left double precision; "
-                       "reduce the coefficients or refine the time grid")
-    return Solution(grid=grid, paths=paths, problem=p, w=w)
+                np.multiply(g[m], dB[m][..., None], out=prod)
+                r += prod
+            # the solution overwrites rhs; w's buffer takes the next rhs
+            w, rhs = gttrs(*lu, rhs.T, overwrite_b=True)[0].T, w
+    if not (np.all(np.isfinite(w2)) and np.all(np.isfinite(wx2))):
+        raise SimError("forward solve left double precision (a state or its "
+                       "sum of squares overflows); reduce the coefficients "
+                       "or refine the time grid")
+    w2, wx2 = (np.ascontiguousarray(s.transpose(2, 1, 0)) for s in (w2, wx2))
+    return [PathSums(grid=grid, paths=paths, problem=p, w2=w2[e], wx2=wx2[e],
+                     kept=kept, states=states[:, :, e, :])
+            for e, (p, paths) in enumerate(zip(problems, ensembles))]
+
+
+def solve_gl_forward(p: SPDEProblem, grid: Grid1D, paths: PathEnsemble) -> Solution:
+    """One member marched by march_gl, keeping every state: w[:, m, :] is
+    the state at time node m.  A state that leaves double precision
+    raises SimError."""
+    run, = march_gl([p], grid, [paths], keep=range(grid.Nt + 1))
+    return Solution(grid=grid, paths=paths, problem=p, w=run.states)
 
 
 def l2_norm(u: np.ndarray, dx: float) -> np.ndarray:
@@ -471,7 +586,7 @@ def carleman_heat_check(pair: ManufacturedPair, w: HeatWeight,
     return out
 
 
-def carleman_gl_check(sol: Solution, gws: Sequence[GLWeight],
+def carleman_gl_check(sol: Union[Solution, PathSums], gws: Sequence[GLWeight],
                       delta: float) -> list[dict]:
     """Evaluate both sides of the Ginzburg-Landau Carleman inequality.
 
@@ -481,9 +596,11 @@ def carleman_gl_check(sol: Solution, gws: Sequence[GLWeight],
          + E int_d^T int (1+phi) theta^2 (|f|^2 + mu^2 |g|^2 + |g_x|^2)
 
     The single theta power on the middle data term is kept as stated.
-    The reported quotient is LHS/RHS; a fitted constant is its maximum
-    over ensemble members.  Returns one report per weight of gws, in
-    order; every mu-free term is computed once for all of them.
+    The weight depends on t alone, so every term reads only the sums over
+    x, sol.w2 and sol.wx2 per path and node: each mu costs dot products
+    over t.  The reported quotient is LHS/RHS; a fitted constant is its
+    maximum over ensemble members.  Returns one report per weight of
+    gws, in order; every mu-free term is computed once for all of them.
     """
     grid, p = sol.grid, sol.problem
     if any(abs(grid.T - gw.T) > 1e-12 for gw in gws):
@@ -496,33 +613,25 @@ def carleman_gl_check(sol: Solution, gws: Sequence[GLWeight],
     md = grid.node(delta, "delta")
     dx = grid.dx
     t = grid.t[md:]
-    w = sol.w[:, md:, :]
-    wx = grad_dirichlet(w, dx)
-    aw2 = np.abs(w) ** 2
-    awx2 = np.abs(wx) ** 2
+    w2, wx2 = sol.w2[:, md:], sol.wx2[:, md:]
     tw = grid.trapezoid(md)
     # the sources do not depend on the path: one reduction serves every member
-    f = sample_field(p.f, grid.x, t)
     g = sample_field(p.g, grid.x, t)
-    af2, ag2, agx2 = np.abs(f) ** 2, np.abs(g) ** 2, np.abs(grad_free(g, dx)) ** 2
-    wx2_d = np.sum(awx2[:, 0, :], axis=1)
-    w2_d = np.sum(aw2[:, 0, :], axis=1)
-    w2_T = np.sum(aw2[:, -1, :], axis=1)
+    f2, g2, gx2 = (sum_squares(a) for a in
+                   (sample_field(p.f, grid.x, t), g, grad_free(g, dx)))
     out = []
     for gw in gws:
         mu = gw.mu
         phi = np.exp(3.0 * mu * t)
         theta2 = np.exp(2.0 * mu * phi)
         wt = theta2 * tw
-        lhs_i = (mu * np.einsum("mti,t->m", awx2, wt)
-                 + mu ** 3 * np.einsum("mti,t->m", aw2, phi * wt)) * dx
-        src = af2 + mu ** 2 * ag2 + agx2
-        src_i = np.einsum("ti,t->", src, (1.0 + phi) * wt) * dx
+        lhs_i = (mu * (wx2 @ wt) + mu ** 3 * (w2 @ (phi * wt))) * dx
+        src_i = np.dot(f2 + mu ** 2 * g2 + gx2, (1.0 + phi) * wt) * dx
         th_d2 = math.exp(2.0 * mu * phi[0])
         th_d1 = math.exp(mu * phi[0])
         th_T2 = math.exp(2.0 * mu * phi[-1])
-        data_i = (th_d2 * wx2_d + mu ** 2 * phi[0] * th_d1 * w2_d
-                  + mu ** 2 * phi[-1] * th_T2 * w2_T) * dx
+        data_i = (th_d2 * wx2[:, 0] + mu ** 2 * phi[0] * th_d1 * w2[:, 0]
+                  + mu ** 2 * phi[-1] * th_T2 * w2[:, -1]) * dx
         rhs_i = data_i + src_i
         lhs, rhs = float(np.mean(lhs_i)), float(np.mean(rhs_i))
         quot = np.divide(lhs_i, rhs_i, out=np.zeros_like(lhs_i), where=rhs_i > 0)

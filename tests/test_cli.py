@@ -8,7 +8,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
-import weakref
+import types
 
 import numpy as np
 import pytest
@@ -488,10 +488,14 @@ def test_identity_verbs_import_no_numerics(tmp_path, argv):
 
 
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
-    # one identity verb and one experiment verb, each run in a fresh
+    # one identity verb and three experiment verbs, each run in a fresh
     # interpreter under two string-hash seeds, write the same bytes
+    small = dict(ensembles=2, paths=3, Nx=12, Nt=24)
     runs = {"verify": ["identity-verify", "--case", "transport", "--oracle", "1"],
-            "demo": ["demo", "--case", "ode"]}
+            "demo": ["demo", "--case", "ode"],
+            "gl": ["carleman-gl", "--config", write_config(tmp_path, "gl.json", small)],
+            "inverse": ["inverse-gl", "--config",
+                        write_config(tmp_path, "inv.json", small)]}
     src = pathlib.Path(cli.__file__).parents[1]
     outputs = []
     for hash_seed in ("1", "2"):
@@ -588,8 +592,8 @@ def test_gl_config_validation(tmp_path, monkeypatch):
         {"delta": 0.2999999999999, "ensembles": 2, "paths": 4}))
     # two mus with one report label gl(mu=3): run_carleman_gl, before
     # any solve
-    monkeypatch.setattr(sim, "solve_gl_forward",
-                        lambda *args, **kwargs: pytest.fail("solved"))
+    for name in ("march_gl", "solve_gl_forward"):
+        monkeypatch.setattr(sim, name, lambda *args, **kwargs: pytest.fail("solved"))
     for mus in ([3, 3], [3.0, 3.0000001]):
         assert_config_rejected(tmp_path, "carleman-gl",
                                json.dumps({**FAST_GL, "mus": mus}))
@@ -632,20 +636,84 @@ def test_every_random_stream_is_distinct(tmp_path, monkeypatch):
 
 
 def test_carleman_gl_solves_each_ensemble_once(tmp_path, monkeypatch):
-    """Every mu is checked on the same solution: one forward solve per
-    ensemble member."""
-    real = sim.solve_gl_forward
+    """Every mu is checked on the same solution: one march solves every
+    ensemble member once, keeping no state, and no member is solved
+    alone."""
+    real = sim.march_gl
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+    def counting(problems, grid, ensembles, keep=()):
+        calls.append((len(problems), len(ensembles), tuple(keep)))
+        return real(problems, grid, ensembles, keep)
 
-    monkeypatch.setattr(sim, "solve_gl_forward", counting)
+    monkeypatch.setattr(sim, "march_gl", counting)
+    monkeypatch.setattr(sim, "solve_gl_forward",
+                        lambda *args, **kwargs: pytest.fail("solved alone"))
     cfg = write_config(tmp_path, "gl.json", FAST_GL)
     code, _ = run_to_file(tmp_path, ["carleman-gl", "--config", cfg])
     assert code == 0
-    assert len(calls) == FAST_GL["ensembles"]
+    assert calls == [(FAST_GL["ensembles"], FAST_GL["ensembles"], ())]
+
+
+@pytest.mark.parametrize("verb, payload", [("carleman-gl", FAST_GL),
+                                            ("inverse-gl", FAST_INV)])
+def test_gl_verbs_factor_once_and_solve_once_per_step(tmp_path, monkeypatch, verb,
+                                                      payload):
+    """The members of a verb share one block-diagonal factorization and
+    one triangular solve per time step."""
+    calls = {"zgttrf": 0, "zgttrs": 0}
+    lapack = sim._flapack
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return getattr(lapack, name)(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(sim, "_flapack", types.SimpleNamespace(
+        zgttrf=counted("zgttrf"), zgttrs=counted("zgttrs")))
+    cfg = write_config(tmp_path, "gl.json", payload)
+    code, _ = run_to_file(tmp_path, [verb, "--config", cfg])
+    assert code == 0
+    assert calls == {"zgttrf": 1, "zgttrs": payload["Nt"]}
+
+
+def _one_member_tampered(monkeypatch, member, **fields):
+    """make_random_gl_problem, with the given fields replaced in the
+    problem it draws for member (its member-th call)."""
+    real, calls = sim.make_random_gl_problem, []
+
+    def drawing(*args, **kwargs):
+        calls.append(None)
+        p = real(*args, **kwargs)
+        return dataclasses.replace(p, **fields) if len(calls) == member + 1 else p
+
+    monkeypatch.setattr(sim, "make_random_gl_problem", drawing)
+
+
+def _refused_past_double_precision(tmp_path, capsys, verb, payload):
+    """The verb exits 2 on the march's overflow guard and writes no
+    report or CSV."""
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out, series = tmp_path / "never.json", tmp_path / "never.csv"
+    code = cli.main([verb, "--config", cfg, "--out", str(out), "--csv", str(series)])
+    assert code == 2
+    assert "forward solve left double precision" in capsys.readouterr().err
+    assert not out.exists() and not series.exists()
+
+
+def test_one_diverging_member_refuses_the_verb(tmp_path, monkeypatch, capsys):
+    # member 1 of three blows up; the other two stay finite
+    _one_member_tampered(monkeypatch, 1, a2=lambda x, t: 1e300)
+    _refused_past_double_precision(tmp_path, capsys, "inverse-gl", FAST_INV)
+
+
+def test_a_finite_state_whose_square_overflows_refuses_the_verb(tmp_path, monkeypatch,
+                                                                capsys):
+    # |w|^2 of member 1 overflows at t = 0, though every state stays finite
+    _one_member_tampered(monkeypatch, 1, w0=lambda x: 1e160 * np.sin(np.pi * x))
+    _refused_past_double_precision(tmp_path, capsys, "carleman-gl", FAST_GL)
 
 
 def test_identity_steps_builds_one_workspace(tmp_path, monkeypatch):
@@ -684,34 +752,30 @@ def test_identity_verify_builds_each_case_once(tmp_path, monkeypatch):
 
 
 def test_inverse_gl_streams_its_ensemble(tmp_path, monkeypatch):
-    """inverse-gl keeps each member's norms, not its solution: when a member
-    is solved and when the probe starts, at most two solutions are alive
-    (member 0, which the probe reads, and the member read last)."""
-    real_solve = sim.solve_gl_forward
-    real_probe = inv.backward_uniqueness_probe
-    refs, alive = [], []
+    """inverse-gl keeps each member's per-path sums, not its solution: one
+    march solves every member and keeps states only at t0, and the probe
+    reads them of member 0."""
+    real_march, real_probe = sim.march_gl, inv.backward_uniqueness_probe
+    runs, probed = [], []
 
-    def count_alive():
-        alive.append(sum(ref() is not None for ref in refs))
+    def marching(*args, **kwargs):
+        runs.extend(real_march(*args, **kwargs))
+        return list(runs)
 
-    def solving(*args, **kwargs):
-        count_alive()
-        sol = real_solve(*args, **kwargs)
-        refs.append(weakref.ref(sol))
-        return sol
+    def probing(sol, *args, **kwargs):
+        probed.append(sol)
+        return real_probe(sol, *args, **kwargs)
 
-    def probing(*args, **kwargs):
-        count_alive()
-        return real_probe(*args, **kwargs)
-
-    monkeypatch.setattr(sim, "solve_gl_forward", solving)
+    monkeypatch.setattr(sim, "march_gl", marching)
     monkeypatch.setattr(inv, "backward_uniqueness_probe", probing)
     cfg = write_config(tmp_path, "inv.json", FAST_INV)
     code, _ = run_to_file(tmp_path, ["inverse-gl", "--config", cfg])
     assert code == 0
-    assert max(alive) <= 2, alive
-    assert len(refs) == FAST_INV["ensembles"]
-    assert len(alive) == FAST_INV["ensembles"] + 1
+    assert len(runs) == FAST_INV["ensembles"]
+    node = round(FAST_INV["t0"] / FAST_INV["T"] * FAST_INV["Nt"])
+    shape = (FAST_INV["paths"], 1, FAST_INV["Nx"])
+    assert all(run.kept == (node,) and run.states.shape == shape for run in runs)
+    assert len(probed) == 1 and probed[0] is runs[0]
 
 
 def test_csv_header_table_is_complete():

@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import types
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from carlemanlab.simulate import (
     l2_norm,
     make_random_gl_problem,
     manufacture_heat_pair,
+    march_gl,
     sample_field,
     smoothstep,
     solve_gl_forward,
@@ -211,6 +213,94 @@ def test_factored_solver_equals_banded_solve_bitwise(M, fields):
     paths = brownian(M, grid.Nt, 17, dt=grid.dt)
     sol = solve_gl_forward(p, grid, paths)
     assert np.array_equal(sol.w, _banded_reference(p, grid, paths))
+
+
+def _members(E, fields, Nx=24, Nt=60, M=3):
+    """E members with distinct b, each with the fields named in fields."""
+    grid = Grid1D(Nx=Nx, Nt=Nt, T=0.3)
+    problems = [dataclasses.replace(
+        make_random_gl_problem(40 + e, with_coefficients=True),
+        **{name: None for name in GL_FIELDS if name not in fields}) for e in range(E)]
+    assert len({p.b for p in problems}) == E
+    ensembles = [brownian(M, Nt, 70 + e, dt=grid.dt) for e in range(E)]
+    return grid, problems, ensembles
+
+
+@pytest.mark.parametrize("fields", FIELD_SETS.values(), ids=FIELD_SETS.keys())
+@pytest.mark.parametrize("E", [1, 2, 3])
+def test_ensemble_march_equals_each_members_own_solve_bitwise(E, fields):
+    grid, problems, ensembles = _members(E, fields)
+    every = march_gl(problems, grid, ensembles, keep=range(grid.Nt + 1))
+    some = march_gl(problems, grid, ensembles, keep=[grid.Nt, 0, grid.Nt // 2, 0])
+    for run, part, p, paths in zip(every, some, problems, ensembles):
+        own = solve_gl_forward(p, grid, paths).w
+        assert run.states.tobytes() == own.tobytes()
+        # keeping fewer nodes changes nothing else
+        assert part.kept == (0, grid.Nt // 2, grid.Nt)
+        assert part.states.tobytes() == own[:, list(part.kept), :].tobytes()
+        assert part.w2.tobytes() == run.w2.tobytes()
+        assert part.wx2.tobytes() == run.wx2.tobytes()
+
+
+def test_march_factors_once_and_solves_once_per_step(monkeypatch):
+    # one block-diagonal factorization and one solve per step for every
+    # member, not one per member
+    calls = {"zgttrf": 0, "zgttrs": 0}
+
+    def counted(name):
+        real = getattr(simulate._flapack, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(simulate, "_flapack", types.SimpleNamespace(
+        zgttrf=counted("zgttrf"), zgttrs=counted("zgttrs")))
+    grid, problems, ensembles = _members(3, GL_FIELDS)
+    march_gl(problems, grid, ensembles)
+    assert calls == {"zgttrf": 1, "zgttrs": grid.Nt}
+
+
+def test_march_refuses_mismatched_members():
+    grid, problems, ensembles = _members(2, ("f", "g"))
+    with pytest.raises(SimError, match="one path ensemble per problem"):
+        march_gl(problems, grid, ensembles[:1])
+    with pytest.raises(SimError, match="one path ensemble per problem"):
+        march_gl([], grid, [])
+    with pytest.raises(SimError, match="same path count"):
+        march_gl(problems, grid, [ensembles[0], brownian(2, grid.Nt, 1, dt=grid.dt)])
+    with pytest.raises(SimError, match="kept nodes"):
+        march_gl(problems, grid, ensembles, keep=[grid.Nt + 1])
+    run, _ = march_gl(problems, grid, ensembles, keep=[3])
+    with pytest.raises(SimError, match="node 4 was not kept"):
+        run.state(4)
+
+
+def test_march_refuses_one_diverging_member_among_finite_ones():
+    grid, problems, ensembles = _members(3, ("f", "g"))
+    problems[1] = dataclasses.replace(problems[1], a2=lambda x, t: 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimError, match="left double precision"):
+            march_gl(problems, grid, ensembles)
+        # the finite members alone march
+        march_gl(problems[::2], grid, ensembles[::2])
+
+
+def test_march_refuses_a_finite_state_whose_square_overflows():
+    grid, problems, ensembles = _members(2, ())
+    w0 = problems[1].w0
+    problems[1] = dataclasses.replace(problems[1], w0=lambda x: 1e160 * w0(x))
+    state = problems[1].initial(grid.x)
+    assert np.all(np.isfinite(state))
+    with np.errstate(over="ignore"):
+        assert np.isinf(simulate.sum_squares(state))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimError, match="left double precision"):
+            march_gl(problems, grid, ensembles)
 
 
 def test_carleman_gl_runs_without_importing_scipy_linalg(tmp_path):
