@@ -26,7 +26,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -411,26 +411,25 @@ def l2_norm(u: np.ndarray, dx: float) -> np.ndarray:
 
 @dataclass
 class ManufacturedPair:
-    """Exact solution triple of dy + y_xx dt = f dt + Y dB.
+    """Exact solution triple of dy + y_xx dt = f dt + Y dB, in modal form.
 
     y = sum_k d_k(t)(1 + sigma_k B(t)) sin(k pi x) with smooth d_k, so
 
         f = sum_k (d_k' - (k pi)^2 d_k)(1 + sigma_k B(t)) sin(k pi x),
         Y = sum_k sigma_k d_k(t) sin(k pi x)
 
-    solve the equation exactly; no discretization enters the triple.  A
-    windowed pair is no such sum, so it carries no modal form (None).
+    solve the equation exactly; no discretization enters the triple.  The
+    pair keeps no field, only the amplitudes, noise weights and paths, and
+    a windowed pair its window's chi, chi' and chi'' on the grid nodes.
     """
 
     grid: Grid1D
     paths: PathEnsemble
     K: int
-    y: np.ndarray  # (M, Nt+1, Nx)
-    Y: np.ndarray  # (Nt+1, Nx): the same on every path
-    f: np.ndarray
-    modal_d: Optional[np.ndarray] = None     # (Nt+1, K) deterministic amplitudes
-    modal_ddot: Optional[np.ndarray] = None  # (Nt+1, K)
-    sigma: Optional[np.ndarray] = None       # (K,)
+    modal_d: np.ndarray     # (Nt+1, K) deterministic amplitudes
+    modal_ddot: np.ndarray  # (Nt+1, K)
+    sigma: np.ndarray       # (K,)
+    window: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None  # chi, chi', chi''
 
 
 def manufacture_heat_pair(grid: Grid1D, paths: PathEnsemble, K: int, seed: Seed) -> ManufacturedPair:
@@ -447,15 +446,8 @@ def manufacture_heat_pair(grid: Grid1D, paths: PathEnsemble, K: int, seed: Seed)
     t = grid.t[:, None]
     d = eta[None, :] * (1.0 + 0.5 * np.sin(omega[None, :] * t + rho[None, :]))
     ddot = eta[None, :] * 0.5 * omega[None, :] * np.cos(omega[None, :] * t + rho[None, :])
-    B = paths.cumulative()          # (M, Nt+1)
-    stoch = 1.0 + sigma[None, None, :] * B[:, :, None]   # (M, Nt+1, K)
-    sines = np.sin(np.pi * np.outer(grid.x, k))          # (Nx, K)
-    y = (d[None, :, :] * stoch) @ sines.T
-    Y = (sigma * d) @ sines.T
-    f_coef = (ddot - (k * np.pi) ** 2 * d)[None, :, :] * stoch
-    f = f_coef @ sines.T
     return ManufacturedPair(grid=grid, paths=paths, K=K,
-                            y=y, Y=Y, f=f, modal_d=d, modal_ddot=ddot, sigma=sigma)
+                            modal_d=d, modal_ddot=ddot, sigma=sigma)
 
 
 def smoothstep(xi: np.ndarray):
@@ -472,38 +464,50 @@ _WINDOW_RAMP = 0.08  # width of each side of the windowed_pair cut-off
 
 
 def windowed_pair(pair: ManufacturedPair, lo: float, hi: float) -> ManufacturedPair:
-    """Multiply the pair by a C^2 window supported in [lo, hi]; the source
-    picks up the exact commutator so the triple still solves the equation:
+    """Multiply the pair by a C^2 window chi supported in [lo, hi]; the
+    source picks up the exact commutator so the triple still solves the
+    equation:
 
         f_w = chi f + 2 chi' y_x + chi'' y,   Y_w = chi Y,  y_w = chi y.
 
-    y_x is read off the pair's modal form, which the windowed pair does not
-    carry, so a windowed pair cannot be windowed again.
+    Each windowed field is again linear in the factors 1 + sigma_k B, so
+    the windowed pair keeps the modal form and adds chi, chi' and chi'' on
+    the grid nodes.  A pair is windowed once.  A window must hold a grid
+    node; chi is 0 on every node of one that holds none.
     """
-    if pair.modal_d is None:
-        raise SimError("a windowed pair has no modal form to window again")
+    if pair.window is not None:
+        raise SimError("a windowed pair is not windowed again")
     if not (0.0 <= lo < hi <= 1.0):
         raise SimError(f"window [{lo}, {hi}] is not an ordered subinterval of [0, 1]")
     x, ramp = pair.grid.x, _WINDOW_RAMP
     su, dsu, ddsu = smoothstep((x - lo) / ramp)
     sd, dsd, ddsd = smoothstep((hi - x) / ramp)
     chi = su * sd
+    if not np.any(chi > 0.0):
+        raise SimError(f"window [{lo}, {hi}] holds no grid node "
+                       f"(dx = {pair.grid.dx:g}); widen it or refine the grid")
     dchi = (dsu * sd - su * dsd) / ramp
     ddchi = (ddsu * sd - 2.0 * dsu * dsd + su * ddsd) / (ramp * ramp)
-    k = np.arange(1, pair.K + 1)
-    B = pair.paths.cumulative()
-    coef = pair.modal_d[None, :, :] * (1.0 + pair.sigma[None, None, :] * B[:, :, None])
-    cosines = np.cos(np.pi * np.outer(x, k)) * (k * np.pi)[None, :]
-    yx = coef @ cosines.T
-    return ManufacturedPair(
-        grid=pair.grid, paths=pair.paths, K=pair.K,
-        y=pair.y * chi,
-        Y=pair.Y * chi,
-        f=pair.f * chi + 2.0 * yx * dchi + pair.y * ddchi)
+    return replace(pair, window=(chi, dchi, ddchi))
 
 
 # ---------------------------------------------------------------------------
 # Carleman inequality evaluation.
+
+
+def _path_mean_square(c: np.ndarray, sigma: np.ndarray, shapes: np.ndarray,
+                      mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Mean over the M paths of u^2 on (time, x) nodes, where on each path
+    u = sum_j c_j(t)(1 + sigma_j B) shapes_j(x) = a + B b.
+
+    That mean is (a + mean b)^2 + var b^2, with mean and var the paths'
+    mean and variance of B at each time node: two terms >= 0, which cannot
+    cancel below zero as a^2 + 2 mean a b + mean(B^2) b^2 can.
+    """
+    a = c @ shapes
+    b = (c * sigma) @ shapes
+    u = a + mean[:, None] * b
+    return u * u + var[:, None] * (b * b)
 
 
 def carleman_heat_check(pair: ManufacturedPair, w: HeatWeight,
@@ -517,6 +521,9 @@ def carleman_heat_check(pair: ManufacturedPair, w: HeatWeight,
     reported as ratio(lam) = RHS / LHS, which a uniform constant C >= 1/ratio
     must bound below.  Both sides carry the same weight shift, so ratios
     are shift-free.  Quadrature: node sums, time clamped to [dt, T-dt].
+    The path means of y^2, |y_x|^2 (central stencil) and f^2 come from the
+    pair's modes and the mean and variance of B at each time node, with no
+    per-path field.
     """
     grid = pair.grid
     if abs(grid.T - w.T) > 1e-12:
@@ -539,14 +546,26 @@ def carleman_heat_check(pair: ManufacturedPair, w: HeatWeight,
         raise SimError(f"alpha overflows double precision at t = dt for "
                        f"mu = {w.mu:g}; reduce mu or coarsen the time grid")
     shifted = alpha - float(np.max(alpha))
-    # The report reads only path means, and each sum is linear in the
-    # path-dependent squares: average them over the M paths once, and fold
-    # in the lambda-free powers of gamma.  Y is path-independent.
-    y = pair.y[:, 1:-1, :]
-    y2g3 = np.mean(y ** 2, axis=0) * gamma ** 3
-    gy2g1 = np.mean(grad_dirichlet(y, dx) ** 2, axis=0) * gamma
-    f2 = np.mean(pair.f[:, 1:-1, :] ** 2, axis=0)
-    Y2g2 = pair.Y[1:-1, :] ** 2 * gamma ** 2
+    # Each field is sum_j c_j(t)(1 + sigma_j B) S_j(x).  A window multiplies
+    # the shapes S_j (chi = 1 without one), and its commutator in f adds the
+    # modes of d with the shapes 2 chi' k pi cos + chi'' sin; the stencil
+    # gradient of y has the stencil of each shape as its shape.
+    B = pair.paths.cumulative()[:, 1:-1]
+    mean = np.mean(B, axis=0)
+    var = np.mean((B - mean) ** 2, axis=0)
+    chi, dchi, ddchi = pair.window or (1.0, 0.0, 0.0)
+    k = np.arange(1, pair.K + 1)
+    kx = np.pi * np.outer(k, grid.x)   # (K, Nx)
+    sines = np.sin(kx)
+    y_shapes = chi * sines
+    f_shapes = np.vstack([y_shapes, 2.0 * dchi * np.cos(kx) * (k * np.pi)[:, None]
+                          + ddchi * sines])
+    d, sigma = pair.modal_d[1:-1], pair.sigma
+    f_coef = np.hstack([pair.modal_ddot[1:-1] - (k * np.pi) ** 2 * d, d])
+    y2g3 = _path_mean_square(d, sigma, y_shapes, mean, var) * gamma ** 3
+    gy2g1 = _path_mean_square(d, sigma, grad_dirichlet(y_shapes, dx), mean, var) * gamma
+    f2 = _path_mean_square(f_coef, np.tile(sigma, 2), f_shapes, mean, var)
+    Y2g2 = ((sigma * d) @ y_shapes) ** 2 * gamma ** 2
     y2g3_obs = y2g3[:, mask]
     cell = dx * dt
     out = {"lambdas": lams, "lhs": [], "rhs": [], "ratio": [],

@@ -249,6 +249,16 @@ def test_lhs_underflow_exits_two_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_a_window_between_two_grid_nodes_exits_two(tmp_path, capsys):
+    # at the default Nx = 60 no node lies in (0.5, 0.505), so the window is
+    # 0 on the whole grid and no lambda could give a positive LHS
+    assert_config_rejected(tmp_path, "carleman-heat",
+                           json.dumps({"window": [0.5, 0.505]}))
+    err = capsys.readouterr().err
+    assert "window [0.5, 0.505] holds no grid node (dx = 0.0163934)" in err
+    assert "Carleman LHS" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("verb,payload", [
     ("carleman-gl", {"T": 1e6}),
     ("carleman-gl", {"mus": [1e6]}),

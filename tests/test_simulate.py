@@ -9,11 +9,13 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import types
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from carlemanlab import simulate
@@ -356,20 +358,43 @@ def make_pair(seed=0, Nx=60, Nt=400, T=1.0, M=8, K=6):
     return manufacture_heat_pair(grid, paths, K, seed)
 
 
+def per_path_fields(pair):
+    """Reference: the pair's whole fields y, f of shape (M, Nt+1, Nx) and
+    Y of shape (Nt+1, Nx), assembled per path from its modal form and, for
+    a windowed pair, multiplied by the window with the source's exact
+    commutator: f_w = chi f + 2 chi' y_x + chi'' y."""
+    grid, K = pair.grid, pair.K
+    k = np.arange(1, K + 1)
+    B = pair.paths.cumulative()          # (M, Nt+1)
+    stoch = 1.0 + pair.sigma[None, None, :] * B[:, :, None]   # (M, Nt+1, K)
+    sines = np.sin(np.pi * np.outer(grid.x, k))               # (Nx, K)
+    coef = pair.modal_d[None, :, :] * stoch
+    y = coef @ sines.T
+    Y = (pair.sigma * pair.modal_d) @ sines.T
+    f = ((pair.modal_ddot - (k * np.pi) ** 2 * pair.modal_d)[None, :, :] * stoch) @ sines.T
+    if pair.window is None:
+        return y, f, Y
+    chi, dchi, ddchi = pair.window
+    cosines = np.cos(np.pi * np.outer(grid.x, k)) * (k * np.pi)[None, :]
+    yx = coef @ cosines.T
+    return y * chi, f * chi + 2.0 * yx * dchi + y * ddchi, Y * chi
+
+
 def test_pair_solves_equation_pathwise():
     # f must equal the dt drift of y plus the exact Laplacian, per path
     pair = make_pair(seed=4, M=3)
+    _, f, Y = per_path_fields(pair)
     k = np.arange(1, pair.K + 1)
     sines = np.sin(np.pi * np.outer(pair.grid.x, k))
     B = pair.paths.cumulative()
     stoch = 1.0 + pair.sigma[None, None, :] * B[:, :, None]
     drift = (pair.modal_ddot[None, :, :] * stoch) @ sines.T
     laplacian = (pair.modal_d[None, :, :] * stoch * -(k * np.pi) ** 2) @ sines.T
-    assert np.allclose(pair.f, drift + laplacian, atol=1e-10)
+    assert np.allclose(f, drift + laplacian, atol=1e-10)
     # and the noise coefficient is deterministic in the modal amplitudes
     Y_want = (pair.sigma * pair.modal_d) @ sines.T
-    assert pair.Y.shape == Y_want.shape
-    assert np.allclose(pair.Y, Y_want, atol=1e-12)
+    assert Y.shape == Y_want.shape
+    assert np.allclose(Y, Y_want, atol=1e-12)
 
 
 def test_pair_vanishes_at_boundary():
@@ -386,6 +411,65 @@ def test_mode_budget_enforced():
     grid = Grid1D(Nx=20, Nt=40, T=0.5)
     with pytest.raises(SimError):
         manufacture_heat_pair(grid, brownian(2, 40, 0, dt=grid.dt), K=6, seed=0)
+
+
+def test_heat_layer_builds_no_per_path_field():
+    # the pair, its window and the check together stay below the bytes of
+    # one (M, Nt+1, Nx) float64 field
+    M, Nx, Nt = 200, 60, 400
+    grid = Grid1D(Nx=Nx, Nt=Nt, T=1.0)
+    paths = brownian(M, Nt, 0, dt=grid.dt)
+    tracemalloc.start()
+    try:
+        pair = windowed_pair(manufacture_heat_pair(grid, paths, 6, 0), 0.1, 0.9)
+        carleman_heat_check(pair, heat_weight(), [20, 40, 80, 160])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < M * (Nt + 1) * Nx * 8, peak
+
+
+@st.composite
+def path_mean_square_cases(draw):
+    """(c, sigma, shapes, B) drawn from a seed: modal coefficients, noise
+    weights, spatial shapes and Brownian paths on the time nodes."""
+    seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    M = draw(st.integers(min_value=1, max_value=6))
+    T, J, Nx = (draw(st.integers(min_value=1, max_value=n)) for n in (12, 8, 10))
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(T, J))
+    sigma = rng.uniform(0.3, 0.8, size=J)
+    shapes = rng.normal(size=(J, Nx))
+    B = np.cumsum(rng.normal(0.0, 0.1, size=(M, T)), axis=1)
+    return c, sigma, shapes, B
+
+
+def _cancelling_case(M):
+    """A case whose field a + B b is 0 on path 0 at one node: a = -B b."""
+    rng = np.random.default_rng(M)
+    c = rng.normal(size=(5, 3))
+    sigma = rng.uniform(0.3, 0.8, size=3)
+    shapes = rng.normal(size=(3, 4))
+    B = np.cumsum(rng.normal(0.0, 0.1, size=(M, 5)), axis=1)
+    # solve node (2, 1) of path 0 for c[2, 0]: sum_j c_j (1 + sigma_j B) S_j = 0
+    w = (1.0 + sigma * B[0, 2]) * shapes[:, 1]
+    c[2, 0] = -np.dot(c[2, 1:], w[1:]) / w[0]
+    return c, sigma, shapes, B
+
+
+@settings(max_examples=200, deadline=None)
+@given(path_mean_square_cases())
+@example(_cancelling_case(1))
+@example(_cancelling_case(4))
+def test_path_mean_square_is_the_mean_over_paths(case):
+    c, sigma, shapes, B = case
+    a, b = c @ shapes, (c * sigma) @ shapes
+    want = np.mean((a[None] + B[:, :, None] * b[None]) ** 2, axis=0)
+    mean = np.mean(B, axis=0)
+    got = simulate._path_mean_square(c, sigma, shapes, mean,
+                                     np.mean((B - mean) ** 2, axis=0))
+    assert np.all(got >= 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 # -- parabolic Carleman inequality ------------------------------------
@@ -419,7 +503,8 @@ def test_windowed_pair_is_observation_dominated():
     wp = windowed_pair(pair, 0.38, 0.72)
     # support inside G0 = (0.3, 0.8): the window really vanishes outside
     outside = (pair.grid.x < 0.3) | (pair.grid.x > 0.8)
-    assert np.all(wp.y[:, :, outside] == 0.0)
+    y, _, _ = per_path_fields(wp)
+    assert np.all(y[:, :, outside] == 0.0)
     rep = carleman_heat_check(wp, heat_weight(), [20, 40, 80, 160])
     assert rep["uniform_ok"]
     assert min(rep["observation_fraction"]) > 0.5
@@ -450,26 +535,26 @@ def test_windowed_pair_solves_its_equation(window):
     # f_w = chi f + 2 chi' y_x + chi'' y and Y_w = chi Y
     pair = make_pair(seed=5, M=3)
     wp = windowed_pair(pair, *window)
+    y, f, Y = per_path_fields(pair)
+    wy, wf, wY = per_path_fields(wp)
     chi, dchi, ddchi = window_derivatives(pair.grid.x, *window)
-    want = chi * pair.f + 2.0 * dchi * modal_y_x(pair) + ddchi * pair.y
+    want = chi * f + 2.0 * dchi * modal_y_x(pair) + ddchi * y
     scale = np.max(np.abs(want))
-    np.testing.assert_allclose(wp.f, want, rtol=0.0, atol=1e-6 * scale)
-    np.testing.assert_allclose(wp.y, chi * pair.y, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(wp.Y, chi * pair.Y, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(wf, want, rtol=0.0, atol=1e-6 * scale)
+    np.testing.assert_allclose(wy, chi * y, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(wY, chi * Y, rtol=0.0, atol=1e-12)
 
 
 def test_a_windowed_pair_is_not_windowed_again():
-    # the window's y_x comes from the modal form, which chi y does not have
     wp = windowed_pair(make_pair(seed=5, M=3), 0.1, 0.9)
-    assert wp.modal_d is None and wp.modal_ddot is None and wp.sigma is None
-    with pytest.raises(SimError, match="no modal form"):
+    with pytest.raises(SimError, match="not windowed again"):
         windowed_pair(wp, 0.05, 0.5)
 
 
 def test_heat_ratio_scale_invariant():
     pair = make_pair(seed=13, M=10)
-    doubled = dataclasses.replace(pair, y=2.0 * pair.y, Y=2.0 * pair.Y,
-                                  f=2.0 * pair.f)
+    doubled = dataclasses.replace(pair, modal_d=2.0 * pair.modal_d,
+                                  modal_ddot=2.0 * pair.modal_ddot)
     a = carleman_heat_check(pair, heat_weight(), [20, 80])
     b = carleman_heat_check(doubled, heat_weight(), [20, 80])
     assert b["lhs"] == [4.0 * v for v in a["lhs"]]
@@ -479,7 +564,7 @@ def test_heat_ratio_scale_invariant():
 
 def per_path_heat_sums(pair, w, lams):
     """Reference: both sides per path, one einsum over (M, Nt, Nx) per
-    term, then the mean over paths."""
+    term of the whole fields, then the mean over paths."""
     grid = pair.grid
     dxdt = grid.dx * grid.dt
     t = grid.t[1:-1]
@@ -487,11 +572,12 @@ def per_path_heat_sums(pair, w, lams):
     shifted = alpha - np.max(alpha)
     lo, hi = w.psi.G0
     mask = (grid.x >= lo) & (grid.x <= hi)
-    y = pair.y[:, 1:-1, :]
+    y, f, Y = per_path_fields(pair)
+    y = y[:, 1:-1, :]
     y2 = y ** 2
     gy2 = grad_dirichlet(y, grid.dx) ** 2
-    f2 = pair.f[:, 1:-1, :] ** 2
-    Y2 = np.broadcast_to(pair.Y[1:-1, :] ** 2, y2.shape)
+    f2 = f[:, 1:-1, :] ** 2
+    Y2 = np.broadcast_to(Y[1:-1, :] ** 2, y2.shape)
     out = {"lhs": [], "rhs": [], "ratio": [], "observation_fraction": []}
     for lam in lams:
         theta2 = np.exp(2.0 * lam * shifted)
