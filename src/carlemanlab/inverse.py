@@ -75,16 +75,22 @@ def compute_tau(t0: float, t1: float, mu1: float, C: float) -> float:
     return tau
 
 
-def _log_objective(mu, D1: float, D2: float, kappa: float, C: float,
-                   T: float):
-    # F(mu) = C e^{-2 mu kappa} D1 + C e^{2 mu e^{C mu T}} D2, kept in logs:
-    # the second exponent alone overflows any float for moderate mu.
-    # mu may be a float or an array of them.
-    a = np.log(C) - 2.0 * mu * kappa + np.log(D1)
+def _log_objective(D1: float, D2: float, kappa: float, C: float, T: float):
+    """log F as a function of mu, a float or an array of them, where
+    F(mu) = C e^{-2 mu kappa} D1 + C e^{2 mu e^{C mu T}} D2 is kept in
+    logs: the second exponent alone overflows any float for moderate mu.
+    The logs of C, D1 and D2 are taken once, here, not per mu."""
+    log_c, log_d1 = np.log(C), np.log(D1)
     if D2 == 0.0:
-        return a
-    b = np.log(C) + 2.0 * mu * np.exp(C * mu * T) + np.log(D2)
-    return np.logaddexp(a, b)
+        return lambda mu: log_c - 2.0 * mu * kappa + log_d1
+    log_d2 = np.log(D2)
+
+    def log_f(mu):
+        a = log_c - 2.0 * mu * kappa + log_d1
+        b = log_c + 2.0 * mu * np.exp(C * mu * T) + log_d2
+        return np.logaddexp(a, b)
+
+    return log_f
 
 
 def _check_objective(D1: float, D2: float, kappa: float, C: float,
@@ -112,19 +118,19 @@ def optimize_mu(D1: float, D2: float, kappa: float, C: float, T: float) -> float
         return MU_MAX
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = MU_LO, MU_MAX
+    log_f = _log_objective(D1, D2, kappa, C, T)
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc = _log_objective(c, D1, D2, kappa, C, T)
-    fd = _log_objective(d, D1, D2, kappa, C, T)
+    fc, fd = log_f(c), log_f(d)
     while b - a > 1e-7:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = _log_objective(c, D1, D2, kappa, C, T)
+            fc = log_f(c)
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = _log_objective(d, D1, D2, kappa, C, T)
+            fd = log_f(d)
     return 0.5 * (a + b)
 
 
@@ -133,7 +139,7 @@ def brute_force_mu(D1: float, D2: float, kappa: float, C: float, T: float,
     """Grid argmin oracle for optimize_mu."""
     _check_objective(D1, D2, kappa, C, T)
     grid = np.linspace(MU_LO, MU_MAX, points)
-    return float(grid[np.argmin(_log_objective(grid, D1, D2, kappa, C, T))])
+    return float(grid[np.argmin(_log_objective(D1, D2, kappa, C, T)(grid))])
 
 
 def solution_norms(sol: Union[Solution, PathSums],

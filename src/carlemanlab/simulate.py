@@ -172,7 +172,8 @@ def grad_free(u: np.ndarray, dx: float) -> np.ndarray:
 def sample_field(fn: Coefficient, x: np.ndarray, t: np.ndarray,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """fn on every time node of t: a (len(t), len(x)) complex array, zero
-    for an absent field; out, if given, is a zeroed slot to fill.
+    for an absent field; out, if given, is the slot to fill, and is left
+    as it is for an absent field.
 
     fn is called once, as fn(x, t[:, None]), with the 1-d nodes x and the
     times as a column; it returns an array that broadcasts to
@@ -190,6 +191,18 @@ def sum_squares(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     the squared real and imaginary parts."""
     v = z.view(np.float64)  # z's trailing axis must be contiguous
     return np.einsum("...i,...i->...", v, v, out=out)
+
+
+# Time steps per block of march_gl's field buffers.  Shorter blocks hold
+# less memory but call each field more often.  Measured at inverse-gl's
+# default shape (E = 20, Nx = 50, Nt = 300; fields a1, a2, a3) on a
+# 2-core x86-64 host, the experiments benchmark's peak RSS is 61.6 MB
+# with whole (Nt, E, Nx) stacks, 52.2 MB at 128 steps, 50.8 MB at 100
+# and 49.1 MB at 64, while refilling the blocks takes 20.8 ms per march
+# in one block, 24.1 ms in three of 100 steps and 29.7 ms in five of 64.
+# Of these, 100 is the longest block that keeps the peak below 52 MB, and
+# it splits the default Nt = 300 into three whole blocks.
+_MARCH_BLOCK = 100
 
 
 @dataclass
@@ -285,15 +298,19 @@ def march_gl(problems: Sequence[SPDEProblem], grid: Grid1D,
     of keep.  A state or a sum that leaves double precision raises
     SimError.
 
-    The step allocates nothing.  Each field is sampled once into one
-    (Nt, E, Nx) stack, absent members' slots zero, and dt a1, dt a2 and
-    dt f are scaled in place ((dt a)[m] is dt a[m] bit for bit).  The
-    state lives in two (M, E Nx) buffers, the transposes of the
-    Fortran-ordered (E Nx, M) arrays gttrs solves in place: one holds
-    w^m while the other takes the right side, and they swap each step.
-    grad, w_x by grad_dirichlet's stencil, serves both wx2 and the a1
-    term.  A field absent from every member is skipped, not added as
-    zero.
+    The fields stream through the march in blocks of _MARCH_BLOCK time
+    steps, so its working memory grows with the block, not with Nt.  At
+    each block start every present field is sampled into one
+    (_MARCH_BLOCK, E, Nx) buffer, allocated once, and the block's dB_m
+    are copied into one (_MARCH_BLOCK, M, E) buffer; dt a1, dt a2 and
+    dt f are scaled in place ((dt a)[m] is dt a[m] bit for bit).  An
+    absent member's slot is zeroed once and never written, and a field
+    absent from every member is skipped, not added as zero.  Between
+    block starts the step allocates nothing.  The state lives in two
+    (M, E Nx) buffers, the transposes of the Fortran-ordered (E Nx, M)
+    arrays gttrs solves in place: one holds w^m while the other takes
+    the right side, and they swap each step.  grad, w_x by
+    grad_dirichlet's stencil, serves both wx2 and the a1 term.
     """
     E, Nx, Nt = len(problems), grid.Nx, grid.Nt
     if E == 0 or len(ensembles) != E:
@@ -307,7 +324,7 @@ def march_gl(problems: Sequence[SPDEProblem], grid: Grid1D,
     kept = tuple(sorted({int(m) for m in keep}))
     if kept and not (0 <= kept[0] and kept[-1] <= Nt):
         raise SimError(f"kept nodes {kept} outside 0..{Nt}")
-    x, dx, dt = grid.x, grid.dx, grid.dt
+    x, t, dx, dt = grid.x, grid.t, grid.dx, grid.dt
     # Re rho > 0 makes each block strictly diagonally dominant, so the
     # factorization never meets a zero pivot
     rho = np.repeat([dt * (1.0 + 1j * p.b) / (dx * dx) for p in problems], Nx)
@@ -316,26 +333,32 @@ def march_gl(problems: Sequence[SPDEProblem], grid: Grid1D,
     gttrf, gttrs = _flapack.zgttrf, _flapack.zgttrs
     *lu, _ = gttrf(off, 1.0 + 2.0 * rho, off)
 
-    def stack(name):
-        fns = [getattr(p, name) for p in problems]
-        if all(fn is None for fn in fns):
-            return None
-        out = np.zeros((Nt, E, Nx), dtype=complex)
-        for e, fn in enumerate(fns):
-            sample_field(fn, x, grid.t[:-1], out=out[:, e, :])
-        return out
+    K = min(_MARCH_BLOCK, Nt)
+    names = ("a1", "a2", "a3", "f", "g")
+    fns = {name: [getattr(p, name) for p in problems] for name in names}
+    bufs = {name: np.zeros((K, E, Nx), dtype=complex) for name in names
+            if any(fn is not None for fn in fns[name])}
+    a1, a2, a3, f, g = map(bufs.get, names)
+    dB = np.empty((K, M, E))
 
-    a1, a2, a3, f, g = map(stack, ("a1", "a2", "a3", "f", "g"))
-    for a in (a1, a2, f):
-        if a is not None:
-            a *= dt
-    dB = np.empty((Nt, M, E))
-    for e, paths in enumerate(ensembles):
-        dB[:, :, e] = paths.increments.T
+    def refill(m0):
+        """Sample the fields and copy dB_m for the steps m0 .. m0+n-1."""
+        n = min(K, Nt - m0)
+        for name, buf in bufs.items():
+            for e, fn in enumerate(fns[name]):
+                if fn is not None:
+                    sample_field(fn, x, t[m0:m0 + n], out=buf[:n, e, :])
+            if name in ("a1", "a2", "f"):
+                buf[:n] *= dt
+        for e, paths in enumerate(ensembles):
+            dB[:n, :, e] = paths.increments[:, m0:m0 + n].T
+
     w, rhs = (np.empty((M, E * Nx), dtype=complex) for _ in range(2))
     for e, p in enumerate(problems):
         w.reshape(M, E, Nx)[:, e, :] = p.initial(x)
-    w2, wx2 = np.empty((Nt + 1, M, E)), np.empty((Nt + 1, M, E))
+    # each member's sums are contiguous (M, Nt+1) rows; step m writes
+    # the column m of all of them
+    w2, wx2 = np.empty((E, M, Nt + 1)), np.empty((E, M, Nt + 1))
     states = np.empty((M, len(kept), E, Nx), dtype=complex)
     slot = {m: k for k, m in enumerate(kept)}
     prod = np.empty((M, E, Nx), dtype=complex)
@@ -355,38 +378,44 @@ def march_gl(problems: Sequence[SPDEProblem], grid: Grid1D,
             # interiors, grad, are read
             np.subtract(pad_flat[2:], pad_flat[:-2], out=diff_flat[1:-1])
             diff_parts *= inv_2dx
-            sum_squares(wm, out=w2[m])
-            sum_squares(grad, out=wx2[m])
+            sum_squares(wm, out=w2[..., m].T)
+            sum_squares(grad, out=wx2[..., m].T)
             if m in slot:
                 states[:, slot[m]] = wm
             if m == Nt:
                 break
+            k = m % K
+            if k == 0:
+                refill(m)
             r = rhs.reshape(M, E, Nx)
-            r[...] = wm
+            # the first term is added to w^m straight into r: the same sum
+            # as a copy of w^m plus the term, one pass over r fewer
+            acc = wm
             if a1 is not None:
-                np.multiply(a1[m], grad, out=prod)
-                r += prod
+                np.multiply(a1[k], grad, out=prod)
+                acc = np.add(acc, prod, out=r)
             if a2 is not None:
-                np.multiply(a2[m], wm, out=prod)
-                r += prod
+                np.multiply(a2[k], wm, out=prod)
+                acc = np.add(acc, prod, out=r)
             if f is not None:
-                r += f[m]
+                acc = np.add(acc, f[k], out=r)
             if a3 is not None:
-                np.multiply(a3[m], wm, out=prod)
+                np.multiply(a3[k], wm, out=prod)
                 if g is not None:
-                    prod += g[m]
-                prod *= dB[m][..., None]
-                r += prod
+                    prod += g[k]
+                prod *= dB[k][..., None]
+                acc = np.add(acc, prod, out=r)
             elif g is not None:
-                np.multiply(g[m], dB[m][..., None], out=prod)
-                r += prod
+                np.multiply(g[k], dB[k][..., None], out=prod)
+                acc = np.add(acc, prod, out=r)
+            if acc is wm:  # pure diffusion
+                r[...] = wm
             # the solution overwrites rhs; w's buffer takes the next rhs
             w, rhs = gttrs(*lu, rhs.T, overwrite_b=True)[0].T, w
     if not (np.all(np.isfinite(w2)) and np.all(np.isfinite(wx2))):
         raise SimError("forward solve left double precision (a state or its "
                        "sum of squares overflows); reduce the coefficients "
                        "or refine the time grid")
-    w2, wx2 = (np.ascontiguousarray(s.transpose(2, 1, 0)) for s in (w2, wx2))
     return [PathSums(grid=grid, paths=paths, problem=p, w2=w2[e], wx2=wx2[e],
                      kept=kept, states=states[:, :, e, :])
             for e, (p, paths) in enumerate(zip(problems, ensembles))]

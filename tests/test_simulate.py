@@ -229,9 +229,19 @@ def _members(E, fields, Nx=24, Nt=60, M=3):
 
 
 @pytest.mark.parametrize("fields", FIELD_SETS.values(), ids=FIELD_SETS.keys())
-@pytest.mark.parametrize("E", [1, 2, 3])
-def test_ensemble_march_equals_each_members_own_solve_bitwise(E, fields):
-    grid, problems, ensembles = _members(E, fields)
+# E members marched Nt steps in blocks of the given length: fewer steps
+# than one block, then several blocks with a remainder, and whole blocks
+@pytest.mark.parametrize("E, Nt, block", [
+    pytest.param(1, 60, 64, id="1"),
+    pytest.param(2, 60, 64, id="2"),
+    pytest.param(3, 60, 64, id="3"),
+    pytest.param(3, 60, 16, id="3-blocks-and-remainder"),
+    pytest.param(3, 64, 16, id="3-whole-blocks"),
+])
+def test_ensemble_march_equals_each_members_own_solve_bitwise(E, Nt, block, fields,
+                                                              monkeypatch):
+    monkeypatch.setattr(simulate, "_MARCH_BLOCK", block)
+    grid, problems, ensembles = _members(E, fields, Nt=Nt)
     every = march_gl(problems, grid, ensembles, keep=range(grid.Nt + 1))
     some = march_gl(problems, grid, ensembles, keep=[grid.Nt, 0, grid.Nt // 2, 0])
     for run, part, p, paths in zip(every, some, problems, ensembles):
@@ -244,9 +254,42 @@ def test_ensemble_march_equals_each_members_own_solve_bitwise(E, fields):
         assert part.wx2.tobytes() == run.wx2.tobytes()
 
 
+def test_a_field_on_some_members_only_marches_as_each_members_own_solve(monkeypatch):
+    # a member without a field reads zeros from that field's block buffer,
+    # which every block's refill must leave zero
+    monkeypatch.setattr(simulate, "_MARCH_BLOCK", 16)
+    grid, problems, ensembles = _members(4, GL_FIELDS)
+    absent = [(), ("a1", "a3", "f"), ("a2", "g"), ("a1", "a2", "a3", "f")]
+    problems = [dataclasses.replace(p, **dict.fromkeys(names))
+                for p, names in zip(problems, absent)]
+    runs = march_gl(problems, grid, ensembles, keep=range(grid.Nt + 1))
+    for run, p, paths in zip(runs, problems, ensembles):
+        own, = march_gl([p], grid, [paths], keep=range(grid.Nt + 1))
+        assert run.states.tobytes() == own.states.tobytes()
+        assert run.w2.tobytes() == own.w2.tobytes()
+        assert run.wx2.tobytes() == own.wx2.tobytes()
+
+
+def test_march_holds_a_block_of_each_field_not_every_step():
+    # inverse-gl's default shape, with its three fields a1, a2 and a3:
+    # one (Nt, E, Nx) stack per field, scaled by dt, would peak at 19 MB
+    E, M, Nx, Nt = 20, 16, 50, 300
+    grid = Grid1D(Nx=Nx, Nt=Nt, T=0.3)
+    problems = [make_random_gl_problem(e, with_coefficients=True, with_sources=False)
+                for e in range(E)]
+    ensembles = [brownian(M, Nt, 100 + e, dt=grid.dt) for e in range(E)]
+    tracemalloc.start()
+    try:
+        march_gl(problems, grid, ensembles)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * Nt * E * Nx * 16, peak
+
+
 def test_march_factors_once_and_solves_once_per_step(monkeypatch):
     # one block-diagonal factorization and one solve per step for every
-    # member, not one per member
+    # member, not one per member, however many blocks the fields take
     calls = {"zgttrf": 0, "zgttrs": 0}
 
     def counted(name):
@@ -260,6 +303,7 @@ def test_march_factors_once_and_solves_once_per_step(monkeypatch):
 
     monkeypatch.setattr(simulate, "_flapack", types.SimpleNamespace(
         zgttrf=counted("zgttrf"), zgttrs=counted("zgttrs")))
+    monkeypatch.setattr(simulate, "_MARCH_BLOCK", 16)
     grid, problems, ensembles = _members(3, GL_FIELDS)
     march_gl(problems, grid, ensembles)
     assert calls == {"zgttrf": 1, "zgttrs": grid.Nt}
