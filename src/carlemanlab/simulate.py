@@ -11,12 +11,14 @@ two Carleman inequalities, and two classic first-order demos.
 
 Conventions: the spatial domain is (0, 1) with homogeneous Dirichlet
 data; fields live on the Nx interior nodes; the diffusion term is
-implicit, everything else explicit at the left time point.  All
-members of a Ginzburg-Landau ensemble march in one time loop: one
-block-diagonal tridiagonal factorization, one pair of triangular solves
-per step, and per-path sums over x streamed out of each step in place
-of the states.  All randomness flows through numpy's seeded default
-generator, so a (seed, config) pair fixes every array bit-for-bit.
+implicit, everything else explicit at the left time point.  The
+members of a Ginzburg-Landau ensemble march in at most two workers,
+threads of one process, with no setting: each worker marches its
+members in one time loop, with one block-diagonal tridiagonal
+factorization, one solve per step, and per-path sums over x streamed
+out of each step in place of the states.  All randomness flows through
+numpy's seeded default generator, so a (seed, config) pair fixes every
+array bit-for-bit.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -193,15 +196,18 @@ def sum_squares(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return np.einsum("...i,...i->...", v, v, out=out)
 
 
-# Time steps per block of march_gl's field buffers.  Shorter blocks hold
-# less memory but call each field more often.  Measured at inverse-gl's
-# default shape (E = 20, Nx = 50, Nt = 300; fields a1, a2, a3) on a
-# 2-core x86-64 host, the experiments benchmark's peak RSS is 61.6 MB
-# with whole (Nt, E, Nx) stacks, 52.2 MB at 128 steps, 50.8 MB at 100
-# and 49.1 MB at 64, while refilling the blocks takes 20.8 ms per march
-# in one block, 24.1 ms in three of 100 steps and 29.7 ms in five of 64.
-# Of these, 100 is the longest block that keeps the peak below 52 MB, and
-# it splits the default Nt = 300 into three whole blocks.
+# Time steps per block of march_gl's field buffers.  Each worker holds
+# its own buffers, sized for its half of the members, so the two workers
+# together hold what one worker holds for all of them.  Shorter blocks
+# hold less memory but call each field more often.  Measured with one
+# worker at inverse-gl's default shape (E = 20, Nx = 50, Nt = 300;
+# fields a1, a2, a3) on a 2-core x86-64 host, the experiments
+# benchmark's peak RSS is 61.6 MB with whole (Nt, E, Nx) stacks, 52.2 MB
+# at 128 steps, 50.8 MB at 100 and 49.1 MB at 64, while refilling the
+# blocks takes 20.8 ms per march in one block, 24.1 ms in three of 100
+# steps and 29.7 ms in five of 64.  Of these, 100 is the longest block
+# that keeps the peak below 52 MB, and it splits the default Nt = 300
+# into three whole blocks.
 _MARCH_BLOCK = 100
 
 
@@ -276,27 +282,101 @@ class Solution:
         return self.w[:, m, :]
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity set where the OS
+    keeps one (Linux), else os.cpu_count(), and 1 if that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def march_gl(problems: Sequence[SPDEProblem], grid: Grid1D,
              ensembles: Sequence[PathEnsemble],
              keep: Sequence[int] = ()) -> list[PathSums]:
-    """Forward-solve every member in one time loop, one semi-implicit
-    Euler step per time step: implicit diffusion, explicit rest,
+    """Forward-solve every member, one semi-implicit Euler step per time
+    step: implicit diffusion, explicit rest,
 
         (Id - dt (1+ib) D) w^{m+1}
             = w^m + dt (a1 w_x^m + a2 w^m + f^m) + (a3 w^m + g^m) dB_m
 
     with D the Dirichlet second-difference matrix.  Member e solves
     problems[e] on ensembles[e]; all ensembles have the same path count
-    M.  The E matrices do not depend on time, so they are LU-factored
-    once, as one block-diagonal matrix with zero couplings between the
-    blocks (LAPACK gttrf); each step is one gttrs solve for every path of
-    every member.  A zero coupling adds and multiplies only exact zeros,
-    so each member's states equal its own solve's bit for bit.
-
-    The states are not kept: each step streams its per-path sums w2 and
-    wx2 out (see PathSums), and copies the state only at the time nodes
-    of keep.  A state or a sum that leaves double precision raises
+    M.  The states are not kept: each step streams its per-path sums w2
+    and wx2 out (see PathSums), and copies the state only at the time
+    nodes of keep.  A state or a sum that leaves double precision raises
     SimError.
+
+    The members march in at most two workers, with no setting: one
+    factorization and one solve per step per worker (see _march).  With
+    two members or more and two CPUs or more, a second thread marches
+    the members [ceil(E/2), E) while this one marches the rest.  zgttrs
+    releases the GIL, so the two workers solve on two cores; the dozen or
+    so numpy calls of each step hold it, which is why the split stops at
+    two.  A worker's exception is raised here once both have stopped.
+    Each member's states equal its own solve's bit for bit, so the split
+    changes no number.
+    """
+    E, Nx, Nt = len(problems), grid.Nx, grid.Nt
+    if E == 0 or len(ensembles) != E:
+        raise SimError(f"need one path ensemble per problem, got "
+                       f"{len(ensembles)} for {E}")
+    for paths in ensembles:
+        _check_paths(grid, paths)
+    M = ensembles[0].M
+    if any(paths.M != M for paths in ensembles):
+        raise SimError("the members of one march need the same path count")
+    kept = tuple(sorted({int(m) for m in keep}))
+    if kept and not (0 <= kept[0] and kept[-1] <= Nt):
+        raise SimError(f"kept nodes {kept} outside 0..{Nt}")
+    # each member's sums are contiguous (M, Nt+1) rows; step m writes
+    # the column m of all of them
+    w2, wx2 = np.empty((E, M, Nt + 1)), np.empty((E, M, Nt + 1))
+    states = np.empty((M, len(kept), E, Nx), dtype=complex)
+
+    def members(lo, hi):
+        return (problems[lo:hi], grid, ensembles[lo:hi], kept,
+                w2[lo:hi], wx2[lo:hi], states[:, :, lo:hi])
+
+    if E >= 2 and _cpu_count() >= 2:
+        half, raised = (E + 1) // 2, []
+
+        def second():
+            try:
+                _march(*members(half, E))
+            except BaseException as exc:
+                raised.append(exc)
+
+        helper = threading.Thread(target=second, name="march_gl")
+        helper.start()
+        try:
+            _march(*members(0, half))
+        finally:
+            # no worker outlives the buffers it writes
+            helper.join()
+        if raised:
+            raise raised[0]
+    else:
+        _march(*members(0, E))
+    if not (np.all(np.isfinite(w2)) and np.all(np.isfinite(wx2))):
+        raise SimError("forward solve left double precision (a state or its "
+                       "sum of squares overflows); reduce the coefficients "
+                       "or refine the time grid")
+    return [PathSums(grid=grid, paths=paths, problem=p, w2=w2[e], wx2=wx2[e],
+                     kept=kept, states=states[:, :, e, :])
+            for e, (p, paths) in enumerate(zip(problems, ensembles))]
+
+
+def _march(problems: Sequence[SPDEProblem], grid: Grid1D,
+           ensembles: Sequence[PathEnsemble], kept: tuple, w2: np.ndarray,
+           wx2: np.ndarray, states: np.ndarray) -> None:
+    """march_gl's time loop for one worker's E members: w2 and wx2 are
+    their (E, M, Nt+1) sums, states their (M, len(kept), E, Nx) states.
+
+    The E matrices do not depend on time, so they are LU-factored once,
+    as one block-diagonal matrix with zero couplings between the blocks
+    (LAPACK gttrf); each step is one gttrs solve for every path of every
+    member.  A zero coupling adds and multiplies only exact zeros, so
+    each member's states equal its own solve's bit for bit.
 
     The fields stream through the march in blocks of _MARCH_BLOCK time
     steps, so its working memory grows with the block, not with Nt.  At
@@ -312,18 +392,7 @@ def march_gl(problems: Sequence[SPDEProblem], grid: Grid1D,
     the right side, and they swap each step.  grad, w_x by
     grad_dirichlet's stencil, serves both wx2 and the a1 term.
     """
-    E, Nx, Nt = len(problems), grid.Nx, grid.Nt
-    if E == 0 or len(ensembles) != E:
-        raise SimError(f"need one path ensemble per problem, got "
-                       f"{len(ensembles)} for {E}")
-    for paths in ensembles:
-        _check_paths(grid, paths)
-    M = ensembles[0].M
-    if any(paths.M != M for paths in ensembles):
-        raise SimError("the members of one march need the same path count")
-    kept = tuple(sorted({int(m) for m in keep}))
-    if kept and not (0 <= kept[0] and kept[-1] <= Nt):
-        raise SimError(f"kept nodes {kept} outside 0..{Nt}")
+    E, Nx, Nt, M = len(problems), grid.Nx, grid.Nt, ensembles[0].M
     x, t, dx, dt = grid.x, grid.t, grid.dx, grid.dt
     # Re rho > 0 makes each block strictly diagonally dominant, so the
     # factorization never meets a zero pivot
@@ -356,10 +425,6 @@ def march_gl(problems: Sequence[SPDEProblem], grid: Grid1D,
     w, rhs = (np.empty((M, E * Nx), dtype=complex) for _ in range(2))
     for e, p in enumerate(problems):
         w.reshape(M, E, Nx)[:, e, :] = p.initial(x)
-    # each member's sums are contiguous (M, Nt+1) rows; step m writes
-    # the column m of all of them
-    w2, wx2 = np.empty((E, M, Nt + 1)), np.empty((E, M, Nt + 1))
-    states = np.empty((M, len(kept), E, Nx), dtype=complex)
     slot = {m: k for k, m in enumerate(kept)}
     prod = np.empty((M, E, Nx), dtype=complex)
     pad = np.zeros((M, E, Nx + 2), dtype=complex)
@@ -369,7 +434,8 @@ def march_gl(problems: Sequence[SPDEProblem], grid: Grid1D,
     # numpy divides a complex by a real c as a product with 1/c, so this
     # scaling of both parts is grad_dirichlet's division bit for bit
     diff_parts, inv_2dx = diff_flat.view(np.float64), 1.0 / (2.0 * dx)
-    # a blown-up state is refused once, at the end, not warned about per step
+    # a blown-up state is refused once, at the end, not warned about per
+    # step; numpy's error state is per thread, so each worker sets its own
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(Nt + 1):
             wm = w.reshape(M, E, Nx)
@@ -412,13 +478,6 @@ def march_gl(problems: Sequence[SPDEProblem], grid: Grid1D,
                 r[...] = wm
             # the solution overwrites rhs; w's buffer takes the next rhs
             w, rhs = gttrs(*lu, rhs.T, overwrite_b=True)[0].T, w
-    if not (np.all(np.isfinite(w2)) and np.all(np.isfinite(wx2))):
-        raise SimError("forward solve left double precision (a state or its "
-                       "sum of squares overflows); reduce the coefficients "
-                       "or refine the time grid")
-    return [PathSums(grid=grid, paths=paths, problem=p, w2=w2[e], wx2=wx2[e],
-                     kept=kept, states=states[:, :, e, :])
-            for e, (p, paths) in enumerate(zip(problems, ensembles))]
 
 
 def solve_gl_forward(p: SPDEProblem, grid: Grid1D, paths: PathEnsemble) -> Solution:

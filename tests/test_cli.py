@@ -1,5 +1,6 @@
 """Batch driver: determinism contract, exit codes, report and CSV shapes."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -665,18 +666,22 @@ def test_carleman_gl_solves_each_ensemble_once(tmp_path, monkeypatch):
     assert calls == [(FAST_GL["ensembles"], FAST_GL["ensembles"], ())]
 
 
-@pytest.mark.parametrize("verb, payload", [("carleman-gl", FAST_GL),
+# three members, so one solve per member per step is more than one per
+# worker
+@pytest.mark.parametrize("verb, payload", [("carleman-gl", dict(FAST_GL, ensembles=3)),
                                             ("inverse-gl", FAST_INV)])
 def test_gl_verbs_factor_once_and_solve_once_per_step(tmp_path, monkeypatch, verb,
                                                       payload):
-    """The members of a verb share one block-diagonal factorization and
-    one triangular solve per time step."""
-    calls = {"zgttrf": 0, "zgttrs": 0}
+    """The members a verb marches in one worker share one block-diagonal
+    factorization and one triangular solve per time step, with one
+    worker or two."""
+    assert payload["ensembles"] == 3
+    calls = []
     lapack = sim._flapack
 
     def counted(name):
         def call(*args, **kwargs):
-            calls[name] += 1
+            calls.append(name)  # one atomic append, from either worker
             return getattr(lapack, name)(*args, **kwargs)
 
         return call
@@ -684,9 +689,13 @@ def test_gl_verbs_factor_once_and_solve_once_per_step(tmp_path, monkeypatch, ver
     monkeypatch.setattr(sim, "_flapack", types.SimpleNamespace(
         zgttrf=counted("zgttrf"), zgttrs=counted("zgttrs")))
     cfg = write_config(tmp_path, "gl.json", payload)
-    code, _ = run_to_file(tmp_path, [verb, "--config", cfg])
-    assert code == 0
-    assert calls == {"zgttrf": 1, "zgttrs": payload["Nt"]}
+    for workers in (1, 2):
+        calls.clear()
+        monkeypatch.setattr(sim, "_cpu_count", lambda: workers)
+        code, _ = run_to_file(tmp_path, [verb, "--config", cfg])
+        assert code == 0
+        assert collections.Counter(calls) == {"zgttrf": workers,
+                                              "zgttrs": workers * payload["Nt"]}
 
 
 def _one_member_tampered(monkeypatch, member, **fields):

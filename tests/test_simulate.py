@@ -1,5 +1,6 @@
 """Forward solver, manufactured pairs, and Monte-Carlo inequality checks."""
 
+import collections
 import dataclasses
 import importlib.machinery
 import json
@@ -9,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 import types
 import warnings
@@ -288,15 +290,16 @@ def test_march_holds_a_block_of_each_field_not_every_step():
 
 
 def test_march_factors_once_and_solves_once_per_step(monkeypatch):
-    # one block-diagonal factorization and one solve per step for every
-    # member, not one per member, however many blocks the fields take
-    calls = {"zgttrf": 0, "zgttrs": 0}
+    # one block-diagonal factorization per worker and one solve per step
+    # for all of a worker's members, not one per member (E = 3 > 2
+    # workers), however many blocks the fields take
+    calls = []
 
     def counted(name):
         real = getattr(simulate._flapack, name)
 
         def call(*args, **kwargs):
-            calls[name] += 1
+            calls.append(name)  # one atomic append, from either worker
             return real(*args, **kwargs)
 
         return call
@@ -305,8 +308,74 @@ def test_march_factors_once_and_solves_once_per_step(monkeypatch):
         zgttrf=counted("zgttrf"), zgttrs=counted("zgttrs")))
     monkeypatch.setattr(simulate, "_MARCH_BLOCK", 16)
     grid, problems, ensembles = _members(3, GL_FIELDS)
-    march_gl(problems, grid, ensembles)
-    assert calls == {"zgttrf": 1, "zgttrs": grid.Nt}
+    for workers in (1, 2):
+        calls.clear()
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+        march_gl(problems, grid, ensembles)
+        assert collections.Counter(calls) == {"zgttrf": workers,
+                                              "zgttrs": workers * grid.Nt}
+
+
+@pytest.mark.parametrize("E", [2, 3, 5])
+def test_two_worker_march_equals_one_worker_march_bitwise(E, monkeypatch):
+    # the second worker's members [ceil(E/2), E) write their own slices;
+    # a3 is present on the even members only, so one worker's a3 buffer
+    # holds a zero slot and, for E = 2, the second worker has none at all
+    monkeypatch.setattr(simulate, "_MARCH_BLOCK", 16)
+    grid, problems, ensembles = _members(E, GL_FIELDS)
+    problems = [p if e % 2 == 0 else dataclasses.replace(p, a3=None)
+                for e, p in enumerate(problems)]
+    keep = [grid.Nt, 0, 17]
+    runs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+        runs[workers] = march_gl(problems, grid, ensembles, keep=keep)
+    for one, two in zip(runs[1], runs[2]):
+        assert one.kept == two.kept == (0, 17, grid.Nt)
+        assert one.states.tobytes() == two.states.tobytes()
+        assert one.w2.tobytes() == two.w2.tobytes()
+        assert one.wx2.tobytes() == two.wx2.tobytes()
+
+
+@pytest.mark.parametrize("member", [0, 2], ids=["first-half", "second-half"])
+def test_march_raises_a_workers_field_error_after_both_stop(member, monkeypatch):
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    grid, problems, ensembles = _members(3, ("f", "g"))
+    error = KeyError("field")
+
+    def broken(x, t):
+        raise error
+
+    problems[member] = dataclasses.replace(problems[member], f=broken)
+    threads = threading.active_count()
+    with pytest.raises(KeyError) as caught:
+        march_gl(problems, grid, ensembles)
+    assert caught.value is error
+    assert threading.active_count() == threads
+
+
+def test_march_refuses_a_member_diverging_in_the_second_worker(monkeypatch):
+    # numpy's error state is per thread: the second worker must ignore
+    # the overflow itself, or it warns, and a warning turned error
+    # escapes in place of the SimError
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+    grid, problems, ensembles = _members(3, ("f", "g"))
+    problems[2] = dataclasses.replace(problems[2], a2=lambda x, t: 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimError, match="left double precision"):
+            march_gl(problems, grid, ensembles)
+
+
+def test_cpu_count_reads_the_affinity_set_else_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert simulate._cpu_count() == 3
+    # macOS and Windows have no affinity set
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert simulate._cpu_count() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simulate._cpu_count() == 1
 
 
 def test_march_refuses_mismatched_members():
