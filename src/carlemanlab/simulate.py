@@ -196,18 +196,16 @@ def sum_squares(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return np.einsum("...i,...i->...", v, v, out=out)
 
 
-# Time steps per block of march_gl's field buffers.  Each worker holds
-# its own buffers, sized for its half of the members, so the two workers
-# together hold what one worker holds for all of them.  Shorter blocks
-# hold less memory but call each field more often.  Measured with one
-# worker at inverse-gl's default shape (E = 20, Nx = 50, Nt = 300;
-# fields a1, a2, a3) on a 2-core x86-64 host, the experiments
-# benchmark's peak RSS is 61.6 MB with whole (Nt, E, Nx) stacks, 52.2 MB
-# at 128 steps, 50.8 MB at 100 and 49.1 MB at 64, while refilling the
-# blocks takes 20.8 ms per march in one block, 24.1 ms in three of 100
-# steps and 29.7 ms in five of 64.  Of these, 100 is the longest block
-# that keeps the peak below 52 MB, and it splits the default Nt = 300
-# into three whole blocks.
+# Time steps per block of a worker's field buffers (see _march).
+# Shorter blocks hold less memory but call each field more often.
+# Measured with one worker at inverse-gl's default shape (E = 20,
+# Nx = 50, Nt = 300; fields a1, a2, a3) on a 2-core x86-64 host, the
+# experiments benchmark's peak RSS is 61.6 MB with whole (Nt, E, Nx)
+# stacks, 52.2 MB at 128 steps, 50.8 MB at 100 and 49.1 MB at 64, while
+# refilling the blocks takes 20.8 ms per march in one block, 24.1 ms in
+# three of 100 steps and 29.7 ms in five of 64.  Of these, 100 is the
+# longest block that keeps the peak below 52 MB, and it splits the
+# default Nt = 300 into three whole blocks.
 _MARCH_BLOCK = 100
 
 
@@ -282,14 +280,6 @@ class Solution:
         return self.w[:, m, :]
 
 
-def _cpu_count() -> int:
-    """The CPUs this process may run on: its affinity set where the OS
-    keeps one (Linux), else os.cpu_count(), and 1 if that is unknown."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def march_gl(problems: Sequence[SPDEProblem], grid: Grid1D,
              ensembles: Sequence[PathEnsemble],
              keep: Sequence[int] = ()) -> list[PathSums]:
@@ -308,13 +298,14 @@ def march_gl(problems: Sequence[SPDEProblem], grid: Grid1D,
 
     The members march in at most two workers, with no setting: one
     factorization and one solve per step per worker (see _march).  With
-    two members or more and two CPUs or more, a second thread marches
-    the members [ceil(E/2), E) while this one marches the rest.  zgttrs
-    releases the GIL, so the two workers solve on two cores; the dozen or
-    so numpy calls of each step hold it, which is why the split stops at
-    two.  A worker's exception is raised here once both have stopped.
-    Each member's states equal its own solve's bit for bit, so the split
-    changes no number.
+    two members or more, a second thread marches the members
+    [ceil(E/2), E) while this one marches the rest.  zgttrs releases the
+    GIL, so the two workers solve on two cores; the dozen or so numpy
+    calls of each step hold it, which is why the split stops at two.  On
+    one CPU the two workers take turns, at the cost of one within the
+    benchmark's noise.  A worker's exception is raised here once both
+    have stopped.  Each member's states equal its own solve's bit for
+    bit, so the split changes no number.
     """
     E, Nx, Nt = len(problems), grid.Nx, grid.Nt
     if E == 0 or len(ensembles) != E:
@@ -337,7 +328,7 @@ def march_gl(problems: Sequence[SPDEProblem], grid: Grid1D,
         return (problems[lo:hi], grid, ensembles[lo:hi], kept,
                 w2[lo:hi], wx2[lo:hi], states[:, :, lo:hi])
 
-    if E >= 2 and _cpu_count() >= 2:
+    if E >= 2:
         half, raised = (E + 1) // 2, []
 
         def second():
@@ -351,7 +342,9 @@ def march_gl(problems: Sequence[SPDEProblem], grid: Grid1D,
         try:
             _march(*members(0, half))
         finally:
-            # no worker outlives the buffers it writes
+            # the helper stops before this call returns or raises, unless
+            # a second interrupt cuts the join short: it then marches on
+            # to its end, on buffers it still holds
             helper.join()
         if raised:
             raise raised[0]

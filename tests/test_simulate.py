@@ -307,10 +307,9 @@ def test_march_factors_once_and_solves_once_per_step(monkeypatch):
     monkeypatch.setattr(simulate, "_flapack", types.SimpleNamespace(
         zgttrf=counted("zgttrf"), zgttrs=counted("zgttrs")))
     monkeypatch.setattr(simulate, "_MARCH_BLOCK", 16)
-    grid, problems, ensembles = _members(3, GL_FIELDS)
-    for workers in (1, 2):
+    for E, workers in ((1, 1), (3, 2)):
+        grid, problems, ensembles = _members(E, GL_FIELDS)
         calls.clear()
-        monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
         march_gl(problems, grid, ensembles)
         assert collections.Counter(calls) == {"zgttrf": workers,
                                               "zgttrs": workers * grid.Nt}
@@ -325,21 +324,21 @@ def test_two_worker_march_equals_one_worker_march_bitwise(E, monkeypatch):
     grid, problems, ensembles = _members(E, GL_FIELDS)
     problems = [p if e % 2 == 0 else dataclasses.replace(p, a3=None)
                 for e, p in enumerate(problems)]
-    keep = [grid.Nt, 0, 17]
-    runs = {}
-    for workers in (1, 2):
-        monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
-        runs[workers] = march_gl(problems, grid, ensembles, keep=keep)
-    for one, two in zip(runs[1], runs[2]):
-        assert one.kept == two.kept == (0, 17, grid.Nt)
-        assert one.states.tobytes() == two.states.tobytes()
-        assert one.w2.tobytes() == two.w2.tobytes()
-        assert one.wx2.tobytes() == two.wx2.tobytes()
+    runs = march_gl(problems, grid, ensembles, keep=[grid.Nt, 0, 17])
+    # one worker for all E members, into buffers laid out as march_gl's
+    kept, M = (0, 17, grid.Nt), ensembles[0].M
+    w2, wx2 = np.empty((E, M, grid.Nt + 1)), np.empty((E, M, grid.Nt + 1))
+    states = np.empty((M, len(kept), E, grid.Nx), dtype=complex)
+    simulate._march(problems, grid, ensembles, kept, w2, wx2, states)
+    for e, two in enumerate(runs):
+        assert two.kept == kept
+        assert two.states.tobytes() == states[:, :, e, :].tobytes()
+        assert two.w2.tobytes() == w2[e].tobytes()
+        assert two.wx2.tobytes() == wx2[e].tobytes()
 
 
 @pytest.mark.parametrize("member", [0, 2], ids=["first-half", "second-half"])
-def test_march_raises_a_workers_field_error_after_both_stop(member, monkeypatch):
-    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+def test_march_raises_a_workers_field_error_after_both_stop(member):
     grid, problems, ensembles = _members(3, ("f", "g"))
     error = KeyError("field")
 
@@ -354,28 +353,16 @@ def test_march_raises_a_workers_field_error_after_both_stop(member, monkeypatch)
     assert threading.active_count() == threads
 
 
-def test_march_refuses_a_member_diverging_in_the_second_worker(monkeypatch):
+def test_march_refuses_a_member_diverging_in_the_second_worker():
     # numpy's error state is per thread: the second worker must ignore
     # the overflow itself, or it warns, and a warning turned error
     # escapes in place of the SimError
-    monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
     grid, problems, ensembles = _members(3, ("f", "g"))
     problems[2] = dataclasses.replace(problems[2], a2=lambda x, t: 1e300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SimError, match="left double precision"):
             march_gl(problems, grid, ensembles)
-
-
-def test_cpu_count_reads_the_affinity_set_else_the_cpu_count(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert simulate._cpu_count() == 3
-    # macOS and Windows have no affinity set
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert simulate._cpu_count() == 8
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert simulate._cpu_count() == 1
 
 
 def test_march_refuses_mismatched_members():
