@@ -26,6 +26,13 @@ S + e_v of its argument (sparse Taylor propagation, Griewank & Walther,
 Evaluating Derivatives, 2008).  The arithmetic is exact, so skipping
 the coefficients no parent reads changes no value.
 
+A subtree that is zero by its structure, such as a product with a C(0)
+factor, gets the zero key and is not walked; as in the canonicalizer, a
+product's factors after its first zero one are not even keyed.  The key
+pass checks every node it keys, so the oracle refuses a tree, with
+ExprError, exactly when a node it keys is ill-formed, whether the walk
+would reach that node or not.
+
 A residual that is not identically zero is a nonzero polynomial of some
 degree D in the drawn coefficients, so by the Schwartz-Zippel lemma one
 draw misses it with probability at most D/p.
@@ -341,27 +348,65 @@ def _children(e: Expr) -> tuple:
     return ()
 
 
-def _key(e: Expr, shifted: bool, keys: tuple, sigs: dict, asks: list, todo: list,
+# Key 0, the zero key, stands for every tree that is zero by its
+# structure (see _key).  _structure gives it an unbounded ask count, so
+# every node with that key stays in the walk's per-mode dicts, and the
+# walk returns _NIL, the zero triple, for it without reading its children.
+_NIL = (None, None, None)
+
+
+def _key(e: Expr, shifted: bool, n: int, keys: tuple, sigs: dict, asks: list, todo: list,
          semi: set) -> int:
     """The structural key of e read in the given mode (see _structure).
-    A new key counts one ask of each child, and joins semi when its tree
-    holds a semimartingale; a time derivative over such a key is refused.
-    A new symbol adds its rewrites, and those of its jets, to todo."""
+
+    The key is 0, the zero key, for a constant 0, for a product with a
+    zero factor, whose later factors are not keyed, as the canonicalizer
+    skips them, for a sum of zero terms or of none, for a power of
+    exponent at least 1 over a zero base, and for a derivative, d(),
+    conjugate or real or imaginary part of a zero argument.  Every node
+    keyed is checked, so a tree is refused exactly when a node it keys is
+    ill-formed.  A new nonzero key counts one ask of each child, and
+    joins semi when its tree holds a semimartingale; a time derivative
+    over such a key is refused.  A new symbol adds its rewrites, and
+    those of its jets, to todo."""
     t = type(e)
     into = shifted or t is DIto
     seen = keys[into]
-    kids = [seen[c] if c in seen else _key(c, into, keys, sigs, asks, todo, semi)
-            for c in _children(e)]
-    if t is Sym:
-        payload = e.sym
+    kids = []
+    for c in _children(e):
+        k = seen[c] if c in seen else _key(c, into, n, keys, sigs, asks, todo, semi)
+        if not k and t is Mul:
+            keys[shifted][e] = 0
+            return 0
+        kids.append(k)
+    if t is Mul:
+        payload = zero = None
+    elif t is Add:
+        payload, zero = None, not any(kids)
+    elif t is Sym:
+        payload, zero = e.sym, False
+        if shifted and e.sym.semimartingale and e.sym.jets is None:
+            raise ExprError(f"semimartingale {e.sym.name!r} has no registered jets")
     elif t is Const:
         payload = (e.value.re, e.value.im)
-    elif t is Pow:
-        payload = e.exp
+        zero = not (payload[0] or payload[1])
     elif t is Dx:
-        payload = e.j
+        if not 1 <= e.j <= n:
+            raise ExprError(f"x{e.j} out of range for dimension {n}")
+        payload, zero = e.j, not kids[0]
+    elif t is Pow:
+        payload, zero = e.exp, e.exp and not kids[0]
+    elif t is DtAtom or t is DBAtom or t is DIto:
+        if shifted:
+            raise ExprError("d() applied to an expression already containing dt or dB")
+        payload, zero = None, t is DIto and not kids[0]
+    elif t is Dt or t is Conj or t is RePart or t is ImPart:
+        payload, zero = None, not kids[0]
     else:
-        payload = None
+        raise ExprError(f"cannot evaluate node {t.__name__}")
+    if zero:
+        keys[shifted][e] = 0
+        return 0
     k = keys[shifted][e] = sigs.setdefault((t, payload, shifted, *kids), len(asks))
     if k == len(asks):
         asks.append(0)
@@ -385,11 +430,16 @@ def _structure(root: Expr, m: int) -> tuple:
 
     The key of a node read in plain or shifted mode is that of (type,
     payload, mode, child keys), so two nodes share a key exactly when
-    their trees are equal; a DIto reads its argument in shifted mode.  The
-    walk meets the rewrite expressions of every symbol it meets, and of
-    its jets; they do not enter the symbol's key, since a rewrite such as
-    phi_t = 3 mu phi refers back to phi.  A time derivative over a tree
-    that holds a semimartingale is refused here, with ExprError.
+    their trees are equal; a DIto reads its argument in shifted mode.  A
+    tree that is zero by its structure gets the zero key instead (see
+    _key), and the walk reads none of its children.  The walk meets the
+    rewrite expressions of every symbol it meets, and of its jets; they
+    do not enter the symbol's key, since a rewrite such as
+    phi_t = 3 mu phi refers back to phi.  Every node keyed is checked
+    here, and an ill-formed one is refused with ExprError: an x_j out of
+    range, a time derivative over a tree that holds a semimartingale,
+    d() over dt, dB or d(), a semimartingale read in shifted mode that
+    has no registered jets, and a node of unknown type.
 
     The walk evaluates each key once, on its needed set (see _up): the
     root needs its constant term, the argument of a derivative in x_v or
@@ -401,13 +451,14 @@ def _structure(root: Expr, m: int) -> tuple:
     from root and once per occurrence in each distinct parent, and for a
     rewrite expression once per order of its symbol's jet, unboundedly.
     Returns, per mode, the keys of the nodes whose key the walk asks for
-    more than once, the ask count of every key, and the needed set of
-    every key, -1 for the full graded set of the asked order.
+    more than once or is zero, the ask count of every key, and the
+    needed set of every key, -1 for the full graded set of the asked
+    order.
     """
-    keys, sigs, asks, todo, semi = ({}, {}), {}, [], [root], set()
+    keys, sigs, asks, todo, semi = ({}, {}), {}, [float("inf")], [root], set()
     for e in todo:
         if e not in keys[0]:
-            _key(e, False, keys, sigs, asks, todo, semi)
+            _key(e, False, m - 1, keys, sigs, asks, todo, semi)
     asks[keys[0][root]] += 1
     need = [0] * len(asks)
     need[keys[0][root]] = 1
@@ -415,15 +466,15 @@ def _structure(root: Expr, m: int) -> tuple:
         asks[keys[0][e]] = float("inf")
         need[keys[0][e]] = -1
     # A key is numbered after its children, so a sweep from the last key
-    # down meets every parent of a key before the key itself.
+    # down meets every parent of a key before the key itself.  The zero
+    # key has no signature, so the sweep hands nothing down from it.
     for (t, j, _, *kids), k in reversed(sigs.items()):
         s = need[k]
         if s < 0:
             for c in kids:
                 need[c] = -1
             continue
-        # an x_j out of range is refused when the walk reaches it
-        if t is Dt or t is Dx and 1 <= j < m:
+        if t is Dt or t is Dx:
             s = _up(m, s, j - 1 if t is Dx else m - 1)
         for c in kids:
             if need[c] >= 0:
@@ -461,7 +512,8 @@ class _Eval:
             for pair in ctx.null_pairs:
                 self.zero.setdefault(pair[1 - seed % 2], [False] * len(draws))[b] = True
         self.m = self.n + 1
-        self.jets: dict[str, list] = {}  # name -> [order, re, im, per-draw rng]
+        # name -> [order, re, im, per-draw getrandbits of its stream]
+        self.jets: dict[str, list] = {}
         self.keys, self.left, self.need = _structure(root, self.m)
         self.memo: dict[int, tuple] = {}  # key -> (needed set, Ito triple)
 
@@ -485,20 +537,17 @@ class _Eval:
             return None
         st = self.jets.get(sym.name)
         if st is None:
-            rngs = [None if mask and mask[b] else random.Random(int.from_bytes(
-                        hashlib.sha256((key + sym.name).encode()).digest(), "big"))
+            bits = [None if mask and mask[b] else random.Random(int.from_bytes(
+                        hashlib.sha256((key + sym.name).encode()).digest(), "big")).getrandbits
                     for b, key in enumerate(self.streams)]
-            st = self.jets[sym.name] = [-1, [], [], rngs]
-        done, re, im, rngs = st
+            st = self.jets[sym.name] = [-1, [], [], bits]
+        done, re, im, bits = st
         if done >= k:
             return re, im
         lay = _layout(self.m, k)
         rules = sorted((self.n if key == ("t",) else key[1] - 1, rw)
                        for key, rw in sym.rewrites.items())
         constant = sym.kind == "real-scalar"
-
-        def draw():
-            return [0 if rng is None else rng.randrange(P) for rng in rngs]
 
         def ruled_coeff(c, inv):
             if not c:
@@ -525,8 +574,8 @@ class _Eval:
                         re.append(0)
                         im.append(0)
                     else:
-                        re.append(draw())
-                        im.append(0 if sym.real else draw())
+                        re.append(_draw(bits))
+                        im.append(0 if sym.real else _draw(bits))
             st[0] = d
         return re, im
 
@@ -534,8 +583,8 @@ class _Eval:
 
     def run(self, e: Expr, mask: int, shifted: bool = False):
         key = self.keys[shifted].get(e)
-        if key is None:
-            return self._run(e, mask, shifted)
+        if not key:
+            return _NIL if key == 0 else self._run(e, mask, shifted)
         # after the last expected read the entry goes; a later one recomputes
         n = self.left[key] = self.left[key] - 1
         hit = self.memo.get(key) if n > 0 else self.memo.pop(key, None)
@@ -556,8 +605,6 @@ class _Eval:
                 out = _ito_mul(m, mask, out, self.run(f, mask, shifted))
             return out
         if isinstance(e, Dx):
-            if not 1 <= e.j <= self.n:
-                raise ExprError(f"x{e.j} out of range for dimension {self.n}")
             v = e.j - 1
             return tuple(_diff(m, mask, c, v)
                          for c in self.run(e.arg, _up(m, mask, v), shifted))
@@ -576,8 +623,6 @@ class _Eval:
             if not shifted:
                 return (u, None, None)
             if sym.semimartingale:
-                if sym.jets is None:
-                    raise ExprError(f"semimartingale {sym.name!r} has no registered jets")
                 p, q = sym.jets
                 return (u, self.symbol(p, k), self.symbol(q, k))
             if sym.kind == "real-scalar":
@@ -596,8 +641,6 @@ class _Eval:
             for _ in range(e.exp - 1):
                 out = _ito_mul(m, mask, out, base)
             return out
-        if shifted and isinstance(e, (DtAtom, DBAtom, DIto)):
-            raise ExprError("d() applied to an expression already containing dt or dB")
         if isinstance(e, DtAtom):
             return (None, self._const(mask, (1, 0)), None)
         if isinstance(e, DBAtom):
@@ -608,9 +651,21 @@ class _Eval:
             return tuple(_conj(c) for c in self.run(e.arg, mask, shifted))
         if isinstance(e, RePart):
             return tuple(_re(c) for c in self.run(e.arg, mask, shifted))
-        if isinstance(e, ImPart):
-            return tuple(_im(c) for c in self.run(e.arg, mask, shifted))
-        raise ExprError(f"cannot evaluate node {type(e).__name__}")
+        # an ImPart: the key pass refuses every node of another type
+        return tuple(_im(c) for c in self.run(e.arg, mask, shifted))
+
+
+def _draw(bits) -> list:
+    """One coefficient: in each draw, randrange(P) of its stream, or 0
+    where the draw has no stream.  It runs randrange's own loop on the
+    stream's getrandbits, 61 bits drawn again while they reach P, so the
+    ints are those randrange gives, without its per-call checks."""
+    out = [0 if g is None else g(61) for g in bits]
+    if max(out) >= P:
+        for b, g in enumerate(bits):
+            while out[b] >= P:
+                out[b] = g(61)
+    return out
 
 
 def _values(triple, b: int) -> list[JetValue]:

@@ -126,6 +126,49 @@ def test_ito_d_of_a_semimartingale_time_derivative_is_refused():
         eval_jet_many(e, ctx, draws(3, [0]))
 
 
+ZERO_PRODUCTS = {
+    # the canonicalizer stops a product at its first zero factor, and the
+    # oracle keys none of the factors after it
+    "C(0) * d_x(z, 3)": (lambda z, pz: C(0) * d_x(z, 3), True),
+    "C(0) * d_t(z)": (lambda z, pz: C(0) * d_t(z), True),
+    "C(0) * d(Pz)": (lambda z, pz: C(0) * ito_d(pz), True),
+    # every node either witness keys is checked, under a zero or not
+    "d_x(z, 3) * C(0)": (lambda z, pz: d_x(z, 3) * C(0), False),
+    "d_x(C(0), 3)": (lambda z, pz: d_x(C(0), 3), False),
+    "d(dt) * C(0)": (lambda z, pz: ito_d(DT) * C(0), False),
+    "d(Pz) * C(0)": (lambda z, pz: ito_d(pz) * C(0), False),
+    "d_x(z, 3)^0": (lambda z, pz: Pow(d_x(z, 3), 0), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_PRODUCTS))
+def test_witnesses_agree_on_zero_products(name):
+    # at n = 2; Pz, the drift jet of z, has no jets of its own
+    ctx = make_context(2)
+    build, zero = ZERO_PRODUCTS[name]
+    e = build(ctx.sym("z"), ctx.sym("Pz"))
+    if zero:
+        assert canonicalize(e, ctx).is_zero
+        assert all(v.is_zero for v in eval_jet_many(e, ctx, draws(3, range(2))))
+    else:
+        with pytest.raises(ExprError):
+            canonicalize(e, ctx)
+        with pytest.raises(ExprError):
+            eval_jet_many(e, ctx, draws(3, range(2)))
+
+
+def counted_children(monkeypatch) -> list:
+    """A list that gains each node the key pass keys from now on."""
+    visits, children = [], jetoracle._children
+
+    def counted(e):
+        visits.append(e)
+        return children(e)
+
+    monkeypatch.setattr(jetoracle, "_children", counted)
+    return visits
+
+
 def doubled(e, times):
     """e + e, then that sum doubled again, times times: 2^times copies of e
     over times + 1 distinct nodes."""
@@ -139,14 +182,7 @@ def test_time_derivative_check_visits_each_distinct_subtree_once(monkeypatch):
     # shares 2^22 copies of ell reads each distinct node once, not each path
     ctx = make_context(1)
     ell, z = ctx.sym("ell"), ctx.sym("z")
-    visits = []
-
-    def counted(e):
-        visits.append(e)
-        return children(e)
-
-    children = jetoracle._children
-    monkeypatch.setattr(jetoracle, "_children", counted)
+    visits = counted_children(monkeypatch)
     e = d_t(doubled(ell, 22)) - C(2 ** 22) * d_t(ell)
     assert all(v.is_zero for v in eval_jet_many(e, ctx, draws(3, range(2))))
     assert len(visits) < 100, len(visits)
@@ -361,23 +397,37 @@ def test_no_draws_give_no_values():
 # -- the walk's memo is keyed by structure ------------------------------
 
 
-def tree_copy(e):
-    """e rebuilt node by node as a tree: the same structure, and no node
-    object shared between two parents."""
+def tree_copy(e, edit=lambda node: node):
+    """e rebuilt node by node as a tree, each new node passed through edit:
+    with no edit, the same structure, and no node object shared between
+    two parents."""
     t = type(e)
     if t in (Add, Mul):
-        return t([tree_copy(c) for c in jetoracle._children(e)])
-    if t is Pow:
-        return Pow(tree_copy(e.base), e.exp)
-    if t is Dx:
-        return Dx(e.j, tree_copy(e.arg))
-    if t in (Dt, DIto, Conj, RePart, ImPart):
-        return t(tree_copy(e.arg))
-    if t is Sym:
-        return Sym(e.sym)
-    if t is Const:
-        return Const(e.value)
-    return t()
+        out = t([tree_copy(c, edit) for c in jetoracle._children(e)])
+    elif t is Pow:
+        out = Pow(tree_copy(e.base, edit), e.exp)
+    elif t is Dx:
+        out = Dx(e.j, tree_copy(e.arg, edit))
+    elif t in (Dt, DIto, Conj, RePart, ImPart):
+        out = t(tree_copy(e.arg, edit))
+    elif t is Sym:
+        out = Sym(e.sym)
+    elif t is Const:
+        out = Const(e.value)
+    else:
+        out = t()
+    return edit(out)
+
+
+def node_objects(e) -> int:
+    """The number of distinct node objects in e."""
+    seen, todo = set(), [e]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(jetoracle._children(node))
+    return len(seen)
 
 
 def near_misses():
@@ -453,11 +503,89 @@ def test_walk_evaluates_each_distinct_subtree_once(monkeypatch):
     # distinct subtrees; a walk memoized by object identity took 3257
     # _run calls on it, one memoized by structure 1895, counting plain and
     # shifted mode and the orders each subtree is asked at; evaluated once
-    # on its needed set, each of the 1537 distinct keys takes one
+    # on its needed set, each of its 1537 distinct keys took one.  The
+    # off-diagonal entries of its coefficient matrix are C(0), so some of
+    # its products are zero by their structure: the walk reads none of
+    # them, and takes one call for each of the 1500 keys left
     case = build_case(OperatorSpec(n=3, regime="R1"))
     calls = counted_runs(monkeypatch)
     eval_jet_many(case.lhs - case.rhs, case.ctx, [(0, 0)])
-    assert len(calls) == 1537
+    assert len(calls) == 1500
+
+
+# -- trees that are zero by their structure are not walked --------------
+
+
+def zero_factors(rng):
+    """An edit that multiplies about one node in six by C(0), at a random
+    place among the factors of a product."""
+    def splice(node):
+        if rng.random() >= 1 / 6:
+            return node
+        factors = list(node.factors) if type(node) is Mul else [node]
+        factors.insert(rng.randint(0, len(factors)), C(0))
+        return Mul(factors)
+
+    return splice
+
+
+def zero_as_p(node):
+    """A zero constant as C(p): the walk reads it as 0 mod p, but the key
+    pass does not see a zero, so the tree around it is walked in full."""
+    if type(node) is Const and not (node.value.re or node.value.im):
+        return Const(QQi(P))
+    return node
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=6),
+       st.booleans())
+def test_skipping_zero_trees_changes_no_value(seed, n, depth, ruled):
+    rng = random.Random(seed)
+    if ruled:
+        ctx = make_ruled_context(n, rng)
+        e = random_ruled_expr(ctx, rng, depth)
+    else:
+        ctx = make_context(n)
+        e = random_expr(ctx, rng, depth=depth)
+    e = tree_copy(e, zero_factors(rng))
+    a = [(seed, 0), (seed + 1, 1)]
+    assert eval_jet_many(e, ctx, a) == eval_jet_many(tree_copy(e, zero_as_p), ctx, a)
+
+
+def test_key_pass_skips_the_zero_products_of_the_r3_residual(monkeypatch):
+    # R3 puts C(0) in for a and b, so most products of the n = 3 residual
+    # hold a zero factor, and the key pass keys none of the factors after
+    # it: 687 nodes, counting both modes, of 3094 node objects
+    case = build_case(OperatorSpec(n=3, regime="R3"))
+    residual, mutated = case.lhs - case.rhs, case.lhs - case.mutated_rhs
+    nodes = node_objects(residual)
+    visits = counted_children(monkeypatch)
+    assert all(v.is_zero for v in eval_jet_many(residual, case.ctx, MIXED))
+    assert len(visits) < nodes / 4, (len(visits), nodes)
+    assert not any(v.is_zero for v in eval_jet_many(mutated, case.ctx, MIXED))
+
+
+def test_draws_are_those_of_randrange():
+    # a coefficient is drawn by randrange(P)'s own loop on getrandbits(61),
+    # so a stream gives the ints randrange gives, a redraw included
+    a, b = random.Random(7), random.Random(7)
+    assert ([jetoracle._draw([a.getrandbits])[0] for _ in range(10_000)]
+            == [b.randrange(P) for _ in range(10_000)])
+
+    class Scripted(random.Random):
+        def __init__(self, script):
+            super().__init__(0)
+            self.script = iter(script)
+
+        def getrandbits(self, k):
+            assert k == 61
+            return next(self.script)
+
+    script = [P, P, 5, P, 9]
+    bits = [Scripted(script).getrandbits, None, Scripted([8]).getrandbits]
+    assert jetoracle._draw(bits) == [5, 0, 8]
+    assert Scripted(script).randrange(P) == 5
 
 
 # -- each subtree is evaluated on its needed set ------------------------
@@ -513,7 +641,8 @@ def test_needed_sets_give_the_values_of_the_graded_walk_on_the_theorem():
 
 def test_walk_multiplies_only_the_needed_coefficients(monkeypatch):
     # on the n = 3 R1 theorem residual the graded walk hands _dot 6728
-    # coefficient products in 4154 calls; on needed sets it hands 3293
+    # coefficient products in 4154 calls; on needed sets it handed 3293,
+    # and 3279 once the products with a C(0) factor are skipped
     case = build_case(OperatorSpec(n=3, regime="R1"))
     products, dot = [], jetoracle._dot
 
@@ -523,4 +652,4 @@ def test_walk_multiplies_only_the_needed_coefficients(monkeypatch):
 
     monkeypatch.setattr(jetoracle, "_dot", counted)
     eval_jet_many(case.lhs - case.rhs, case.ctx, [(0, 0)])
-    assert sum(products) == 3293
+    assert sum(products) == 3279
