@@ -668,6 +668,12 @@ def carleman_heat_check(pair: ManufacturedPair, w: HeatWeight,
         obs = float(cell * lam3 * np.vdot(theta2[:, mask], y2g3_obs))
         rhs = obs + float(cell * (np.vdot(theta2, f2)
                                   + lam ** 2 * np.vdot(theta2, Y2g2)))
+        # the stencil gradient reaches a node past chi's support, where
+        # theta^2 can outlive its underflow on every node of f, Y and G0
+        if not rhs > 0.0:
+            raise SimError(f"Carleman RHS is {rhs:g} at lambda = {lam:g}: "
+                           f"theta^2 underflows where the window's source "
+                           f"lives; lower lambda or widen the window")
         out["lhs"].append(lhs)
         out["rhs"].append(rhs)
         out["ratio"].append(rhs / lhs)

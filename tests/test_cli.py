@@ -250,6 +250,18 @@ def test_lhs_underflow_exits_two_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_rhs_underflow_exits_two_without_traceback(tmp_path, capsys):
+    # at Nx = 8 and lambda = 160 theta^2 survives only on x <= 2/3, which the
+    # stencil gradient of y reaches from the window's nodes 7/9 and 8/9:
+    # the LHS is positive but f, Y and G0 all see theta^2 = 0, so RHS = 0
+    payload = {"Nx": 8, "Nt": 8, "pairs": 1, "paths": 2, "modes": 1,
+               "window": [0.75, 1.0]}
+    assert_config_rejected(tmp_path, "carleman-heat", json.dumps(payload))
+    err = capsys.readouterr().err
+    assert "Carleman RHS is 0 at lambda = 160" in err
+    assert "Traceback" not in err
+
+
 def test_a_window_between_two_grid_nodes_exits_two(tmp_path, capsys):
     # at the default Nx = 60 no node lies in (0.5, 0.505), so the window is
     # 0 on the whole grid and no lambda could give a positive LHS
