@@ -204,20 +204,7 @@ def _cf_mul(c1: dict, c2: dict) -> dict:
     if len(c1) > len(c2):
         c1, c2 = c2, c1
     for m1, k1 in c1.items():
-        for m2, k2 in c2.items():
-            mono = _mono_mul(m1, m2)
-            if mono is None:
-                continue
-            coeff = triple_mul(k1, k2)
-            cur = out.get(mono)
-            if cur is None:
-                out[mono] = coeff
-            else:
-                new = triple_add(cur, coeff)
-                if new[0] or new[1]:
-                    out[mono] = new
-                else:
-                    del out[mono]
+        _cf_addmul(out, k1, m1, c2)
     return out
 
 

@@ -31,6 +31,7 @@ from typing import Optional
 
 from . import identity
 from .config import ConfigError, RunError, check_seed, load_config
+from .exprs import DIMENSIONS
 
 
 def _check(case: str, passed, **detail) -> dict:
@@ -89,7 +90,7 @@ def run_identity_verify(args) -> tuple[list, list]:
         targets = [(args.case, args.case)]
     else:
         targets = [(identity.OperatorSpec(n=n, regime=regime), f"n={n},regime={regime}")
-                   for n in ([args.n] if args.n else [1, 2, 3])
+                   for n in ([args.n] if args.n else DIMENSIONS)
                    for regime in ([args.regime] if args.regime else identity.REGIMES)]
     checks = []
     for target, label in targets:
@@ -139,7 +140,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("identity-verify", allow_abbrev=False,
                         help="canonical residuals of the weighted identity")
     sp.add_argument("--regime", choices=list(identity.REGIMES))
-    sp.add_argument("--n", type=int, choices=[1, 2, 3])
+    sp.add_argument("--n", type=int, choices=DIMENSIONS)
     sp.add_argument("--case", help="verify a single specialization instead")
     sp.add_argument("--oracle", type=int, default=0, metavar="N",
                     help="also spot-check with N exact jet assignments")
@@ -147,7 +148,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("identity-steps", allow_abbrev=False,
                         help="derivation-step identities and reassembly")
-    sp.add_argument("--n", type=int, choices=[1, 2, 3])
+    sp.add_argument("--n", type=int, choices=DIMENSIONS)
     common(sp)
 
     for verb, blurb in (("carleman-heat",

@@ -22,6 +22,11 @@ from .exact import QQi, _coerce
 
 KINDS = ("complex-field", "real-field", "real-scalar", "drift-jet", "diffusion-jet")
 
+# The spatial dimensions n the package accepts, and their spelling in the
+# messages that refuse any other n
+DIMENSIONS = (1, 2, 3)
+DIMENSIONS_TEXT = ", ".join(map(str, DIMENSIONS[:-1])) + f" or {DIMENSIONS[-1]}"
+
 # Derivative direction keys: ("x", j) with 1-based j, or ("t",).
 VarKey = tuple
 
@@ -52,17 +57,17 @@ class FieldSymbol:
 class Context:
     """Symbol table for one verification problem.
 
-    n is the spatial dimension (1..3).  null_pairs lists, in declaration
-    order, the pairs of real-scalar symbol names whose product vanishes:
-    canonicalize drops every monomial holding such a product from the
-    finished form, and the jet oracle gives one name of each pair the
-    zero jet.  atoms is the canonicalizer's atom table, made the first
+    n is the spatial dimension, one of DIMENSIONS.  null_pairs lists, in
+    declaration order, the pairs of real-scalar symbol names whose product
+    vanishes: canonicalize drops every monomial holding such a product
+    from the finished form, and the jet oracle gives one name of each pair
+    the zero jet.  atoms is the canonicalizer's atom table, made the first
     time it is needed.
     """
 
     def __init__(self, n: int):
-        if n not in (1, 2, 3):
-            raise ExprError(f"spatial dimension must be 1, 2 or 3, got {n}")
+        if n not in DIMENSIONS:
+            raise ExprError(f"spatial dimension must be {DIMENSIONS_TEXT}, got {n}")
         self.n = n
         self.symbols: dict[str, FieldSymbol] = {}
         self.null_pairs: list[tuple[str, str]] = []

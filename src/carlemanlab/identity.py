@@ -35,7 +35,8 @@ from functools import partial
 
 from .canonical import CanonicalForm, canonicalize
 from .config import RunError
-from .exprs import C, Context, DT, Expr, I, conj, d_t, d_x, esum, im, ito_d, re
+from .exprs import (DIMENSIONS, DIMENSIONS_TEXT, C, Context, DT, Expr, I, conj, d_t,
+                    d_x, esum, im, ito_d, re)
 from .jetoracle import JetValue, eval_jet_many
 
 REGIMES = ("R1", "R2", "R3", "raw")
@@ -61,8 +62,8 @@ class OperatorSpec:
     regime: str = "R1"
 
     def __post_init__(self):
-        if type(self.n) is not int or self.n not in (1, 2, 3):
-            raise SpecError(f"dimension must be 1, 2 or 3, got {self.n}")
+        if type(self.n) is not int or self.n not in DIMENSIONS:
+            raise SpecError(f"dimension must be {DIMENSIONS_TEXT}, got {self.n}")
         if self.regime not in REGIMES:
             raise SpecError(f"unknown regime {self.regime!r}")
 

@@ -7,22 +7,22 @@ state at t0 obeys a conditional Hoelder estimate
     N1 = |w(t0)|_{L2},  N2 = |w|_{L2(0,T;L2)},  N3 = |w(T)|_{H1},
 
 with tau in (0,1) built from the time-global weight.  This module
-computes the three norms over solved ensembles, the exponent tau in its
-two printed variants, the mu that balances the two exponential terms of
-the underlying bound, and a backward-uniqueness probe that must flag a
-non-adapted family.
+computes the three norms of a marched ensemble member from its per-path
+sums (simulate.PathSums), the exponent tau in its two printed variants,
+the mu that balances the two exponential terms of the underlying bound,
+and a backward-uniqueness probe that must flag a non-adapted family.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .config import RunError
-from .simulate import PathSums, Solution, l2_norm
+from .simulate import PathSums, l2_norm
 
 
 class InverseError(RunError):
@@ -142,8 +142,7 @@ def brute_force_mu(D1: float, D2: float, kappa: float, C: float, T: float,
     return float(grid[np.argmin(_log_objective(D1, D2, kappa, C, T)(grid))])
 
 
-def solution_norms(sol: Union[Solution, PathSums],
-                   t0: float) -> tuple[float, float, float]:
+def solution_norms(sol: PathSums, t0: float) -> tuple[float, float, float]:
     """(N1, N2, N3): interior L2 at t0, space-time L2, terminal H1 —
     each mean-square over the path ensemble, read off the per-path sums
     sol.w2 and sol.wx2."""
@@ -216,19 +215,19 @@ def stability_experiment(norms: Sequence[tuple[float, float, float]],
         spread=spread, falsifications=falsifications)
 
 
-def backward_uniqueness_probe(sol: Union[Solution, PathSums], N3: float,
+def backward_uniqueness_probe(sol: PathSums, N3: float,
                               cut: CutoffSpec, mu1: float, eps_list: Sequence[float],
                               C_ref: float = 10.0) -> dict:
     """Flag a non-adapted family by its interior-from-terminal rate.
 
     N3 is the terminal H1 norm of sol, as solution_norms gives it; of
-    the solve, the probe reads only the state at t0.  The
-    solved ensemble is scaled to terminal H1 size eps and future
-    increments (B(T) - B(t)) / 2 times sin(pi x) are added.  The added
-    field vanishes at T, so the terminal data stay those of an adapted
-    solution, but it pins the interior norm at t0: log N1(eps) against
-    log eps then has a slope near 0, below tau_fit - 0.1, and the family
-    is flagged as non-adapted.
+    the march, the probe reads only the state at t0, which sol must
+    have kept.  The solved ensemble is scaled to terminal H1 size eps
+    and future increments (B(T) - B(t)) / 2 times sin(pi x) are added.
+    The added field vanishes at T, so the terminal data stay those of an
+    adapted solution, but it pins the interior norm at t0: log N1(eps)
+    against log eps then has a slope near 0, below tau_fit - 0.1, and
+    the family is flagged as non-adapted.
     """
     eps = np.asarray(eps_list, dtype=float)
     if not (np.all(np.isfinite(eps) & (eps > 0.0)) and len(np.unique(eps)) >= 2):

@@ -600,6 +600,8 @@ class _Eval:
     def _run(self, e: Expr, mask: int, shifted: bool):
         m = self.m
         if isinstance(e, Mul):
+            if not e.factors:  # the empty product is the constant 1
+                return (self._const(mask, (1, 0)), None, None)
             out = self.run(e.factors[0], mask, shifted)
             for f in e.factors[1:]:
                 out = _ito_mul(m, mask, out, self.run(f, mask, shifted))

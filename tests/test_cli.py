@@ -28,7 +28,7 @@ from carlemanlab.config import (
     load_config,
 )
 from carlemanlab.experiments import CSV_HEADERS
-from carlemanlab.exprs import DT, ExprError, conj
+from carlemanlab.exprs import DIMENSIONS, DIMENSIONS_TEXT, DT, Context, ExprError, conj
 from carlemanlab.jetoracle import Gauss
 from carlemanlab.weights import WeightError
 
@@ -452,6 +452,25 @@ def test_missing_config_file_exits_two(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [*DIMENSIONS, min(DIMENSIONS) - 1, max(DIMENSIONS) + 1])
+def test_context_spec_and_n_flag_share_one_dimension_rule(n, tmp_path, capsys):
+    out = tmp_path / "steps.json"
+    argv = ["identity-steps", "--n", str(n), "--out", str(out)]
+    if n in DIMENSIONS:
+        assert Context(n).n == identity.OperatorSpec(n=n).n == n
+        assert cli.main(argv) == 0 and json.loads(out.read_text())["pass"]
+        return
+    refused = f"dimension must be {DIMENSIONS_TEXT}, got {n}$"
+    with pytest.raises(ExprError, match=f"^spatial {refused}"):
+        Context(n)
+    with pytest.raises(identity.SpecError, match=f"^{refused}"):
+        identity.OperatorSpec(n=n)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert not out.exists() and capsys.readouterr().out == ""
+
+
 def test_unknown_verb_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["laplace-verify"])
@@ -801,7 +820,7 @@ def test_inverse_gl_streams_its_ensemble(tmp_path, monkeypatch):
     assert len(runs) == FAST_INV["ensembles"]
     node = round(FAST_INV["t0"] / FAST_INV["T"] * FAST_INV["Nt"])
     shape = (FAST_INV["paths"], 1, FAST_INV["Nx"])
-    assert all(run.kept == (node,) and run.states.shape == shape for run in runs)
+    assert all(run.kept == (node,) and run.w.shape == shape for run in runs)
     assert len(probed) == 1 and probed[0] is runs[0]
 
 

@@ -223,8 +223,9 @@ def test_stability_experiment_fits_uniform_constant():
 def test_quotients_scale_invariant():
     members = solve_members(3, seed0=60)
     rep = stability_experiment(member_norms(members), CUT, mu1=3.0)
-    # by linearity, doubling (w0, f, g) doubles the solved state
-    scaled = [dataclasses.replace(s, w=2.0 * s.w) for s in members]
+    # by linearity, doubling (w0, f, g) doubles the solved state, so it
+    # scales the sums of squares by 4, exactly in binary
+    scaled = [dataclasses.replace(s, w2=4.0 * s.w2, wx2=4.0 * s.wx2) for s in members]
     rep2 = stability_experiment(member_norms(scaled), CUT, mu1=3.0)
     for q1, q2 in zip(rep.quotients, rep2.quotients):
         assert q2 == pytest.approx(q1, rel=1e-12)
@@ -241,7 +242,8 @@ def test_empty_and_degenerate_ensembles_rejected():
 
 def test_zeroed_terminal_slice_is_reported_not_dropped():
     members = solve_members(3, seed0=90)
-    members[1].w[:, -1, :] = 0.0
+    members[1].w2[:, -1] = 0.0
+    members[1].wx2[:, -1] = 0.0
     rep = stability_experiment(member_norms(members), CUT, mu1=3.0)
     assert [f["member"] for f in rep.falsifications] == [1]
     assert rep.falsifications[0]["N3"] == 0.0

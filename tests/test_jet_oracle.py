@@ -157,6 +157,26 @@ def test_witnesses_agree_on_zero_products(name):
             eval_jet_many(e, ctx, draws(3, range(2)))
 
 
+EMPTY_PRODUCTS = {
+    "Mul(())": (lambda z: Mul(()), 1),
+    "Mul(()) * z": (lambda z: Mul(()) * z, None),
+    "d_x(Mul(()), 1)": (lambda z: d_x(Mul(()), 1), 0),
+    "d(Mul(()))": (lambda z: ito_d(Mul(())), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_PRODUCTS))
+def test_witnesses_agree_on_empty_products(name):
+    # the empty product is the constant 1 to both witnesses
+    ctx = make_context(2)
+    build, value = EMPTY_PRODUCTS[name]
+    e = build(ctx.sym("z"))
+    got = eval_jet_many(e, ctx, draws(3, range(2)))
+    assert got == eval_jet_many(canonicalize(e, ctx).to_expr(), ctx, draws(3, range(2)))
+    if value is not None:
+        assert all(v.value == (value, 0) and v.dt == v.dB == (0, 0) for v in got)
+
+
 def counted_children(monkeypatch) -> list:
     """A list that gains each node the key pass keys from now on."""
     visits, children = [], jetoracle._children

@@ -248,10 +248,10 @@ def test_ensemble_march_equals_each_members_own_solve_bitwise(E, Nt, block, fiel
     some = march_gl(problems, grid, ensembles, keep=[grid.Nt, 0, grid.Nt // 2, 0])
     for run, part, p, paths in zip(every, some, problems, ensembles):
         own = solve_gl_forward(p, grid, paths).w
-        assert run.states.tobytes() == own.tobytes()
+        assert run.w.tobytes() == own.tobytes()
         # keeping fewer nodes changes nothing else
         assert part.kept == (0, grid.Nt // 2, grid.Nt)
-        assert part.states.tobytes() == own[:, list(part.kept), :].tobytes()
+        assert part.w.tobytes() == own[:, list(part.kept), :].tobytes()
         assert part.w2.tobytes() == run.w2.tobytes()
         assert part.wx2.tobytes() == run.wx2.tobytes()
 
@@ -267,7 +267,7 @@ def test_a_field_on_some_members_only_marches_as_each_members_own_solve(monkeypa
     runs = march_gl(problems, grid, ensembles, keep=range(grid.Nt + 1))
     for run, p, paths in zip(runs, problems, ensembles):
         own, = march_gl([p], grid, [paths], keep=range(grid.Nt + 1))
-        assert run.states.tobytes() == own.states.tobytes()
+        assert run.w.tobytes() == own.w.tobytes()
         assert run.w2.tobytes() == own.w2.tobytes()
         assert run.wx2.tobytes() == own.wx2.tobytes()
 
@@ -332,7 +332,7 @@ def test_two_worker_march_equals_one_worker_march_bitwise(E, monkeypatch):
     simulate._march(problems, grid, ensembles, kept, w2, wx2, states)
     for e, two in enumerate(runs):
         assert two.kept == kept
-        assert two.states.tobytes() == states[:, :, e, :].tobytes()
+        assert two.w.tobytes() == states[:, :, e, :].tobytes()
         assert two.w2.tobytes() == w2[e].tobytes()
         assert two.wx2.tobytes() == wx2[e].tobytes()
 
@@ -596,6 +596,14 @@ def test_heat_check_evaluates_the_weight_once(monkeypatch):
     rep = carleman_heat_check(make_pair(seed=3, M=2), heat_weight(), [20, 40, 80, 160])
     assert len(rep["ratio"]) == 4
     assert len(calls) == 1
+
+
+def test_lambdas_that_share_a_log_carry_no_slope():
+    # the log fit of two lambdas an ulp apart is rank-deficient; as for a
+    # single lambda, the slope reads 0, with no warning
+    lams = [20.0, math.nextafter(20.0, 21.0)]
+    rep = carleman_heat_check(make_pair(seed=3, M=2), heat_weight(), lams)
+    assert rep["log_slope"] == 0.0 and rep["slope_ok"]
 
 
 def test_windowed_pair_is_observation_dominated():
