@@ -16,9 +16,11 @@ members of a Ginzburg-Landau ensemble march in at most two workers,
 threads of one process, with no setting: each worker marches its
 members in one time loop, with one block-diagonal tridiagonal
 factorization, one solve per step, and per-path sums over x streamed
-out of each step in place of the states.  All randomness flows through
-numpy's seeded default generator, so a (seed, config) pair fixes every
-array bit-for-bit.
+out of each step in place of the states.  The two workers share one
+lock, the baton, held over each step's numpy work and let go for the
+solve, so one worker's numpy work runs while the other solves.  All
+randomness flows through numpy's seeded default generator, so a
+(seed, config) pair fixes every array bit-for-bit.
 """
 
 from __future__ import annotations
@@ -275,12 +277,24 @@ def march_gl(problems: Sequence[SPDEProblem], grid: Grid1D,
     factorization and one solve per step per worker (see _march).  With
     two members or more, a second thread marches the members
     [ceil(E/2), E) while this one marches the rest.  zgttrs releases the
-    GIL, so the two workers solve on two cores; the dozen or so numpy
-    calls of each step hold it, which is why the split stops at two.  On
-    one CPU the two workers take turns, at the cost of one within the
-    benchmark's noise.  A worker's exception is raised here once both
-    have stopped.  Each member's states equal its own solve's bit for
-    bit, so the split changes no number.
+    GIL, so the two workers solve on two cores.  The dozen or so small
+    numpy calls of a step each let go of the GIL and take it back, and
+    when the two workers' calls interleave, the GIL changes hands at
+    each call: two threads running such a loop do about 1.2 times the
+    work of one.  So the workers share one lock, the baton: a worker
+    holds it over its numpy work of a step and lets go of it only for
+    its solve.  The numpy sections run one after the other, each beside
+    the other worker's solve, and the GIL changes hands about twice a
+    step.  At inverse-gl's default shape (20 members, 16 paths, Nx = 50,
+    Nt = 300) the march took 107-114 ms with the baton against
+    127-138 ms without it, and one half's ten members marched alone in
+    one worker 85-87 ms; for carleman-gl's (10 members, 20 paths) the
+    figures were 56-65, 71-76 and 46-49 ms (best of 15, three readings,
+    2-core x86-64, one BLAS thread).  A one-member march takes the
+    baton uncontended.  On one CPU the two workers take turns, at a cost
+    within the benchmark's noise.  A worker's exception is raised here
+    once both have stopped.  Each member's states equal its own solve's
+    bit for bit, so the split changes no number.
     """
     E, Nx, Nt = len(problems), grid.Nx, grid.Nt
     if E == 0 or len(ensembles) != E:
@@ -298,10 +312,11 @@ def march_gl(problems: Sequence[SPDEProblem], grid: Grid1D,
     # the column m of all of them
     w2, wx2 = np.empty((E, M, Nt + 1)), np.empty((E, M, Nt + 1))
     states = np.empty((M, len(kept), E, Nx), dtype=complex)
+    baton = threading.Lock()
 
     def members(lo, hi):
         return (problems[lo:hi], grid, ensembles[lo:hi], kept,
-                w2[lo:hi], wx2[lo:hi], states[:, :, lo:hi])
+                w2[lo:hi], wx2[lo:hi], states[:, :, lo:hi], baton)
 
     if E >= 2:
         half, raised = (E + 1) // 2, []
@@ -336,7 +351,8 @@ def march_gl(problems: Sequence[SPDEProblem], grid: Grid1D,
 
 def _march(problems: Sequence[SPDEProblem], grid: Grid1D,
            ensembles: Sequence[PathEnsemble], kept: tuple, w2: np.ndarray,
-           wx2: np.ndarray, states: np.ndarray) -> None:
+           wx2: np.ndarray, states: np.ndarray,
+           baton: Optional[threading.Lock] = None) -> None:
     """march_gl's time loop for one worker's E members: w2 and wx2 are
     their (E, M, Nt+1) sums, states their (M, len(kept), E, Nx) states.
 
@@ -359,9 +375,16 @@ def _march(problems: Sequence[SPDEProblem], grid: Grid1D,
     arrays gttrs solves in place: one holds w^m while the other takes
     the right side, and they swap each step.  grad, w_x by
     grad_dirichlet's stencil, serves both wx2 and the a1 term.
+
+    baton, march_gl's lock shared by both workers (a lock of its own if
+    None), is held over all of a step's numpy work, from the gradient
+    and sums to the block refill and the right side, and let go of only
+    around the gttrs call; it is let go of whenever the march raises, so
+    the other worker marches on to its end.
     """
     E, Nx, Nt, M = len(problems), grid.Nx, grid.Nt, ensembles[0].M
     x, t, dx, dt = grid.x, grid.t, grid.dx, grid.dt
+    baton = threading.Lock() if baton is None else baton
     # Re rho > 0 makes each block strictly diagonally dominant, so the
     # factorization never meets a zero pivot
     rho = np.repeat([dt * (1.0 + 1j * p.b) / (dx * dx) for p in problems], Nx)
@@ -404,7 +427,7 @@ def _march(problems: Sequence[SPDEProblem], grid: Grid1D,
     diff_parts, inv_2dx = diff_flat.view(np.float64), 1.0 / (2.0 * dx)
     # a blown-up state is refused once, at the end, not warned about per
     # step; numpy's error state is per thread, so each worker sets its own
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), baton:
         for m in range(Nt + 1):
             wm = w.reshape(M, E, Nx)
             pad[..., 1:-1] = wm
@@ -445,7 +468,11 @@ def _march(problems: Sequence[SPDEProblem], grid: Grid1D,
             if acc is wm:  # pure diffusion
                 r[...] = wm
             # the solution overwrites rhs; w's buffer takes the next rhs
-            w, rhs = gttrs(*lu, rhs.T, overwrite_b=True)[0].T, w
+            baton.release()
+            try:
+                w, rhs = gttrs(*lu, rhs.T, overwrite_b=True)[0].T, w
+            finally:
+                baton.acquire()
 
 
 def solve_gl_forward(p: SPDEProblem, grid: Grid1D, paths: PathEnsemble) -> PathSums:
@@ -737,13 +764,16 @@ def make_random_gl_problem(seed: Seed, *, with_coefficients: bool = False,
         cr = rng.normal(0.0, scale, size=(modes, 2))
         ci = rng.normal(0.0, scale, size=(modes, 2))
         om = rng.uniform(0.5, 2.0, size=modes)
+        # each mode's complex coefficients and frequency, made once per
+        # field rather than at every call
+        terms = [(cr[k, 0] + 1j * ci[k, 0], cr[k, 1] + 1j * ci[k, 1], om[k])
+                 for k in range(modes)]
 
         def fn(x, t):
             acc = np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x)), dtype=complex)
-            for k in range(modes):
+            for k, (c0, c1, omk) in enumerate(terms):
                 shape = np.sin((k + 1) * np.pi * x)
-                mod = np.cos(om[k] * t)
-                acc += ((cr[k, 0] + 1j * ci[k, 0]) + (cr[k, 1] + 1j * ci[k, 1]) * mod) * shape
+                acc += (c0 + c1 * np.cos(omk * t)) * shape
             return acc
 
         return fn

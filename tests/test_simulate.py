@@ -353,6 +353,103 @@ def test_march_raises_a_workers_field_error_after_both_stop(member):
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("member", [0, 2], ids=["first-half", "second-half"])
+def test_march_raises_a_later_blocks_field_error_without_a_hang(member, monkeypatch):
+    # the field raises at its second block start, 16 steps in, while the
+    # other worker still marches: a worker that raised holding the baton
+    # would leave the other waiting for it forever.  march_gl runs in a
+    # daemon thread, whose helper is a daemon too, so a hang fails here
+    # and the stuck threads do not hold up the interpreter's exit
+    monkeypatch.setattr(simulate, "_MARCH_BLOCK", 16)
+    grid, problems, ensembles = _members(3, ("f", "g"))
+    error, calls, field = KeyError("field"), [], problems[member].f
+    raising, marcher, outcome = threading.Event(), [], []
+
+    def later(x, t):
+        calls.append(t)
+        if len(calls) == 2:
+            raising.set()
+            raise error
+        return field(x, t)
+
+    real = simulate._flapack.zgttrs
+
+    def zgttrs(*args, **kwargs):
+        # the other worker waits out of the baton until the field raises,
+        # so it is still marching then, however the lock served the two
+        if (threading.get_ident() == marcher[0]) != (member == 0):
+            raising.wait(timeout=60)
+        return real(*args, **kwargs)
+
+    def run():
+        marcher.append(threading.get_ident())
+        try:
+            march_gl(problems, grid, ensembles)
+        except BaseException as exc:
+            outcome.append(exc)
+
+    problems[member] = dataclasses.replace(problems[member], f=later)
+    monkeypatch.setattr(simulate, "_flapack", types.SimpleNamespace(
+        zgttrf=simulate._flapack.zgttrf, zgttrs=zgttrs))
+    threads = threading.active_count()
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "march_gl hung"
+    assert len(outcome) == 1 and outcome[0] is error
+    assert threading.active_count() == threads
+
+
+def test_march_solves_outside_the_baton(monkeypatch):
+    # each worker holds march_gl's one baton over its numpy work, the
+    # field calls included, and lets go of it for every solve, so the
+    # other worker's numpy work runs during the solve
+    batons, solves, fields = [], [], []
+
+    class Baton:
+        def __init__(self):
+            self.lock, self.owner = threading.Lock(), None
+            batons.append(self)
+
+        def acquire(self):
+            self.lock.acquire()
+            self.owner = threading.get_ident()
+
+        def release(self):
+            self.owner = None
+            self.lock.release()
+
+        __enter__ = acquire
+
+        def __exit__(self, *exc):
+            self.release()
+
+    def holds():
+        return [b.owner == threading.get_ident() for b in batons]
+
+    real = simulate._flapack.zgttrs
+
+    def zgttrs(*args, **kwargs):
+        solves.append(holds())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "threading", types.SimpleNamespace(
+        Lock=Baton, Thread=threading.Thread))
+    monkeypatch.setattr(simulate, "_flapack", types.SimpleNamespace(
+        zgttrf=simulate._flapack.zgttrf, zgttrs=zgttrs))
+    monkeypatch.setattr(simulate, "_MARCH_BLOCK", 16)
+    grid, problems, ensembles = _members(3, ("f", "g"))
+    for e, p in enumerate(problems):
+        def f(x, t, f=p.f):
+            fields.append(holds())
+            return f(x, t)
+        problems[e] = dataclasses.replace(p, f=f)
+    march_gl(problems, grid, ensembles)
+    assert len(batons) == 1
+    assert solves == [[False]] * (2 * grid.Nt)
+    assert fields == [[True]] * (3 * 4)  # 3 members, 4 blocks of 60 steps
+
+
 def test_march_refuses_a_member_diverging_in_the_second_worker():
     # numpy's error state is per thread: the second worker must ignore
     # the overflow itself, or it warns, and a warning turned error
