@@ -109,8 +109,8 @@ def run_inverse_gl(cfg) -> tuple[list, list]:
         _check("falsifications", not rep.falsifications,
                count=len(rep.falsifications)),
     ]
-    probe = inv.backward_uniqueness_probe(runs[0], norms[0][2], cut, cfg.mu1,
-                                          list(cfg.epsilons), cfg.C_ref)
+    probe = inv.backward_uniqueness_probe(runs[0], norms[0][2], cut.t0, rep.tau,
+                                          list(cfg.epsilons))
     checks.append(_check("probe_tampered_flagged",
                          probe["flagged_non_adapted"], slope=probe["slope"]))
 

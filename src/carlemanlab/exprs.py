@@ -61,8 +61,9 @@ class Context:
     declaration order, the pairs of real-scalar symbol names whose product
     vanishes: canonicalize drops every monomial holding such a product
     from the finished form, and the jet oracle gives one name of each pair
-    the zero jet.  atoms is the canonicalizer's atom table, made the first
-    time it is needed.
+    the zero jet.  A declared pair is never taken back: verify_raw_cell
+    reads the form from before that drop.  atoms is the canonicalizer's
+    atom table, made the first time it is needed.
     """
 
     def __init__(self, n: int):
@@ -145,9 +146,6 @@ class Context:
             if sym.kind != "real-scalar":
                 raise ExprError("null pairs are only supported for real scalars")
         self.null_pairs.append((name_a, name_b))
-
-    def clear_null_pairs(self) -> None:
-        self.null_pairs.clear()
 
     def sym(self, name: str) -> "Expr":
         try:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 
-from .canonical import CanonicalForm, canonicalize
+from .canonical import CanonicalForm, _canon, canonicalize
 from .config import RunError
 from .exprs import (DIMENSIONS, DIMENSIONS_TEXT, C, Context, DT, Expr, I, conj, d_t,
                     d_x, esum, im, ito_d, re)
@@ -418,7 +418,7 @@ def build_identity(spec: OperatorSpec) -> tuple[Expr, Expr, Workspace]:
 @dataclass(frozen=True)
 class RawCell:
     """The raw cell's theorem residual, and its residual with the null
-    pairs a*b0^j and b*b0^j cleared."""
+    pairs a*b0^j and b*b0^j unapplied."""
 
     theorem: IdentityResidual
     unconstrained: IdentityResidual
@@ -434,19 +434,16 @@ class RawCell:
 
 def verify_raw_cell(case: VerificationCase) -> RawCell:
     """Canonicalize each side of a raw cell's built case once, with its
-    null pairs cleared; the theorem forms are those forms without the
-    monomials that hold a null product, which is what canonicalizing under
-    the pairs gives.  The pairs are declared again before it returns."""
+    null pairs unapplied; the theorem forms are those forms without the
+    monomials that hold a null product, which is what canonicalize gives.
+    The context is only read."""
     ctx = case.ctx
-    pairs = list(ctx.null_pairs)
-    if not pairs:
+    if not ctx.null_pairs:
         raise SpecError("constraint inspection applies to the raw regime")
-    ctx.clear_null_pairs()
-    free = verify(replace(case, case_id=f"raw-unconstrained(n={ctx.n})"))
-    for pair in pairs:
-        ctx.declare_null_pair(*pair)
-    theorem = IdentityResidual.of(case.case_id, free.lhs.without_null_products(),
-                                  free.rhs.without_null_products())
+    lhs, rhs = (CanonicalForm(_canon(e, ctx, {}), ctx) for e in (case.lhs, case.rhs))
+    theorem = IdentityResidual.of(case.case_id, lhs.without_null_products(),
+                                  rhs.without_null_products())
+    free = IdentityResidual.of(f"raw-unconstrained(n={ctx.n})", lhs, rhs)
     return RawCell(theorem=theorem, unconstrained=free)
 
 

@@ -215,27 +215,26 @@ def stability_experiment(norms: Sequence[tuple[float, float, float]],
         spread=spread, falsifications=falsifications)
 
 
-def backward_uniqueness_probe(sol: PathSums, N3: float,
-                              cut: CutoffSpec, mu1: float, eps_list: Sequence[float],
-                              C_ref: float = 10.0) -> dict:
+def backward_uniqueness_probe(sol: PathSums, N3: float, t0: float, tau: float,
+                              eps_list: Sequence[float]) -> dict:
     """Flag a non-adapted family by its interior-from-terminal rate.
 
-    N3 is the terminal H1 norm of sol, as solution_norms gives it; of
-    the march, the probe reads only the state at t0, which sol must
-    have kept.  The solved ensemble is scaled to terminal H1 size eps
-    and future increments (B(T) - B(t)) / 2 times sin(pi x) are added.
-    The added field vanishes at T, so the terminal data stay those of an
-    adapted solution, but it pins the interior norm at t0: log N1(eps)
-    against log eps then has a slope near 0, below tau_fit - 0.1, and
-    the family is flagged as non-adapted.
+    N3 is the terminal H1 norm of sol, as solution_norms gives it, and
+    tau the printed Hoelder exponent, as stability_experiment reports
+    it; of the march, the probe reads only the state at t0, which sol
+    must have kept.  The solved ensemble is scaled to terminal H1 size
+    eps and future increments (B(T) - B(t)) / 2 times sin(pi x) are
+    added.  The added field vanishes at T, so the terminal data stay
+    those of an adapted solution, but it pins the interior norm at t0:
+    log N1(eps) against log eps then has a slope near 0, below
+    tau - 0.1, and the family is flagged as non-adapted.
     """
     eps = np.asarray(eps_list, dtype=float)
     if not (np.all(np.isfinite(eps) & (eps > 0.0)) and len(np.unique(eps)) >= 2):
         raise InverseError(
             f"probe needs at least two distinct positive epsilons, got {list(eps_list)}")
     grid = sol.grid
-    tau_fit = compute_tau(cut.t0, cut.t1, mu1, C_ref)
-    m0 = grid.node(cut.t0, "t0")
+    m0 = grid.node(t0, "t0")
     if N3 == 0.0:
         raise InverseError("probe needs a nonzero terminal norm")
     B = sol.paths.cumulative()
@@ -245,4 +244,4 @@ def backward_uniqueness_probe(sol: PathSums, N3: float,
     interior = [math.sqrt(float(np.mean(l2_norm(e / N3 * w0 + lift, grid.dx) ** 2)))
                 for e in eps]
     slope = float(np.polyfit(np.log(eps), np.log(np.asarray(interior)), 1)[0])
-    return {"slope": slope, "flagged_non_adapted": bool(slope < tau_fit - 0.1)}
+    return {"slope": slope, "flagged_non_adapted": bool(slope < tau - 0.1)}

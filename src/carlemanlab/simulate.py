@@ -291,7 +291,11 @@ def march_gl(problems: Sequence[SPDEProblem], grid: Grid1D,
     one worker 85-87 ms; for carleman-gl's (10 members, 20 paths) the
     figures were 56-65, 71-76 and 46-49 ms (best of 15, three readings,
     2-core x86-64, one BLAS thread).  A one-member march takes the
-    baton uncontended.  On one CPU the two workers take turns, at a cost
+    baton uncontended.  The baton is not fair: at small shapes (3
+    members, 3 paths, Nx = 24) a worker whose zgttrs returns quickly
+    takes it back before the other worker wakes, so the two march one
+    after the other; the verbs' shapes solve long enough for the two to
+    alternate.  On one CPU the two workers take turns, at a cost
     within the benchmark's noise.  A worker's exception is raised here
     once both have stopped.  Each member's states equal its own solve's
     bit for bit, so the split changes no number.
@@ -351,8 +355,7 @@ def march_gl(problems: Sequence[SPDEProblem], grid: Grid1D,
 
 def _march(problems: Sequence[SPDEProblem], grid: Grid1D,
            ensembles: Sequence[PathEnsemble], kept: tuple, w2: np.ndarray,
-           wx2: np.ndarray, states: np.ndarray,
-           baton: Optional[threading.Lock] = None) -> None:
+           wx2: np.ndarray, states: np.ndarray, baton: threading.Lock) -> None:
     """march_gl's time loop for one worker's E members: w2 and wx2 are
     their (E, M, Nt+1) sums, states their (M, len(kept), E, Nx) states.
 
@@ -376,15 +379,14 @@ def _march(problems: Sequence[SPDEProblem], grid: Grid1D,
     the right side, and they swap each step.  grad, w_x by
     grad_dirichlet's stencil, serves both wx2 and the a1 term.
 
-    baton, march_gl's lock shared by both workers (a lock of its own if
-    None), is held over all of a step's numpy work, from the gradient
-    and sums to the block refill and the right side, and let go of only
-    around the gttrs call; it is let go of whenever the march raises, so
-    the other worker marches on to its end.
+    baton, march_gl's lock shared by both workers, is held over all of a
+    step's numpy work, from the gradient and sums to the block refill and
+    the right side, and let go of only around the gttrs call; it is let
+    go of whenever the march raises, so the other worker marches on to
+    its end.
     """
     E, Nx, Nt, M = len(problems), grid.Nx, grid.Nt, ensembles[0].M
     x, t, dx, dt = grid.x, grid.t, grid.dx, grid.dt
-    baton = threading.Lock() if baton is None else baton
     # Re rho > 0 makes each block strictly diagonally dominant, so the
     # factorization never meets a zero pivot
     rho = np.repeat([dt * (1.0 + 1j * p.b) / (dx * dx) for p in problems], Nx)

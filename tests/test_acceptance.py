@@ -175,7 +175,7 @@ def test_criterion_7_inverse_problem_exponent_optimizer_spread_probe():
     assert rep.spread <= 1e3, rep.spread
     assert rep.falsifications == []
 
-    tampered = backward_uniqueness_probe(first, norms[0][2], cut, mu1=3.0,
+    tampered = backward_uniqueness_probe(first, norms[0][2], cut.t0, rep.tau,
                                          eps_list=[1e-1, 1e-2, 1e-3, 1e-4])
     assert tampered["flagged_non_adapted"]
 

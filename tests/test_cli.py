@@ -824,6 +824,24 @@ def test_inverse_gl_streams_its_ensemble(tmp_path, monkeypatch):
     assert len(probed) == 1 and probed[0] is runs[0]
 
 
+def test_inverse_gl_computes_tau_once(tmp_path, monkeypatch):
+    """inverse-gl computes the printed tau and the variant tau_alt once
+    each, in stability_experiment; the probe reads the printed one from
+    its report."""
+    real, taus = inv.compute_tau, []
+
+    def counting(*args):
+        taus.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(inv, "compute_tau", counting)
+    cfg = write_config(tmp_path, "inv.json", FAST_INV)
+    code, _ = run_to_file(tmp_path, ["inverse-gl", "--config", cfg])
+    assert code == 0
+    c = load_config("inverse-gl", cfg)
+    assert taus == [(c.t0, c.t1, c.mu1, c.C_ref), (c.t0, c.t2, c.mu1, c.C_ref)]
+
+
 def test_csv_header_table_is_complete():
     assert set(CSV_HEADERS) == {"carleman-heat", "carleman-gl", "inverse-gl",
                                 "demo:ode", "demo:first_order"}

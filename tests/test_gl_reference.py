@@ -160,12 +160,12 @@ def test_streamed_sums_match_whole_array_formulas(Nx, Nt, E, M, seed, delta_node
                                                with_sources=False) for i in range(E)]
     runs = sim.march_gl(coefficients, grid, ensembles, keep=[m0])
     cut = inv.CutoffSpec(t1=t0 / 3.0, t2=2.0 * t0 / 3.0, t0=t0, T=grid.T)
-    eps = [1e-1, 1e-2, 1e-3]
+    eps, tau = [1e-1, 1e-2, 1e-3], inv.compute_tau(t0, cut.t1, 3.0, 10.0)
     for run, p, paths in zip(runs, coefficients, ensembles):
         w = sim.solve_gl_forward(p, grid, paths).w
         norms = inv.solution_norms(run, t0)
         np.testing.assert_allclose(norms, reference_norms(w, grid, t0), rtol=RTOL, atol=0.0)
         assert np.array_equal(run.state(m0), w[:, m0, :])
-        slope = inv.backward_uniqueness_probe(run, norms[2], cut, 3.0, eps)["slope"]
+        slope = inv.backward_uniqueness_probe(run, norms[2], t0, tau, eps)["slope"]
         assert slope == pytest.approx(
             reference_probe_slope(w, paths, grid, t0, norms[2], eps), rel=RTOL, abs=0.0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from carlemanlab import identity
+from carlemanlab import canonical, identity
 from carlemanlab.exprs import Expr
 from carlemanlab.identity import (
     CASE_IDS,
@@ -61,6 +61,21 @@ def test_raw_regime_keeps_constraint_monomials(n):
     assert not res.zero
     assert cell.clean
     assert len(res.surviving_monomials) > 0
+
+
+def test_raw_cell_keeps_its_null_pairs_when_canonicalizing_raises(monkeypatch):
+    # the raw cell only reads its context: an error partway through
+    # canonicalizing it leaves the declared pairs in place
+    case = build_case(OperatorSpec(n=2, regime="raw"))
+    declared = list(case.ctx.null_pairs)
+
+    def broken(cf, ctx):
+        raise RuntimeError("Ito differential")
+
+    monkeypatch.setattr(canonical, "_cf_ito", broken)
+    with pytest.raises(RuntimeError, match="Ito differential"):
+        verify_raw_cell(case)
+    assert declared and case.ctx.null_pairs == declared
 
 
 @pytest.mark.parametrize("key", PROOF_STEPS)

@@ -32,6 +32,8 @@ from carlemanlab.weights import GLWeight
 from strategies import zero_paths
 
 CUT = CutoffSpec(t1=0.06, t2=0.12, t0=0.15, T=0.3)
+# the printed exponent that stability_experiment reports for CUT at mu1 = 3
+TAU = compute_tau(CUT.t0, CUT.t1, 3.0, 10.0)
 
 
 def member_norms(solutions):
@@ -198,7 +200,7 @@ def test_norms_need_a_time_node(caller):
         "carleman_gl_check": lambda: carleman_gl_check(sol, [GLWeight(mu=2.0, T=0.3)], off),
         "solution_norms": lambda: solution_norms(sol, off),
         "backward_uniqueness_probe": lambda: backward_uniqueness_probe(
-            sol, 1.0, CutoffSpec(t1=0.06, t2=0.12, t0=off, T=0.3), 3.0, [0.1, 0.01]),
+            sol, 1.0, off, TAU, [0.1, 0.01]),
     }[caller]
     with pytest.raises(SimError, match=f"= {off} must sit on a time node"):
         run()
@@ -256,7 +258,7 @@ def test_zeroed_terminal_slice_is_reported_not_dropped():
 
 def test_probe_flags_non_adapted_tampering():
     sol = solve_members(1, seed0=140, M=12)[0]
-    rep = backward_uniqueness_probe(sol, solution_norms(sol, CUT.t0)[2], CUT, mu1=3.0,
+    rep = backward_uniqueness_probe(sol, solution_norms(sol, CUT.t0)[2], CUT.t0, TAU,
                                     eps_list=[1e-1, 1e-2, 1e-3, 1e-4])
     assert abs(rep["slope"]) < 0.2
     assert rep["flagged_non_adapted"]
@@ -266,7 +268,7 @@ def test_probe_needs_terminal_mass():
     grid = Grid1D(Nx=20, Nt=60, T=0.3)
     zero = solve_gl_forward(SPDEProblem(), grid, zero_paths(2, 60, grid.dt))
     with pytest.raises(InverseError):
-        backward_uniqueness_probe(zero, solution_norms(zero, CUT.t0)[2], CUT, mu1=3.0,
+        backward_uniqueness_probe(zero, solution_norms(zero, CUT.t0)[2], CUT.t0, TAU,
                                   eps_list=[1e-1, 1e-2])
 
 
@@ -275,4 +277,4 @@ def test_probe_needs_terminal_mass():
 def test_probe_needs_two_distinct_positive_epsilons(eps):
     sol = solve_members(1, seed0=140, M=4, Nt=60)[0]
     with pytest.raises(InverseError, match="epsilons"):
-        backward_uniqueness_probe(sol, 1.0, CUT, mu1=3.0, eps_list=eps)
+        backward_uniqueness_probe(sol, 1.0, CUT.t0, TAU, eps_list=eps)

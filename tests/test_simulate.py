@@ -329,12 +329,37 @@ def test_two_worker_march_equals_one_worker_march_bitwise(E, monkeypatch):
     kept, M = (0, 17, grid.Nt), ensembles[0].M
     w2, wx2 = np.empty((E, M, grid.Nt + 1)), np.empty((E, M, grid.Nt + 1))
     states = np.empty((M, len(kept), E, grid.Nx), dtype=complex)
-    simulate._march(problems, grid, ensembles, kept, w2, wx2, states)
+    simulate._march(problems, grid, ensembles, kept, w2, wx2, states, threading.Lock())
     for e, two in enumerate(runs):
         assert two.kept == kept
         assert two.w.tobytes() == states[:, :, e, :].tobytes()
         assert two.w2.tobytes() == w2[e].tobytes()
         assert two.wx2.tobytes() == wx2[e].tobytes()
+
+
+def _raised_by_march(problems, grid, ensembles, marcher):
+    """What march_gl raises on the members, run in a daemon thread whose
+    ident goes to marcher: the call must finish within 60 s and leave no
+    thread behind.  The helper thread of march_gl is a daemon too, so a
+    hang fails here and the stuck threads do not hold up the
+    interpreter's exit."""
+    outcome = []
+
+    def run():
+        marcher.append(threading.get_ident())
+        try:
+            march_gl(problems, grid, ensembles)
+        except BaseException as exc:
+            outcome.append(exc)
+
+    threads = threading.active_count()
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "march_gl hung"
+    assert threading.active_count() == threads
+    assert len(outcome) == 1
+    return outcome[0]
 
 
 @pytest.mark.parametrize("member", [0, 2], ids=["first-half", "second-half"])
@@ -346,24 +371,18 @@ def test_march_raises_a_workers_field_error_after_both_stop(member):
         raise error
 
     problems[member] = dataclasses.replace(problems[member], f=broken)
-    threads = threading.active_count()
-    with pytest.raises(KeyError) as caught:
-        march_gl(problems, grid, ensembles)
-    assert caught.value is error
-    assert threading.active_count() == threads
+    assert _raised_by_march(problems, grid, ensembles, []) is error
 
 
 @pytest.mark.parametrize("member", [0, 2], ids=["first-half", "second-half"])
 def test_march_raises_a_later_blocks_field_error_without_a_hang(member, monkeypatch):
     # the field raises at its second block start, 16 steps in, while the
     # other worker still marches: a worker that raised holding the baton
-    # would leave the other waiting for it forever.  march_gl runs in a
-    # daemon thread, whose helper is a daemon too, so a hang fails here
-    # and the stuck threads do not hold up the interpreter's exit
+    # would leave the other waiting for it forever
     monkeypatch.setattr(simulate, "_MARCH_BLOCK", 16)
     grid, problems, ensembles = _members(3, ("f", "g"))
     error, calls, field = KeyError("field"), [], problems[member].f
-    raising, marcher, outcome = threading.Event(), [], []
+    raising, marcher = threading.Event(), []
 
     def later(x, t):
         calls.append(t)
@@ -381,23 +400,10 @@ def test_march_raises_a_later_blocks_field_error_without_a_hang(member, monkeypa
             raising.wait(timeout=60)
         return real(*args, **kwargs)
 
-    def run():
-        marcher.append(threading.get_ident())
-        try:
-            march_gl(problems, grid, ensembles)
-        except BaseException as exc:
-            outcome.append(exc)
-
     problems[member] = dataclasses.replace(problems[member], f=later)
     monkeypatch.setattr(simulate, "_flapack", types.SimpleNamespace(
         zgttrf=simulate._flapack.zgttrf, zgttrs=zgttrs))
-    threads = threading.active_count()
-    runner = threading.Thread(target=run, daemon=True)
-    runner.start()
-    runner.join(timeout=60)
-    assert not runner.is_alive(), "march_gl hung"
-    assert len(outcome) == 1 and outcome[0] is error
-    assert threading.active_count() == threads
+    assert _raised_by_march(problems, grid, ensembles, marcher) is error
 
 
 def test_march_solves_outside_the_baton(monkeypatch):
