@@ -78,11 +78,11 @@ def write_csv(path: str, header, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Identity verb runners: each returns (checks, csv rows)
+# Identity verb runners: each returns its report checks
 # ---------------------------------------------------------------------------
 
 
-def run_identity_verify(args) -> tuple[list, list]:
+def run_identity_verify(args) -> list:
     """Each target's case is built once; both witnesses read it."""
     if args.case is not None:
         if args.n or args.regime:
@@ -108,12 +108,12 @@ def run_identity_verify(args) -> tuple[list, list]:
                                                assignments=args.oracle)
             checks.append(_check(f"oracle({label})", all(v.is_zero for v in values),
                                  evaluations=len(values)))
-    return checks, []
+    return checks
 
 
-def run_identity_steps(args) -> tuple[list, list]:
+def run_identity_steps(args) -> list:
     steps, whole = identity.verify_proof_steps(args.n or 2)
-    return [_residual_check(r) for r in steps + [whole]], []
+    return [_residual_check(r) for r in steps + [whole]]
 
 
 # ---------------------------------------------------------------------------
@@ -193,21 +193,16 @@ def run(args) -> dict:
     if args.verb in ("identity-verify", "identity-steps"):
         runner = (run_identity_verify if args.verb == "identity-verify"
                   else run_identity_steps)
-        checks, rows = runner(args)
-        seed = args.seed
-    else:
-        from . import experiments
-        cfg = load_config(args.verb, args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.verb == "demo" and args.case is not None:
-            cfg = dataclasses.replace(cfg, case=args.case)
-        checks, rows = experiments.RUNNERS[args.verb](cfg)
-        seed = cfg.seed
-        if getattr(args, "csv", None):
-            key = f"demo:{cfg.case}" if args.verb == "demo" else args.verb
-            write_csv(args.csv, experiments.CSV_HEADERS[key], rows)
-    return build_report(args.verb, command, seed, checks)
+        return build_report(args.verb, command, args.seed, runner(args))
+    from . import experiments
+    cfg = load_config(args.verb, args.config)
+    # --seed, and demo's --case, override the config field of that name
+    cfg = dataclasses.replace(cfg, **{name: getattr(args, name) for name in ("seed", "case")
+                                      if getattr(args, name, None) is not None})
+    checks, header, rows = experiments.RUNNERS[args.verb](cfg)
+    if args.csv:
+        write_csv(args.csv, header, rows)
+    return build_report(args.verb, command, cfg.seed, checks)
 
 
 def main(argv=None) -> int:

@@ -1,7 +1,7 @@
 """Experiment verbs of the batch driver: one runner per verb.
 
-Each runner takes its checked config and returns ``(checks, rows)``: the
-report checks and the CSV series, whose columns ``CSV_HEADERS`` names.
+Each runner takes its checked config and returns ``(checks, header,
+rows)``: the report checks, and the CSV series' column names and rows.
 The driver imports this module only to run an experiment verb, so the
 identity verbs never load numpy.  Library functions are called through
 their modules (``sim.march_gl``), where wrappers placed on the
@@ -18,16 +18,8 @@ from . import weights as wt
 from .cli import _check
 from .config import ConfigError
 
-CSV_HEADERS = {
-    "carleman-heat": ("pair", "lambda", "lhs", "rhs", "ratio"),
-    "carleman-gl": ("mu", "ensemble", "member", "quotient"),
-    "inverse-gl": ("member", "quotient"),
-    "demo:ode": ("draw", "lambda", "min_margin"),
-    "demo:first_order": ("draw", "lambda", "quotient"),
-}
 
-
-def run_carleman_heat(cfg) -> tuple[list, list]:
+def run_carleman_heat(cfg) -> tuple[list, tuple, list]:
     grid = sim.Grid1D(Nx=cfg.Nx, Nt=cfg.Nt, T=cfg.T)
     w = wt.HeatWeight(psi=wt.psi_1d(cfg.G0), mu=cfg.mu, lam=cfg.lambdas[0],
                       T=cfg.T)
@@ -48,7 +40,7 @@ def run_carleman_heat(cfg) -> tuple[list, list]:
         for lam, lhs, rhs, ratio in zip(rep["lambdas"], rep["lhs"],
                                         rep["rhs"], rep["ratio"]):
             rows.append((i, lam, lhs, rhs, ratio))
-    return checks, rows
+    return checks, ("pair", "lambda", "lhs", "rhs", "ratio"), rows
 
 
 def _gl_members(cfg, grid, streams, keep=(), **kinds):
@@ -63,7 +55,7 @@ def _gl_members(cfg, grid, streams, keep=(), **kinds):
     return sim.march_gl(problems, grid, ensembles, keep)
 
 
-def run_carleman_gl(cfg) -> tuple[list, list]:
+def run_carleman_gl(cfg) -> tuple[list, tuple, list]:
     labels = [f"gl(mu={mu:g})" for mu in cfg.mus]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"carleman-gl config: mus {list(cfg.mus)} repeat a "
@@ -86,10 +78,10 @@ def run_carleman_gl(cfg) -> tuple[list, list]:
         checks.append(_check(
             label, finite and zero_members == 0,
             fitted_C=max(fitted), zero_members=zero_members))
-    return checks, rows
+    return checks, ("mu", "ensemble", "member", "quotient"), rows
 
 
-def run_inverse_gl(cfg) -> tuple[list, list]:
+def run_inverse_gl(cfg) -> tuple[list, tuple, list]:
     grid = sim.Grid1D(Nx=cfg.Nx, Nt=cfg.Nt, T=cfg.T)
     cut = inv.CutoffSpec(t1=cfg.t1, t2=cfg.t2, t0=cfg.t0, T=cfg.T)
     *streams, optimizer_stream = np.random.SeedSequence(cfg.seed).spawn(
@@ -130,11 +122,10 @@ def run_inverse_gl(cfg) -> tuple[list, list]:
     checks.append(_check("optimizer_grid_match", worst <= cell,
                          worst_gap=worst, cell=cell,
                          draws=cfg.optimizer_draws))
-    rows = [(m, q) for m, q in enumerate(rep.quotients)]
-    return checks, rows
+    return checks, ("member", "quotient"), list(enumerate(rep.quotients))
 
 
-def run_demo(cfg) -> tuple[list, list]:
+def run_demo(cfg) -> tuple[list, tuple, list]:
     rep = sim.classic_demos(cfg.case, seed=cfg.seed, draws=cfg.draws)
     checks, rows = [], []
     if cfg.case == "ode":
@@ -143,16 +134,15 @@ def run_demo(cfg) -> tuple[list, list]:
                 f"ode({run['name']})", run["holds_every_step"],
                 min_margin=run["min_margin"], growth_rate=run["lambda"]))
             rows.append((i, run["lambda"], run["min_margin"]))
-    else:
-        for i, run in enumerate(rep["runs"]):
-            checks.append(_check(
-                f"first_order(draw{i:02d})",
-                np.isfinite(run["fitted_C"]) and run["fitted_C"] > 0.0,
-                fitted_C=run["fitted_C"], support=run["support"]))
-            for lam, q in zip(run["lambdas"], run["quotients"]):
-                rows.append((i, lam, q))
-    return checks, rows
-
+        return checks, ("draw", "lambda", "min_margin"), rows
+    for i, run in enumerate(rep["runs"]):
+        checks.append(_check(
+            f"first_order(draw{i:02d})",
+            np.isfinite(run["fitted_C"]) and run["fitted_C"] > 0.0,
+            fitted_C=run["fitted_C"], support=run["support"]))
+        for lam, q in zip(run["lambdas"], run["quotients"]):
+            rows.append((i, lam, q))
+    return checks, ("draw", "lambda", "quotient"), rows
 
 
 RUNNERS = {

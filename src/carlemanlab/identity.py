@@ -448,8 +448,9 @@ def verify_raw_cell(case: VerificationCase) -> RawCell:
 
 
 def verify_identity(spec: OperatorSpec) -> IdentityResidual:
-    case = build_case(spec)
-    return verify_raw_cell(case).theorem if spec.regime == "raw" else verify(case)
+    """Canonical residual of the theorem cell spec; in a raw cell,
+    canonicalize drops the monomials that hold a null product."""
+    return verify(build_case(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -720,12 +721,11 @@ def _case_heat_identity(n: int = 2) -> VerificationCase:
     )
 
 
-def _case_elliptic(n: int = 2) -> tuple[VerificationCase, Expr, Expr]:
-    """The time-independent divergence-form specialization.
-
-    Returns the case plus (printed_Vk_divergence, derived_Vk_divergence)
-    used to record the printed-corollary delta.
-    """
+def _case_elliptic(n: int = 2) -> VerificationCase:
+    """The time-independent divergence-form specialization.  Its
+    corruption puts the printed flux, whose second term omits a gradient
+    factor, in place of the derived one, so mutated_rhs - rhs is the
+    delta recorded by printed_form_deltas."""
     ctx = Context(n=n)
     ell = ctx.real_field("ell")
     phi = ctx.real_field("Phi")
@@ -785,17 +785,17 @@ def _case_elliptic(n: int = 2) -> tuple[VerificationCase, Expr, Expr]:
             for j, k in pairs
         )
     )
-    div_derived = esum(d_x(V_derived(k), k) for k in range(1, n + 1))
-    div_printed = esum(d_x(V_printed(k), k) for k in range(1, n + 1))
     groups = [
         ("magnitude", C(2) * I1 * I1),
-        ("divergence", div_derived),
+        ("divergence", esum(d_x(V_derived(k), k) for k in range(1, n + 1))),
         ("zero_order", B * ws.z * ws.z),
         ("gradient_form", esum(Dc(j, k) * ws.zx[j] * ws.zx[k]
                                for j in range(1, n + 1) for k in range(1, n + 1))),
         ("first_order", e_term),
     ]
-    return _dropping("elliptic", ctx, lhs, groups, "zero_order"), div_printed, div_derived
+    printed = dict(groups, divergence=esum(d_x(V_printed(k), k) for k in range(1, n + 1)))
+    return VerificationCase(case_id="elliptic", ctx=ctx, lhs=lhs,
+                            rhs=esum(e for _, e in groups), mutated_rhs=esum(printed.values()))
 
 
 def _case_schrodinger(n: int = 2) -> VerificationCase:
@@ -916,7 +916,7 @@ def _case_c02(n: int = 2) -> VerificationCase:
 
 
 _CASES = {
-    "elliptic": lambda: _case_elliptic()[0],
+    "elliptic": _case_elliptic,
     "transport": _case_transport,
     "ginzburg_landau": _case_ginzburg_landau,
     "schrodinger": _case_schrodinger,
@@ -947,17 +947,14 @@ def printed_form_deltas() -> dict[str, CanonicalForm]:
 
     heat_first_order: the printed first-order coupling enters with a plus
     sign; the substitution produces a minus sign.  elliptic_flux: one
-    printed flux term omits a gradient factor.  Both deltas are recorded
+    printed flux term omits a gradient factor.  Each case's corruption is
+    its printed form, so both deltas are mutated_rhs - rhs, recorded
     rather than silently corrected.
     """
-    heat = _case_heat_identity(2)
-    heat_delta = canonicalize(heat.mutated_rhs - heat.rhs, heat.ctx)
-    case, div_printed, div_derived = _case_elliptic(2)
-    elliptic_delta = canonicalize(div_printed - div_derived, case.ctx)
-    return {
-        "heat_first_order": heat_delta,
-        "elliptic_flux": elliptic_delta,
-    }
+    printed = {"heat_first_order": build_case("heat_identity"),
+               "elliptic_flux": build_case("elliptic")}
+    return {name: canonicalize(case.mutated_rhs - case.rhs, case.ctx)
+            for name, case in printed.items()}
 
 
 # ---------------------------------------------------------------------------

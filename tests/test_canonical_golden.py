@@ -5,7 +5,7 @@ change in a printed coefficient.  It maps each side (lhs, rhs and
 mutated_rhs) of the 12 theorem cells and the 17 catalog cases, which
 include the 9 proof steps at n=2, to the sha256 of its serialization.
 It also pins lhs and rhs of the raw cells with their null pairs
-cleared, the forms behind the constraint_pairs checks.
+unapplied, the forms behind the constraint_pairs checks.
 
 Regenerate, after a deliberate change of canonical text, with
 ``PYTHONPATH=src python tests/test_canonical_golden.py``.

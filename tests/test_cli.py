@@ -27,7 +27,6 @@ from carlemanlab.config import (
     RunError,
     load_config,
 )
-from carlemanlab.experiments import CSV_HEADERS
 from carlemanlab.exprs import DIMENSIONS, DIMENSIONS_TEXT, DT, Context, ExprError, conj
 from carlemanlab.jetoracle import Gauss
 from carlemanlab.weights import WeightError
@@ -39,6 +38,15 @@ FAST_GL = dict(ensembles=2, paths=4, Nx=30, Nt=120, T=0.3, mus=[2, 3],
 FAST_INV = dict(ensembles=3, paths=4, Nx=30, Nt=120, T=0.3,
                 t1=0.06, t2=0.12, t0=0.15, mu1=3.0, optimizer_draws=5,
                 seed=31)
+
+# The CSV header of each experiment verb, and of each demo case.
+CSV_HEADERS = {
+    "carleman-heat": ("pair", "lambda", "lhs", "rhs", "ratio"),
+    "carleman-gl": ("mu", "ensemble", "member", "quotient"),
+    "inverse-gl": ("member", "quotient"),
+    "demo:ode": ("draw", "lambda", "min_margin"),
+    "demo:first_order": ("draw", "lambda", "quotient"),
+}
 
 
 def write_config(tmp_path, name, payload):
@@ -141,6 +149,25 @@ def test_csv_byte_identical_and_headed(tmp_path):
     lines = csvs[0].decode().splitlines()
     assert lines[0] == ",".join(CSV_HEADERS["carleman-heat"])
     assert len(lines) == 1 + FAST_HEAT["pairs"] * len(FAST_HEAT["lambdas"])
+
+
+@pytest.mark.parametrize("case", ["ode", "first_order"])
+def test_demo_flags_override_the_config_fields_they_name(tmp_path, case):
+    # --case and --seed replace the config's case and seed, as a config
+    # that sets both does
+    runs = {}
+    cfg = write_config(tmp_path, "demo.json", {"case": case, "seed": 5})
+    for label, argv in (("flags", ["demo", "--case", case, "--seed", "5"]),
+                        ("config", ["demo", "--config", cfg])):
+        series = tmp_path / f"{label}.csv"
+        code, out = run_to_file(tmp_path, argv + ["--csv", str(series)], f"{label}.json")
+        assert code == 0
+        rep = json.loads(out.read_text())
+        runs[label] = rep["seed"], rep["checks"], series.read_text()
+    assert runs["flags"] == runs["config"]
+    seed, _, table = runs["flags"]
+    assert seed == 5
+    assert table.splitlines()[0] == ",".join(CSV_HEADERS[f"demo:{case}"])
 
 
 def test_seed_override_lands_in_report_and_echo(tmp_path):
@@ -840,9 +867,3 @@ def test_inverse_gl_computes_tau_once(tmp_path, monkeypatch):
     assert code == 0
     c = load_config("inverse-gl", cfg)
     assert taus == [(c.t0, c.t1, c.mu1, c.C_ref), (c.t0, c.t2, c.mu1, c.C_ref)]
-
-
-def test_csv_header_table_is_complete():
-    assert set(CSV_HEADERS) == {"carleman-heat", "carleman-gl", "inverse-gl",
-                                "demo:ode", "demo:first_order"}
-    assert CSV_HEADERS["inverse-gl"] == ("member", "quotient")

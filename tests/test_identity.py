@@ -63,6 +63,16 @@ def test_raw_regime_keeps_constraint_monomials(n):
     assert len(res.surviving_monomials) > 0
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_raw_identity_is_the_raw_cells_theorem(n):
+    # canonicalize drops the null products, as the raw cell's theorem
+    # forms do, so verify_identity needs no raw branch
+    spec = OperatorSpec(n=n, regime="raw")
+    res, theorem = verify_identity(spec), verify_raw_cell(build_case(spec)).theorem
+    assert ([f.serialize() for f in (res.lhs, res.rhs, res.residual)]
+            == [f.serialize() for f in (theorem.lhs, theorem.rhs, theorem.residual)])
+
+
 def test_raw_cell_keeps_its_null_pairs_when_canonicalizing_raises(monkeypatch):
     # the raw cell only reads its context: an error partway through
     # canonicalizing it leaves the declared pairs in place
@@ -156,6 +166,17 @@ def test_printed_form_deltas_match_goldens(goldens_dir):
         want = (goldens_dir / f"delta_{name}.txt").read_text()
         assert cf.serialize() + "\n" == want
         assert not cf.is_zero
+
+
+@pytest.mark.parametrize("name, case_id", [("heat_first_order", "heat_identity"),
+                                           ("elliptic_flux", "elliptic")])
+def test_printed_form_delta_is_its_cases_corruption(goldens_dir, name, case_id):
+    # each case's mutated right side is its printed form, so the oracle's
+    # mutation check samples the printed-form finding
+    case = build_case(case_id)
+    delta = canonical.canonicalize(case.mutated_rhs - case.rhs, case.ctx).serialize()
+    assert delta == printed_form_deltas()[name].serialize()
+    assert delta + "\n" == (goldens_dir / f"delta_{name}.txt").read_text()
 
 
 @pytest.mark.parametrize("target", [

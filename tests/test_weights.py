@@ -4,6 +4,9 @@ import math
 
 import pytest
 
+from carlemanlab.canonical import atom_str, canonicalize
+from carlemanlab.exprs import C, Context, d_t, d_x
+from carlemanlab.identity import Workspace
 from carlemanlab.weights import (
     GLWeight,
     HeatWeight,
@@ -11,6 +14,7 @@ from carlemanlab.weights import (
     heat_weight_eval,
     leading_order_B_check,
     psi_1d,
+    zero_order_energy,
 )
 
 G0 = (0.3, 0.8)
@@ -122,6 +126,53 @@ def test_mu_bound_keeps_the_alpha_offset_in_float_range():
     assert math.isfinite(heat_weight_eval(w, 0.5, 1.0).alpha)
     with pytest.raises(WeightError):
         default_weight(mu=1419.0)
+
+
+# -- the closed forms are the identity's -----------------------------
+
+
+def _heat_energies():
+    """A, A_x, A_t and B of the general identity's heat specialization at
+    n = 1 (a0 = 1, a = -1, b = 0, b0 = 0, unit metric, Phi = 2 ell_xx),
+    as canonical forms in the jet of ell."""
+    ctx = Context(n=1)
+    ell = ctx.real_field("ell")
+    z = ctx.semimartingale("z", real=True)
+    ws = Workspace(ctx, z, C(1), C(-1), C(0), [C(0)], {(1, 1): C(1)}, ell,
+                   C(2) * d_x(d_x(ell, 1), 1))
+    return {name: canonicalize(e, ctx) for name, e in
+            (("A", ws.A), ("A_x", d_x(ws.A, 1)), ("A_t", d_t(ws.A)), ("B", ws.B_coef()))}
+
+
+def _evaluate(form, jet):
+    """(value, sum of the monomials' magnitudes) of a real canonical form
+    with each atom's value looked up by its name in jet."""
+    value = scale = 0.0
+    for mono, coeff in form.terms():
+        assert coeff.im == 0
+        term = float(coeff.re) * math.prod(jet[atom_str(key)] ** e for key, e in mono)
+        value += term
+        scale += abs(term)
+    return value, scale
+
+
+@pytest.mark.parametrize("mu", [1.0, 4.0])
+@pytest.mark.parametrize("lam", [1.0, 1e2, 1e4])
+def test_heat_energies_are_the_identitys(mu, lam):
+    forms = _heat_energies()
+    w = default_weight(mu=mu, lam=lam)
+    for x in (0.1, 0.3, 0.5, 0.7, 0.9):
+        for t in (0.2, 0.5, 0.8):
+            v = heat_weight_eval(w, x, t)
+            jet = {"ell_x1": v.ell_x, "ell_x1x1": v.ell_xx, "ell_x1x1x1": v.ell_xxx,
+                   "ell_t": v.ell_t, "ell_tt": v.ell_tt, "ell_x1t": v.ell_xt,
+                   "ell_x1x1t": v.ell_xxt}
+            closed = {"A": v.A, "A_x": v.A_x, "A_t": v.A_t, "B": zero_order_energy(v)}
+            for name, form in forms.items():
+                got, scale = _evaluate(form, jet)
+                # A_t is 0 at t = T/2: the floor is relative to the terms' size
+                assert closed[name] == pytest.approx(got, rel=1e-12, abs=1e-12 * scale), \
+                    (name, x, t)
 
 
 # -- large-parameter behavior ----------------------------------------
