@@ -663,16 +663,23 @@ def _case_ginzburg_landau(n: int = 2) -> VerificationCase:
     return _dropping("ginzburg_landau", ctx, ws.weighted_product(), groups, "zero_order")
 
 
-def _case_heat_identity(n: int = 2) -> VerificationCase:
-    """The stochastic heat specialization.  Its corruption flips the
-    first-order coupling back to the printed sign, so mutated_rhs - rhs
-    is the delta recorded by printed_form_deltas."""
+def heat_workspace(n: int) -> Workspace:
+    """The general identity's heat specialization: a0 = 1, a = -1, b = 0,
+    b0 = 0, a unit metric, a real semimartingale z and Phi = 2 Lap(ell)."""
     ctx = Context(n=n)
     ell = ctx.real_field("ell")
     z = ctx.semimartingale("z", real=True)
-    lap_ell = esum(d_x(d_x(ell, j), j) for j in range(1, n + 1))
-    phi = C(2) * lap_ell
-    ws = Workspace(ctx, z, C(1), C(-1), C(0), [C(0)] * n, _unit_metric(n), ell, phi)
+    phi = C(2) * esum(d_x(d_x(ell, j), j) for j in range(1, n + 1))
+    return Workspace(ctx, z, C(1), C(-1), C(0), [C(0)] * n, _unit_metric(n), ell, phi)
+
+
+def _case_heat_identity(n: int = 2) -> VerificationCase:
+    """The printed A, B, D, V and E of the heat specialization, on
+    heat_workspace(n).  Its corruption flips the first-order coupling back
+    to the printed sign: the delta recorded by printed_form_deltas."""
+    ws = heat_workspace(n)
+    ctx, phi = ws.ctx, ws.phi
+    lap_ell = esum(d_x(ws.ellx[j], j) for j in range(1, n + 1))
     A = esum(ws.ellx[j] * ws.ellx[j] for j in range(1, n + 1)) - lap_ell
     I1 = esum(d_x(ws.zx[j], j) for j in range(1, n + 1)) + A * ws.z + (phi - ws.ellt) * ws.z
     lhs = C(2) * I1 * ws.theta_L

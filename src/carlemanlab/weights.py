@@ -16,20 +16,24 @@ for the complex-coefficient second-order operator is
 
 heat_alpha is the one place gamma and alpha are written; it takes
 floats or broadcasting numpy arrays, so the pointwise derivatives below
-and the Monte-Carlo heat check share it.  The derivatives are closed
-form; the symbolic modules provide the cross-check that they match the
-canonical quantities (for example A = ell_x^2 - ell_xx in one dimension).
+and the Monte-Carlo heat check share it.  The derivatives of ell are
+closed form; the energies on them (A = ell_x^2 - ell_xx in one dimension,
+A_x, A_t and B) are read from the verified identity, not written here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Sequence
 
 import numpy as np
 
+from .canonical import CanonicalForm, canonicalize
 from .config import RunError
+from .exprs import d_t, d_x
+from .identity import heat_workspace
 
 
 class WeightError(RunError):
@@ -95,23 +99,21 @@ class HeatWeight:
 
 @dataclass(frozen=True)
 class WeightValues:
-    """All pointwise weight quantities at one (x, t)."""
+    """All pointwise weight quantities at one (x, t); the derivatives of
+    ell carry the identity's atom names, so vars() of a value is a jet."""
 
     gamma: float
     phi: float
     alpha: float
     theta: float
     ell: float
-    ell_x: float
-    ell_xx: float
-    ell_xxx: float
+    ell_x1: float
+    ell_x1x1: float
+    ell_x1x1x1: float
     ell_t: float
     ell_tt: float
-    ell_xt: float
-    ell_xxt: float
-    A: float
-    A_x: float
-    A_t: float
+    ell_x1t: float
+    ell_x1x1t: float
 
 
 def heat_alpha(w: HeatWeight, x, t):
@@ -124,12 +126,7 @@ def heat_alpha(w: HeatWeight, x, t):
 
 
 def heat_weight_eval(w: HeatWeight, x: float, t: float) -> WeightValues:
-    """Evaluate the parabolic bundle and the derivatives of ell = lam alpha.
-
-    A is the canonical energy density ell_x^2 - ell_xx (one dimension,
-    unit metric); A_x and A_t are its exact derivatives, needed by the
-    leading-order check on the zero-order energy B.
-    """
+    """Evaluate the parabolic bundle and the derivatives of ell = lam alpha."""
     if not (0.0 < t < w.T):
         raise WeightError(f"t = {t} outside (0, {w.T}); clamp before evaluating")
     mu, lam = w.mu, w.lam
@@ -151,51 +148,29 @@ def heat_weight_eval(w: HeatWeight, x: float, t: float) -> WeightValues:
     att = alpha * r2
     axt = ax * r1
     axxt = axx * r1
-    ell_x = lam * ax
-    ell_xx = lam * axx
-    ell_xxx = lam * axxx
-    ell_t = lam * at
-    ell_tt = lam * att
-    ell_xt = lam * axt
-    ell_xxt = lam * axxt
-    A = ell_x * ell_x - ell_xx
-    A_x = 2.0 * ell_x * ell_xx - ell_xxx
-    A_t = 2.0 * ell_x * ell_xt - ell_xxt
     return WeightValues(
         gamma=gamma,
         phi=phi,
         alpha=alpha,
         theta=theta,
         ell=lam * alpha,
-        ell_x=ell_x,
-        ell_xx=ell_xx,
-        ell_xxx=ell_xxx,
-        ell_t=ell_t,
-        ell_tt=ell_tt,
-        ell_xt=ell_xt,
-        ell_xxt=ell_xxt,
-        A=A,
-        A_x=A_x,
-        A_t=A_t,
+        ell_x1=lam * ax,
+        ell_x1x1=lam * axx,
+        ell_x1x1x1=lam * axxx,
+        ell_t=lam * at,
+        ell_tt=lam * att,
+        ell_x1t=lam * axt,
+        ell_x1x1t=lam * axxt,
     )
 
 
-def zero_order_energy(v: WeightValues) -> float:
-    """The zero-order energy density B with the auxiliary field fixed to
-    twice the weight Laplacian.
-
-    In one dimension the chain collapses to
-
-        B = 2 A_x ell_x - 2 A ell_xx - A_t + ell_tt - 8 ell_xx^2 + 4 ell_xx ell_t.
-    """
-    return (
-        2.0 * v.A_x * v.ell_x
-        - 2.0 * v.A * v.ell_xx
-        - v.A_t
-        + v.ell_tt
-        - 8.0 * v.ell_xx * v.ell_xx
-        + 4.0 * v.ell_xx * v.ell_t
-    )
+@cache
+def heat_energies() -> dict[str, CanonicalForm]:
+    """A, A_x, A_t and the zero-order energy B of the identity's heat
+    specialization in one dimension, as canonical forms in the jet of ell."""
+    ws = heat_workspace(1)
+    return {name: canonicalize(e, ws.ctx) for name, e in
+            (("A", ws.A), ("A_x", d_x(ws.A, 1)), ("A_t", d_t(ws.A)), ("B", ws.B_coef()))}
 
 
 def leading_order_B_check(
@@ -203,7 +178,7 @@ def leading_order_B_check(
     points: Sequence[tuple[float, float]],
     lam_sweep: Sequence[float],
 ) -> dict:
-    """Compare B against its large-parameter leading behavior.
+    """Compare heat_energies' B against its large-parameter leading behavior.
 
     Two normalizations are reported.  The full cubic coefficient of B in
     the large parameter is
@@ -217,10 +192,13 @@ def leading_order_B_check(
     |psi''|.  deviation_cubic measures distance from 1; deviation_gradient
     measures distance from the per-point level-off limit, which the ratio
     approaches monotonically as the lam^2 terms decay.  Points must avoid
-    the critical region (|psi'| bounded below) and the time endpoints.
+    the critical region (|psi'| bounded below) and the time endpoints;
+    the sweep needs two distinct values of lam to fit a slope.
     """
     if not points:
         raise WeightError("no evaluation points supplied")
+    if len(set(map(float, lam_sweep))) < 2:
+        raise WeightError(f"lambda sweep {tuple(lam_sweep)} needs two distinct values")
     for x, t in points:
         if abs(w.psi.d1(x)) < 1e-9:
             raise WeightError(f"x = {x} has a vanishing psi gradient; excluded")
@@ -233,7 +211,7 @@ def leading_order_B_check(
         grad_row, cubic_row = [], []
         for x, t in points:
             v = heat_weight_eval(wl, x, t)
-            B = zero_order_energy(v)
+            B = heat_energies()["B"].evaluate(vars(v))
             p1, p2 = w.psi.d1(x), w.psi.d2(x)
             base = 2.0 * wl.lam ** 3 * wl.mu ** 3 * v.phi ** 3 * p1 * p1
             grad_row.append(B / (base * wl.mu * p1 * p1))

@@ -83,8 +83,9 @@ def test_criterion_4_zero_order_energy_leading_term():
     # |psi'| >= 0.2 at each point; the full-coefficient ratio must sit
     # within 0.15 of 1 at lam = 1e4 and improve monotonically over the
     # sweep.  The gradient-quartic normalization cannot reach 1 at mu=4;
-    # it is asserted to approach its analytic level-off limit instead,
-    # and both normalizations are part of the report.
+    # it is asserted to approach its analytic level-off limit instead;
+    # leading_order_B_check returns both normalizations, though no CLI
+    # report carries them yet.
     w = HeatWeight(psi=psi_1d((0.3, 0.8)), mu=4.0, lam=1.0)
     points = [(0.2, 0.5), (0.4, 0.5), (0.7, 0.4), (0.9, 0.6)]
     assert all(abs(w.psi.d1(x)) >= 0.2 - 1e-12 for x, _ in points)

@@ -1,5 +1,6 @@
 """Batch driver: determinism contract, exit codes, report and CSV shapes."""
 
+import ast
 import collections
 import dataclasses
 import json
@@ -554,6 +555,46 @@ def test_identity_verbs_import_no_numerics(tmp_path, argv):
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "0 []"
+
+
+NUMERIC = {"numpy", "scipy", "simulate", "weights", "inverse", "experiments"}
+
+
+def _imports(module: str) -> tuple[set, set]:
+    """The names a package module imports anywhere in its file, and those
+    it imports outside any function: each dotted module path's parts and
+    each imported name, so that `from . import weights` yields weights."""
+    tree = ast.parse((pathlib.Path(cli.__file__).parent / f"{module}.py").read_text())
+    in_functions = {id(node) for fn in ast.walk(tree)
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                    for node in ast.walk(fn)}
+    anywhere, top = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {*(node.module or "").split("."), *(a.name for a in node.names)}
+        elif isinstance(node, ast.Import):
+            names = {part for a in node.names for part in a.name.split(".")}
+        else:
+            continue
+        anywhere |= names
+        if id(node) not in in_functions:
+            top |= names
+    return anywhere, top
+
+
+@pytest.mark.parametrize("module", ["exact", "exprs", "canonical", "jetoracle",
+                                    "identity", "config"])
+def test_symbolic_modules_import_no_numerics(module):
+    # the layering that test_identity_verbs_import_no_numerics samples on
+    # two runs, read off every line: not even inside a function
+    anywhere, _ = _imports(module)
+    assert not anywhere & NUMERIC
+
+
+def test_cli_imports_the_experiments_only_inside_a_function():
+    anywhere, top = _imports("cli")
+    assert "experiments" in anywhere
+    assert not top & NUMERIC
 
 
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):

@@ -4,17 +4,14 @@ import math
 
 import pytest
 
-from carlemanlab.canonical import atom_str, canonicalize
-from carlemanlab.exprs import C, Context, d_t, d_x
-from carlemanlab.identity import Workspace
 from carlemanlab.weights import (
     GLWeight,
     HeatWeight,
     WeightError,
+    heat_energies,
     heat_weight_eval,
     leading_order_B_check,
     psi_1d,
-    zero_order_energy,
 )
 
 G0 = (0.3, 0.8)
@@ -88,15 +85,17 @@ def test_algebraic_relations_between_bundle_members(mu, T):
 def test_derivatives_match_finite_differences():
     w = default_weight(mu=3.0, lam=2.0)
     x, t, h = 0.3, 0.6, 1e-6
+    forms = heat_energies()
 
     def val(name, xx, tt):
-        return getattr(heat_weight_eval(w, xx, tt), name)
+        v = heat_weight_eval(w, xx, tt)
+        return forms[name].evaluate(vars(v)) if name in forms else getattr(v, name)
 
     for name, dname, wrt in [
-        ("ell", "ell_x", "x"), ("ell_x", "ell_xx", "x"),
-        ("ell_xx", "ell_xxx", "x"), ("ell", "ell_t", "t"),
-        ("ell_t", "ell_tt", "t"), ("ell_x", "ell_xt", "t"),
-        ("ell_xx", "ell_xxt", "t"), ("A", "A_x", "x"), ("A", "A_t", "t"),
+        ("ell", "ell_x1", "x"), ("ell_x1", "ell_x1x1", "x"),
+        ("ell_x1x1", "ell_x1x1x1", "x"), ("ell", "ell_t", "t"),
+        ("ell_t", "ell_tt", "t"), ("ell_x1", "ell_x1t", "t"),
+        ("ell_x1x1", "ell_x1x1t", "t"), ("A", "A_x", "x"), ("A", "A_t", "t"),
     ]:
         if wrt == "x":
             fd = (val(name, x + h, t) - val(name, x - h, t)) / (2 * h)
@@ -131,47 +130,32 @@ def test_mu_bound_keeps_the_alpha_offset_in_float_range():
 # -- the closed forms are the identity's -----------------------------
 
 
-def _heat_energies():
-    """A, A_x, A_t and B of the general identity's heat specialization at
-    n = 1 (a0 = 1, a = -1, b = 0, b0 = 0, unit metric, Phi = 2 ell_xx),
-    as canonical forms in the jet of ell."""
-    ctx = Context(n=1)
-    ell = ctx.real_field("ell")
-    z = ctx.semimartingale("z", real=True)
-    ws = Workspace(ctx, z, C(1), C(-1), C(0), [C(0)], {(1, 1): C(1)}, ell,
-                   C(2) * d_x(d_x(ell, 1), 1))
-    return {name: canonicalize(e, ctx) for name, e in
-            (("A", ws.A), ("A_x", d_x(ws.A, 1)), ("A_t", d_t(ws.A)), ("B", ws.B_coef()))}
-
-
-def _evaluate(form, jet):
-    """(value, sum of the monomials' magnitudes) of a real canonical form
-    with each atom's value looked up by its name in jet."""
-    value = scale = 0.0
-    for mono, coeff in form.terms():
-        assert coeff.im == 0
-        term = float(coeff.re) * math.prod(jet[atom_str(key)] ** e for key, e in mono)
-        value += term
-        scale += abs(term)
-    return value, scale
+def _reference_terms(v):
+    """The hand-written 1-d heat energies, as the terms each one sums:
+    A = ell_x^2 - ell_xx, its derivatives A_x and A_t, and
+    B = 2 A_x ell_x - 2 A ell_xx - A_t + ell_tt - 8 ell_xx^2 + 4 ell_xx ell_t."""
+    lx, lxx = v.ell_x1, v.ell_x1x1
+    A = [lx * lx, -lxx]
+    A_x = [2.0 * lx * lxx, -v.ell_x1x1x1]
+    A_t = [2.0 * lx * v.ell_x1t, -v.ell_x1x1t]
+    B = [2.0 * sum(A_x) * lx, -2.0 * sum(A) * lxx, -sum(A_t), v.ell_tt,
+         -8.0 * lxx * lxx, 4.0 * lxx * v.ell_t]
+    return {"A": A, "A_x": A_x, "A_t": A_t, "B": B}
 
 
 @pytest.mark.parametrize("mu", [1.0, 4.0])
 @pytest.mark.parametrize("lam", [1.0, 1e2, 1e4])
 def test_heat_energies_are_the_identitys(mu, lam):
-    forms = _heat_energies()
+    forms = heat_energies()
     w = default_weight(mu=mu, lam=lam)
     for x in (0.1, 0.3, 0.5, 0.7, 0.9):
         for t in (0.2, 0.5, 0.8):
             v = heat_weight_eval(w, x, t)
-            jet = {"ell_x1": v.ell_x, "ell_x1x1": v.ell_xx, "ell_x1x1x1": v.ell_xxx,
-                   "ell_t": v.ell_t, "ell_tt": v.ell_tt, "ell_x1t": v.ell_xt,
-                   "ell_x1x1t": v.ell_xxt}
-            closed = {"A": v.A, "A_x": v.A_x, "A_t": v.A_t, "B": zero_order_energy(v)}
-            for name, form in forms.items():
-                got, scale = _evaluate(form, jet)
+            for name, terms in _reference_terms(v).items():
+                got = forms[name].evaluate(vars(v))
                 # A_t is 0 at t = T/2: the floor is relative to the terms' size
-                assert closed[name] == pytest.approx(got, rel=1e-12, abs=1e-12 * scale), \
+                scale = sum(abs(term) for term in terms)
+                assert sum(terms) == pytest.approx(got, rel=1e-12, abs=1e-12 * scale), \
                     (name, x, t)
 
 
@@ -186,7 +170,7 @@ def test_energy_density_leading_term():
         w = default_weight(mu=mu, lam=lam)
         v = heat_weight_eval(w, x, t)
         lead = lam**2 * mu**2 * v.phi**2 * w.psi.d1(x) ** 2
-        devs.append(abs(v.A / lead - 1.0))
+        devs.append(abs(heat_energies()["A"].evaluate(vars(v)) / lead - 1.0))
     assert devs[0] < 0.05
     assert devs[1] <= devs[0] / 5.0
     assert devs[2] <= devs[1] / 5.0
@@ -222,13 +206,14 @@ def test_zero_order_energy_deviation_scales_like_inverse_lambda():
 
 
 def test_critical_point_and_bad_windows_rejected():
+    # a critical point, a time outside the window, no points, and sweeps
+    # with fewer than two distinct lambdas, which leave no slope to fit
     w = default_weight(mu=4.0)
-    with pytest.raises(WeightError):
-        leading_order_B_check(w, [(0.5, 0.5)], (1e3,))
-    with pytest.raises(WeightError):
-        leading_order_B_check(w, [(0.2, 0.05)], (1e3,))
-    with pytest.raises(WeightError):
-        leading_order_B_check(w, [], (1e3,))
+    for points, sweep in [([(0.5, 0.5)], (1e3, 1e4)), ([(0.2, 0.05)], (1e3, 1e4)),
+                          ([], (1e3, 1e4)), ([(0.2, 0.5)], (1e3,)),
+                          ([(0.2, 0.5)], (1e3, 1e3)), ([(0.2, 0.5)], ())]:
+        with pytest.raises(WeightError):
+            leading_order_B_check(w, points, sweep)
 
 
 # -- time-global bundle ----------------------------------------------
