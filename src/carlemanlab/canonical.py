@@ -219,7 +219,7 @@ def _atom_diff(key, var, ctx: Context) -> dict:
         return {}  # differentials are constants under derivatives
     _, name, mi, to, cj = key
     sym = ctx.symbols[name]
-    if sym.kind == "real-scalar":
+    if sym.scalar:
         return {}
     if var == ("t",) and sym.semimartingale:
         raise ExprError(f"time derivative of semimartingale {name!r} is not defined")
@@ -261,8 +261,6 @@ def _atom_ito(key, ctx: Context) -> dict:
     """d(atom): jets for semimartingales, (d/dt) dt for deterministic fields."""
     _, name, mi, to, cj = key
     sym = ctx.symbols[name]
-    if sym.kind == "real-scalar":
-        return {}
     if sym.semimartingale:
         if sym.jets is None:
             raise ExprError(f"semimartingale {name!r} has no registered jets")

@@ -30,17 +30,13 @@ from pathlib import Path
 from typing import Optional
 
 from . import identity
-from .config import ConfigError, RunError, check_seed, load_config
+from .config import ConfigError, RunError, check_seed, load_config, report_check
 from .exprs import DIMENSIONS
 
 
-def _check(case: str, passed, **detail) -> dict:
-    return {"case": case, "pass": bool(passed), **detail}
-
-
 def _residual_check(r: identity.IdentityResidual) -> dict:
-    return _check(r.case, r.zero, lhs_monomials=len(r.lhs), rhs_monomials=len(r.rhs),
-                  surviving_monomials=list(r.surviving_monomials))
+    return report_check(r.case, r.zero, lhs_monomials=len(r.lhs), rhs_monomials=len(r.rhs),
+                        surviving_monomials=list(r.surviving_monomials))
 
 
 def build_report(verb: str, command: str, seed: Optional[int], checks) -> dict:
@@ -98,7 +94,7 @@ def run_identity_verify(args) -> list:
         if isinstance(target, identity.OperatorSpec) and target.regime == "raw":
             cell = identity.verify_raw_cell(case)
             checks.append(_residual_check(cell.theorem))
-            checks.append(_check(
+            checks.append(report_check(
                 f"constraint_pairs(n={target.n})", cell.clean,
                 surviving_monomials=len(cell.unconstrained.residual)))
         else:
@@ -106,8 +102,8 @@ def run_identity_verify(args) -> list:
         if args.oracle:
             values = identity.numeric_residual(case, seed=args.seed or 0,
                                                assignments=args.oracle)
-            checks.append(_check(f"oracle({label})", all(v.is_zero for v in values),
-                                 evaluations=len(values)))
+            checks.append(report_check(f"oracle({label})", all(v.is_zero for v in values),
+                                       evaluations=len(values)))
     return checks
 
 

@@ -1,4 +1,5 @@
-"""Run configuration for the batch driver.
+"""Run configuration for the batch driver, and ``report_check``, the
+record of one report check that ``cli`` and ``experiments`` both write.
 
 Each experiment verb reads one JSON config file.  Every field has a
 default, so an empty object (or no file at all) runs the documented
@@ -10,11 +11,11 @@ known keys, each value's type (taken from the field's default), list
 shapes and per-field lower bounds, plus strictly increasing ``lambdas``
 and the seed rule that ``check_seed`` also applies to the seed flag.
 Rules that tie fields together (cutoff ordering, ``mu1 > 2``, ``mus >= 2``,
-``delta < T``, the ``modes`` budget, the demo ``case``, two distinct
-positive ``epsilons``) belong to the domain objects that use them, and
-distinct ``gl(mu=...)`` report labels for ``mus`` to the experiment
-runner.  Every such error is a :class:`RunError`, the one class the
-driver maps to exit code 2.
+``delta < T``, the ``modes`` budget, the demo ``case``, positive
+``epsilons`` with two distinct logs) belong to the domain objects that
+use them, and distinct ``gl(mu=...)`` report labels for ``mus`` to the
+experiment runner.  Every such error is a :class:`RunError`, the one
+class the driver maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ class RunError(ValueError):
 
 class ConfigError(RunError):
     """Raised when a config file fails to parse or validate."""
+
+
+def report_check(case: str, passed, **detail) -> dict:
+    """One report check: its case id, its verdict and its detail fields."""
+    return {"case": case, "pass": bool(passed), **detail}
 
 
 def check_seed(seed: Optional[int]) -> None:

@@ -143,8 +143,6 @@ def _coerce(x) -> QQi:
 
 
 ZERO = QQi(0)
-ONE = QQi(1)
-IMAG = QQi(0, 1)
 
 
 def format_qqi(c: QQi) -> str:

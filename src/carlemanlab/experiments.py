@@ -15,8 +15,7 @@ import numpy as np
 from . import inverse as inv
 from . import simulate as sim
 from . import weights as wt
-from .cli import _check
-from .config import ConfigError
+from .config import ConfigError, report_check
 
 
 def run_carleman_heat(cfg) -> tuple[list, tuple, list]:
@@ -32,7 +31,7 @@ def run_carleman_heat(cfg) -> tuple[list, tuple, list]:
         if cfg.window is not None:
             pair = sim.windowed_pair(pair, cfg.window[0], cfg.window[1])
         rep = sim.carleman_heat_check(pair, w, cfg.lambdas)
-        checks.append(_check(
+        checks.append(report_check(
             f"pair({i:02d})", rep["uniform_ok"] and rep["slope_ok"],
             min_ratio=rep["min_ratio"], uniform_floor=rep["uniform_floor"],
             log_slope=rep["log_slope"],
@@ -75,7 +74,7 @@ def run_carleman_gl(cfg) -> tuple[list, tuple, list]:
             for m, q in enumerate(rep["member_quotients"]):
                 rows.append((mu, i, m, q))
         finite = all(np.isfinite(c) and c > 0.0 for c in fitted)
-        checks.append(_check(
+        checks.append(report_check(
             label, finite and zero_members == 0,
             fitted_C=max(fitted), zero_members=zero_members))
     return checks, ("mu", "ensemble", "member", "quotient"), rows
@@ -92,19 +91,19 @@ def run_inverse_gl(cfg) -> tuple[list, tuple, list]:
     norms = [inv.solution_norms(run, cut.t0) for run in runs]
     rep = inv.stability_experiment(norms, cut, cfg.mu1, cfg.C_ref)
     checks = [
-        _check("tau_in_range",
-               0.0 < rep.tau < 1.0 and 0.0 < rep.tau_alt < 1.0,
-               tau=rep.tau, tau_alt=rep.tau_alt),
-        _check("quotient_spread", rep.spread <= 1e3, spread=rep.spread,
-               C_fit=rep.C_fit, N1=rep.N1, N2=rep.N2, N3=rep.N3,
-               mu_star=rep.mu_star),
-        _check("falsifications", not rep.falsifications,
-               count=len(rep.falsifications)),
+        report_check("tau_in_range",
+                     0.0 < rep.tau < 1.0 and 0.0 < rep.tau_alt < 1.0,
+                     tau=rep.tau, tau_alt=rep.tau_alt),
+        report_check("quotient_spread", rep.spread <= 1e3, spread=rep.spread,
+                     C_fit=rep.C_fit, N1=rep.N1, N2=rep.N2, N3=rep.N3,
+                     mu_star=rep.mu_star),
+        report_check("falsifications", not rep.falsifications,
+                     count=len(rep.falsifications)),
     ]
     probe = inv.backward_uniqueness_probe(runs[0], norms[0][2], cut.t0, rep.tau,
                                           list(cfg.epsilons))
-    checks.append(_check("probe_tampered_flagged",
-                         probe["flagged_non_adapted"], slope=probe["slope"]))
+    checks.append(report_check("probe_tampered_flagged",
+                               probe["flagged_non_adapted"], slope=probe["slope"]))
 
     rng = np.random.default_rng(optimizer_stream)
     points = 10000
@@ -119,24 +118,24 @@ def run_inverse_gl(cfg) -> tuple[list, tuple, list]:
         mu_opt = inv.optimize_mu(D1, D2, kappa, C, T)
         mu_grid = inv.brute_force_mu(D1, D2, kappa, C, T, points=points)
         worst = max(worst, abs(mu_opt - mu_grid))
-    checks.append(_check("optimizer_grid_match", worst <= cell,
-                         worst_gap=worst, cell=cell,
-                         draws=cfg.optimizer_draws))
+    checks.append(report_check("optimizer_grid_match", worst <= cell,
+                               worst_gap=worst, cell=cell,
+                               draws=cfg.optimizer_draws))
     return checks, ("member", "quotient"), list(enumerate(rep.quotients))
 
 
 def run_demo(cfg) -> tuple[list, tuple, list]:
-    rep = sim.classic_demos(cfg.case, seed=cfg.seed, draws=cfg.draws)
+    runs = sim.classic_demos(cfg.case, seed=cfg.seed, draws=cfg.draws)
     checks, rows = [], []
     if cfg.case == "ode":
-        for i, run in enumerate(rep["runs"]):
-            checks.append(_check(
+        for i, run in enumerate(runs):
+            checks.append(report_check(
                 f"ode({run['name']})", run["holds_every_step"],
                 min_margin=run["min_margin"], growth_rate=run["lambda"]))
             rows.append((i, run["lambda"], run["min_margin"]))
         return checks, ("draw", "lambda", "min_margin"), rows
-    for i, run in enumerate(rep["runs"]):
-        checks.append(_check(
+    for i, run in enumerate(runs):
+        checks.append(report_check(
             f"first_order(draw{i:02d})",
             np.isfinite(run["fitted_C"]) and run["fitted_C"] > 0.0,
             fitted_C=run["fitted_C"], support=run["support"]))

@@ -20,8 +20,6 @@ from typing import Iterable, Optional, Union
 
 from .exact import QQi, _coerce
 
-KINDS = ("complex-field", "real-field", "real-scalar", "drift-jet", "diffusion-jet")
-
 # The spatial dimensions n the package accepts, and their spelling in the
 # messages that refuse any other n
 DIMENSIONS = (1, 2, 3)
@@ -36,22 +34,22 @@ class ExprError(ValueError):
 
 
 class FieldSymbol:
-    """A declared field. Identity is by name within one Context."""
+    """A declared field. Identity is by name within one Context.  scalar
+    marks a real constant, whose every derivative is zero."""
 
-    __slots__ = ("name", "kind", "real", "semimartingale", "jets", "rewrites")
+    __slots__ = ("name", "real", "scalar", "semimartingale", "jets", "rewrites")
 
-    def __init__(self, name: str, kind: str, real: bool, semimartingale: bool = False):
-        if kind not in KINDS:
-            raise ExprError(f"unknown symbol kind {kind!r}")
+    def __init__(self, name: str, real: bool, scalar: bool = False,
+                 semimartingale: bool = False):
         self.name = name
-        self.kind = kind
         self.real = real
+        self.scalar = scalar
         self.semimartingale = semimartingale
         self.jets: Optional[tuple["FieldSymbol", "FieldSymbol"]] = None
         self.rewrites: dict[VarKey, "Expr"] = {}
 
     def __repr__(self):
-        return f"FieldSymbol({self.name!r}, {self.kind!r})"
+        return f"FieldSymbol({self.name!r})"
 
 
 class Context:
@@ -85,22 +83,21 @@ class Context:
         return Sym(sym)
 
     def complex_field(self, name: str) -> "Expr":
-        return self._declare(FieldSymbol(name, "complex-field", real=False))
+        return self._declare(FieldSymbol(name, real=False))
 
     def real_field(self, name: str) -> "Expr":
-        return self._declare(FieldSymbol(name, "real-field", real=True))
+        return self._declare(FieldSymbol(name, real=True))
 
     def real_scalar(self, name: str) -> "Expr":
         """A real constant: every derivative of it is zero."""
-        return self._declare(FieldSymbol(name, "real-scalar", real=True))
+        return self._declare(FieldSymbol(name, real=True, scalar=True))
 
     def semimartingale(self, name: str, real: bool = False) -> "Expr":
         """Declare a semimartingale name with registered jets Pname and
         Qname, d(name) = Pname dt + Qname dB, and return the field."""
-        kind = "real-field" if real else "complex-field"
-        base = FieldSymbol(name, kind, real=real, semimartingale=True)
-        p = FieldSymbol(f"P{name}", "drift-jet", real=real, semimartingale=True)
-        q = FieldSymbol(f"Q{name}", "diffusion-jet", real=real, semimartingale=True)
+        base = FieldSymbol(name, real=real, semimartingale=True)
+        p = FieldSymbol(f"P{name}", real=real, semimartingale=True)
+        q = FieldSymbol(f"Q{name}", real=real, semimartingale=True)
         base.jets = (p, q)
         e = self._declare(base)
         self._declare(p)
@@ -121,7 +118,7 @@ class Context:
             raise ExprError(f"unknown symbol {name!r}")
         if sym.semimartingale:
             raise ExprError("semimartingales cannot carry derivative rewrites")
-        if sym.kind == "real-scalar":
+        if sym.scalar:
             raise ExprError("real scalars are constants: they take no rewrite")
         if var == "t":
             key: VarKey = ("t",)
@@ -143,7 +140,7 @@ class Context:
             sym = self.symbols.get(nm)
             if sym is None:
                 raise ExprError(f"unknown symbol {nm!r}")
-            if sym.kind != "real-scalar":
+            if not sym.scalar:
                 raise ExprError("null pairs are only supported for real scalars")
         self.null_pairs.append((name_a, name_b))
 

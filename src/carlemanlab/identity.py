@@ -676,7 +676,8 @@ def heat_workspace(n: int) -> Workspace:
 def _case_heat_identity(n: int = 2) -> VerificationCase:
     """The printed A, B, D, V and E of the heat specialization, on
     heat_workspace(n).  Its corruption flips the first-order coupling back
-    to the printed sign: the delta recorded by printed_form_deltas."""
+    to the printed sign, so mutated_rhs - rhs is the printed-form delta
+    of the heat specialization."""
     ws = heat_workspace(n)
     ctx, phi = ws.ctx, ws.phi
     lap_ell = esum(d_x(ws.ellx[j], j) for j in range(1, n + 1))
@@ -732,7 +733,7 @@ def _case_elliptic(n: int = 2) -> VerificationCase:
     """The time-independent divergence-form specialization.  Its
     corruption puts the printed flux, whose second term omits a gradient
     factor, in place of the derived one, so mutated_rhs - rhs is the
-    delta recorded by printed_form_deltas."""
+    printed-form delta of the elliptic specialization."""
     ctx = Context(n=n)
     ell = ctx.real_field("ell")
     phi = ctx.real_field("Phi")
@@ -946,22 +947,6 @@ def build_case(target) -> VerificationCase:
     if builder is None:
         raise SpecError(f"unknown case '{target}' (known: {', '.join(CASE_IDS)})")
     return builder()
-
-
-def printed_form_deltas() -> dict[str, CanonicalForm]:
-    """Canonical deltas between two printed specializations and the forms
-    obtained by substituting into the general identity.
-
-    heat_first_order: the printed first-order coupling enters with a plus
-    sign; the substitution produces a minus sign.  elliptic_flux: one
-    printed flux term omits a gradient factor.  Each case's corruption is
-    its printed form, so both deltas are mutated_rhs - rhs, recorded
-    rather than silently corrected.
-    """
-    printed = {"heat_first_order": build_case("heat_identity"),
-               "elliptic_flux": build_case("elliptic")}
-    return {name: canonicalize(case.mutated_rhs - case.rhs, case.ctx)
-            for name, case in printed.items()}
 
 
 # ---------------------------------------------------------------------------

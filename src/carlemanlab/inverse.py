@@ -167,7 +167,6 @@ class StabilityReport:
     C_fit: float
     quotients: list
     mu_star: float
-    kappa: float
     spread: float
     falsifications: list
 
@@ -204,14 +203,14 @@ def stability_experiment(norms: Sequence[tuple[float, float, float]],
     if not quotients:
         raise InverseError("no nondegenerate ensemble members")
     agg = np.sqrt(agg / len(norms))
-    kappa = _kappa(cut.t0, cut.t2, mu1)
-    mu_star = optimize_mu(float(agg[1]) ** 2, float(agg[2]) ** 2, kappa, C_ref, cut.T)
+    mu_star = optimize_mu(float(agg[1]) ** 2, float(agg[2]) ** 2,
+                          _kappa(cut.t0, cut.t2, mu1), C_ref, cut.T)
     pos = [q for q in quotients if q > 0]
     spread = (max(pos) / min(pos)) if pos else float("inf")
     return StabilityReport(
         N1=float(agg[0]), N2=float(agg[1]), N3=float(agg[2]),
         tau=tau, tau_alt=tau_alt, C_fit=max(quotients),
-        quotients=quotients, mu_star=mu_star, kappa=kappa,
+        quotients=quotients, mu_star=mu_star,
         spread=spread, falsifications=falsifications)
 
 
@@ -230,9 +229,12 @@ def backward_uniqueness_probe(sol: PathSums, N3: float, t0: float, tau: float,
     tau - 0.1, and the family is flagged as non-adapted.
     """
     eps = np.asarray(eps_list, dtype=float)
-    if not (np.all(np.isfinite(eps) & (eps > 0.0)) and len(np.unique(eps)) >= 2):
+    # epsilons whose logs agree to rounding fit no slope: the fit's rank,
+    # which depends on log eps alone, says whether two distinct logs remain
+    if not (np.all(np.isfinite(eps) & (eps > 0.0)) and eps.size
+            and np.polyfit(np.log(eps), np.zeros(eps.size), 1, full=True)[2] == 2):
         raise InverseError(
-            f"probe needs at least two distinct positive epsilons, got {list(eps_list)}")
+            f"probe needs positive epsilons with two distinct logs, got {list(eps_list)}")
     grid = sol.grid
     m0 = grid.node(t0, "t0")
     if N3 == 0.0:

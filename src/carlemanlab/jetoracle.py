@@ -547,7 +547,7 @@ class _Eval:
         lay = _layout(self.m, k)
         rules = sorted((self.n if key == ("t",) else key[1] - 1, rw)
                        for key, rw in sym.rewrites.items())
-        constant = sym.kind == "real-scalar"
+        constant = sym.scalar
 
         def ruled_coeff(c, inv):
             if not c:
@@ -627,7 +627,7 @@ class _Eval:
             if sym.semimartingale:
                 p, q = sym.jets
                 return (u, self.symbol(p, k), self.symbol(q, k))
-            if sym.kind == "real-scalar":
+            if sym.scalar:
                 return (u, None, None)
             # d f = f_t dt for a plain field, read off the jet on S + e_t
             return (u, _diff(m, mask, self.symbol(sym, k + 1), self.n), None)

@@ -837,8 +837,10 @@ def _bump(s0: float, s1: float):
 
 
 def classic_demos(which: str, seed: int = 0, draws: int = 10, *,
-                  flip_gamma_sign: bool = False) -> dict:
-    """Two warm-up estimates driven by the same weighted-identity idea.
+                  flip_gamma_sign: bool = False) -> list[dict]:
+    """Two warm-up estimates driven by the same weighted-identity idea,
+    as a list of runs: the fixed sin coefficient and draws random ones
+    for "ode", draws random bumps for "first_order".
 
     "ode": growth bound |x(t)| <= e^{lam t} |x0| for x' = a(t) x with
     lam = 2 sup|a|, checked at every integrator step for random bounded
@@ -872,8 +874,7 @@ def classic_demos(which: str, seed: int = 0, draws: int = 10, *,
             margin = float(np.min(bound[1:] - np.abs(xs[1:])))
             runs.append({"name": name, "lambda": lam, "x0": x0,
                          "holds_every_step": ok, "min_margin": margin})
-        return {"demo": "ode", "runs": runs,
-                "all_hold": bool(all(r["holds_every_step"] for r in runs))}
+        return runs
     if which == "first_order":
         x0 = 0.0
         xs = np.linspace(0.0, 1.0, 4001)
@@ -905,6 +906,5 @@ def classic_demos(which: str, seed: int = 0, draws: int = 10, *,
                 quots.append(float(num / den))
             runs.append({"support": [s0, s1], "c0": c0, "lambdas": lams,
                          "quotients": quots, "fitted_C": max(quots)})
-        return {"demo": "first_order", "runs": runs,
-                "fitted_C_max": max(r["fitted_C"] for r in runs)}
+        return runs
     raise SimError(f"unknown demo '{which}'")

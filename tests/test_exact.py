@@ -6,12 +6,12 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from carlemanlab.exact import IMAG, ONE, ZERO, QQi, _make, format_qqi, triple_add, triple_mul
+from carlemanlab.exact import ZERO, QQi, _make, format_qqi, triple_add, triple_mul
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 qqis = st.builds(QQi, fractions, fractions)
 triples = qqis.map(lambda q: q._v)
-T_ZERO, T_ONE = ZERO._v, ONE._v
+T_ZERO, T_ONE = ZERO._v, QQi(1)._v
 
 
 def neg(x):
@@ -40,7 +40,7 @@ def test_construction_and_constants():
     assert QQi(3).re == 3 and QQi(3).im == 0
     assert QQi(Fraction(1, 2), -2) == QQi(Fraction(1, 2), Fraction(-2))
     assert T_ZERO == (0, 0, 1) and T_ONE == (1, 0, 1)
-    assert IMAG * IMAG == QQi(-1)
+    assert QQi(0, 1) * QQi(0, 1) == QQi(-1)
 
 
 def test_immutable():

@@ -13,7 +13,6 @@ from carlemanlab.identity import (
     build_case,
     make_theorem_workspace,
     numeric_residual,
-    printed_form_deltas,
     proof_step_case,
     proof_step_sides,
     verify,
@@ -159,24 +158,15 @@ def test_unknown_case_rejected():
         build_case("laplace")
 
 
-def test_printed_form_deltas_match_goldens(goldens_dir):
-    deltas = printed_form_deltas()
-    assert set(deltas) == {"heat_first_order", "elliptic_flux"}
-    for name, cf in deltas.items():
-        want = (goldens_dir / f"delta_{name}.txt").read_text()
-        assert cf.serialize() + "\n" == want
-        assert not cf.is_zero
-
-
 @pytest.mark.parametrize("name, case_id", [("heat_first_order", "heat_identity"),
                                            ("elliptic_flux", "elliptic")])
 def test_printed_form_delta_is_its_cases_corruption(goldens_dir, name, case_id):
     # each case's mutated right side is its printed form, so the oracle's
     # mutation check samples the printed-form finding
     case = build_case(case_id)
-    delta = canonical.canonicalize(case.mutated_rhs - case.rhs, case.ctx).serialize()
-    assert delta == printed_form_deltas()[name].serialize()
-    assert delta + "\n" == (goldens_dir / f"delta_{name}.txt").read_text()
+    delta = canonical.canonicalize(case.mutated_rhs - case.rhs, case.ctx)
+    assert not delta.is_zero
+    assert delta.serialize() + "\n" == (goldens_dir / f"delta_{name}.txt").read_text()
 
 
 @pytest.mark.parametrize("target", [

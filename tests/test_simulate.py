@@ -947,7 +947,7 @@ def test_ode_demo_sines_equal_scalar_math_sin_bitwise(seed):
     for name, _, om, ph, _ in specs:
         arg = times if ph is None else om * times + ph
         assert np.array_equal(np.sin(arg), [math.sin(v) for v in arg.tolist()]), name
-    runs = classic_demos("ode", seed=seed, draws=10)["runs"]
+    runs = classic_demos("ode", seed=seed, draws=10)
     assert [r["name"] for r in runs] == [s[0] for s in specs]
     for run, (name, x0, _, _, a) in zip(runs, specs):
         assert run["x0"] == x0
@@ -955,23 +955,23 @@ def test_ode_demo_sines_equal_scalar_math_sin_bitwise(seed):
 
 
 def test_ode_demo_bound_holds():
-    rep = classic_demos("ode", seed=0, draws=10)
-    assert rep["all_hold"]
-    assert len(rep["runs"]) == 11  # pinned sin case plus the draws
-    sin_run = rep["runs"][0]
+    runs = classic_demos("ode", seed=0, draws=10)
+    assert len(runs) == 11  # pinned sin case plus the draws
+    sin_run = runs[0]
     assert sin_run["name"] == "sin"
     assert sin_run["lambda"] == pytest.approx(2.0, abs=1e-6)
     assert sin_run["min_margin"] > 0.0
-    assert all(r["holds_every_step"] for r in rep["runs"])
+    assert all(r["holds_every_step"] for r in runs)
 
 
 def test_first_order_demo_fits_one_constant():
-    rep = classic_demos("first_order", seed=1, draws=6)
-    assert math.isfinite(rep["fitted_C_max"]) and rep["fitted_C_max"] > 0.0
-    for run in rep["runs"]:
+    runs = classic_demos("first_order", seed=1, draws=6)
+    C = max(r["fitted_C"] for r in runs)
+    assert math.isfinite(C) and C > 0.0
+    for run in runs:
         assert run["c0"] > 0.0
         assert run["fitted_C"] == max(run["quotients"])
-        assert all(q <= rep["fitted_C_max"] for q in run["quotients"])
+        assert all(q <= C for q in run["quotients"])
 
 
 def test_first_order_demo_rejects_outward_field():
