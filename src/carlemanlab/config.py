@@ -3,8 +3,9 @@ record of one report check that ``cli`` and ``experiments`` both write.
 
 Each experiment verb reads one JSON config file.  Every field has a
 default, so an empty object (or no file at all) runs the documented
-desk-scale setup; unknown keys are rejected rather than ignored.  The
-only override outside the file is the process-level seed flag.
+desk-scale setup; unknown keys are rejected rather than ignored.  Two
+flags override the file: the process-level seed flag, and ``demo``'s
+``--case``, which replaces the config's ``case``.
 
 This module checks the file as input: JSON syntax, a top-level object,
 known keys, each value's type (taken from the field's default), list

@@ -964,11 +964,13 @@ def numeric_residual(target, seed: int, assignments: int = 4, points: int = 5,
     implicit base points; every (seed, base point) draw has all jets of
     its own, so the assignments * (points + 1) values are independent
     draws.  All of them are evaluated in one eval_jet_many call, which
-    walks the residual once, with one memo entry per distinct subtree
-    rather than per object.  For an intact identity every
-    component of every value is exactly zero; a wrong one is missed by a
-    draw with probability at most D/p, where D is the residual's degree
-    in the jet coefficients and p = 2^61 - 1 (Schwartz-Zippel).
+    keys the residual once and walks it once per chunk of draws, with one
+    memo entry per distinct subtree rather than per object.  Draw b of a
+    chunk is evaluated exactly in F_{q_b}[i], q_0 = 2^61 - 1 and q_b the
+    next primes = 3 mod 4 below it.  For an intact identity every
+    component of every value is exactly zero; a wrong one is missed by
+    draw b with probability at most D/q_b, where D is the residual's
+    degree in the jet coefficients (Schwartz-Zippel).
     """
     if assignments < 1 or points < 0:
         raise SpecError(f"need assignments >= 1 and points >= 0, "

@@ -2,10 +2,12 @@
 
 Every declared symbol is given a random truncated jet at an implicit base
 point: all Taylor coefficients of its expansion in (x1..xn, t) up to the
-order the expression needs.  The coefficients live in F_p[i] with
-p = 2^61 - 1; since p = 3 mod 4, -1 is not a square mod p and F_p[i] is a
-field.  An expression evaluates to three elements of F_p[i] at the base
-point: the differential-free part and the dt and dB coefficients.
+order the expression needs.  The coefficients of draw b live in
+F_{q_b}[i], q_0 = p = 2^61 - 1 and q_1, q_2, ... the next primes = 3 mod 4
+below it; since q_b = 3 mod 4, -1 is not a square mod q_b and F_{q_b}[i]
+is a field.  An expression evaluates to three elements of F_{q_b}[i] at
+the base point: the differential-free part and the dt and dB
+coefficients.
 
 The Ito differential d(e) comes from the same evaluator.  For a
 polynomial e, Ito's formula is the Taylor expansion of e(u + du) - e(u)
@@ -13,13 +15,18 @@ under dB dB = dt and dt dB = dt dt = 0: the table keeps the first-order
 terms and the quadratic variation, and drops every other term.
 
 One call evaluates B draws, each a (seed, base point) pair with jets of
-its own, in a single walk of the expression DAG: every jet coefficient
-is a list of B ints, one per draw.  The walk's memo is keyed by
-structure (hash-consing, Filliatre & Conchon 2006), so equal subtrees
-built as separate objects share one entry.  It holds only the subtrees
-the walk asks for more than once, each until its last expected read;
-the jets of every other node are freed as soon as their parent has used
-them.  Each subtree is evaluated only on its needed set, the Taylor
+its own, in one walk of the expression DAG per chunk of up to _LANES
+draws, all chunks reading one key pass.  Draw b of a chunk is lane b:
+every jet coefficient is one int mod N = q_0 q_1 ... q_{B-1}, whose
+residue mod q_b is the coefficient of draw b (Chinese remainder
+theorem; Knuth, TAOCP Vol. 2, 4.3.2), so a product, sum, derivative or
+conjugate of coefficients is a few integer operations for all lanes at
+once, and a one-draw call is evaluated in F_p[i] alone.  The walk's
+memo is keyed by structure (hash-consing, Filliatre & Conchon 2006), so
+equal subtrees built as separate objects share one entry.  It holds only
+the subtrees the walk asks for more than once, each until its last
+expected read; the jets of every other node are freed as soon as their
+parent has used them.  Each subtree is evaluated only on its needed set, the Taylor
 coefficients its parents read: the root needs its value, and a
 derivative in x_v or t needed on a set S of monomials needs S and
 S + e_v of its argument (sparse Taylor propagation, Griewank & Walther,
@@ -34,8 +41,8 @@ ExprError, exactly when a node it keys is ill-formed, whether the walk
 would reach that node or not.
 
 A residual that is not identically zero is a nonzero polynomial of some
-degree D in the drawn coefficients, so by the Schwartz-Zippel lemma one
-draw misses it with probability at most D/p.
+degree D in the drawn coefficients, so by the Schwartz-Zippel lemma
+draw b misses it with probability at most D/q_b.
 
 A field with derivative rewrites gets the coefficients of its ruled
 directions from the rules themselves, order by order, so no assignment
@@ -51,8 +58,8 @@ import functools
 import hashlib
 import random
 from dataclasses import dataclass
-from itertools import product, repeat
-from math import comb
+from itertools import product
+from math import comb, prod
 from typing import NamedTuple, Optional
 
 from .exprs import (
@@ -77,16 +84,34 @@ from .exprs import (
 
 P = (1 << 61) - 1
 
+# The lane primes: q_0 = P, then the next primes = 3 mod 4 below it, as
+# offsets from P.  Each F_q[i] is a field, and lane b of a chunk of draws
+# is evaluated in F_{q_b}[i].
+_Q = tuple(P - d for d in (0, 44, 228, 464, 828, 984, 1152, 1280,
+                           1424, 1488, 1524, 1532, 1608, 1620, 1668, 1740))
+
+# The lanes of one walk: a call with more draws walks them in chunks.
+# Measured on the oracle benchmark and on a 60-draw n = 3 residual, 12,
+# 16 and 24 lanes ran alike; 8 and 32 were slower on the 60 draws.
+_LANES = len(_Q)
+
 # A jet is a pair (re, im) of coefficient lists in the graded monomial
 # order of a _Layout, or None when it is zero in every draw.  A
-# coefficient is a list of B ints in [0, p), one per draw, or the int 0
-# when it is zero in every draw.  A jet computed on a needed set (see
-# below) holds the right coefficient at each position of the set, and
-# may hold anything at the other positions of its lists; it serves every
-# needed set inside its own.  An Ito triple is (plain, dt, dB) jets.
+# coefficient of a walk over B lanes is one int in [0, N), N the product
+# of the first B lane primes, whose residue mod q_b is its value in lane
+# b (Chinese remainder theorem); it is 0 exactly when it is zero in every
+# lane.  A jet computed on a needed set (see below) holds the right
+# coefficient at each position of the set, and may hold anything at the
+# other positions of its lists; it serves every needed set inside its
+# own.  An Ito triple is (plain, dt, dB) jets.
 
-# Stands in for a coefficient that is zero in every draw inside zip().
-_ZERO = repeat(0)
+
+@functools.cache
+def _crt(lanes: int) -> tuple:
+    """The modulus N of a walk over lanes lanes, and its CRT basis: e_b is
+    1 mod q_b and 0 mod every other lane prime."""
+    n = prod(_Q[:lanes])
+    return n, tuple(n // q * pow(n // q, -1, q) for q in _Q[:lanes])
 
 
 class _Layout:
@@ -175,82 +200,29 @@ def _plan(m: int, mask: int) -> tuple:
     return tuple(plan)
 
 
-def _fp(q) -> int:
-    """A rational (numerator / denominator) as an element of F_p."""
-    return q.numerator * pow(q.denominator, -1, P) % P
+def _fp(q, mod: int) -> int:
+    """A rational (numerator / denominator) as an int mod mod, the
+    product of a walk's lane primes: its residue mod q_b is the rational
+    as an element of F_{q_b}."""
+    return q.numerator * pow(q.denominator, -1, mod) % mod
 
 
-def _lane_sum(cs):
-    """Sum of coefficients, draw by draw."""
-    cs = list(filter(None, cs))
-    if len(cs) < 2:
-        return cs[0] if cs else 0
-    if len(cs) == 2:
-        return [(x + y) % P for x, y in zip(*cs)]
-    return [sum(xs) % P for xs in zip(*cs)]
-
-
-def _add(mask: int, jets) -> Optional[tuple]:
+def _add(mask: int, mod: int, jets) -> Optional[tuple]:
     jets = [jet for jet in jets if jet is not None]
     if len(jets) < 2:
         return jets[0] if jets else None
     n = mask.bit_length()
-    return tuple([_lane_sum(cs) if mask >> i & 1 else 0
+    return tuple([sum(cs) % mod if mask >> i & 1 else 0
                   for i, cs in enumerate(zip(*[jet[part][:n] for jet in jets]))]
                  for part in (0, 1))
 
 
-def _mac(ur, ui, xr, xi, yr, yi):
-    """(ur + i ui) + (xr + i xi)(yr + i yi), draw by draw, unreduced.
-
-    Any argument may be the zero coefficient 0, but not both parts of x
-    or both parts of y.
-    """
-    if not (xi or yi):
-        return [u + a * c for u, a, c in zip(ur or _ZERO, xr, yr)], ui
-    z = (xr or _ZERO, xi or _ZERO, yr or _ZERO, yi or _ZERO)
-    return ([u + a * c - b * d for u, a, b, c, d in zip(ur or _ZERO, *z)],
-            [u + a * d + b * c for u, a, b, c, d in zip(ui or _ZERO, *z)])
-
-
-def _dot(terms):
-    """The sum of the products x y over terms (xr, xi, yr, yi), draw by
-    draw and reduced.  Most sums have one or two terms, and take one pass
-    over the draws per part."""
-    if len(terms) > 2:
-        re = im = 0
-        for xr, xi, yr, yi in terms:
-            re, im = _mac(re, im, xr, xi, yr, yi)
-        return re and [x % P for x in re], im and [x % P for x in im]
-    first, last = terms[0], terms[-1]
-    if not (first[1] or first[3] or last[1] or last[3]):
-        if len(terms) == 1:
-            return [a * c % P for a, c in zip(first[0], first[2])], 0
-        return [(a * c + e * g) % P for a, c, e, g in zip(first[0], first[2],
-                                                          last[0], last[2])], 0
-    z = [v or _ZERO for term in terms for v in term]
-    if len(terms) == 1:
-        return ([(a * c - b * d) % P for a, b, c, d in zip(*z)],
-                [(a * d + b * c) % P for a, b, c, d in zip(*z)])
-    return ([(a * c - b * d + e * g - f * h) % P for a, b, c, d, e, f, g, h in zip(*z)],
-            [(a * d + b * c + e * h + f * g) % P for a, b, c, d, e, f, g, h in zip(*z)])
-
-
-def _mul(m: int, mask: int, *pairs) -> Optional[tuple]:
+def _mul(m: int, mask: int, mod: int, *pairs) -> Optional[tuple]:
     """The sum of the products a b of the jet pairs (a, b), on the
-    positions of mask."""
-    if mask == 1:
-        # one coefficient per jet, so every product lands on it
-        terms = [(a[0][0], a[1][0], b[0][0], b[1][0]) for a, b in pairs
-                 if a is not None and b is not None
-                 and (a[0][0] or a[1][0]) and (b[0][0] or b[1][0])]
-        if not terms:
-            return None
-        re, im = _dot(terms)
-        return [re], [im]
+    positions of mask.  Each nonzero coefficient product is added
+    straight into its target coefficient, reduced once at the end."""
     n, plan = mask.bit_length(), _plan(m, mask)
-    # the nonzero coefficient products that land on each monomial
-    terms = [None] * n
+    re, im = [0] * n, [0] * n
     for a, b in pairs:
         if a is None or b is None:
             continue
@@ -261,21 +233,23 @@ def _mul(m: int, mask: int, *pairs) -> Optional[tuple]:
                 continue
             for j, t in row:
                 yr, yi = br[j], bi[j]
-                if yr or yi:
-                    if terms[t] is None:
-                        terms[t] = [(xr, xi, yr, yi)]
+                if yi:
+                    if xi:
+                        re[t] += xr * yr - xi * yi
+                        im[t] += xr * yi + xi * yr
                     else:
-                        terms[t].append((xr, xi, yr, yi))
-    if not any(terms):
-        return None
-    re, im = [0] * n, [0] * n
-    for t in range(n):
-        if terms[t]:
-            re[t], im[t] = _dot(terms[t])
-    return re, im
+                        re[t] += xr * yr
+                        im[t] += xr * yi
+                elif yr:
+                    re[t] += xr * yr
+                    if xi:
+                        im[t] += xi * yr
+    re = [x % mod for x in re]
+    im = [x % mod for x in im]
+    return (re, im) if any(re) or any(im) else None
 
 
-def _diff(m: int, mask: int, a, v: int) -> Optional[tuple]:
+def _diff(m: int, mask: int, mod: int, a, v: int) -> Optional[tuple]:
     """d/dx_v, on the positions of mask, of a jet on _up(m, mask, v)."""
     if a is None:
         return None
@@ -286,13 +260,13 @@ def _diff(m: int, mask: int, a, v: int) -> Optional[tuple]:
         coeffs = [0] * mask.bit_length()
         for i in _positions(mask):
             c, f = part[src[i]], fac[i]
-            coeffs[i] = c if f == 1 or not c else [x * f % P for x in c]
+            coeffs[i] = c if f == 1 else c * f % mod
         out.append(coeffs)
     return tuple(out)
 
 
-def _conj(a):
-    return None if a is None else (a[0], [c and [-x % P for x in c] for c in a[1]])
+def _conj(mod: int, a):
+    return None if a is None else (a[0], [c and mod - c for c in a[1]])
 
 
 def _re(a):
@@ -303,21 +277,22 @@ def _im(a):
     return None if a is None else (a[1], [0] * len(a[1]))
 
 
-def _ito_mul(m: int, mask: int, u, v):
+def _ito_mul(m: int, mask: int, mod: int, u, v):
     """(p + qt dt + qb dB)(fp + ft dt + fb dB) with dB dB = dt."""
     p, qt, qb = u
     fp, ft, fb = v
     if qt is None and qb is None and ft is None and fb is None:
-        return (_mul(m, mask, (p, fp)), None, None)
+        return (_mul(m, mask, mod, (p, fp)), None, None)
     return (
-        _mul(m, mask, (p, fp)),
-        _mul(m, mask, (p, ft), (qt, fp), (qb, fb)),
-        _mul(m, mask, (p, fb), (qb, fp)),
+        _mul(m, mask, mod, (p, fp)),
+        _mul(m, mask, mod, (p, ft), (qt, fp), (qb, fb)),
+        _mul(m, mask, mod, (p, fb), (qb, fp)),
     )
 
 
 class Gauss(NamedTuple):
-    """An element re + im*i of F_p[i], each part an int in [0, p)."""
+    """An element re + im*i of F_q[i], q the lane prime q_b of its draw,
+    each part an int in [0, q)."""
 
     re: int
     im: int
@@ -484,14 +459,14 @@ def _structure(root: Expr, m: int) -> tuple:
 
 
 class _Eval:
-    """One walk of an expression DAG carrying B draws.
+    """One walk of an expression DAG carrying B <= _LANES draws.
 
-    Draw b is a (seed, base point) pair.  Every symbol draws its jet in
-    draw b from a stream keyed by that seed and point and its name, so
-    fresh interpreters agree, lazily to the order the expression asks
-    for.  Each null pair of ctx is honoured draw by draw by giving one of
-    its names the zero jet: the second name for an even seed, the first
-    for an odd one.
+    Draw b is a (seed, base point) pair, evaluated in lane b, so in
+    F_{q_b}[i].  Every symbol draws its jet in draw b from a stream keyed
+    by that seed and point and its name, so fresh interpreters agree,
+    lazily to the order the expression asks for.  Each null pair of ctx
+    is honoured draw by draw by giving one of its names the zero jet: the
+    second name for an even seed, the first for an odd one.
 
     run(e, mask) is the Ito triple of e on the needed set mask.  In
     shifted mode every symbol u reads as the triple u + du: (u, P, Q) for
@@ -500,12 +475,14 @@ class _Eval:
     run(e, mask, True) are those of d(e).  The memo holds the value of
     each structural key (see _structure) that the walk asks for more than
     once, from its first read to its last expected one, computed on the
-    needed set _structure gives the key.
+    needed set _structure gives the key; structure is _structure's result
+    for the walk's root, which the walks of every chunk of a call share.
     """
 
-    def __init__(self, ctx: Context, draws, root: Expr):
+    def __init__(self, ctx: Context, draws, structure: tuple):
         self.n = ctx.n
         self.streams = [f"{seed}/{point}/" for seed, point in draws]
+        self.mod = _crt(len(draws))[0]
         # name -> per-draw flags, True where the draw zeroes the name
         self.zero: dict[str, list] = {}
         for b, (seed, _) in enumerate(draws):
@@ -514,15 +491,16 @@ class _Eval:
         self.m = self.n + 1
         # name -> [order, re, im, per-draw getrandbits of its stream]
         self.jets: dict[str, list] = {}
-        self.keys, self.left, self.need = _structure(root, self.m)
+        self.keys, asks, self.need = structure
+        self.left = list(asks)
         self.memo: dict[int, tuple] = {}  # key -> (needed set, Ito triple)
 
-    def _const(self, mask: int, c: tuple):
+    @staticmethod
+    def _const(mask: int, c: tuple):
         if not (c[0] or c[1]):
             return None
         pad = [0] * (mask.bit_length() - 1)
-        b = len(self.streams)
-        return [c[0] and [c[0]] * b] + pad, [c[1] and [c[1]] * b] + pad
+        return [c[0]] + pad, [c[1]] + pad
 
     # -- symbol jets ----------------------------------------------------
 
@@ -547,13 +525,7 @@ class _Eval:
         lay = _layout(self.m, k)
         rules = sorted((self.n if key == ("t",) else key[1] - 1, rw)
                        for key, rw in sym.rewrites.items())
-        constant = sym.scalar
-
-        def ruled_coeff(c, inv):
-            if not c:
-                return 0
-            return c if inv == 1 else [x * inv % P for x in c]
-
+        constant, mod = sym.scalar, self.mod
         for d in range(done + 1, k + 1):
             ruled = [(v, self.run(rw, _full(self.m, d - 1))[0])
                      for v, rw in rules] if d else []
@@ -565,9 +537,9 @@ class _Eval:
                             im.append(0)
                         else:
                             src = lay.index[a[:v] + (a[v] - 1,) + a[v + 1:]]
-                            inv = pow(a[v], -1, P)
-                            re.append(ruled_coeff(rj[0][src], inv))
-                            im.append(ruled_coeff(rj[1][src], inv))
+                            inv = pow(a[v], -1, mod)
+                            re.append(rj[0][src] * inv % mod)
+                            im.append(rj[1][src] * inv % mod)
                         break
                 else:
                     if constant and d:
@@ -598,17 +570,17 @@ class _Eval:
         return out
 
     def _run(self, e: Expr, mask: int, shifted: bool):
-        m = self.m
+        m, mod = self.m, self.mod
         if isinstance(e, Mul):
             if not e.factors:  # the empty product is the constant 1
                 return (self._const(mask, (1, 0)), None, None)
             out = self.run(e.factors[0], mask, shifted)
             for f in e.factors[1:]:
-                out = _ito_mul(m, mask, out, self.run(f, mask, shifted))
+                out = _ito_mul(m, mask, mod, out, self.run(f, mask, shifted))
             return out
         if isinstance(e, Dx):
             v = e.j - 1
-            return tuple(_diff(m, mask, c, v)
+            return tuple(_diff(m, mask, mod, c, v)
                          for c in self.run(e.arg, _up(m, mask, v), shifted))
         if isinstance(e, Add):
             # summed four at a time, so that few term jets are alive at once
@@ -616,8 +588,8 @@ class _Eval:
             for t in e.terms:
                 parts.append(self.run(t, mask, shifted))
                 if len(parts) == 4:
-                    parts = [tuple(_add(mask, [p[c] for p in parts]) for c in range(3))]
-            return tuple(_add(mask, [p[c] for p in parts]) for c in range(3))
+                    parts = [tuple(_add(mask, mod, [p[c] for p in parts]) for c in range(3))]
+            return tuple(_add(mask, mod, [p[c] for p in parts]) for c in range(3))
         if isinstance(e, Sym):
             sym = e.sym
             k = _order(m, mask)
@@ -630,18 +602,18 @@ class _Eval:
             if sym.scalar:
                 return (u, None, None)
             # d f = f_t dt for a plain field, read off the jet on S + e_t
-            return (u, _diff(m, mask, self.symbol(sym, k + 1), self.n), None)
+            return (u, _diff(m, mask, mod, self.symbol(sym, k + 1), self.n), None)
         if isinstance(e, Const):
-            return (self._const(mask, (_fp(e.value.re), _fp(e.value.im))), None, None)
+            return (self._const(mask, (_fp(e.value.re, mod), _fp(e.value.im, mod))), None, None)
         if isinstance(e, Dt):
-            return tuple(_diff(m, mask, c, self.n)
+            return tuple(_diff(m, mask, mod, c, self.n)
                          for c in self.run(e.arg, _up(m, mask, self.n), shifted))
         if isinstance(e, Pow):
             if not e.exp:
                 return (self._const(mask, (1, 0)), None, None)
             base = out = self.run(e.base, mask, shifted)
             for _ in range(e.exp - 1):
-                out = _ito_mul(m, mask, out, base)
+                out = _ito_mul(m, mask, mod, out, base)
             return out
         if isinstance(e, DtAtom):
             return (None, self._const(mask, (1, 0)), None)
@@ -650,33 +622,35 @@ class _Eval:
         if isinstance(e, DIto):
             return (None,) + self.run(e.arg, mask, True)[1:]
         if isinstance(e, Conj):
-            return tuple(_conj(c) for c in self.run(e.arg, mask, shifted))
+            return tuple(_conj(mod, c) for c in self.run(e.arg, mask, shifted))
         if isinstance(e, RePart):
             return tuple(_re(c) for c in self.run(e.arg, mask, shifted))
         # an ImPart: the key pass refuses every node of another type
         return tuple(_im(c) for c in self.run(e.arg, mask, shifted))
 
 
-def _draw(bits) -> list:
-    """One coefficient: in each draw, randrange(P) of its stream, or 0
-    where the draw has no stream.  It runs randrange's own loop on the
-    stream's getrandbits, 61 bits drawn again while they reach P, so the
-    ints are those randrange gives, without its per-call checks."""
-    out = [0 if g is None else g(61) for g in bits]
-    if max(out) >= P:
-        for b, g in enumerate(bits):
-            while out[b] >= P:
-                out[b] = g(61)
-    return out
+def _draw(bits) -> int:
+    """One coefficient over the lanes of bits: in lane b, randrange(q_b)
+    of its stream, or 0 where the lane has no stream, joined through the
+    CRT basis.  It runs randrange's own loop on the stream's getrandbits,
+    61 bits drawn again while they reach q_b, so the residues are the ints
+    randrange gives, without its per-call checks."""
+    mod, basis = _crt(len(bits))
+    x = 0
+    for g, q, e in zip(bits, _Q, basis):
+        if g is not None:
+            r = g(61)
+            while r >= q:
+                r = g(61)
+            x += r * e
+    return x % mod
 
 
-def _values(triple, b: int) -> list[JetValue]:
-    """The order-0 coefficient of each part of a triple, one value per draw."""
-    parts = []
-    for c in triple:
-        re, im = (None, None) if c is None else (c[0][0], c[1][0])
-        parts.append([Gauss(*g) for g in zip(re or [0] * b, im or [0] * b)])
-    return [JetValue(*v) for v in zip(*parts)]
+def _values(triple, lanes: int) -> list[JetValue]:
+    """The order-0 coefficient of each part of a triple, read in each
+    lane as its residues mod the lane prime."""
+    parts = [(0, 0) if c is None else (c[0][0], c[1][0]) for c in triple]
+    return [JetValue(*(Gauss(re % q, im % q) for re, im in parts)) for q in _Q[:lanes]]
 
 
 def eval_jet_many(expr: Expr, ctx: Context, draws) -> list[JetValue]:
@@ -684,12 +658,19 @@ def eval_jet_many(expr: Expr, ctx: Context, draws) -> list[JetValue]:
 
     Each draw has every symbol's jet of its own, from a stream keyed by
     its seed, its point and the symbol's name, so the values are
-    independent draws; all of them are evaluated in one walk of expr.
+    independent draws.  The draws are walked _LANES at a time, each chunk
+    in one walk of expr, and every chunk reads the one key pass of expr.
     Returns, per draw and in the order of draws, the plain value and the
-    dt and dB coefficients at the base point; for a verified identity
-    residual all three are exactly zero.
+    dt and dB coefficients at the base point, draw b of a chunk in
+    F_{q_b}[i]; for a verified identity residual all three are exactly
+    zero.
     """
     draws = list(draws)
     if not draws:
         return []
-    return _values(_Eval(ctx, draws, expr).run(expr, 1), len(draws))
+    structure = _structure(expr, ctx.n + 1)
+    out = []
+    for i in range(0, len(draws), _LANES):
+        chunk = draws[i:i + _LANES]
+        out += _values(_Eval(ctx, chunk, structure).run(expr, 1), len(chunk))
+    return out

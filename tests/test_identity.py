@@ -205,10 +205,11 @@ def test_numeric_residual_rejects_empty_samples(kwargs):
                          + list(CASE_IDS),
                          ids=[f"n{n}-{r}" for n, r in THEOREM_MATRIX] + list(CASE_IDS))
 def test_one_draw_catches_every_mutation(target):
-    # a wrong identity survives one draw with probability at most D/p,
+    # a wrong identity survives draw b with probability at most D/q_b,
     # so every seed must catch every mutation with a single jet draw.
     # Draw (seed, 0) is numeric_residual's one draw at assignments=1,
-    # points=0; the case is built once and all 50 draws share one walk.
+    # points=0; the case is built once and all 50 draws share one key
+    # pass, walked in chunks of lanes.
     case = build_case(target)
     draws = [(seed, 0) for seed in range(50)]
     values = eval_jet_many(case.lhs - case.mutated_rhs, case.ctx, draws)

@@ -1,7 +1,11 @@
-"""Independent exact evaluation of expressions on dense jets over F_p[i]."""
+"""Independent exact evaluation of expressions on dense jets, draw b of a
+walk over F_{q_b}[i]."""
 
 import ast
+import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,7 +41,7 @@ from carlemanlab.exprs import (
     re,
 )
 from carlemanlab.identity import OperatorSpec, build_case
-from carlemanlab.jetoracle import P, Gauss, _Eval, _layout, eval_jet_many
+from carlemanlab.jetoracle import _Q, P, Gauss, _Eval, _layout, eval_jet_many
 
 from strategies import (
     make_context,
@@ -51,26 +55,27 @@ SEEDS = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
 
 def gmul(a, b):
+    """The product of two values of a one-draw walk, in F_p[i]."""
     return ((a.re * b.re - a.im * b.im) % P, (a.re * b.im + a.im * b.re) % P)
 
 
 def pinned_value(expr, ctx, jets, order=4):
     """The value of expr when each named symbol has the given Taylor
-    coefficients at the base point ({exponents: (re, im)}, zero elsewhere)."""
-    ev = _Eval(ctx, [(0, 0)], expr)
+    coefficients at the base point ({exponents: (re, im)}, zero elsewhere),
+    in a one-draw walk, whose one lane is F_p[i]."""
+    ev = _Eval(ctx, [(0, 0)], jetoracle._structure(expr, ctx.n + 1))
     lay = _layout(ctx.n + 1, order)
     for name, coeffs in jets.items():
         re, im = [0] * lay.size[order], [0] * lay.size[order]
         for exps, (r, i) in coeffs.items():
-            re[lay.index[exps]], im[lay.index[exps]] = [r % P], [i % P]
+            re[lay.index[exps]], im[lay.index[exps]] = r % P, i % P
         ev.jets[name] = [order, re, im, None]
     return ev.run(expr, 1)
 
 
 def value_of(triple):
-    # a coefficient is a list with one entry per draw, or 0 in every draw
-    return [(0, 0) if c is None else ((c[0][0] or [0])[0], (c[1][0] or [0])[0])
-            for c in triple]
+    # a coefficient of a one-draw walk is one int mod p
+    return [(0, 0) if c is None else (c[0][0], c[1][0]) for c in triple]
 
 
 def draws(seed, points):
@@ -268,9 +273,9 @@ def test_linearity():
     rng = random.Random(9)
     u = random_plain_expr(ctx, rng, 4)
     a = draws(5, range(4))
-    for single, double in zip(eval_jet_many(u, ctx, a),
-                              eval_jet_many(u + u, ctx, a)):
-        assert double.value == (2 * single.value.re % P, 2 * single.value.im % P)
+    for q, single, double in zip(_Q, eval_jet_many(u, ctx, a),
+                                 eval_jet_many(u + u, ctx, a)):
+        assert double.value == (2 * single.value.re % q, 2 * single.value.im % q)
 
 
 def test_conjugation_consistency():
@@ -364,13 +369,19 @@ def test_oracle_imports_nothing_from_the_canonicalizer():
 
 def test_constants_enter_the_oracle_through_their_parts():
     # the oracle reads a constant only by its re / im Fractions; a
-    # denominator of 6 maps to the inverse of 6 in F_p (Fermat)
+    # denominator of 6 maps to the inverse of 6 in each lane's F_q (Fermat)
     value = QQi(Fraction(5, 6), Fraction(-7, 6))
-    inv6 = pow(6, P - 2, P)
-    want = (5 * inv6 % P, -7 * inv6 % P)
-    assert (jetoracle._fp(value.re), jetoracle._fp(value.im)) == want
-    (v,) = eval_jet_many(Const(value), Context(1), draws(0, [0]))
-    assert v.value == want and v.dt == (0, 0) and v.dB == (0, 0)
+    mod = jetoracle._crt(len(_Q))[0]
+    lanes = []
+    for q in _Q:
+        inv6 = pow(6, q - 2, q)
+        want = (5 * inv6 % q, -7 * inv6 % q)
+        assert (jetoracle._fp(value.re, mod) % q, jetoracle._fp(value.im, mod) % q) == want
+        lanes.append(want)
+    assert (jetoracle._fp(value.re, P), jetoracle._fp(value.im, P)) == lanes[0]
+    got = eval_jet_many(Const(value), Context(1), draws(0, range(len(_Q))))
+    assert [v.value for v in got] == lanes
+    assert all(v.dt == (0, 0) and v.dB == (0, 0) for v in got)
 
 
 # Draws of both seed parities, so each null pair zeroes its first name in
@@ -378,8 +389,23 @@ def test_constants_enter_the_oracle_through_their_parts():
 MIXED = [(seed, point) for seed in (2, 3, 10, 11) for point in (0, 1)]
 
 
-def one_at_a_time(expr, ctx, points):
-    return [v for point in points for v in eval_jet_many(expr, ctx, [point])]
+def one_at_a_time(expr, ctx, batch):
+    """Each draw b of batch evaluated in a call of its own, in lane b of a
+    batch whose every other draw is replaced by one of the other seed
+    parity at another point."""
+    others = [(seed + 1, point + 100) for seed, point in batch]
+    return [eval_jet_many(expr, ctx, others[:b] + [draw] + others[b + 1:])[b]
+            for b, draw in enumerate(batch)]
+
+
+def assert_batch_matches_one_at_a_time(expr, ctx, batch) -> list:
+    """Each draw's value is its own: it does not change when every other
+    draw of the batch is replaced, and draw 0, in F_p[i], is that of the
+    one-draw call.  Returns the batch's values."""
+    values = eval_jet_many(expr, ctx, batch)
+    assert values == one_at_a_time(expr, ctx, batch)
+    assert values[0] == eval_jet_many(expr, ctx, batch[:1])[0]
+    return values
 
 
 def test_batched_draws_match_draws_one_at_a_time():
@@ -393,7 +419,7 @@ def test_batched_draws_match_draws_one_at_a_time():
     for _ in range(12):
         u, v, w = (random_plain_expr(ctx, rng, 3) for _ in range(3))
         e = u * v + mu * w + s * u + ito_d(u * s)
-        assert eval_jet_many(e, ctx, MIXED) == one_at_a_time(e, ctx, MIXED)
+        assert_batch_matches_one_at_a_time(e, ctx, MIXED)
     masked = eval_jet_many(s, ctx, MIXED)
     assert [v.is_zero for v in masked] == [seed % 2 == 1 for seed, _ in MIXED]
 
@@ -404,9 +430,29 @@ def test_batched_rule_derived_jets_match_draws_one_at_a_time(mutated):
     # draws at once
     case = build_case("ginzburg_landau")
     residual = case.lhs - (case.mutated_rhs if mutated else case.rhs)
-    batched = eval_jet_many(residual, case.ctx, MIXED)
-    assert batched == one_at_a_time(residual, case.ctx, MIXED)
+    batched = assert_batch_matches_one_at_a_time(residual, case.ctx, MIXED)
     assert all(v.is_zero for v in batched) != mutated
+
+
+def test_draws_past_the_lanes_are_walked_in_chunks(monkeypatch):
+    # a call with more draws than lanes walks them _LANES at a time, so
+    # its values are those of one call per chunk, and all chunks read
+    # one key pass of the expression
+    ctx = make_context(2)
+    e = random_plain_expr(ctx, random.Random(31), 3) * ctx.sym("Phi")
+    batch = draws(6, range(2 * len(_Q) + 3))
+    passes, structure = [], jetoracle._structure
+
+    def counted(root, m):
+        passes.append(root)
+        return structure(root, m)
+
+    monkeypatch.setattr(jetoracle, "_structure", counted)
+    values = eval_jet_many(e, ctx, batch)
+    assert len(passes) == 1
+    chunks = [batch[i:i + len(_Q)] for i in range(0, len(batch), len(_Q))]
+    assert values == [v for chunk in chunks for v in eval_jet_many(e, ctx, chunk)]
+    assert len(set(values)) == len(batch)
 
 
 def test_no_draws_give_no_values():
@@ -469,8 +515,8 @@ def near_misses():
     }
 
 
-def gadd(a: Gauss, b: Gauss) -> Gauss:
-    return Gauss((a.re + b.re) % P, (a.im + b.im) % P)
+def gadd(a: Gauss, b: Gauss, q: int) -> Gauss:
+    return Gauss((a.re + b.re) % q, (a.im + b.im) % q)
 
 
 @pytest.mark.parametrize("pair", sorted(near_misses()[1]))
@@ -481,10 +527,10 @@ def test_near_miss_subtrees_keep_their_own_values(pair):
     ctx, pairs = near_misses()
     x, y = pairs[pair]
     assert not any(v.is_zero for v in eval_jet_many(x - y, ctx, MIXED))
-    apart = zip(eval_jet_many(x, ctx, MIXED), eval_jet_many(y, ctx, MIXED))
-    for v, (a, b) in zip(eval_jet_many(Add((x, y)), ctx, MIXED), apart):
-        assert (v.value, v.dt, v.dB) == (gadd(a.value, b.value), gadd(a.dt, b.dt),
-                                         gadd(a.dB, b.dB))
+    apart = zip(_Q, eval_jet_many(x, ctx, MIXED), eval_jet_many(y, ctx, MIXED))
+    for v, (q, a, b) in zip(eval_jet_many(Add((x, y)), ctx, MIXED), apart):
+        assert (v.value, v.dt, v.dB) == (gadd(a.value, b.value, q), gadd(a.dt, b.dt, q),
+                                         gadd(a.dB, b.dB, q))
 
 
 def counted_runs(monkeypatch) -> list:
@@ -550,10 +596,11 @@ def zero_factors(rng):
 
 
 def zero_as_p(node):
-    """A zero constant as C(p): the walk reads it as 0 mod p, but the key
-    pass does not see a zero, so the tree around it is walked in full."""
+    """A zero constant as C(q_0 ... q_{L-1}), the product of the lane
+    primes: the walk reads it as 0 in every lane, but the key pass does not
+    see a zero, so the tree around it is walked in full."""
     if type(node) is Const and not (node.value.re or node.value.im):
-        return Const(QQi(P))
+        return Const(QQi(math.prod(_Q)))
     return node
 
 
@@ -587,11 +634,17 @@ def test_key_pass_skips_the_zero_products_of_the_r3_residual(monkeypatch):
 
 
 def test_draws_are_those_of_randrange():
-    # a coefficient is drawn by randrange(P)'s own loop on getrandbits(61),
-    # so a stream gives the ints randrange gives, a redraw included
+    # lane b of a coefficient is drawn by randrange(q_b)'s own loop on
+    # getrandbits(61) of its own stream, so each stream gives the ints
+    # randrange gives, a redraw included; a one-lane draw is randrange(P)
     a, b = random.Random(7), random.Random(7)
-    assert ([jetoracle._draw([a.getrandbits])[0] for _ in range(10_000)]
+    assert ([jetoracle._draw([a.getrandbits]) for _ in range(10_000)]
             == [b.randrange(P) for _ in range(10_000)])
+    streams = [random.Random(7 + b).getrandbits for b in range(len(_Q))]
+    refs = [random.Random(7 + b) for b in range(len(_Q))]
+    for _ in range(2_000):
+        x = jetoracle._draw(streams)
+        assert [x % q for q in _Q] == [r.randrange(q) for r, q in zip(refs, _Q)]
 
     class Scripted(random.Random):
         def __init__(self, script):
@@ -602,10 +655,14 @@ def test_draws_are_those_of_randrange():
             assert k == 61
             return next(self.script)
 
-    script = [P, P, 5, P, 9]
-    bits = [Scripted(script).getrandbits, None, Scripted([8]).getrandbits]
-    assert jetoracle._draw(bits) == [5, 0, 8]
-    assert Scripted(script).randrange(P) == 5
+    # lane 0 redraws P twice; lane 1 redraws q_1 and P, both >= q_1, and
+    # lane 2 has no stream
+    scripts = [[P, P, 5, P, 9], [_Q[1], P, 9, 4], None, [8]]
+    bits = [s and Scripted(s).getrandbits for s in scripts]
+    x = jetoracle._draw(bits)
+    assert [x % q for q in _Q[:4]] == [5, 9, 0, 8]
+    assert Scripted(scripts[0]).randrange(P) == 5
+    assert Scripted(scripts[1]).randrange(_Q[1]) == 9
 
 
 # -- each subtree is evaluated on its needed set ------------------------
@@ -660,16 +717,83 @@ def test_needed_sets_give_the_values_of_the_graded_walk_on_the_theorem():
 
 
 def test_walk_multiplies_only_the_needed_coefficients(monkeypatch):
-    # on the n = 3 R1 theorem residual the graded walk hands _dot 6728
-    # coefficient products in 4154 calls; on needed sets it handed 3293,
-    # and 3279 once the products with a C(0) factor are skipped
+    # on the n = 3 R1 theorem residual the graded walk handed the sum
+    # kernel 6728 coefficient products in 4154 calls; on needed sets it
+    # handed 3293, and 3279 once the products with a C(0) factor are
+    # skipped.  _mul forms a product for each plan entry (i, j, t) whose
+    # coefficients i of a and j of b are both nonzero
     case = build_case(OperatorSpec(n=3, regime="R1"))
-    products, dot = [], jetoracle._dot
+    products, mul = [], jetoracle._mul
 
-    def counted(terms):
-        products.append(len(terms))
-        return dot(terms)
+    def counted(m, mask, mod, *pairs):
+        products.append(sum(1 for a, b in pairs if a is not None and b is not None
+                            for i, row in jetoracle._plan(m, mask) if a[0][i] or a[1][i]
+                            for j, _ in row if b[0][j] or b[1][j]))
+        return mul(m, mask, mod, *pairs)
 
-    monkeypatch.setattr(jetoracle, "_dot", counted)
+    monkeypatch.setattr(jetoracle, "_mul", counted)
     eval_jet_many(case.lhs - case.rhs, case.ctx, [(0, 0)])
     assert sum(products) == 3279
+
+
+# -- the lane table -----------------------------------------------------
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases 2..37, deterministic below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_lane_primes_are_the_primes_3_mod_4_below_p():
+    # q_0 = p = 2^61 - 1, and each next lane prime is the next prime
+    # = 3 mod 4 below the last, so every F_q[i] is a field
+    assert _Q[0] == P == 2 ** 61 - 1
+    assert len(_Q) == jetoracle._LANES
+    assert all(q % 4 == 3 and is_prime(q) for q in _Q)
+    for hi, lo in zip(_Q, _Q[1:]):
+        assert not any(is_prime(q) for q in range(hi - 4, lo, -4)), (hi, lo)
+
+
+def test_crt_basis_picks_out_its_lane():
+    for lanes in range(1, len(_Q) + 1):
+        mod, basis = jetoracle._crt(lanes)
+        assert mod == math.prod(_Q[:lanes])
+        assert len(basis) == lanes
+        for b, e in enumerate(basis):
+            assert 0 <= e < mod
+            assert [e % q for q in _Q[:lanes]] == [int(b == c) for c in range(lanes)]
+
+
+def test_import_runs_no_prime_search():
+    # the lane primes are a literal table of offsets from p, and the CRT
+    # bases are built on a walk's first use, so importing the module
+    # computes neither
+    tree = ast.parse(Path(jetoracle.__file__).read_text())
+    (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["_Q"]]
+    calls = [node.func.id for node in ast.walk(table) if isinstance(node, ast.Call)]
+    assert calls == ["tuple"]
+    (offsets,) = [node for node in ast.walk(table) if isinstance(node, ast.Tuple)]
+    assert all(isinstance(c, ast.Constant) for c in offsets.elts)
+    script = "import carlemanlab.jetoracle as j; print(j._crt.cache_info().currsize)"
+    src = str(Path(jetoracle.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "0"
