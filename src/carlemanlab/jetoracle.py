@@ -330,8 +330,8 @@ def _children(e: Expr) -> tuple:
 _NIL = (None, None, None)
 
 
-def _key(e: Expr, shifted: bool, n: int, keys: tuple, sigs: dict, asks: list, todo: list,
-         semi: set) -> int:
+def _key(e: Expr, shifted: bool, ctx: Context, keys: tuple, sigs: dict, asks: list,
+         todo: list, semi: set) -> int:
     """The structural key of e read in the given mode (see _structure).
 
     The key is 0, the zero key, for a constant 0, for a product with a
@@ -349,7 +349,7 @@ def _key(e: Expr, shifted: bool, n: int, keys: tuple, sigs: dict, asks: list, to
     seen = keys[into]
     kids = []
     for c in _children(e):
-        k = seen[c] if c in seen else _key(c, into, n, keys, sigs, asks, todo, semi)
+        k = seen[c] if c in seen else _key(c, into, ctx, keys, sigs, asks, todo, semi)
         if not k and t is Mul:
             keys[shifted][e] = 0
             return 0
@@ -360,14 +360,16 @@ def _key(e: Expr, shifted: bool, n: int, keys: tuple, sigs: dict, asks: list, to
         payload, zero = None, not any(kids)
     elif t is Sym:
         payload, zero = e.sym, False
+        if ctx.symbols.get(e.sym.name) is not e.sym:
+            raise ExprError(f"symbol {e.sym.name!r} does not belong to this context")
         if shifted and e.sym.semimartingale and e.sym.jets is None:
             raise ExprError(f"semimartingale {e.sym.name!r} has no registered jets")
     elif t is Const:
         payload = (e.value.re, e.value.im)
         zero = not (payload[0] or payload[1])
     elif t is Dx:
-        if not 1 <= e.j <= n:
-            raise ExprError(f"x{e.j} out of range for dimension {n}")
+        if not 1 <= e.j <= ctx.n:
+            raise ExprError(f"x{e.j} out of range for dimension {ctx.n}")
         payload, zero = e.j, not kids[0]
     elif t is Pow:
         payload, zero = e.exp, e.exp and not kids[0]
@@ -399,7 +401,7 @@ def _key(e: Expr, shifted: bool, n: int, keys: tuple, sigs: dict, asks: list, to
     return k
 
 
-def _structure(root: Expr, m: int) -> tuple:
+def _structure(root: Expr, ctx: Context) -> tuple:
     """Structural keys for one walk from root, how often it asks for each,
     and what it needs of each.
 
@@ -411,10 +413,11 @@ def _structure(root: Expr, m: int) -> tuple:
     rewrite expressions of every symbol it meets, and of its jets; they
     do not enter the symbol's key, since a rewrite such as
     phi_t = 3 mu phi refers back to phi.  Every node keyed is checked
-    here, and an ill-formed one is refused with ExprError: an x_j out of
-    range, a time derivative over a tree that holds a semimartingale,
-    d() over dt, dB or d(), a semimartingale read in shifted mode that
-    has no registered jets, and a node of unknown type.
+    here, and an ill-formed one is refused with ExprError: a symbol that
+    does not belong to ctx, an x_j out of range, a time derivative over a
+    tree that holds a semimartingale, d() over dt, dB or d(), a
+    semimartingale read in shifted mode that has no registered jets, and
+    a node of unknown type.
 
     The walk evaluates each key once, on its needed set (see _up): the
     root needs its constant term, the argument of a derivative in x_v or
@@ -430,10 +433,11 @@ def _structure(root: Expr, m: int) -> tuple:
     needed set of every key, -1 for the full graded set of the asked
     order.
     """
+    m = ctx.n + 1
     keys, sigs, asks, todo, semi = ({}, {}), {}, [float("inf")], [root], set()
     for e in todo:
         if e not in keys[0]:
-            _key(e, False, m - 1, keys, sigs, asks, todo, semi)
+            _key(e, False, ctx, keys, sigs, asks, todo, semi)
     asks[keys[0][root]] += 1
     need = [0] * len(asks)
     need[keys[0][root]] = 1
@@ -668,7 +672,7 @@ def eval_jet_many(expr: Expr, ctx: Context, draws) -> list[JetValue]:
     draws = list(draws)
     if not draws:
         return []
-    structure = _structure(expr, ctx.n + 1)
+    structure = _structure(expr, ctx)
     out = []
     for i in range(0, len(draws), _LANES):
         chunk = draws[i:i + _LANES]

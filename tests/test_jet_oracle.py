@@ -63,7 +63,7 @@ def pinned_value(expr, ctx, jets, order=4):
     """The value of expr when each named symbol has the given Taylor
     coefficients at the base point ({exponents: (re, im)}, zero elsewhere),
     in a one-draw walk, whose one lane is F_p[i]."""
-    ev = _Eval(ctx, [(0, 0)], jetoracle._structure(expr, ctx.n + 1))
+    ev = _Eval(ctx, [(0, 0)], jetoracle._structure(expr, ctx))
     lay = _layout(ctx.n + 1, order)
     for name, coeffs in jets.items():
         re, im = [0] * lay.size[order], [0] * lay.size[order]
@@ -131,6 +131,8 @@ def test_ito_d_of_a_semimartingale_time_derivative_is_refused():
         eval_jet_many(e, ctx, draws(3, [0]))
 
 
+FOREIGN_W = Context(2).complex_field("w")
+
 ZERO_PRODUCTS = {
     # the canonicalizer stops a product at its first zero factor, and the
     # oracle keys none of the factors after it
@@ -143,6 +145,9 @@ ZERO_PRODUCTS = {
     "d(dt) * C(0)": (lambda z, pz: ito_d(DT) * C(0), False),
     "d(Pz) * C(0)": (lambda z, pz: ito_d(pz) * C(0), False),
     "d_x(z, 3)^0": (lambda z, pz: Pow(d_x(z, 3), 0), False),
+    # w belongs to another context: only a zero factor before it hides it
+    "w * C(0)": (lambda z, pz: FOREIGN_W * C(0), False),
+    "C(0) * w": (lambda z, pz: C(0) * FOREIGN_W, True),
 }
 
 
@@ -288,11 +293,15 @@ def test_conjugation_consistency():
 
 
 def test_random_assignment_deterministic():
-    # a draw depends only on the seed, the base point and the names
-    ctx = make_context(2)
-    e = d_x(ctx.sym("ell"), 1) * ctx.sym("Phi") + ctx.sym("z") * ctx.sym("lam")
+    # a draw depends only on the seed, the base point and the names, so
+    # the same tree built on a fresh context reads the same values
+    def tree(ctx):
+        return d_x(ctx.sym("ell"), 1) * ctx.sym("Phi") + ctx.sym("z") * ctx.sym("lam")
+
+    ctx, fresh = make_context(2), make_context(2)
+    e = tree(ctx)
     a = eval_jet_many(e, ctx, draws(42, range(3)))
-    b = eval_jet_many(e, make_context(2), draws(42, range(3)))
+    b = eval_jet_many(tree(fresh), fresh, draws(42, range(3)))
     c = eval_jet_many(e, ctx, draws(43, range(3)))
     assert a == b
     assert a != c
@@ -443,9 +452,9 @@ def test_draws_past_the_lanes_are_walked_in_chunks(monkeypatch):
     batch = draws(6, range(2 * len(_Q) + 3))
     passes, structure = [], jetoracle._structure
 
-    def counted(root, m):
+    def counted(root, ctx):
         passes.append(root)
-        return structure(root, m)
+        return structure(root, ctx)
 
     monkeypatch.setattr(jetoracle, "_structure", counted)
     values = eval_jet_many(e, ctx, batch)
@@ -678,9 +687,9 @@ def graded(mp):
     def full(m, mask):
         return mask if mask < 0 else jetoracle._full(m, jetoracle._order(m, mask))
 
-    def graded_structure(root, m):
-        keys, asks, need = structure(root, m)
-        return keys, asks, [full(m, mask) for mask in need]
+    def graded_structure(root, ctx):
+        keys, asks, need = structure(root, ctx)
+        return keys, asks, [full(ctx.n + 1, mask) for mask in need]
 
     mp.setattr(jetoracle, "_structure", graded_structure)
     mp.setattr(jetoracle, "_up", lambda m, mask, v: jetoracle._full(

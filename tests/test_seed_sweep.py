@@ -1,0 +1,48 @@
+"""False alarms of the experiment verbs over a fixed list of seeds.
+
+An honest program should pass every check at any seed the schema
+accepts.  This test runs ``carleman-heat`` and both ``demo`` cases through
+``cli.main`` in-process, each on its committed default config at the 40
+seeds 1000-1039, and pins the exact set of (verb, seed, failing check).
+Each member is a false alarm of its check.  A member leaves the set only
+when the ROADMAP item that owns its check reshapes the verdict (item 3
+for ``carleman-heat``); do not move seeds, sizes or bounds to empty it.
+The GL verbs stay out: 40 seeds of them take about 10 s.
+"""
+
+import json
+import pathlib
+
+from carlemanlab import cli
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+SEEDS = range(1000, 1040)
+RUNS = (
+    ("carleman-heat", "--config", str(CONFIGS / "carleman_heat.json")),
+    ("demo", "--config", str(CONFIGS / "demo.json"), "--case", "ode"),
+    ("demo", "--config", str(CONFIGS / "demo.json"), "--case", "first_order"),
+)
+
+# The heat verdict's slope gate, log_slope >= -0.05, sits inside the
+# draws' spread of the slope: pair(05) reads -0.0505 at seed 1026, and
+# pair(06) reads -0.0559 at seed 1034.
+FALSE_ALARMS = {
+    ("carleman-heat", 1026, "pair(05)"),
+    ("carleman-heat", 1034, "pair(06)"),
+}
+
+
+def test_false_alarms_over_forty_seeds_are_pinned(tmp_path):
+    out = tmp_path / "report.json"
+    failing = set()
+    for argv in RUNS:
+        for seed in SEEDS:
+            code = cli.main([*argv, "--seed", str(seed), "--out", str(out)])
+            checks = json.loads(out.read_text())["checks"]
+            bad = [c for c in checks if not c["pass"]]
+            assert code == (1 if bad else 0), (argv, seed, code)
+            failing |= {(argv[0], seed, c["case"]) for c in bad}
+            # each heat alarm is the slope gate, not the uniform floor
+            assert all(c["min_ratio"] >= c["uniform_floor"] and c["log_slope"] < -0.05
+                       for c in bad if argv[0] == "carleman-heat"), (seed, bad)
+    assert failing == FALSE_ALARMS
