@@ -467,18 +467,6 @@ class CanonicalForm:
             kept = {m: c for m, c in kept.items() if not (m & ma and m & mb)}
         return self if kept is self._terms else CanonicalForm(kept, ctx)
 
-    def evaluate(self, values):
-        """sum coeff * prod value^e, each atom's value looked up by its
-        atom_str name in values, floats or numpy arrays.  A non-real
-        coefficient raises ExprError."""
-        total = 0.0
-        for mono, coeff in self.terms():
-            if coeff.im:
-                raise ExprError(f"cannot evaluate the non-real coefficient {format_qqi(coeff)}")
-            total = total + math.prod((values[atom_str(key)] ** e for key, e in mono),
-                                      start=float(coeff.re))
-        return total
-
     def serialize(self) -> str:
         """Sorted, deterministic text rendering, one monomial per line."""
         lines = [f"{format_qqi(coeff)} * {mono_str(mono)}" for mono, coeff in self.terms()]

@@ -111,7 +111,8 @@ class Context:
         Directions without a rewrite differentiate normally.  Rewrites
         keep exponential weights polynomial: a field phi standing for
         e^{3 mu t} gets set_rewrite("phi", "t", 3*mu*phi).  Semimartingales
-        and real scalars take no rewrite.
+        and real scalars take no rewrite, and a rule is a deterministic
+        closed form: it holds no semimartingale, dt, dB or d().
         """
         sym = self.symbols.get(name)
         if sym is None:
@@ -129,7 +130,9 @@ class Context:
             key = ("x", j)
         else:
             raise ExprError(f"unknown derivative direction {var!r}")
-        sym.rewrites[key] = as_expr(expr)
+        rule = as_expr(expr)
+        _refuse_stochastic(rule)
+        sym.rewrites[key] = rule
         if self.atoms is not None:
             self.atoms.forget_derivatives()  # they may have read the old rule
 
@@ -295,6 +298,22 @@ def C(p: Number, q: int = 1) -> Const:
     if q == 1 and type(p) is int:
         return Const(QQi(p))
     return Const(QQi(Fraction(p, q)))
+
+
+def _refuse_stochastic(rule: Expr) -> None:
+    """ExprError if rule holds a semimartingale, dt, dB or d() anywhere."""
+    stack, seen = [rule], set()
+    while stack:
+        e = stack.pop()
+        if id(e) in seen:
+            continue
+        seen.add(id(e))
+        if isinstance(e, (DtAtom, DBAtom, DIto)) or isinstance(e, Sym) and e.sym.semimartingale:
+            raise ExprError("a derivative rule is a deterministic closed form: "
+                            "it cannot hold a semimartingale, dt, dB or d()")
+        stack.extend(e.terms if isinstance(e, Add) else e.factors if isinstance(e, Mul)
+                     else (e.base,) if isinstance(e, Pow) else (e.arg,) if hasattr(e, "arg")
+                     else ())
 
 
 # -- public operation names ------------------------------------------------

@@ -663,23 +663,24 @@ def _case_ginzburg_landau(n: int = 2) -> VerificationCase:
     return _dropping("ginzburg_landau", ctx, ws.weighted_product(), groups, "zero_order")
 
 
-def heat_workspace(n: int) -> Workspace:
-    """The general identity's heat specialization: a0 = 1, a = -1, b = 0,
-    b0 = 0, a unit metric, a real semimartingale z and Phi = 2 Lap(ell)."""
-    ctx = Context(n=n)
-    ell = ctx.real_field("ell")
-    z = ctx.semimartingale("z", real=True)
+def heat_workspace(ctx: Context, z: Expr, ell: Expr) -> Workspace:
+    """The general identity's heat specialization on ctx, for a real
+    semimartingale z and a weight exponent ell: a0 = 1, a = -1, b = 0,
+    b0 = 0, a unit metric and Phi = 2 Lap(ell)."""
+    n = ctx.n
     phi = C(2) * esum(d_x(d_x(ell, j), j) for j in range(1, n + 1))
     return Workspace(ctx, z, C(1), C(-1), C(0), [C(0)] * n, _unit_metric(n), ell, phi)
 
 
 def _case_heat_identity(n: int = 2) -> VerificationCase:
     """The printed A, B, D, V and E of the heat specialization, on
-    heat_workspace(n).  Its corruption flips the first-order coupling back
+    heat_workspace.  Its corruption flips the first-order coupling back
     to the printed sign, so mutated_rhs - rhs is the printed-form delta
     of the heat specialization."""
-    ws = heat_workspace(n)
-    ctx, phi = ws.ctx, ws.phi
+    ctx = Context(n=n)
+    ell = ctx.real_field("ell")
+    ws = heat_workspace(ctx, ctx.semimartingale("z", real=True), ell)
+    phi = ws.phi
     lap_ell = esum(d_x(ws.ellx[j], j) for j in range(1, n + 1))
     A = esum(ws.ellx[j] * ws.ellx[j] for j in range(1, n + 1)) - lap_ell
     I1 = esum(d_x(ws.zx[j], j) for j in range(1, n + 1)) + A * ws.z + (phi - ws.ellt) * ws.z
@@ -726,6 +727,37 @@ def _case_heat_identity(n: int = 2) -> VerificationCase:
         lhs=lhs,
         rhs=esum(groups),
         mutated_rhs=esum(groups[:5] + [e_term] + groups[6:]),
+    )
+
+
+def _case_heat_leading_order() -> VerificationCase:
+    """The lam^3 coefficient of the heat specialization's zero-order
+    energy B, on the weight of the backward heat estimate in one
+    dimension: ell = lam alpha, alpha = (e^{mu psi} - K) gamma(t) with
+    K = e^{2 mu max psi} and psi = x(1 - x).  The fields E = e^{mu psi},
+    Ps = psi' and G = gamma carry their closed derivative rules.
+
+    B is cubic in lam, so its third difference in lam is exactly 6 times
+    its lam^3 coefficient, 2 mu^3 phi^3 psi'^2 (mu psi'^2 + psi'') with
+    phi = E G; psi'' = -2.  Its corruption drops psi'', leaving the
+    gradient-only normalization 2 mu^4 phi^3 psi'^4."""
+    ctx = Context(n=1)
+    lam, mu, K = (ctx.real_scalar(name) for name in ("lam", "mu", "K"))
+    E, Ps, G = (ctx.real_field(name) for name in ("E", "Ps", "G"))
+    ctx.set_rewrite("E", "x1", mu * Ps * E)
+    ctx.set_rewrite("E", "t", C(0))
+    ctx.set_rewrite("Ps", "x1", C(-2))
+    ctx.set_rewrite("Ps", "t", C(0))
+    ctx.set_rewrite("G", "x1", C(0))
+    z = ctx.semimartingale("z", real=True)
+    B = [heat_workspace(ctx, z, (lam + C(k)) * (E - K) * G).B_coef() for k in range(4)]
+    phi3 = (E * G) ** 3
+    return VerificationCase(
+        case_id="heat_leading_order",
+        ctx=ctx,
+        lhs=B[3] - C(3) * B[2] + C(3) * B[1] - B[0],
+        rhs=C(12) * mu ** 3 * phi3 * Ps ** 2 * (mu * Ps ** 2 - C(2)),
+        mutated_rhs=C(12) * mu ** 4 * phi3 * Ps ** 4,
     )
 
 
@@ -929,6 +961,7 @@ _CASES = {
     "ginzburg_landau": _case_ginzburg_landau,
     "schrodinger": _case_schrodinger,
     "heat_identity": _case_heat_identity,
+    "heat_leading_order": _case_heat_leading_order,
     "fst": _case_fst,
     "ode": _case_ode,
     "c02": _case_c02,

@@ -182,8 +182,8 @@ def stability_experiment(norms: Sequence[tuple[float, float, float]],
     and which one was intended is left open).  The quotient of each
     member is N1 / (N2^{1-tau} N3^tau) with the printed tau; a bounded
     spread max/min evidences a uniform C.  Members with N3 = 0 but
-    N1 > 0 contradict the estimate outright and are reported as
-    falsification candidates, never dropped.
+    N1 > 0 contradict the estimate outright: falsifications lists their
+    indices in norms, and they are never dropped.
     """
     if not norms:
         raise InverseError("empty ensemble")
@@ -194,7 +194,7 @@ def stability_experiment(norms: Sequence[tuple[float, float, float]],
     for i, (N1, N2, N3) in enumerate(norms):
         agg += np.array([N1 * N1, N2 * N2, N3 * N3])
         if N3 == 0.0 and N1 > 0.0:
-            falsifications.append({"member": i, "N1": N1, "N2": N2, "N3": N3})
+            falsifications.append(i)
             continue
         if N2 == 0.0 or N3 == 0.0:
             raise InverseError(f"member {i} is degenerate (zero norms); "

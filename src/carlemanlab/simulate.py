@@ -748,7 +748,6 @@ def carleman_gl_check(sol: PathSums, gws: Sequence[GLWeight],
         lhs, rhs = float(np.mean(lhs_i)), float(np.mean(rhs_i))
         quot = np.divide(lhs_i, rhs_i, out=np.zeros_like(lhs_i), where=rhs_i > 0)
         out.append({
-            "mu": mu, "delta": delta,
             "lhs": lhs, "rhs": rhs,
             "member_quotients": [float(q) for q in quot],
             "fitted_C": float(np.max(quot)),
@@ -872,7 +871,7 @@ def classic_demos(which: str, seed: int = 0, draws: int = 10, *,
             ok = bool(np.all(np.abs(xs) <= bound + 1e-12))
             # t = 0 is an exact tie; the strict margin starts one step in
             margin = float(np.min(bound[1:] - np.abs(xs[1:])))
-            runs.append({"name": name, "lambda": lam, "x0": x0,
+            runs.append({"name": name, "lambda": lam,
                          "holds_every_step": ok, "min_margin": margin})
         return runs
     if which == "first_order":
@@ -904,7 +903,7 @@ def classic_demos(which: str, seed: int = 0, draws: int = 10, *,
                 num = lam * np.trapezoid(wgt * uu ** 2, xs)
                 den = np.trapezoid(wgt * Lu ** 2, xs)
                 quots.append(float(num / den))
-            runs.append({"support": [s0, s1], "c0": c0, "lambdas": lams,
+            runs.append({"support": [s0, s1], "lambdas": lams,
                          "quotients": quots, "fitted_C": max(quots)})
         return runs
     raise SimError(f"unknown demo '{which}'")

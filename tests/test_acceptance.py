@@ -4,7 +4,7 @@ Each criterion gets exactly one test function so a verbose run prints one
 pass/fail line per claim.  Tolerances and budgets live next to the
 assertions they bound.
 
-Criteria 1, 2, 3 (its zero half), 5, 6, 7 and 9 read reports.  Each runs
+Criteria 1, 2, 3 (its zero half), 4, 5, 6, 7 and 9 read reports.  Each runs
 its verb through ``cli.main`` in-process, on the committed config under
 ``configs/`` where the verb takes one.  It asserts the exit code, the
 report's checks and the CSV rows.  So the verb is the one code path from
@@ -13,7 +13,6 @@ config to verdict, and a run of the verb shows the draws the test checks.
 The assertions that no report carries yet stay library calls, each under
 a comment naming the ROADMAP item that will move it into a report:
 - criterion 3's mutation half: item 2;
-- criterion 4: item 6;
 - criterion 6's zero-data member, criterion 7's monotonicity of tau and
   criterion 9's ``flip_gamma_sign`` refusal: item 4;
 - criterion 8: item 10.
@@ -43,7 +42,6 @@ from carlemanlab.simulate import (
     l2_norm,
     solve_gl_forward,
 )
-from carlemanlab.weights import HeatWeight, leading_order_B_check, psi_1d
 from strategies import zero_paths
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -122,26 +120,19 @@ def test_criterion_3_jet_oracle_zero_residuals_and_mutation_detection(tmp_path):
         assert any(not v.is_zero for v in mutated), target
 
 
-def test_criterion_4_zero_order_energy_leading_term():
-    # ROADMAP item 6: no report carries this criterion yet.
-    # |psi'| >= 0.2 at each point; the full-coefficient ratio must sit
-    # within 0.15 of 1 at lam = 1e4 and improve monotonically over the
-    # sweep.  The gradient-quartic normalization cannot reach 1 at mu=4;
-    # it is asserted to approach its analytic level-off limit instead;
-    # leading_order_B_check returns both normalizations.
-    w = HeatWeight(psi=psi_1d((0.3, 0.8)), mu=4.0, lam=1.0)
-    points = [(0.2, 0.5), (0.4, 0.5), (0.7, 0.4), (0.9, 0.6)]
-    assert all(abs(w.psi.d1(x)) >= 0.2 - 1e-12 for x, _ in points)
-    out = leading_order_B_check(w, points, (1e3, 1e4, 1e5))
-    for ratio in out["ratio_cubic"][1e4]:
-        assert abs(ratio - 1.0) <= 0.15, out["ratio_cubic"]
-    assert out["monotone_cubic"], out["deviation_cubic"]
-    assert out["monotone_gradient"], out["deviation_gradient"]
-    assert out["cubic_slope_vs_inv_lambda"] > 0.0
-    for (x, _), limit, last in zip(points, out["gradient_limit"],
-                                   out["ratio_gradient"][1e5]):
-        assert limit == 1.0 + w.psi.d2(x) / (w.mu * w.psi.d1(x) ** 2)
-        assert last == pytest.approx(limit, abs=0.05), (x, limit, last)
+def test_criterion_4_zero_order_energy_leading_term(tmp_path):
+    # The lam^3 coefficient of the heat zero-order energy B on the backward
+    # heat weight, 2 mu^3 phi^3 psi'^2 (mu psi'^2 + psi''), is the exact
+    # catalog identity heat_leading_order, read by both witnesses.  It
+    # implies the limits of a lam-sweep: B over that coefficient tends to
+    # 1 as O(1/lam), and over the gradient-only part 2 mu^4 phi^3 psi'^4
+    # it levels off at 1 + psi''/(mu psi'^2).  The case's corruption drops
+    # psi''; criterion 3 and the canonical mutation test catch it.
+    checks, _ = run_verb(tmp_path, "identity-verify", "--case", "heat_leading_order",
+                         "--oracle", "20", "--seed", "17")
+    assert set(checks) == {"heat_leading_order", "oracle(heat_leading_order)"}
+    assert checks["heat_leading_order"]["surviving_monomials"] == []
+    assert checks["oracle(heat_leading_order)"]["evaluations"] == 20 * 6
 
 
 def test_criterion_5_heat_carleman_uniform_over_ten_pairs(tmp_path):

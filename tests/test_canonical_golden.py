@@ -2,7 +2,7 @@
 
 Reports record monomial counts only, so this golden is what catches a
 change in a printed coefficient.  It maps each side (lhs, rhs and
-mutated_rhs) of the 12 theorem cells and the 17 catalog cases, which
+mutated_rhs) of the 12 theorem cells and the 18 catalog cases, which
 include the 9 proof steps at n=2, to the sha256 of its serialization.
 It also pins lhs and rhs of the raw cells with their null pairs
 unapplied, the forms behind the constraint_pairs checks.

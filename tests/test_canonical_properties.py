@@ -1,12 +1,10 @@
 """Canonicalizer laws: normal form uniqueness, calculus, and the Ito table."""
 
 import itertools
-import math
 import operator
 import random
 from math import gcd
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -20,7 +18,6 @@ from carlemanlab.canonical import (
     _cf_addmul,
     _cf_mul,
     _mono_mul,
-    atom_str,
     canonicalize,
 )
 from carlemanlab.exact import QQi
@@ -31,7 +28,6 @@ from carlemanlab.exprs import (
     DT,
     Dx,
     ExprError,
-    I,
     Mul,
     Pow,
     conj,
@@ -469,65 +465,3 @@ def test_shared_forms_are_never_changed():
             combine(f, g)
     assert [f.serialize() for f in forms] == texts
     assert [canonicalize(e, ctx).serialize() for e in exprs] == texts
-
-
-# -- numeric evaluation ----------------------------------------------
-
-
-def _real_form(ctx, rng, depth):
-    """A real, differential-free form: real constants, the real field ell
-    and the real scalar lam under random operations."""
-    def leaf(allow_z):
-        if rng.random() < 0.4:
-            return C(rng.randint(-4, 4), rng.randint(1, 3))
-        return ctx.sym(rng.choice(["ell", "lam"]))
-
-    return canonicalize(random_plain_expr(ctx, rng, depth, leaf=leaf), ctx)
-
-
-def _magnitude(form, values):
-    """The sum of the magnitudes of form's terms at values: the size that
-    a float evaluation's rounding error is relative to."""
-    return sum(abs(float(coeff.re)) * math.prod(abs(values[atom_str(key)]) ** e
-                                                 for key, e in mono)
-               for mono, coeff in form.terms())
-
-
-@settings(max_examples=150, deadline=None)
-@given(SEEDS, SEEDS, st.integers(min_value=1, max_value=4))
-def test_evaluation_is_a_ring_homomorphism(seed_f, seed_g, depth):
-    ctx = make_context(2)
-    f = _real_form(ctx, random.Random(seed_f), depth)
-    g = _real_form(ctx, random.Random(seed_g), depth)
-    rng = random.Random(seed_f ^ seed_g)
-    atoms = {atom_str(key) for form in (f, g) for mono, _ in form.terms() for key, _ in mono}
-    values = {name: rng.uniform(-2.0, 2.0) for name in sorted(atoms)}
-    ef, eg = f.evaluate(values), g.evaluate(values)
-    mf, mg = _magnitude(f, values), _magnitude(g, values)
-    # sums can cancel: the tolerance is relative to the terms' size
-    assert (f + g).evaluate(values) == pytest.approx(ef + eg, rel=0, abs=1e-12 * (mf + mg))
-    assert (f * g).evaluate(values) == pytest.approx(ef * eg, rel=0, abs=1e-12 * mf * mg)
-
-
-def test_evaluation_on_arrays_is_elementwise():
-    ctx = make_context(1)
-    ell, lam = ctx.sym("ell"), ctx.sym("lam")
-    form = canonicalize(C(3) * d_x(ell, 1) ** 2 * lam - d_t(ell) + C(1, 2), ctx)
-    rng = np.random.default_rng(5)
-    arrays = {name: rng.uniform(-2.0, 2.0, size=7) for name in ("ell_x1", "ell_t", "lam")}
-    got = form.evaluate(arrays)
-    assert isinstance(got, np.ndarray) and got.shape == (7,)
-    for i in range(7):
-        assert got[i] == form.evaluate({name: float(a[i]) for name, a in arrays.items()})
-
-
-def test_evaluation_refuses_complex_coefficients():
-    ctx = make_context(1)
-    form = canonicalize(C(2) * ctx.sym("ell") + I * ctx.sym("lam"), ctx)
-    with pytest.raises(ExprError, match="non-real coefficient"):
-        form.evaluate({"ell": 1.0, "lam": 1.0})
-
-
-def test_empty_form_evaluates_to_zero():
-    ctx = make_context(1)
-    assert canonicalize(ctx.sym("ell") - ctx.sym("ell"), ctx).evaluate({}) == 0.0

@@ -215,7 +215,7 @@ def test_heat_pairs_report_their_observation_share(tmp_path, window, floor):
 
 
 def test_falsified_run_exits_one_and_still_reports(tmp_path, monkeypatch):
-    fake = [{"name": "sin", "lambda": 2.0, "x0": 1.0,
+    fake = [{"name": "sin", "lambda": 2.0,
              "holds_every_step": False, "min_margin": -0.5}]
     monkeypatch.setattr(sim, "classic_demos",
                         lambda *a, **k: fake)
@@ -392,7 +392,7 @@ NEGATIVE_CONTROLS = {
                         lambda rep: dataclasses.replace(rep, spread=2e3)),
     "falsifications": ("inverse-gl", inv, "stability_experiment",
                        lambda rep: dataclasses.replace(
-                           rep, falsifications=[{"member": 0}])),
+                           rep, falsifications=[0])),
     "probe_tampered_flagged": ("inverse-gl", inv, "backward_uniqueness_probe",
                                lambda rep: {**rep, "flagged_non_adapted": False}),
     # not optimize_mu, which stability_experiment also calls
@@ -590,6 +590,17 @@ def test_symbolic_modules_import_no_numerics(module):
     assert not anywhere & NUMERIC
 
 
+SYMBOLIC = {"exact", "exprs", "canonical", "jetoracle", "identity"}
+
+
+@pytest.mark.parametrize("module", ["simulate", "weights", "inverse", "experiments"])
+def test_numeric_modules_import_no_symbolic_modules(module):
+    # the converse layering: the numerics read no exact algebra, so an
+    # experiment verb loads neither witness
+    anywhere, _ = _imports(module)
+    assert not anywhere & SYMBOLIC
+
+
 def test_cli_imports_the_experiments_only_inside_a_function():
     anywhere, top = _imports("cli")
     assert "experiments" in anywhere
@@ -609,7 +620,6 @@ UNREAD_BY_THE_LIBRARY = {
     "solve_gl_forward",       # perfbench's mode-factor and a3-product checks
     "verify_identity",        # a public entry point
     "to_expr",                # the property tests and the oracle cross-check
-    "leading_order_B_check",  # acceptance criterion 4
 }
 
 

@@ -109,6 +109,35 @@ def test_rewrites_rejected_on_real_scalars(ctx):
         ctx.set_rewrite("lam", "t", C(1))
 
 
+STOCHASTIC_RULES = {
+    # with phi_t = z, canonicalize refused d_t(d_t(phi)) ("time derivative
+    # of semimartingale 'z'") while the oracle gave it a nonzero value
+    "phi_t = z": ("t", lambda z: z, lambda phi: d_t(d_t(phi))),
+    # with phi_x1 = dt, canonicalize refused d(d_x(phi)) while the oracle
+    # read it as zero
+    "phi_x1 = dt": ("x1", lambda z: DT, lambda phi: ito_d(d_x(phi, 1))),
+    "phi_t = dB": ("t", lambda z: DB, lambda phi: d_t(phi)),
+    "phi_t = d(2)": ("t", lambda z: ito_d(C(2)), lambda phi: d_t(phi)),
+    "phi_x1 = z_x1^2": ("x1", lambda z: Pow(d_x(z, 1), 2), lambda phi: d_x(phi, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STOCHASTIC_RULES))
+def test_rewrite_rules_are_deterministic_closed_forms(name):
+    # a rule that holds a semimartingale or a differential is refused, so
+    # both witnesses read the tree with phi's derivative left free
+    ctx = Context(1)
+    z = ctx.semimartingale("z")
+    phi = ctx.real_field("phi")
+    var, rule, tree = STOCHASTIC_RULES[name]
+    with pytest.raises(ExprError, match="deterministic closed form"):
+        ctx.set_rewrite("phi", var, rule(z))
+    assert ctx.symbols["phi"].rewrites == {}
+    form = canonicalize(tree(phi), ctx)
+    values = eval_jet_many(tree(phi), ctx, [(3, 0), (3, 1)])
+    assert all(v.is_zero for v in values) == form.is_zero
+
+
 def test_ito_of_deterministic_field(ctx):
     ell = ctx.sym("ell")
     assert canonicalize(ito_d(ell) - d_t(ell) * DT, ctx).is_zero

@@ -3,7 +3,7 @@
 import pytest
 
 from carlemanlab import canonical, identity
-from carlemanlab.exprs import Expr
+from carlemanlab.exprs import C, Context, Expr, d_t, d_x
 from carlemanlab.identity import (
     CASE_IDS,
     PROOF_STEPS,
@@ -11,6 +11,7 @@ from carlemanlab.identity import (
     OperatorSpec,
     SpecError,
     build_case,
+    heat_workspace,
     make_theorem_workspace,
     numeric_residual,
     proof_step_case,
@@ -151,6 +152,22 @@ def test_mutated_specialization_is_caught(case_id):
     case = build_case(case_id)
     res = canonicalize(case.lhs - case.mutated_rhs, case.ctx)
     assert not res.is_zero
+
+
+def test_heat_workspace_energies_are_the_hand_written_ones():
+    # the energies heat_leading_order reads, against their 1-d closed
+    # forms: A = ell_x^2 - ell_xx and
+    # B = 2 A_x ell_x - 2 A ell_xx - A_t + ell_tt - 8 ell_xx^2 + 4 ell_xx ell_t
+    ctx = Context(n=1)
+    ell = ctx.real_field("ell")
+    ws = heat_workspace(ctx, ctx.semimartingale("z", real=True), ell)
+    lx, lxx, lt = d_x(ell, 1), d_x(d_x(ell, 1), 1), d_t(ell)
+    A = lx * lx - lxx
+    B = (C(2) * d_x(A, 1) * lx - C(2) * A * lxx - d_t(A) + d_t(lt)
+         - C(8) * lxx * lxx + C(4) * lxx * lt)
+    assert canonical.canonicalize(ws.A - A, ctx).is_zero
+    assert canonical.canonicalize(ws.B_coef() - B, ctx).is_zero
+    assert not canonical.canonicalize(ws.B_coef() - B - lt, ctx).is_zero
 
 
 def test_unknown_case_rejected():

@@ -167,6 +167,33 @@ def test_witnesses_agree_on_zero_products(name):
             eval_jet_many(e, ctx, draws(3, range(2)))
 
 
+WITNESS_DISAGREEMENTS = {
+    # The trees on which the witnesses are known to split at n = 2:
+    # canonicalize returns the zero form and the oracle refuses.
+    # canonicalize stops a product at its first factor whose form is empty
+    # (a semantic zero), the oracle's key pass at its first factor that is
+    # zero by structure, such as C(0); and the oracle refuses d_t and d()
+    # on the tree, where canonicalize checks the finished form.  A change
+    # that makes the witnesses agree on a tree moves it out of this table.
+    "(z - z) * d_x(z, 5)": lambda z, lam: (z - z) * d_x(z, 5),
+    "(z - z) * w": lambda z, lam: (z - z) * FOREIGN_W,
+    "d_x(lam, 1) * d_x(z, 5)": lambda z, lam: d_x(lam, 1) * d_x(z, 5),
+    "d_t(z - z)": lambda z, lam: d_t(z - z),
+    "d(dt - dt)": lambda z, lam: ito_d(DT - DT),
+    "d(dt * C(0))": lambda z, lam: ito_d(DT * C(0)),
+    "d(d(C(0)))": lambda z, lam: ito_d(ito_d(C(0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_DISAGREEMENTS))
+def test_known_witness_disagreements(name):
+    ctx = make_context(2)
+    e = WITNESS_DISAGREEMENTS[name](ctx.sym("z"), ctx.sym("lam"))
+    assert canonicalize(e, ctx).is_zero
+    with pytest.raises(ExprError):
+        eval_jet_many(e, ctx, draws(3, range(2)))
+
+
 EMPTY_PRODUCTS = {
     "Mul(())": (lambda z: Mul(()), 1),
     "Mul(()) * z": (lambda z: Mul(()) * z, None),

@@ -2,7 +2,7 @@
 
 Reports record only whether each oracle value is zero, so this golden is
 what catches a change in a drawn jet or in the arithmetic on it.  It maps
-each of the 12 theorem cells and the 17 catalog cases, intact and
+each of the 12 theorem cells and the 18 catalog cases, intact and
 mutated, at seeds 0, 1 and 7, to the sha256 of its ``numeric_residual``
 values.  Three assignments of consecutive seeds mix both seed parities,
 and so both choices of zeroed null-pair names, in one call.
