@@ -26,6 +26,9 @@ Every derivative of a real scalar is zero, so the monomials holding a
 null product form an ideal, closed under products, d_x, d_t, the Ito d
 and conjugation.  The algebra below therefore ignores the pairs, and
 canonicalize drops those monomials once, from the finished form.
+
+A tree that breaks a rule of the Ito calculus cannot be built (exprs),
+so only each symbol and direction is checked here, against ctx.
 """
 
 from __future__ import annotations
@@ -221,8 +224,6 @@ def _atom_diff(key, var, ctx: Context) -> dict:
     sym = ctx.symbols[name]
     if sym.scalar:
         return {}
-    if var == ("t",) and sym.semimartingale:
-        raise ExprError(f"time derivative of semimartingale {name!r} is not defined")
     rw = sym.rewrites.get(var)
     if rw is None:
         if var == ("t",):
@@ -262,8 +263,6 @@ def _atom_ito(key, ctx: Context) -> dict:
     _, name, mi, to, cj = key
     sym = ctx.symbols[name]
     if sym.semimartingale:
-        if sym.jets is None:
-            raise ExprError(f"semimartingale {name!r} has no registered jets")
         p, q = sym.jets
         atoms = _atoms(ctx)
         pk = _field_key(p.name, mi, to, cj and not p.real)
@@ -278,8 +277,6 @@ def _cf_ito(cf: dict, ctx: Context) -> dict:
     units, itos = atoms.units, atoms.itos
     out: dict = {}
     for mono, coeff in cf.items():
-        if mono & DIFFS:
-            raise ExprError("d() applied to an expression already containing dt or dB")
         items = atoms.decode(mono)
         # Leibniz first-order part; it leaves d(atom) in itos for every atom.
         for key, e in items:
@@ -324,10 +321,8 @@ def _canon(e: Expr, ctx: Context, memo: dict) -> dict:
         v = e.value._v
         out = {EMPTY_MONO: v} if v[0] or v[1] else {}
     elif isinstance(e, Sym):
-        name = e.sym.name
-        if name not in ctx.symbols or ctx.symbols[name] is not e.sym:
-            raise ExprError(f"symbol {name!r} does not belong to this context")
-        out = {_atoms(ctx).unit(_field_key(name, (0,) * ctx.n, 0, False)): _ONE}
+        ctx.check_symbol(e.sym)
+        out = {_atoms(ctx).unit(_field_key(e.sym.name, (0,) * ctx.n, 0, False)): _ONE}
     elif isinstance(e, DtAtom):
         out = {DT_MONO: _ONE}
     elif isinstance(e, DBAtom):
@@ -349,8 +344,7 @@ def _canon(e: Expr, ctx: Context, memo: dict) -> dict:
         for _ in range(e.exp):
             out = _cf_mul(out, base)
     elif isinstance(e, Dx):
-        if not 1 <= e.j <= ctx.n:
-            raise ExprError(f"x{e.j} out of range for dimension {ctx.n}")
+        ctx.check_direction(e.j)
         out = _cf_diff(_canon(e.arg, ctx, memo), ("x", e.j), ctx)
     elif isinstance(e, Dt):
         out = _cf_diff(_canon(e.arg, ctx, memo), ("t",), ctx)

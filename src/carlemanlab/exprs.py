@@ -11,6 +11,10 @@ are, carries optional derivative rewrites (so weights like e^{3 mu t}
 never appear as transcendental atoms, only through their closed
 derivative rules), and records pairs of scalar symbols whose product is
 declared to vanish.
+
+The rules of the Ito calculus are checked where a node is built: d_t
+over a semimartingale, d() over dt, dB, d() or a semimartingale without
+jets.  The rules that read a context are Context methods.
 """
 
 from __future__ import annotations
@@ -124,17 +128,27 @@ class Context:
         if var == "t":
             key: VarKey = ("t",)
         elif len(var) == 2 and var[0] == "x" and var[1].isdigit():
-            j = int(var[1])
-            if not 1 <= j <= self.n:
-                raise ExprError(f"direction {var!r} out of range for n={self.n}")
-            key = ("x", j)
+            key = ("x", int(var[1]))
+            self.check_direction(key[1])
         else:
             raise ExprError(f"unknown derivative direction {var!r}")
         rule = as_expr(expr)
-        _refuse_stochastic(rule)
+        if stochastic(rule):
+            raise ExprError("a derivative rule is a deterministic closed form: "
+                            "it cannot hold a semimartingale, dt, dB or d()")
         sym.rewrites[key] = rule
         if self.atoms is not None:
             self.atoms.forget_derivatives()  # they may have read the old rule
+
+    def check_symbol(self, sym: FieldSymbol) -> None:
+        """ExprError unless sym is the symbol of its name declared here."""
+        if self.symbols.get(sym.name) is not sym:
+            raise ExprError(f"symbol {sym.name!r} does not belong to this context")
+
+    def check_direction(self, j: int) -> None:
+        """ExprError unless x_j is a direction of this context."""
+        if not 1 <= j <= self.n:
+            raise ExprError(f"x{j} out of range for dimension {self.n}")
 
     # -- vanishing products -------------------------------------------
 
@@ -170,7 +184,7 @@ def as_expr(x) -> "Expr":
 
 
 class Expr:
-    __slots__ = ()
+    __slots__ = ("_bits",)  # the stochastic content, once worked out
 
     def __add__(self, other):
         return Add((self, as_expr(other)))
@@ -223,7 +237,7 @@ class Pow(Expr):
     __slots__ = ("base", "exp")
 
     def __init__(self, base: Expr, exp: int):
-        if not isinstance(exp, int) or exp < 0:
+        if type(exp) is not int or exp < 0:
             raise ExprError("powers must be nonnegative integers")
         self.base = base
         self.exp = exp
@@ -233,6 +247,8 @@ class Dx(Expr):
     __slots__ = ("j", "arg")
 
     def __init__(self, j: int, arg: Expr):
+        if type(j) is not int or j < 1:
+            raise ExprError(f"a direction x_j takes an int j >= 1, got {j!r}")
         self.j = j
         self.arg = arg
 
@@ -241,6 +257,8 @@ class Dt(Expr):
     __slots__ = ("arg",)
 
     def __init__(self, arg: Expr):
+        if stochastic(arg) & SEMI:
+            raise ExprError("time derivative applied over a semimartingale")
         self.arg = arg
 
 
@@ -250,6 +268,11 @@ class DIto(Expr):
     __slots__ = ("arg",)
 
     def __init__(self, arg: Expr):
+        bits = stochastic(arg)
+        if bits & DIFF:
+            raise ExprError("d() applied to an expression already containing dt, dB or d()")
+        if bits & JETLESS:
+            raise ExprError("d() applied over a semimartingale with no registered jets")
         self.arg = arg
 
 
@@ -300,20 +323,35 @@ def C(p: Number, q: int = 1) -> Const:
     return Const(QQi(Fraction(p, q)))
 
 
-def _refuse_stochastic(rule: Expr) -> None:
-    """ExprError if rule holds a semimartingale, dt, dB or d() anywhere."""
-    stack, seen = [rule], set()
-    while stack:
-        e = stack.pop()
-        if id(e) in seen:
-            continue
-        seen.add(id(e))
-        if isinstance(e, (DtAtom, DBAtom, DIto)) or isinstance(e, Sym) and e.sym.semimartingale:
-            raise ExprError("a derivative rule is a deterministic closed form: "
-                            "it cannot hold a semimartingale, dt, dB or d()")
-        stack.extend(e.terms if isinstance(e, Add) else e.factors if isinstance(e, Mul)
-                     else (e.base,) if isinstance(e, Pow) else (e.arg,) if hasattr(e, "arg")
-                     else ())
+def children(e: Expr) -> tuple:
+    """The child nodes of e, in order."""
+    if isinstance(e, Add):
+        return e.terms
+    if isinstance(e, Mul):
+        return e.factors
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, (Dx, Dt, DIto, Conj, RePart, ImPart)):
+        return (e.arg,)
+    return ()
+
+
+SEMI, JETLESS, DIFF = 1, 2, 4  # a semimartingale, one with no jets (Pz), dt/dB/d()
+
+
+def stochastic(e: Expr) -> int:
+    """The bits of what e holds, not of what it cancels to, worked out once
+    and kept on the node, so a check visits each distinct subtree once."""
+    bits = getattr(e, "_bits", None)
+    if bits is None:
+        if isinstance(e, Sym):
+            bits = SEMI | JETLESS * (e.sym.jets is None) if e.sym.semimartingale else 0
+        else:
+            bits = DIFF if isinstance(e, (DtAtom, DBAtom, DIto)) else 0
+        for c in children(e):
+            bits |= stochastic(c)
+        e._bits = bits
+    return bits
 
 
 # -- public operation names ------------------------------------------------

@@ -36,9 +36,8 @@ the coefficients no parent reads changes no value.
 A subtree that is zero by its structure, such as a product with a C(0)
 factor, gets the zero key and is not walked; as in the canonicalizer, a
 product's factors after its first zero one are not even keyed.  The key
-pass checks every node it keys, so the oracle refuses a tree, with
-ExprError, exactly when a node it keys is ill-formed, whether the walk
-would reach that node or not.
+pass checks each symbol and direction it keys against the context, so
+the oracle refuses a tree exactly when a node it keys does not fit it.
 
 A residual that is not identically zero is a nonzero polynomial of some
 degree D in the drawn coefficients, so by the Schwartz-Zippel lemma
@@ -81,6 +80,7 @@ from .exprs import (
     RePart,
     Sym,
 )
+from .exprs import children as _children
 
 P = (1 << 61) - 1
 
@@ -311,18 +311,6 @@ class JetValue:
         return not any(self.value + self.dt + self.dB)
 
 
-def _children(e: Expr) -> tuple:
-    if isinstance(e, Add):
-        return e.terms
-    if isinstance(e, Mul):
-        return e.factors
-    if isinstance(e, Pow):
-        return (e.base,)
-    if isinstance(e, (Dx, Dt, DIto, Conj, RePart, ImPart)):
-        return (e.arg,)
-    return ()
-
-
 # Key 0, the zero key, stands for every tree that is zero by its
 # structure (see _key).  _structure gives it an unbounded ask count, so
 # every node with that key stays in the walk's per-mode dicts, and the
@@ -331,53 +319,42 @@ _NIL = (None, None, None)
 
 
 def _key(e: Expr, shifted: bool, ctx: Context, keys: tuple, sigs: dict, asks: list,
-         todo: list, semi: set) -> int:
+         todo: list) -> int:
     """The structural key of e read in the given mode (see _structure).
 
     The key is 0, the zero key, for a constant 0, for a product with a
     zero factor, whose later factors are not keyed, as the canonicalizer
     skips them, for a sum of zero terms or of none, for a power of
     exponent at least 1 over a zero base, and for a derivative, d(),
-    conjugate or real or imaginary part of a zero argument.  Every node
-    keyed is checked, so a tree is refused exactly when a node it keys is
-    ill-formed.  A new nonzero key counts one ask of each child, and
-    joins semi when its tree holds a semimartingale; a time derivative
-    over such a key is refused.  A new symbol adds its rewrites, and
-    those of its jets, to todo."""
+    conjugate or real or imaginary part of a zero argument.  A new nonzero
+    key counts one ask of each child, and a new symbol adds its rewrites,
+    and those of its jets, to todo."""
     t = type(e)
     into = shifted or t is DIto
     seen = keys[into]
     kids = []
     for c in _children(e):
-        k = seen[c] if c in seen else _key(c, into, ctx, keys, sigs, asks, todo, semi)
+        k = seen[c] if c in seen else _key(c, into, ctx, keys, sigs, asks, todo)
         if not k and t is Mul:
             keys[shifted][e] = 0
             return 0
         kids.append(k)
-    if t is Mul:
+    if t is Mul or t is DtAtom or t is DBAtom:
         payload = zero = None
     elif t is Add:
         payload, zero = None, not any(kids)
     elif t is Sym:
+        ctx.check_symbol(e.sym)
         payload, zero = e.sym, False
-        if ctx.symbols.get(e.sym.name) is not e.sym:
-            raise ExprError(f"symbol {e.sym.name!r} does not belong to this context")
-        if shifted and e.sym.semimartingale and e.sym.jets is None:
-            raise ExprError(f"semimartingale {e.sym.name!r} has no registered jets")
     elif t is Const:
         payload = (e.value.re, e.value.im)
         zero = not (payload[0] or payload[1])
     elif t is Dx:
-        if not 1 <= e.j <= ctx.n:
-            raise ExprError(f"x{e.j} out of range for dimension {ctx.n}")
+        ctx.check_direction(e.j)
         payload, zero = e.j, not kids[0]
     elif t is Pow:
         payload, zero = e.exp, e.exp and not kids[0]
-    elif t is DtAtom or t is DBAtom or t is DIto:
-        if shifted:
-            raise ExprError("d() applied to an expression already containing dt or dB")
-        payload, zero = None, t is DIto and not kids[0]
-    elif t is Dt or t is Conj or t is RePart or t is ImPart:
+    elif t is Dt or t is DIto or t is Conj or t is RePart or t is ImPart:
         payload, zero = None, not kids[0]
     else:
         raise ExprError(f"cannot evaluate node {t.__name__}")
@@ -390,14 +367,8 @@ def _key(e: Expr, shifted: bool, ctx: Context, keys: tuple, sigs: dict, asks: li
         for c in kids:
             asks[c] += 1
         if t is Sym:
-            if e.sym.semimartingale:
-                semi.add(k)
             for s in (e.sym, *(e.sym.jets or ())):
                 todo.extend(s.rewrites.values())
-        elif not semi.isdisjoint(kids):
-            if t is Dt:
-                raise ExprError("time derivative applied over a semimartingale")
-            semi.add(k)
     return k
 
 
@@ -412,12 +383,8 @@ def _structure(root: Expr, ctx: Context) -> tuple:
     _key), and the walk reads none of its children.  The walk meets the
     rewrite expressions of every symbol it meets, and of its jets; they
     do not enter the symbol's key, since a rewrite such as
-    phi_t = 3 mu phi refers back to phi.  Every node keyed is checked
-    here, and an ill-formed one is refused with ExprError: a symbol that
-    does not belong to ctx, an x_j out of range, a time derivative over a
-    tree that holds a semimartingale, d() over dt, dB or d(), a
-    semimartingale read in shifted mode that has no registered jets, and
-    a node of unknown type.
+    phi_t = 3 mu phi refers back to phi.  ExprError refuses a symbol or
+    x_j keyed that does not fit ctx, and a node of unknown type.
 
     The walk evaluates each key once, on its needed set (see _up): the
     root needs its constant term, the argument of a derivative in x_v or
@@ -434,10 +401,10 @@ def _structure(root: Expr, ctx: Context) -> tuple:
     order.
     """
     m = ctx.n + 1
-    keys, sigs, asks, todo, semi = ({}, {}), {}, [float("inf")], [root], set()
+    keys, sigs, asks, todo = ({}, {}), {}, [float("inf")], [root]
     for e in todo:
         if e not in keys[0]:
-            _key(e, False, ctx, keys, sigs, asks, todo, semi)
+            _key(e, False, ctx, keys, sigs, asks, todo)
     asks[keys[0][root]] += 1
     need = [0] * len(asks)
     need[keys[0][root]] = 1

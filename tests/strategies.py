@@ -1,6 +1,7 @@
 """Shared generators: a standard context, a context with every construct
-the catalog builds, random expression trees over each, and the noise-free
-path ensemble of the deterministic solver checks."""
+the catalog builds, random expression trees over each, the noise-free
+path ensemble of the deterministic solver checks, and small configs of
+the GL verbs."""
 
 from __future__ import annotations
 
@@ -194,3 +195,12 @@ def zero_paths(M: int, Nt: int, dt: float) -> PathEnsemble:
     """M paths with zero increments: the solver's deterministic special
     cases."""
     return PathEnsemble(M=M, Nt=Nt, dt=dt, increments=np.zeros((M, Nt)))
+
+
+# Small configs of carleman-gl and inverse-gl, for tests that run the verbs
+# many times
+FAST_GL = dict(ensembles=2, paths=4, Nx=30, Nt=120, T=0.3, mus=[2, 3],
+               delta=0.05, seed=21)
+FAST_INV = dict(ensembles=3, paths=4, Nx=30, Nt=120, T=0.3,
+                t1=0.06, t2=0.12, t0=0.15, mu1=3.0, optimizer_draws=5,
+                seed=31)

@@ -32,13 +32,10 @@ from carlemanlab.exprs import DIMENSIONS, DIMENSIONS_TEXT, DT, Context, ExprErro
 from carlemanlab.jetoracle import Gauss
 from carlemanlab.weights import WeightError
 
+from strategies import FAST_GL, FAST_INV
+
 FAST_HEAT = dict(pairs=2, paths=6, modes=4, Nx=40, Nt=200, T=1.0,
                  lambdas=[20, 40], seed=11)
-FAST_GL = dict(ensembles=2, paths=4, Nx=30, Nt=120, T=0.3, mus=[2, 3],
-               delta=0.05, seed=21)
-FAST_INV = dict(ensembles=3, paths=4, Nx=30, Nt=120, T=0.3,
-                t1=0.06, t2=0.12, t0=0.15, mu1=3.0, optimizer_draws=5,
-                seed=31)
 
 # The CSV header of each experiment verb, and of each demo case.
 CSV_HEADERS = {

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import carlemanlab.exprs as exprs
 import carlemanlab.jetoracle as jetoracle
 from carlemanlab.canonical import canonicalize
 from carlemanlab.exact import QQi
@@ -118,17 +119,14 @@ def test_ito_jets_of_product():
             assert (got.dt, got.dB) == (want_dt.value, want_db.value)
             assert got.dt != (0, 0)
     with pytest.raises(ExprError, match="over a semimartingale"):
-        eval_jet_many(d_t(z), ctx, draws(3, [0]))
+        d_t(z)
 
 
 def test_ito_d_of_a_semimartingale_time_derivative_is_refused():
-    # z has no time derivative, so neither witness gives d(d_t z) a value
-    ctx = make_context(1)
-    e = ito_d(d_t(ctx.sym("z")))
-    with pytest.raises(ExprError):
-        canonicalize(e, ctx)
-    with pytest.raises(ExprError, match="over a semimartingale"):
-        eval_jet_many(e, ctx, draws(3, [0]))
+    # z has no time derivative, so d(d_t z) cannot even be built
+    z = make_context(1).sym("z")
+    with pytest.raises(ExprError, match="time derivative applied over a semimartingale"):
+        ito_d(d_t(z))
 
 
 FOREIGN_W = Context(2).complex_field("w")
@@ -136,27 +134,24 @@ FOREIGN_W = Context(2).complex_field("w")
 ZERO_PRODUCTS = {
     # the canonicalizer stops a product at its first zero factor, and the
     # oracle keys none of the factors after it
-    "C(0) * d_x(z, 3)": (lambda z, pz: C(0) * d_x(z, 3), True),
-    "C(0) * d_t(z)": (lambda z, pz: C(0) * d_t(z), True),
-    "C(0) * d(Pz)": (lambda z, pz: C(0) * ito_d(pz), True),
+    "C(0) * d_x(z, 3)": (lambda z: C(0) * d_x(z, 3), True),
     # every node either witness keys is checked, under a zero or not
-    "d_x(z, 3) * C(0)": (lambda z, pz: d_x(z, 3) * C(0), False),
-    "d_x(C(0), 3)": (lambda z, pz: d_x(C(0), 3), False),
-    "d(dt) * C(0)": (lambda z, pz: ito_d(DT) * C(0), False),
-    "d(Pz) * C(0)": (lambda z, pz: ito_d(pz) * C(0), False),
-    "d_x(z, 3)^0": (lambda z, pz: Pow(d_x(z, 3), 0), False),
+    "d_x(z, 3) * C(0)": (lambda z: d_x(z, 3) * C(0), False),
+    "d_x(C(0), 3)": (lambda z: d_x(C(0), 3), False),
+    "d_x(z, 3)^0": (lambda z: Pow(d_x(z, 3), 0), False),
     # w belongs to another context: only a zero factor before it hides it
-    "w * C(0)": (lambda z, pz: FOREIGN_W * C(0), False),
-    "C(0) * w": (lambda z, pz: C(0) * FOREIGN_W, True),
+    "w * C(0)": (lambda z: FOREIGN_W * C(0), False),
+    "C(0) * w": (lambda z: C(0) * FOREIGN_W, True),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ZERO_PRODUCTS))
 def test_witnesses_agree_on_zero_products(name):
-    # at n = 2; Pz, the drift jet of z, has no jets of its own
+    # at n = 2; a product that breaks a rule of the Ito calculus cannot be
+    # built, zero factor or not (tests/test_exprs.py::REFUSED_WHEN_BUILT)
     ctx = make_context(2)
     build, zero = ZERO_PRODUCTS[name]
-    e = build(ctx.sym("z"), ctx.sym("Pz"))
+    e = build(ctx.sym("z"))
     if zero:
         assert canonicalize(e, ctx).is_zero
         assert all(v.is_zero for v in eval_jet_many(e, ctx, draws(3, range(2))))
@@ -172,16 +167,13 @@ WITNESS_DISAGREEMENTS = {
     # canonicalize returns the zero form and the oracle refuses.
     # canonicalize stops a product at its first factor whose form is empty
     # (a semantic zero), the oracle's key pass at its first factor that is
-    # zero by structure, such as C(0); and the oracle refuses d_t and d()
-    # on the tree, where canonicalize checks the finished form.  A change
-    # that makes the witnesses agree on a tree moves it out of this table.
+    # zero by structure, such as C(0), so they split on the context rules,
+    # a symbol's owner and the range of x_j, which each checks at the
+    # nodes it reads.  A change that makes the witnesses agree on a tree
+    # moves it out of this table.
     "(z - z) * d_x(z, 5)": lambda z, lam: (z - z) * d_x(z, 5),
     "(z - z) * w": lambda z, lam: (z - z) * FOREIGN_W,
     "d_x(lam, 1) * d_x(z, 5)": lambda z, lam: d_x(lam, 1) * d_x(z, 5),
-    "d_t(z - z)": lambda z, lam: d_t(z - z),
-    "d(dt - dt)": lambda z, lam: ito_d(DT - DT),
-    "d(dt * C(0))": lambda z, lam: ito_d(DT * C(0)),
-    "d(d(C(0)))": lambda z, lam: ito_d(ito_d(C(0))),
 }
 
 
@@ -214,15 +206,17 @@ def test_witnesses_agree_on_empty_products(name):
         assert all(v.value == (value, 0) and v.dt == v.dB == (0, 0) for v in got)
 
 
-def counted_children(monkeypatch) -> list:
-    """A list that gains each node the key pass keys from now on."""
-    visits, children = [], jetoracle._children
+def counted_children(monkeypatch, module=jetoracle, name="_children") -> list:
+    """A list that gains each node the key pass keys from now on, or, with
+    exprs and "children", each node whose stochastic content is worked
+    out."""
+    visits, children = [], getattr(module, name)
 
     def counted(e):
         visits.append(e)
         return children(e)
 
-    monkeypatch.setattr(jetoracle, "_children", counted)
+    monkeypatch.setattr(module, name, counted)
     return visits
 
 
@@ -235,18 +229,21 @@ def doubled(e, times):
 
 
 def test_time_derivative_check_visits_each_distinct_subtree_once(monkeypatch):
-    # the semimartingale check rides the key pass, so d_t of a tree that
-    # shares 2^22 copies of ell reads each distinct node once, not each path
+    # the semimartingale check reads each node's stochastic content, kept
+    # on the node, so d_t of a tree that shares 2^22 copies of ell reads
+    # each distinct node once, not each path, and so does the key pass
     ctx = make_context(1)
     ell, z = ctx.sym("ell"), ctx.sym("z")
-    visits = counted_children(monkeypatch)
+    built = counted_children(monkeypatch, exprs, "children")
+    keyed = counted_children(monkeypatch)
     e = d_t(doubled(ell, 22)) - C(2 ** 22) * d_t(ell)
+    assert 20 < len(built) < 100, len(built)
     assert all(v.is_zero for v in eval_jet_many(e, ctx, draws(3, range(2))))
-    assert len(visits) < 100, len(visits)
-    visits.clear()
+    assert len(keyed) < 100, len(keyed)
+    built.clear()
     with pytest.raises(ExprError, match="time derivative applied over a semimartingale"):
-        eval_jet_many(d_t(doubled(ell * z, 22)) + ell, ctx, draws(3, [0]))
-    assert len(visits) < 100, len(visits)
+        d_t(doubled(ell * z, 22))
+    assert 20 < len(built) < 100, len(built)
 
 
 def test_oracle_agrees_with_the_canonical_form_on_random_trees():

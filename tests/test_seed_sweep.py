@@ -1,19 +1,22 @@
 """False alarms of the experiment verbs over a fixed list of seeds.
 
 An honest program should pass every check at any seed the schema
-accepts.  This test runs ``carleman-heat`` and both ``demo`` cases through
-``cli.main`` in-process, each on its committed default config at the 40
+accepts.  This test runs ``carleman-heat`` and both ``demo`` cases on
+their committed default configs, and ``carleman-gl`` and ``inverse-gl``
+on the small configs ``FAST_GL`` and ``FAST_INV`` (40 seeds of the
+defaults take about 12 s), through ``cli.main`` in-process at the 40
 seeds 1000-1039, and pins the exact set of (verb, seed, failing check).
 Each member is a false alarm of its check.  A member leaves the set only
 when the ROADMAP item that owns its check reshapes the verdict (item 3
 for ``carleman-heat``); do not move seeds, sizes or bounds to empty it.
-The GL verbs stay out: 40 seeds of them take about 10 s.
 """
 
 import json
 import pathlib
 
 from carlemanlab import cli
+
+from strategies import FAST_GL, FAST_INV
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 SEEDS = range(1000, 1040)
@@ -22,6 +25,7 @@ RUNS = (
     ("demo", "--config", str(CONFIGS / "demo.json"), "--case", "ode"),
     ("demo", "--config", str(CONFIGS / "demo.json"), "--case", "first_order"),
 )
+FAST_RUNS = (("carleman-gl", FAST_GL), ("inverse-gl", FAST_INV))
 
 # The heat verdict's slope gate, log_slope >= -0.05, sits inside the
 # draws' spread of the slope: pair(05) reads -0.0505 at seed 1026, and
@@ -34,8 +38,13 @@ FALSE_ALARMS = {
 
 def test_false_alarms_over_forty_seeds_are_pinned(tmp_path):
     out = tmp_path / "report.json"
+    runs = list(RUNS)
+    for verb, payload in FAST_RUNS:
+        config = tmp_path / f"{verb}.json"
+        config.write_text(json.dumps(payload))
+        runs.append((verb, "--config", str(config)))
     failing = set()
-    for argv in RUNS:
+    for argv in runs:
         for seed in SEEDS:
             code = cli.main([*argv, "--seed", str(seed), "--out", str(out)])
             checks = json.loads(out.read_text())["checks"]
